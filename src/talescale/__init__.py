@@ -24,7 +24,7 @@ from .middleware import (
     LrmMiddleware,
     TERMINAL_STATES,
 )
-from .pilots import PilotPool, PoolPolicy, SlotState, configure_pool
+from .pilots import PilotPool, PoolPolicy, SlotState
 from .planner import (
     ExecutionModel,
     PlacementPlan,

@@ -77,15 +77,6 @@ class SimClock:
     def cancel(self, handle: EventHandle) -> None:
         handle._event.canceled = True
 
-    def pending(self) -> int:
-        return sum(1 for ev in self._heap if not ev.canceled)
-
-    def next_event_time(self) -> float | None:
-        for ev in sorted(self._heap):
-            if not ev.canceled:
-                return ev.time
-        return None
-
     def run_until(self, horizon: float) -> None:
         """Fire every event with time <= horizon, then set now = horizon.
 

@@ -68,7 +68,7 @@ class NativeJob:
 class SimulatedLrm:
     """One cluster's local resource manager."""
 
-    def __init__(self, clock, resource: ResourceDescriptor, rng, trace=None):
+    def __init__(self, clock, resource: ResourceDescriptor, rng, trace):
         if resource.queue_model is None:
             raise ValueError(f"batch resource {resource.name!r} needs a queue model")
         self.clock = clock
@@ -187,9 +187,8 @@ class SimulatedLrm:
         )
         self.jobs[native_id] = job
         wait, held = self._wait_for(self.clock.now)
-        if self.trace is not None:
-            self.trace.emit("backend_job_queued", resource=self.resource.name,
-                            native_id=native_id, name=name, nodes=nodes, wait=wait)
+        self.trace.emit("backend_job_queued", resource=self.resource.name,
+                        native_id=native_id, name=name, nodes=nodes, wait=wait)
         if held and self.queue_model.maintenance_policy == "fail":
             # Reject submissions that would start inside a maintenance window.
             job.cause = "maintenance"
@@ -208,9 +207,8 @@ class SimulatedLrm:
             return
         job.state = "running"
         job.started_at = self.clock.now
-        if self.trace is not None:
-            self.trace.emit("backend_job_started", resource=self.resource.name,
-                            native_id=native_id, name=job.name, nodes=job.node_count)
+        self.trace.emit("backend_job_started", resource=self.resource.name,
+                        native_id=native_id, name=job.name, nodes=job.node_count)
         runtime, exit_code = runtime_of_command(job.command, self.queue_model.default_runtime_s)
         final = "completed" if exit_code == 0 else "failed"
         job.exit_code = exit_code
@@ -224,10 +222,9 @@ class SimulatedLrm:
             job.exit_code = None
         job.state = state
         job.finished_at = self.clock.now
-        if self.trace is not None:
-            self.trace.emit("backend_job_finished", resource=self.resource.name,
-                            native_id=native_id, name=job.name, state=state,
-                            exit_code=job.exit_code)
+        self.trace.emit("backend_job_finished", resource=self.resource.name,
+                        native_id=native_id, name=job.name, state=state,
+                        exit_code=job.exit_code)
 
     def cancel(self, native_id: str) -> None:
         job = self.jobs.get(native_id)

@@ -36,8 +36,3 @@ def parse(checksum: str) -> tuple[str, str]:
     if not algo or not hexpart:
         raise ValueError(f"malformed checksum {checksum!r}, expected 'algo:hex'")
     return algo, hexpart
-
-
-def verify_bytes(data: bytes, checksum: str) -> bool:
-    algo, _ = parse(checksum)
-    return digest_bytes(data, algo) == checksum

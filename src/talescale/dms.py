@@ -189,7 +189,7 @@ class DmsCache:
     """
 
     def __init__(self, clock, catalog: DatasetCatalog, capacity_bytes: int,
-                 bandwidth_bytes_per_s: float, trace=None):
+                 bandwidth_bytes_per_s: float, trace):
         if capacity_bytes < 0:
             raise ValidationError("cache capacity must be >= 0")
         if bandwidth_bytes_per_s <= 0:
@@ -260,8 +260,7 @@ class DmsCache:
             entry.last_access = self.clock.now
             handle.ready = True
             handle.local_path = entry.local_path
-            if self.trace is not None:
-                self.trace.emit("cache_hit", uri=ref.uri)
+            self.trace.emit("cache_hit", uri=ref.uri)
             return handle
 
         if entry.state == CacheState.TRANSFERRING:
@@ -275,9 +274,8 @@ class DmsCache:
         pending = _PendingTransfer(started_at=self.clock.now, finish_at=self.clock.now + duration)
         pending.handles.append(handle)
         self._pending[ref.uri] = pending
-        if self.trace is not None:
-            self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes,
-                            source=TransferSource.REMOTE_REPO.value)
+        self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes,
+                        source=TransferSource.REMOTE_REPO.value)
         if duration == 0:
             self._finish_transfer(ref)
         else:
@@ -326,8 +324,7 @@ class DmsCache:
             victim.state = CacheState.EVICTED
             victim.local_path = None
             evicted.append(victim.ref.uri)
-            if self.trace is not None:
-                self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
+            self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
         return evicted
 
     # -- internals ---------------------------------------------------------
@@ -354,8 +351,7 @@ class DmsCache:
         if corrupted:
             entry.state = CacheState.ABSENT
             error = ChecksumMismatchError(ref.uri, ref.checksum, "sha256:<corrupted>")
-            if self.trace is not None:
-                self.trace.emit("transfer_failed", uri=ref.uri, reason="checksum mismatch")
+            self.trace.emit("transfer_failed", uri=ref.uri, reason="checksum mismatch")
             for handle in pending.handles:
                 handle.error = error
             return
@@ -370,9 +366,8 @@ class DmsCache:
         entry.state = CacheState.RESIDENT
         entry.local_path = f"cache://{ref.uri}"
         entry.last_access = self.clock.now
-        if self.trace is not None:
-            self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
-                            source=TransferSource.REMOTE_REPO.value)
+        self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
+                        source=TransferSource.REMOTE_REPO.value)
         for handle in pending.handles:
             handle.ready = True
             handle.local_path = entry.local_path
@@ -393,9 +388,8 @@ class DmsCache:
             finished_at=self.clock.now,
         )
         self.transfer_log.append(record)
-        if self.trace is not None:
-            self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
-                            source=TransferSource.HPC_LOCAL_STAGEIN.value)
+        self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
+                        source=TransferSource.HPC_LOCAL_STAGEIN.value)
         return record
 
 

@@ -5,7 +5,10 @@ seed, launches a frontend the way that model would, and reports the time
 until the frontend is usable plus that run's transport counters. The
 numbers witness the launch-time contrast between deployment-cluster
 frontends (one image load) and batch-launched frontends (image load plus
-queue wait, unless a warm pilot absorbs it).
+queue wait, unless a warm pilot absorbs it). Each model's frontend runs on
+that model's first candidate under the planner's placement-candidate rule
+(``talescale.planner.placement_candidates``), so measurement and placement
+never disagree about where a frontend may go.
 """
 
 from __future__ import annotations
@@ -13,33 +16,11 @@ from __future__ import annotations
 from .errors import ValidationError
 from .metrics import ReportRow, ReportTable
 from .middleware import JobSpec, JobState
-from .planner import ExecutionModel, WorkloadRequirements, enumerate_feasible_models
+from .planner import ExecutionModel, WorkloadRequirements, placement_candidates
 from .queues import sample_queue_wait
 from .world import World, WorldConfig
 
 _BATCH_MODELS = (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, ExecutionModel.M4_HPC_MPI)
-
-
-def _frontend_resource(model: ExecutionModel, config: WorldConfig,
-                       req: WorkloadRequirements) -> str:
-    inventory = config.inventory
-    if model in (ExecutionModel.M1_WT_CLUSTER, ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM):
-        return next(r.name for r in inventory if r.kind == "wt_cluster")
-    if model == ExecutionModel.M2_HPC_NODE:
-        return next(r.name for r in inventory if r.kind == "hpc_cluster" and r.lrm == "none")
-    if model == ExecutionModel.M3_HPC_NODE_LOCAL_LRM:
-        return next(r.name for r in inventory
-                    if r.kind == "hpc_cluster" and r.is_batch
-                    and (not req.needs_hpc or r.node_count >= req.min_nodes))
-    if model == ExecutionModel.M4_HPC_MPI:
-        return next(r.name for r in inventory
-                    if r.is_batch and r.mpi_capable and r.node_count >= req.min_nodes)
-    # decoupled: same preference order as the planner
-    for kind, lrm in (("wt_cluster", None), ("cloud", None), ("hpc_cluster", "none")):
-        for r in inventory:
-            if r.kind == kind and (lrm is None or r.lrm == lrm):
-                return r.name
-    return next(r.name for r in inventory if r.is_batch)
 
 
 def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
@@ -65,10 +46,9 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
     elif model in _BATCH_MODELS or (
             model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM and rd.is_batch):
         pool = world.pools.get(resource_name)
-        if pool is not None and pool.has_warm:
-            spec = JobSpec(resource=resource_name, command=("frontend",),
-                           credential="user", tale_id="frontend")
-            pool.claim(spec)
+        frontend_job = JobSpec(resource=resource_name, command=("frontend",),
+                               credential="user", tale_id="frontend")
+        if pool is not None and pool.claim(frontend_job) is not None:
             ready = sc.dispatch_overhead_s + image
         else:
             spec = JobSpec(
@@ -98,21 +78,20 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
 def measure_models(config: WorldConfig, req: WorkloadRequirements, seeds,
                    warmup_s: float = 0.0) -> ReportTable:
     """One report row per (feasible model, seed)."""
-    feasibility = enumerate_feasible_models(req, config.inventory)
     rows: list[ReportRow] = []
-    for mf in feasibility:
-        if not mf.feasible:
+    for rule in placement_candidates(req, config.inventory):
+        if not rule.feasible:
             continue
-        resource_name = _frontend_resource(mf.model, config, req)
+        frontend, _ = rule.pairs[0]
         for seed in seeds:
             world = World(config, seed)
             world.start()
             if warmup_s > 0:
                 world.clock.run_until(warmup_s)
-            ttf = launch_frontend(world, mf.model, resource_name, req)
+            ttf = launch_frontend(world, rule.model, frontend.name, req)
             metrics = world.metrics()
             rows.append(ReportRow(
-                model=mf.model.value,
+                model=rule.model.value,
                 seed=seed,
                 time_to_frontend_s=ttf,
                 queries=sum(metrics.backend_queries.values()),

@@ -144,7 +144,7 @@ class _JobRecord:
 
 
 class LrmMiddleware:
-    def __init__(self, clock, transport, trace=None,
+    def __init__(self, clock, transport, trace,
                  dialects: DialectRegistry | None = None,
                  poll_interval_s: float = 5.0,
                  on_transition: Callable | None = None):
@@ -182,9 +182,6 @@ class LrmMiddleware:
     def active_pollers(self) -> int:
         return len(self._pollers)
 
-    def jobs_on(self, resource: str) -> list[str]:
-        return sorted(self._active.get(resource, ()))
-
     # -- lifecycle ------------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> JobHandle:
@@ -220,9 +217,8 @@ class LrmMiddleware:
             self._active[spec.resource].add(job_id)
             self._ensure_poller(spec.resource)
         handle = JobHandle(job_id=job_id, resource=spec.resource, submitted_at=self.clock.now)
-        if self.trace is not None:
-            self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
-                            credential=spec.credential, tale_id=spec.tale_id)
+        self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
+                        credential=spec.credential, tale_id=spec.tale_id)
         return handle
 
     def status(self, handle: JobHandle | str) -> JobStatus:
@@ -278,8 +274,7 @@ class LrmMiddleware:
             output = self.transport.call(resource_name, credential, "batch_status", command)
         except (TransportError, SessionError) as exc:
             self.poll_failures += 1
-            if self.trace is not None:
-                self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
+            self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
         observed = adapter.parse_status(output)
         applied: list[tuple[str, JobState, JobState]] = []
@@ -353,11 +348,10 @@ class LrmMiddleware:
         record.transitions.append((state, self.clock.now))
         if state in TERMINAL_STATES:
             self._active.get(record.spec.resource, set()).discard(record.job_id)
-        if self.trace is not None:
-            self.trace.emit("job_transition", job_id=record.job_id,
-                            resource=record.spec.resource,
-                            from_state=previous.value, to_state=state.value,
-                            exit_code=record.exit_code if state in TERMINAL_STATES else None)
+        self.trace.emit("job_transition", job_id=record.job_id,
+                        resource=record.spec.resource,
+                        from_state=previous.value, to_state=state.value,
+                        exit_code=record.exit_code if state in TERMINAL_STATES else None)
         for sub in record.subscribers:
             sub._push(state, self.clock.now)
         if state in TERMINAL_STATES:

@@ -63,16 +63,9 @@ class PilotSlot:
     claimed_at: float | None = None
 
 
-@dataclass
-class _ClaimedRun:
-    slot: PilotSlot
-    started_at: float
-    finished_at: float
-
-
 class PilotPool:
     def __init__(self, clock, middleware: LrmMiddleware, policy: PoolPolicy,
-                 trace=None, dispatch_overhead_s: float = 0.2,
+                 trace, dispatch_overhead_s: float = 0.2,
                  latency_sink: list | None = None):
         if policy.resource not in middleware.resources:
             raise ValidationError(f"pool references unknown resource {policy.resource!r}")
@@ -86,7 +79,6 @@ class PilotPool:
         self.pending_retries = 0
         middleware.register_credential(policy.credential)
         self.replenish()
-        self._tick_handle = None
         self._schedule_tick()
 
     # -- views ---------------------------------------------------------------
@@ -100,11 +92,6 @@ class PilotPool:
     @property
     def warm_count(self) -> int:
         return sum(1 for s in self.slots if s.state == SlotState.WARM)
-
-    @property
-    def has_warm(self) -> bool:
-        self.refresh()
-        return self.warm_count > 0
 
     def nonexpired(self) -> int:
         return sum(1 for s in self.slots if s.state != SlotState.EXPIRED)
@@ -135,14 +122,12 @@ class PilotPool:
                 # Submission failed; retry on a later replenish tick.
                 slot.state = SlotState.EXPIRED
                 self.pending_retries += 1
-                if self.trace is not None:
-                    self.trace.emit("pilot_submit_failed", resource=self.policy.resource,
-                                    slot=slot.slot_id)
+                self.trace.emit("pilot_submit_failed", resource=self.policy.resource,
+                                slot=slot.slot_id)
                 break
             submitted.append(handle)
-            if self.trace is not None:
-                self.trace.emit("pilot_submitted", resource=self.policy.resource,
-                                slot=slot.slot_id, job_id=handle.job_id)
+            self.trace.emit("pilot_submitted", resource=self.policy.resource,
+                            slot=slot.slot_id, job_id=handle.job_id)
         return submitted
 
     def refresh(self) -> None:
@@ -153,21 +138,18 @@ class PilotPool:
                 if state == JobState.RUNNING:
                     slot.state = SlotState.WARM
                     slot.warmed_at = self.clock.now
-                    if self.trace is not None:
-                        self.trace.emit("pilot_warm", resource=self.policy.resource,
-                                        slot=slot.slot_id)
+                    self.trace.emit("pilot_warm", resource=self.policy.resource,
+                                    slot=slot.slot_id)
                 elif state in TERMINAL_STATES:
                     slot.state = SlotState.EXPIRED
-                    if self.trace is not None:
-                        self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                        slot=slot.slot_id, reason=state.value)
+                    self.trace.emit("pilot_expired", resource=self.policy.resource,
+                                    slot=slot.slot_id, reason=state.value)
             elif slot.state == SlotState.WARM:
                 state = self.middleware.status(slot.handle).state
                 if state in TERMINAL_STATES:
                     slot.state = SlotState.EXPIRED
-                    if self.trace is not None:
-                        self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                        slot=slot.slot_id, reason=state.value)
+                    self.trace.emit("pilot_expired", resource=self.policy.resource,
+                                    slot=slot.slot_id, reason=state.value)
 
     def expire(self, now: float | None = None) -> list[PilotSlot]:
         """Retire warm slots older than the pilot walltime; claimed slots never
@@ -179,9 +161,8 @@ class PilotPool:
                 if now - slot.warmed_at > self.policy.pilot_walltime_s:
                     slot.state = SlotState.EXPIRED
                     expired.append(slot)
-                    if self.trace is not None:
-                        self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                        slot=slot.slot_id, reason="walltime")
+                    self.trace.emit("pilot_expired", resource=self.policy.resource,
+                                    slot=slot.slot_id, reason="walltime")
         if expired:
             self.replenish()
         return expired
@@ -216,15 +197,13 @@ class PilotPool:
         latency = self.dispatch_overhead_s
         self.latency_sink.append(latency)
         slot_id = slot.slot_id
-        if self.trace is not None:
-            self.clock.at(start_at, lambda: self.trace.emit(
-                "workload_started", resource=self.policy.resource, via="pilot",
-                slot=slot_id, latency=latency, tale_id=workload.tale_id))
+        self.clock.at(start_at, lambda: self.trace.emit(
+            "workload_started", resource=self.policy.resource, via="pilot",
+            slot=slot_id, latency=latency, tale_id=workload.tale_id))
         def finish():
-            if self.trace is not None:
-                self.trace.emit("workload_finished", resource=self.policy.resource,
-                                via="pilot", slot=slot_id, exit_code=exit_code,
-                                tale_id=workload.tale_id)
+            self.trace.emit("workload_finished", resource=self.policy.resource,
+                            via="pilot", slot=slot_id, exit_code=exit_code,
+                            tale_id=workload.tale_id)
             self._release(slot)
         self.clock.at(start_at + runtime, finish)
         counts = self.counts()
@@ -242,9 +221,8 @@ class PilotPool:
             return
         slot.state = SlotState.EXPIRED
         self.middleware.cancel(slot.handle)
-        if self.trace is not None:
-            self.trace.emit("pilot_expired", resource=self.policy.resource,
-                            slot=slot.slot_id, reason="released")
+        self.trace.emit("pilot_expired", resource=self.policy.resource,
+                        slot=slot.slot_id, reason="released")
 
     # -- ticking -----------------------------------------------------------
 
@@ -252,21 +230,10 @@ class PilotPool:
         # Same cadence as the middleware poller, same clock.
         interval = self.middleware.poll_interval_s
         next_tick = math.floor(self.clock.now / interval) * interval + interval
-        self._tick_handle = self.clock.at(next_tick, self._tick)
+        self.clock.at(next_tick, self._tick)
 
     def _tick(self) -> None:
         self.refresh()
         self.expire()
         self.replenish()
         self._schedule_tick()
-
-    def stop(self) -> None:
-        if self._tick_handle is not None:
-            self.clock.cancel(self._tick_handle)
-            self._tick_handle = None
-
-
-def configure_pool(clock, middleware: LrmMiddleware, policy: PoolPolicy,
-                   trace=None, dispatch_overhead_s: float = 0.2) -> PilotPool:
-    return PilotPool(clock, middleware, policy, trace=trace,
-                     dispatch_overhead_s=dispatch_overhead_s)

@@ -17,6 +17,10 @@ Model rules, fixed as this artifact's policy:
 * M5 frontend on the deployment cluster, workload on a remote batch LRM.
 * M6 decoupled: a user-named frontend resource (recorded as an override)
   with workloads on any batch LRM.
+
+``placement_candidates`` states these rules once. Feasibility, placement,
+the frontend pairing check in ``estimate_time_to_frontend`` and the
+per-model measurements in ``talescale.measure`` all derive from it.
 """
 
 from __future__ import annotations
@@ -100,85 +104,108 @@ class PlacementPlan:
         }
 
 
-def _batch_candidates(req: WorkloadRequirements, inventory) -> list[ResourceDescriptor]:
-    return [
+@dataclass(frozen=True)
+class ModelCandidates:
+    """One model's entry in the placement-candidate rule.
+
+    ``frontends`` lists the resources that may host this model's frontend,
+    before the requirement checks; the frontend pairing check reads it.
+    ``pairs`` lists the (frontend, workload resource) placements the
+    requirements allow, in inventory order; the workload resource is None
+    when no HPC workload runs. An infeasible model has no pairs, and
+    ``reason`` says why.
+    """
+
+    model: ExecutionModel
+    frontends: tuple[ResourceDescriptor, ...]
+    pairs: tuple[tuple[ResourceDescriptor, ResourceDescriptor | None], ...]
+    reason: str
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self.pairs)
+
+
+def placement_candidates(req: WorkloadRequirements,
+                         inventory: list[ResourceDescriptor]) -> list[ModelCandidates]:
+    """The placement-candidate rule: every model's candidates, in model order.
+
+    Feasibility, placement, the frontend pairing check and the per-model
+    measurements all derive from this one rule.
+    """
+    if not inventory:
+        raise ValidationError("inventory must not be empty")
+    wt = [r for r in inventory if r.kind == "wt_cluster"][:1]
+    cloud = [r for r in inventory if r.kind == "cloud"][:1]
+    direct = [r for r in inventory if r.kind == "hpc_cluster" and r.lrm == "none"]
+    batch = [
         r for r in inventory
         if r.kind == "hpc_cluster" and r.lrm == "batch"
         and (not req.needs_hpc or r.node_count >= req.min_nodes)
     ]
+    mpi = [r for r in batch if r.mpi_capable and r.node_count >= req.min_nodes]
+    # Decoupled frontend when the user names nothing: deployment cluster,
+    # then cloud, then a direct-access node, then the workload cluster itself.
+    decoupled = (wt or cloud or direct or batch)[:1]
+
+    def workload(r):
+        return r if req.needs_hpc else None
+
+    mpi_only = "MPI workloads require the MPI execution model"
+    multi_node = "multi-node workloads need an LRM-backed model"
+    if req.needs_hpc and req.min_nodes > 1:
+        no_batch = f"no batch hpc_cluster with >= {req.min_nodes} nodes"
+    else:
+        no_batch = "no hpc_cluster with a batch LRM"
+    # (model, frontends, pairs, (blocked, reason) checks in order, feasible reason)
+    rules = (
+        (ExecutionModel.M1_WT_CLUSTER, wt, [(f, workload(f)) for f in wt], (
+            (not wt, "no wt_cluster in inventory"),
+            (req.needs_mpi, "MPI required; wt cluster cannot host MPI workloads"),
+            (req.min_nodes > 1, multi_node),
+        ), "wt cluster hosts frontend and local jobs"),
+        (ExecutionModel.M2_HPC_NODE, direct, [(f, workload(f)) for f in direct], (
+            (not direct, "no directly reachable hpc_cluster (lrm=none)"),
+            (req.needs_mpi, "MPI required; a single node cannot host it"),
+            (req.min_nodes > 1, multi_node),
+        ), "frontend on a single directly reachable HPC node"),
+        (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, batch, [(f, workload(f)) for f in batch], (
+            (req.needs_mpi, mpi_only),
+            (not batch, no_batch),
+        ), "frontend on an HPC node with local LRM access"),
+        (ExecutionModel.M4_HPC_MPI, mpi, [(f, f) for f in mpi], (
+            (not req.needs_mpi, "workload does not require MPI"),
+            (not mpi, f"no MPI-capable resource with >= {req.min_nodes} nodes"),
+        ), "frontend launched as an MPI allocation"),
+        (ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, wt,
+         [(f, workload(w)) for f in wt for w in batch], (
+            (req.needs_mpi, mpi_only),
+            (not wt, "no wt_cluster to host the frontend"),
+            (not batch, no_batch),
+        ), "frontend on wt cluster, jobs to a remote LRM"),
+        (ExecutionModel.M6_DECOUPLED_REMOTE_LRM, decoupled,
+         [(f, workload(w)) for f in decoupled for w in batch], (
+            (req.needs_mpi, mpi_only),
+            (not batch, no_batch),
+        ), "decoupled frontend with remote LRM access"),
+    )
+    out = []
+    for model, frontends, pairs, checks, feasible_reason in rules:
+        blocked = next((why for hit, why in checks if hit), None)
+        out.append(ModelCandidates(
+            model=model, frontends=tuple(frontends),
+            pairs=() if blocked else tuple(pairs), reason=blocked or feasible_reason,
+        ))
+    return out
 
 
 def enumerate_feasible_models(req: WorkloadRequirements,
                               inventory: list[ResourceDescriptor]) -> list[ModelFeasibility]:
     """Feasibility of all six models, in model order, with reasons."""
-    if not inventory:
-        raise ValidationError("inventory must not be empty")
-    wt = [r for r in inventory if r.kind == "wt_cluster"]
-    hpc_direct = [r for r in inventory if r.kind == "hpc_cluster" and r.lrm == "none"]
-    batch = _batch_candidates(req, inventory)
-    mpi_ok = [r for r in batch if r.mpi_capable and r.node_count >= req.min_nodes]
-
-    results = []
-
-    def add(model, feasible, reason):
-        results.append(ModelFeasibility(model=model, feasible=feasible, reason=reason))
-
-    if not wt:
-        add(ExecutionModel.M1_WT_CLUSTER, False, "no wt_cluster in inventory")
-    elif req.needs_mpi:
-        add(ExecutionModel.M1_WT_CLUSTER, False, "MPI required; wt cluster cannot host MPI workloads")
-    elif req.min_nodes > 1:
-        add(ExecutionModel.M1_WT_CLUSTER, False, "multi-node workloads need an LRM-backed model")
-    else:
-        add(ExecutionModel.M1_WT_CLUSTER, True, "wt cluster hosts frontend and local jobs")
-
-    if not hpc_direct:
-        add(ExecutionModel.M2_HPC_NODE, False, "no directly reachable hpc_cluster (lrm=none)")
-    elif req.needs_mpi:
-        add(ExecutionModel.M2_HPC_NODE, False, "MPI required; a single node cannot host it")
-    elif req.min_nodes > 1:
-        add(ExecutionModel.M2_HPC_NODE, False, "multi-node workloads need an LRM-backed model")
-    else:
-        add(ExecutionModel.M2_HPC_NODE, True, "frontend on a single directly reachable HPC node")
-
-    if req.needs_mpi:
-        add(ExecutionModel.M3_HPC_NODE_LOCAL_LRM, False, "MPI workloads require the MPI execution model")
-    elif not batch:
-        add(ExecutionModel.M3_HPC_NODE_LOCAL_LRM, False, _no_batch_reason(req))
-    else:
-        add(ExecutionModel.M3_HPC_NODE_LOCAL_LRM, True, "frontend on an HPC node with local LRM access")
-
-    if not req.needs_mpi:
-        add(ExecutionModel.M4_HPC_MPI, False, "workload does not require MPI")
-    elif not mpi_ok:
-        add(ExecutionModel.M4_HPC_MPI, False,
-            f"no MPI-capable resource with >= {req.min_nodes} nodes")
-    else:
-        add(ExecutionModel.M4_HPC_MPI, True, "frontend launched as an MPI allocation")
-
-    if req.needs_mpi:
-        add(ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, False, "MPI workloads require the MPI execution model")
-    elif not wt:
-        add(ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, False, "no wt_cluster to host the frontend")
-    elif not batch:
-        add(ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, False, _no_batch_reason(req))
-    else:
-        add(ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, True, "frontend on wt cluster, jobs to a remote LRM")
-
-    if req.needs_mpi:
-        add(ExecutionModel.M6_DECOUPLED_REMOTE_LRM, False, "MPI workloads require the MPI execution model")
-    elif not batch:
-        add(ExecutionModel.M6_DECOUPLED_REMOTE_LRM, False, _no_batch_reason(req))
-    else:
-        add(ExecutionModel.M6_DECOUPLED_REMOTE_LRM, True, "decoupled frontend with remote LRM access")
-
-    return results
-
-
-def _no_batch_reason(req: WorkloadRequirements) -> str:
-    if req.needs_hpc and req.min_nodes > 1:
-        return f"no batch hpc_cluster with >= {req.min_nodes} nodes"
-    return "no hpc_cluster with a batch LRM"
+    return [
+        ModelFeasibility(model=c.model, feasible=c.feasible, reason=c.reason)
+        for c in placement_candidates(req, inventory)
+    ]
 
 
 def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
@@ -189,9 +216,18 @@ def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescripto
     Deployment-cluster and decoupled non-batch frontends cost one image
     load. Batch-launched frontends add the queue model's analytic mean
     wait, unless a warm pilot slot turns that into a dispatch overhead.
+    The resource must be one the candidate rule places this model's
+    frontend on.
     """
     model = ExecutionModel(model)
-    _check_pairing(model, resource)
+    rule = placement_candidates(WorkloadRequirements(), [resource])[MODEL_ORDER.index(model)]
+    if not rule.frontends:
+        raise ValidationError(f"{model.value} cannot place a frontend on {resource.name!r}")
+    return _time_to_frontend(model, resource, image_load_s, pool_state, dispatch_overhead_s)
+
+
+def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
+                      image_load_s: float, pool_state, dispatch_overhead_s: float) -> float:
     queued_models = (ExecutionModel.M2_HPC_NODE, ExecutionModel.M3_HPC_NODE_LOCAL_LRM,
                      ExecutionModel.M4_HPC_MPI)
     decoupled_queued = (model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM
@@ -202,30 +238,6 @@ def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescripto
         wait = resource.queue_model.expected_wait() if resource.queue_model else 0.0
         return image_load_s + wait
     return image_load_s
-
-
-def _check_pairing(model: ExecutionModel, resource: ResourceDescriptor) -> None:
-    ok = {
-        ExecutionModel.M1_WT_CLUSTER: resource.kind == "wt_cluster",
-        ExecutionModel.M2_HPC_NODE: resource.kind == "hpc_cluster" and resource.lrm == "none",
-        ExecutionModel.M3_HPC_NODE_LOCAL_LRM: resource.kind == "hpc_cluster" and resource.is_batch,
-        ExecutionModel.M4_HPC_MPI: resource.kind == "hpc_cluster" and resource.is_batch and resource.mpi_capable,
-        ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM: resource.kind == "wt_cluster",
-        ExecutionModel.M6_DECOUPLED_REMOTE_LRM: True,
-    }[model]
-    if not ok:
-        raise ValidationError(f"{model.value} cannot place a frontend on {resource.name!r}")
-
-
-def _decoupled_frontend(inventory, batch: list[ResourceDescriptor]) -> ResourceDescriptor:
-    # Preference for the decoupled frontend when the user names nothing:
-    # deployment cluster, then cloud, then a direct-access node, then the
-    # workload cluster itself.
-    for kind, lrm in (("wt_cluster", None), ("cloud", None), ("hpc_cluster", "none")):
-        for r in inventory:
-            if r.kind == kind and (lrm is None or r.lrm == lrm):
-                return r
-    return batch[0]
 
 
 def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor],
@@ -242,48 +254,25 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}; use one of {OBJECTIVES}")
-    feasibility = enumerate_feasible_models(req, inventory)
-    feasible = {mf.model for mf in feasibility if mf.feasible}
+    rules = placement_candidates(req, inventory)
     reasons = tuple(
-        f"{mf.model.value}: {'feasible' if mf.feasible else 'infeasible'} - {mf.reason}"
-        for mf in feasibility
+        f"{c.model.value}: {'feasible' if c.feasible else 'infeasible'} - {c.reason}"
+        for c in rules
     )
-    by_name = {r.name: r for r in inventory}
     index = {r.name: i for i, r in enumerate(inventory)}
-    wt = [r for r in inventory if r.kind == "wt_cluster"]
-    hpc_direct = [r for r in inventory if r.kind == "hpc_cluster" and r.lrm == "none"]
-    batch = _batch_candidates(req, inventory)
-    mpi_ok = [r for r in batch if r.mpi_capable and r.node_count >= req.min_nodes]
 
     override = None
-    if frontend_override is not None:
-        override = by_name.get(frontend_override)
+    if frontend_override is None:
+        candidates = [(c.model, frontend, workload)
+                      for c in rules for frontend, workload in c.pairs]
+    else:
+        override = {r.name: r for r in inventory}.get(frontend_override)
         if override is None:
             raise ValidationError(f"frontend override {frontend_override!r} is not in the inventory")
-        if ExecutionModel.M6_DECOUPLED_REMOTE_LRM not in feasible:
+        decoupled = rules[MODEL_ORDER.index(ExecutionModel.M6_DECOUPLED_REMOTE_LRM)]
+        if not decoupled.feasible:
             raise InfeasiblePlanError(list(reasons))
-        feasible = {ExecutionModel.M6_DECOUPLED_REMOTE_LRM}
-
-    # (model, frontend, workload resource or None) candidates
-    candidates: list[tuple[ExecutionModel, ResourceDescriptor, ResourceDescriptor | None]] = []
-    if ExecutionModel.M1_WT_CLUSTER in feasible:
-        candidates.append((ExecutionModel.M1_WT_CLUSTER, wt[0], wt[0] if req.needs_hpc else None))
-    if ExecutionModel.M2_HPC_NODE in feasible:
-        for r in hpc_direct:
-            candidates.append((ExecutionModel.M2_HPC_NODE, r, r if req.needs_hpc else None))
-    if ExecutionModel.M3_HPC_NODE_LOCAL_LRM in feasible:
-        for r in batch:
-            candidates.append((ExecutionModel.M3_HPC_NODE_LOCAL_LRM, r, r if req.needs_hpc else None))
-    if ExecutionModel.M4_HPC_MPI in feasible:
-        for r in mpi_ok:
-            candidates.append((ExecutionModel.M4_HPC_MPI, r, r))
-    if ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM in feasible:
-        for r in batch:
-            candidates.append((ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, wt[0], r if req.needs_hpc else None))
-    if ExecutionModel.M6_DECOUPLED_REMOTE_LRM in feasible:
-        frontend = override if override is not None else _decoupled_frontend(inventory, batch)
-        for r in batch:
-            candidates.append((ExecutionModel.M6_DECOUPLED_REMOTE_LRM, frontend, r if req.needs_hpc else None))
+        candidates = [(decoupled.model, override, workload) for _, workload in decoupled.pairs]
 
     if not candidates:
         raise InfeasiblePlanError(list(reasons))
@@ -305,7 +294,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     def score(candidate):
         model, frontend, workload = candidate
         if objective == "min_time_to_frontend":
-            primary = estimate_time_to_frontend(
+            primary = _time_to_frontend(
                 model, frontend, image_load_s, pool_state, dispatch_overhead_s)
         else:
             primary = wide_area_bytes(frontend, workload)
@@ -321,8 +310,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     staging = tuple(
         resolve_local(ref_for(uri), consumer) for uri in sorted(req.dataset_uris)
     )
-    estimate = estimate_time_to_frontend(
-        model, frontend, image_load_s, pool_state, dispatch_overhead_s)
+    estimate = _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
     notes = list(reasons)
     notes.append(f"selected {model.value} minimizing {objective}")
     if override is not None:

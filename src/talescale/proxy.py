@@ -55,7 +55,7 @@ class SimulatedNetwork:
 
 class ProxyRegistry:
     def __init__(self, network: SimulatedNetwork, resources: dict[str, ResourceDescriptor],
-                 clock=None, trace=None):
+                 clock, trace):
         self.network = network
         self.resources = resources
         self.clock = clock
@@ -70,18 +70,17 @@ class ProxyRegistry:
             public_path=f"/tales/{tale_id}/",
             tale_id=tale_id,
             endpoint=endpoint,
-            created_at=self.clock.now if self.clock else 0.0,
+            created_at=self.clock.now,
         )
         self._routes[tale_id] = route
-        if self.trace is not None:
-            self.trace.emit("route_registered", tale_id=tale_id,
-                            public_path=route.public_path, resource=endpoint.resource)
+        self.trace.emit("route_registered", tale_id=tale_id,
+                        public_path=route.public_path, resource=endpoint.resource)
         return route
 
     def deregister(self, tale_id: str) -> None:
         """Idempotent; re-registration is allowed afterwards."""
         removed = self._routes.pop(tale_id, None)
-        if removed is not None and self.trace is not None:
+        if removed is not None:
             self.trace.emit("route_deregistered", tale_id=tale_id)
 
     def routes(self) -> dict[str, Route]:
@@ -106,7 +105,7 @@ class ProxyRegistry:
             )
         response = self.network.deliver(found.endpoint, request)
         record = {
-            "t": self.clock.now if self.clock else 0.0,
+            "t": self.clock.now,
             "public_path": public_path,
             "tale_id": found.tale_id,
             "resource": found.endpoint.resource,
@@ -118,8 +117,7 @@ class ProxyRegistry:
             "response_digest": short_digest(response),
         }
         self.forwarding_log.append(record)
-        if self.trace is not None:
-            self.trace.emit("proxy_forward", **record)
+        self.trace.emit("proxy_forward", **record)
         return response
 
     def forwarding_log_ndjson(self) -> bytes:

@@ -43,9 +43,6 @@ class TraceLog:
     def __len__(self) -> int:
         return len(self._events)
 
-    def by_kind(self, kind: str) -> list[TraceEvent]:
-        return [ev for ev in self._events if ev.kind == kind]
-
     def to_ndjson(self) -> bytes:
         return ("\n".join(ev.to_json() for ev in self._events) + "\n").encode("utf-8") if self._events else b""
 

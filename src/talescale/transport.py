@@ -45,7 +45,7 @@ class TransportCall:
 
 
 class Transport:
-    def __init__(self, clock, trace=None, rtt_s: float = 0.05, handshake_s: float = 0.5,
+    def __init__(self, clock, trace, rtt_s: float = 0.05, handshake_s: float = 0.5,
                  idle_ttl_s: float | None = 300.0, handshake_backoff_s: float = 30.0):
         self.clock = clock
         self.trace = trace
@@ -59,7 +59,9 @@ class Transport:
         self._credentials: set[str] = set()
         self._sessions: dict[tuple[str, str], Session] = {}
         self._unhealthy: dict[tuple[str, str], float] = {}
-        self._fail_next: list[str] = []  # pending injected failures: "transport" | "handshake"
+        # pending injected failures per kind; each kind fires on its own next
+        # opportunity, so a waiting handshake failure never blocks a transport one
+        self._fail_next = {"transport": 0, "handshake": 0}
 
     # -- registry ---------------------------------------------------------
 
@@ -69,19 +71,18 @@ class Transport:
     def register_credential(self, name: str) -> None:
         self._credentials.add(name)
 
-    def has_credential(self, name: str) -> bool:
-        return name in self._credentials
-
     # -- fault injection ----------------------------------------------------
 
     def inject_failure(self, kind: str = "transport", count: int = 1) -> None:
-        if kind not in ("transport", "handshake"):
+        if kind not in self._fail_next:
             raise ValueError(f"unknown failure kind {kind!r}")
-        self._fail_next.extend([kind] * count)
+        if count < 0:
+            raise ValueError("failure count must be >= 0")
+        self._fail_next[kind] += count
 
     def _take_failure(self, kind: str) -> bool:
-        if self._fail_next and self._fail_next[0] == kind:
-            self._fail_next.pop(0)
+        if self._fail_next[kind]:
+            self._fail_next[kind] -= 1
             return True
         return False
 
@@ -109,8 +110,7 @@ class Transport:
 
         if self._take_failure("handshake"):
             self._unhealthy[pair] = self.clock.now + self.handshake_backoff_s
-            if self.trace is not None:
-                self.trace.emit("handshake_failed", resource=resource, credential=credential)
+            self.trace.emit("handshake_failed", resource=resource, credential=credential)
             raise SessionError(f"handshake with {pair} failed")
 
         self.clock.consume(self.handshake_s)
@@ -120,8 +120,7 @@ class Transport:
             opened_at=self.clock.now, idle_ttl=self.idle_ttl_s, last_used=self.clock.now,
         )
         self._sessions[pair] = session
-        if self.trace is not None:
-            self.trace.emit("handshake", resource=resource, credential=credential)
+        self.trace.emit("handshake", resource=resource, credential=credential)
         return session
 
     def live_sessions(self) -> int:
@@ -133,9 +132,8 @@ class Transport:
         """One round trip over the pair's session; logs exactly one line."""
         session = self.acquire_session(resource, credential)
         if self._take_failure("transport"):
-            if self.trace is not None:
-                self.trace.emit("transport_failed", resource=resource,
-                                credential=credential, verb=verb)
+            self.trace.emit("transport_failed", resource=resource,
+                            credential=credential, verb=verb)
             raise TransportError(f"{verb} to {resource!r} failed in transit")
         self.clock.consume(self.rtt_s)
         backend = self._backends[resource]
@@ -146,9 +144,8 @@ class Transport:
             verb=verb, payload_digest=short_digest(payload.encode()), payload=payload,
         )
         self.log.append(record)
-        if self.trace is not None:
-            self.trace.emit("transport_call", resource=resource, credential=credential,
-                            verb=verb, payload_digest=record.payload_digest)
+        self.trace.emit("transport_call", resource=resource, credential=credential,
+                        verb=verb, payload_digest=record.payload_digest)
         return output
 
     # -- log queries --------------------------------------------------------

@@ -326,9 +326,6 @@ class World:
             else:
                 self.cache.open(ref)
 
-    def pool_state(self) -> dict[str, bool]:
-        return {name: pool.has_warm for name, pool in self.pools.items()}
-
     # -- metrics ------------------------------------------------------------
 
     def metrics(self) -> ScenarioMetrics:

@@ -225,7 +225,7 @@ def run_cache_sequence(capacity, accesses, sizes):
     refs = {u: ExternalDataRef(uri=u, size_bytes=s, checksum=digest_bytes(u.encode()))
             for u, s in sizes.items()}
     clock = SimClock()
-    cache = DmsCache(clock, DatasetCatalog(refs.values()), capacity, 1e9)
+    cache = DmsCache(clock, DatasetCatalog(refs.values()), capacity, 1e9, TraceLog(clock))
     evictions = []
 
     class SpyCache:  # record eviction order without touching internals
@@ -292,7 +292,7 @@ class TestInvariants:
         refs = {u: ExternalDataRef(uri=u, size_bytes=s, checksum=digest_bytes(u.encode()))
                 for u, s in sizes.items()}
         clock = SimClock()
-        cache = DmsCache(clock, DatasetCatalog(refs.values()), 70, 1e9)
+        cache = DmsCache(clock, DatasetCatalog(refs.values()), 70, 1e9, TraceLog(clock))
         for uri in accesses:
             cache.open(refs[uri])
             assert cache.resident_bytes() <= 70
@@ -304,7 +304,7 @@ class TestInvariants:
         refs = {u: ExternalDataRef(uri=u, size_bytes=5, checksum=digest_bytes(u.encode()))
                 for u in "abc"}
         clock = SimClock()
-        cache = DmsCache(clock, DatasetCatalog(refs.values()), 1000, 1e9)
+        cache = DmsCache(clock, DatasetCatalog(refs.values()), 1000, 1e9, TraceLog(clock))
         for uri in accesses:
             cache.open(refs[uri])
         for uri in set(accesses):

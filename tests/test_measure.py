@@ -67,3 +67,23 @@ def test_rows_carry_per_run_counters():
     row = table.rows[0]
     assert row.queries > 0
     assert row.handshakes >= 1
+
+
+def test_mpi_frontend_skips_a_cloud_batch_resource_listed_first():
+    # The planner places M4 only on an hpc_cluster, so the measured frontend
+    # must wait out mpi-1's 600 s queue, not cloudb-1's 10 s one.
+    config = load_config({
+        "resources": [
+            {"name": "cloudb-1", "kind": "cloud", "lrm": "batch", "mpi_capable": True,
+             "node_count": 8, "queue": "fast"},
+            {"name": "mpi-1", "kind": "hpc_cluster", "lrm": "batch", "mpi_capable": True,
+             "allows_incoming_connections": False, "node_count": 8, "queue": "slow"},
+        ],
+        "queues": {"fast": {"distribution": "fixed", "params": {"value": 10.0}},
+                   "slow": {"distribution": "fixed", "params": {"value": 600.0}}},
+        "scenario": {"image_load_s": 8.0},
+    })
+    req = WorkloadRequirements(needs_hpc=True, needs_mpi=True, min_nodes=4)
+    table = measure_models(config, req, seeds=range(3))
+    assert table.models() == ["M4_hpc_mpi"]
+    assert min(table.samples("M4_hpc_mpi")) >= 608.0

@@ -266,6 +266,25 @@ class TestSessions:
         world.clock.advance(31.0)  # backoff over
         world.middleware.acquire_session("hpc-1", "user")
 
+    def test_pending_handshake_failure_does_not_hold_back_a_transport_failure(self):
+        world = batch_world(queue={"distribution": "fixed", "params": {"value": 1000.0}})
+        world.middleware.submit(spec())  # opens the session; polls keep it live
+        world.transport.inject_failure("handshake", count=1)
+        world.transport.inject_failure("transport", count=1)
+        world.clock.run_until(100.0)
+        assert world.middleware.poll_failures == 1
+        assert world.transport.handshake_count == 1
+        # the job ends near t=1030; once the session idles out, the next
+        # handshake takes the pending handshake failure
+        world.clock.run_until(2000.0)
+        with pytest.raises(SessionError, match="handshake"):
+            world.middleware.acquire_session("hpc-1", "user")
+
+    def test_negative_failure_count_rejected(self):
+        world = batch_world()
+        with pytest.raises(ValueError):
+            world.transport.inject_failure("transport", count=-1)
+
 
 class TestDialects:
     def test_pbs_command_strings_in_transport_log(self):

@@ -11,6 +11,7 @@ from talescale.planner import (
     WorkloadRequirements,
     enumerate_feasible_models,
     estimate_time_to_frontend,
+    placement_candidates,
     plan_placement,
 )
 from talescale.queues import QueueModel
@@ -36,6 +37,8 @@ ARCHETYPES = {
     "hpc_batch_mpi": make_resource(name="mpi-1", lrm="batch", mpi=True, nodes=8,
                                    queue=fixed_queue(600)),
     "cloud": make_resource(name="cloud-1", kind="cloud", lrm="none", incoming=True),
+    "cloud_batch": make_resource(name="cloudb-1", kind="cloud", lrm="batch", mpi=True, nodes=8,
+                                 incoming=True, queue=fixed_queue(10)),
 }
 
 REQS = [
@@ -104,6 +107,19 @@ class TestEnumerate:
                     got = feasible_set(req, inventory)
                     want = {m for m in ExecutionModel if oracle_feasible(m, req, inventory)}
                     assert got == want, f"{combo} {req}"
+
+    def test_candidates_decide_feasibility_and_pass_the_pairing_check(self):
+        names = list(ARCHETYPES)
+        for r in range(1, len(names) + 1):
+            for combo in itertools.permutations(names, r):
+                inventory = [ARCHETYPES[n] for n in combo]
+                for req in REQS:
+                    rules = placement_candidates(req, inventory)
+                    assert feasible_set(req, inventory) == {c.model for c in rules if c.pairs}
+                    for c in rules:
+                        if c.pairs:
+                            frontend, _ = c.pairs[0]
+                            estimate_time_to_frontend(c.model, frontend, 8.0)
 
     def test_monotonicity_adding_resources(self):
         rng = random.Random(99)
