@@ -80,15 +80,6 @@ class TransferRecord:
     started_at: float
     finished_at: float
 
-    def to_dict(self) -> dict:
-        return {
-            "uri": self.uri,
-            "source": self.source.value,
-            "bytes": self.bytes,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-
 
 @dataclass
 class CacheEntry:
@@ -392,9 +383,3 @@ class DmsCache:
                         source=TransferSource.HPC_LOCAL_STAGEIN.value)
         return record
 
-
-def transfer_log_ndjson(records: Iterable[TransferRecord]) -> bytes:
-    import json
-
-    lines = [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) for r in records]
-    return ("\n".join(lines) + "\n").encode() if lines else b""

@@ -7,8 +7,9 @@ numbers witness the launch-time contrast between deployment-cluster
 frontends (one image load) and batch-launched frontends (image load plus
 queue wait, unless a warm pilot absorbs it). Each model's frontend runs on
 that model's first candidate under the planner's placement-candidate rule
-(``talescale.planner.placement_candidates``), so measurement and placement
-never disagree about where a frontend may go.
+(``talescale.planner.placement_candidates``) and launches the way
+``talescale.planner.launch_path`` says, so measurement and placement never
+disagree about where a frontend may go or how it starts.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from __future__ import annotations
 from .errors import ValidationError
 from .metrics import ReportRow, ReportTable
 from .middleware import JobSpec, JobState
-from .planner import ExecutionModel, WorkloadRequirements, placement_candidates
+from .planner import (
+    ExecutionModel,
+    LaunchPath,
+    WorkloadRequirements,
+    launch_path,
+    placement_candidates,
+)
 from .queues import sample_queue_wait
 from .world import World, WorldConfig
-
-_BATCH_MODELS = (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, ExecutionModel.M4_HPC_MPI)
 
 
 def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
@@ -35,16 +40,15 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
     image = sc.image_load_s
     rd = world.config.resources[resource_name]
     requested_at = world.clock.now
+    path = launch_path(model, rd)
 
-    if model == ExecutionModel.M2_HPC_NODE or (
-            model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM and not rd.is_batch and rd.queue_model):
+    if path == LaunchPath.NODE_QUEUE:
         wait = 0.0
         if rd.queue_model is not None:
             wait = sample_queue_wait(rd.queue_model, world.rng_for(resource_name, "frontend"),
                                      requested_at)
         ready = wait + image
-    elif model in _BATCH_MODELS or (
-            model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM and rd.is_batch):
+    elif path == LaunchPath.BATCH_QUEUE:
         pool = world.pools.get(resource_name)
         frontend_job = JobSpec(resource=resource_name, command=("frontend",),
                                credential="user", tale_id="frontend")
@@ -69,7 +73,6 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
         ready = image
 
     world.clock.run_until(requested_at + ready)
-    world.frontend_samples.setdefault(model.value, []).append(ready)
     world.trace.emit("frontend_ready", model=model.value, resource=resource_name,
                      time_to_frontend_s=ready)
     return ready

@@ -1,8 +1,8 @@
 """Run metrics and report emission.
 
-Counters are maintained live by the components that own them and snap-
-shotted into a ScenarioMetrics at the end of a run; the event trace stays
-the authority, and tests recount every counter from it.
+The event trace is the one record of a run. ScenarioMetrics is reduced
+from it in a single pass (``ScenarioMetrics.from_trace``); no component
+keeps a counter of its own beside it.
 """
 
 from __future__ import annotations
@@ -29,11 +29,31 @@ class ScenarioMetrics:
     poll_failures: int = 0
     workload_start_latencies: list[float] = field(default_factory=list)
 
-    def validate(self) -> None:
-        counters = [self.handshakes, self.transfers, self.transfer_bytes, self.poll_failures]
-        counters += list(self.backend_queries.values())
-        if any(c < 0 for c in counters):
-            raise ValidationError("metrics counters must be non-negative")
+    @classmethod
+    def from_trace(cls, trace, batch_resources, workload_start_latencies) -> "ScenarioMetrics":
+        """Reduce the trace to metrics in one pass.
+
+        Every name in ``batch_resources`` gets a query count, 0 included.
+        ``workload_start_latencies`` is taken as given: a pilot claim
+        records its latency before its ``workload_started`` event fires.
+        """
+        m = cls(backend_queries=dict.fromkeys(batch_resources, 0),
+                workload_start_latencies=list(workload_start_latencies))
+        for ev in trace:
+            kind, f = ev.kind, ev.fields
+            if kind == "transport_call":
+                if f["verb"] == "batch_status":
+                    m.backend_queries[f["resource"]] += 1
+            elif kind == "handshake":
+                m.handshakes += 1
+            elif kind == "transfer_complete":
+                m.transfers += 1
+                m.transfer_bytes += f["bytes"]
+            elif kind == "poll_failed":
+                m.poll_failures += 1
+            elif kind == "frontend_ready":
+                m.time_to_frontend.setdefault(f["model"], []).append(f["time_to_frontend_s"])
+        return m
 
     def to_dict(self) -> dict:
         return {
@@ -45,18 +65,6 @@ class ScenarioMetrics:
             "poll_failures": self.poll_failures,
             "workload_start_latencies": list(self.workload_start_latencies),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioMetrics":
-        return cls(
-            time_to_frontend={k: list(v) for k, v in raw.get("time_to_frontend", {}).items()},
-            backend_queries=dict(raw.get("backend_queries", {})),
-            handshakes=raw.get("handshakes", 0),
-            transfers=raw.get("transfers", 0),
-            transfer_bytes=raw.get("transfer_bytes", 0),
-            poll_failures=raw.get("poll_failures", 0),
-            workload_start_latencies=list(raw.get("workload_start_latencies", [])),
-        )
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,3 @@ def emit_report(table: ReportTable, fmt: str = "table") -> bytes:
 def parse_report(data: bytes) -> ReportTable:
     return ReportTable.from_rows(json.loads(data.decode("utf-8")))
 
-
-def median(values) -> float:
-    import statistics
-
-    return statistics.median(values)

@@ -156,7 +156,6 @@ class LrmMiddleware:
         self.dialects = dialects if dialects is not None else default_registry()
         self.poll_interval_s = poll_interval_s
         self.on_transition = on_transition
-        self.poll_failures = 0
         self.resources: dict[str, ResourceDescriptor] = {}
         self._records: dict[str, _JobRecord] = {}
         self._active: dict[str, set[str]] = {}  # resource -> non-terminal job ids
@@ -181,6 +180,11 @@ class LrmMiddleware:
     @property
     def active_pollers(self) -> int:
         return len(self._pollers)
+
+    @property
+    def poll_failures(self) -> int:
+        """Failed poll cycles so far, counted from the trace."""
+        return sum(1 for ev in self.trace if ev.kind == "poll_failed")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -273,7 +277,6 @@ class LrmMiddleware:
         try:
             output = self.transport.call(resource_name, credential, "batch_status", command)
         except (TransportError, SessionError) as exc:
-            self.poll_failures += 1
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
         observed = adapter.parse_status(output)

@@ -21,6 +21,9 @@ Model rules, fixed as this artifact's policy:
 ``placement_candidates`` states these rules once. Feasibility, placement,
 the frontend pairing check in ``estimate_time_to_frontend`` and the
 per-model measurements in ``talescale.measure`` all derive from it.
+``launch_path`` states once how a placed frontend starts (batch queue,
+direct-node queue or bare image load); the time estimate here and the
+simulated launch in ``talescale.measure`` both branch on it.
 """
 
 from __future__ import annotations
@@ -151,6 +154,10 @@ def placement_candidates(req: WorkloadRequirements,
     def workload(r):
         return r if req.needs_hpc else None
 
+    # M5 and M6 send the workload to a remote LRM; with no HPC workload to
+    # send, the remote cluster plays no part and each frontend pairs once
+    remote = batch if req.needs_hpc else [None]
+
     mpi_only = "MPI workloads require the MPI execution model"
     multi_node = "multi-node workloads need an LRM-backed model"
     if req.needs_hpc and req.min_nodes > 1:
@@ -178,13 +185,13 @@ def placement_candidates(req: WorkloadRequirements,
             (not mpi, f"no MPI-capable resource with >= {req.min_nodes} nodes"),
         ), "frontend launched as an MPI allocation"),
         (ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, wt,
-         [(f, workload(w)) for f in wt for w in batch], (
+         [(f, w) for f in wt for w in remote], (
             (req.needs_mpi, mpi_only),
             (not wt, "no wt_cluster to host the frontend"),
             (not batch, no_batch),
         ), "frontend on wt cluster, jobs to a remote LRM"),
         (ExecutionModel.M6_DECOUPLED_REMOTE_LRM, decoupled,
-         [(f, workload(w)) for f in decoupled for w in batch], (
+         [(f, w) for f in decoupled for w in remote], (
             (req.needs_mpi, mpi_only),
             (not batch, no_batch),
         ), "decoupled frontend with remote LRM access"),
@@ -226,18 +233,40 @@ def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescripto
     return _time_to_frontend(model, resource, image_load_s, pool_state, dispatch_overhead_s)
 
 
+class LaunchPath(enum.Enum):
+    """How a frontend starts once its resource is chosen."""
+
+    BATCH_QUEUE = "batch_queue"  # a batch job; a warm pilot slot skips the queue
+    NODE_QUEUE = "node_queue"    # a direct-node allocation with a sampled queue wait
+    IMAGE_LOAD = "image_load"    # only the image load
+
+
+def launch_path(model: ExecutionModel, resource: ResourceDescriptor) -> LaunchPath:
+    """The launch mechanics of ``model``'s frontend on ``resource``.
+
+    M3 and M4 frontends, and M6 frontends on a batch resource, go through
+    the batch queue; M2 frontends, and M6 frontends on a non-batch resource
+    with a queue model, wait for a direct-node allocation; every other
+    frontend is a bare image load.
+    """
+    decoupled = model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM
+    if model in (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, ExecutionModel.M4_HPC_MPI) or (
+            decoupled and resource.is_batch):
+        return LaunchPath.BATCH_QUEUE
+    if model == ExecutionModel.M2_HPC_NODE or (decoupled and resource.queue_model is not None):
+        return LaunchPath.NODE_QUEUE
+    return LaunchPath.IMAGE_LOAD
+
+
 def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
                       image_load_s: float, pool_state, dispatch_overhead_s: float) -> float:
-    queued_models = (ExecutionModel.M2_HPC_NODE, ExecutionModel.M3_HPC_NODE_LOCAL_LRM,
-                     ExecutionModel.M4_HPC_MPI)
-    decoupled_queued = (model == ExecutionModel.M6_DECOUPLED_REMOTE_LRM
-                        and (resource.is_batch or resource.queue_model is not None))
-    if model in queued_models or decoupled_queued:
-        if resource.is_batch and pool_state is not None and pool_state.get(resource.name):
-            return image_load_s + dispatch_overhead_s
-        wait = resource.queue_model.expected_wait() if resource.queue_model else 0.0
-        return image_load_s + wait
-    return image_load_s
+    path = launch_path(model, resource)
+    if path == LaunchPath.IMAGE_LOAD:
+        return image_load_s
+    if path == LaunchPath.BATCH_QUEUE and pool_state is not None and pool_state.get(resource.name):
+        return image_load_s + dispatch_overhead_s
+    wait = resource.queue_model.expected_wait() if resource.queue_model else 0.0
+    return image_load_s + wait
 
 
 def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor],
@@ -282,14 +311,12 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
             return catalog.get(uri)
         return ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
 
+    refs = [ref_for(uri) for uri in sorted(req.dataset_uris)]
+
     def wide_area_bytes(frontend, workload) -> int:
         consumer = workload if workload is not None else frontend
-        total = 0
-        for uri in sorted(req.dataset_uris):
-            action = resolve_local(ref_for(uri), consumer)
-            if action.action == StagingKind.CACHE_FETCH:
-                total += ref_for(uri).size_bytes
-        return total
+        return sum(ref.size_bytes for ref in refs
+                   if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
 
     def score(candidate):
         model, frontend, workload = candidate
@@ -307,9 +334,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
 
     model, frontend, workload = min(candidates, key=score)
     consumer = workload if workload is not None else frontend
-    staging = tuple(
-        resolve_local(ref_for(uri), consumer) for uri in sorted(req.dataset_uris)
-    )
+    staging = tuple(resolve_local(ref, consumer) for ref in refs)
     estimate = _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
     notes = list(reasons)
     notes.append(f"selected {model.value} minimizing {objective}")

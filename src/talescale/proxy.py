@@ -3,14 +3,13 @@
 Compute nodes usually refuse incoming connections, but a frontend is only
 useful if its UI is reachable, so the deployment cluster forwards traffic
 for it. Routes map ``/tales/<tale_id>/`` to an internal endpoint; bytes
-pass through unmodified in both directions and every exchange is logged.
+pass through unmodified in both directions and every exchange is traced.
 Resources may set ``no_proxy`` to refuse even proxied access, which is
 surfaced as a distinct policy error rather than a lookup failure.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,7 +60,6 @@ class ProxyRegistry:
         self.clock = clock
         self.trace = trace
         self._routes: dict[str, Route] = {}  # tale_id -> route
-        self.forwarding_log: list[dict] = []
 
     def register_endpoint(self, tale_id: str, endpoint: Endpoint) -> Route:
         if tale_id in self._routes:
@@ -104,22 +102,16 @@ class ProxyRegistry:
                 f"resource {resource.name!r} forbids proxied access (no_proxy policy)"
             )
         response = self.network.deliver(found.endpoint, request)
-        record = {
-            "t": self.clock.now,
-            "public_path": public_path,
-            "tale_id": found.tale_id,
-            "resource": found.endpoint.resource,
-            "node": found.endpoint.node,
-            "port": found.endpoint.port,
-            "request_bytes": len(request),
-            "response_bytes": len(response),
-            "request_digest": short_digest(request),
-            "response_digest": short_digest(response),
-        }
-        self.forwarding_log.append(record)
-        self.trace.emit("proxy_forward", **record)
+        self.trace.emit(
+            "proxy_forward",
+            public_path=public_path,
+            tale_id=found.tale_id,
+            resource=found.endpoint.resource,
+            node=found.endpoint.node,
+            port=found.endpoint.port,
+            request_bytes=len(request),
+            response_bytes=len(response),
+            request_digest=short_digest(request),
+            response_digest=short_digest(response),
+        )
         return response
-
-    def forwarding_log_ndjson(self) -> bytes:
-        lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in self.forwarding_log]
-        return ("\n".join(lines) + "\n").encode() if lines else b""

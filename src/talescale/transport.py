@@ -3,19 +3,20 @@
 Secure-connection setup is expensive, so operations aggregate under
 sessions that stay alive between calls: at most one live session per
 (resource, credential) pair, re-handshaking only after the idle TTL
-lapses. Every completed call appends one log line::
+lapses. Every handshake and every completed call is a trace event, and
+the trace is the only record kept of them: ``log_text`` renders the
+``transport_call`` events as the transport log, one line per call::
 
     time | resource | credential | verb | payload-digest
 
-which acceptance tests treat as ground truth for query and handshake
-counters. Synchronous costs (handshake, round trip) advance the clock
-when called from driver context.
+Synchronous costs (handshake, round trip) advance the clock when called
+from driver context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .digest import short_digest
 from .errors import SessionError, TransportError, UnknownCredentialError, UnknownResourceError
@@ -31,19 +32,6 @@ class Session:
     last_used: float = 0.0
 
 
-@dataclass(frozen=True)
-class TransportCall:
-    t: float
-    resource: str
-    credential: str
-    verb: str
-    payload_digest: str
-    payload: str = field(repr=False)
-
-    def log_line(self) -> str:
-        return f"{self.t:.3f} | {self.resource} | {self.credential} | {self.verb} | {self.payload_digest}"
-
-
 class Transport:
     def __init__(self, clock, trace, rtt_s: float = 0.05, handshake_s: float = 0.5,
                  idle_ttl_s: float | None = 300.0, handshake_backoff_s: float = 30.0):
@@ -53,8 +41,6 @@ class Transport:
         self.handshake_s = handshake_s
         self.idle_ttl_s = math.inf if idle_ttl_s is None else idle_ttl_s
         self.handshake_backoff_s = handshake_backoff_s
-        self.handshake_count = 0
-        self.log: list[TransportCall] = []
         self._backends: dict[str, object] = {}
         self._credentials: set[str] = set()
         self._sessions: dict[tuple[str, str], Session] = {}
@@ -114,7 +100,6 @@ class Transport:
             raise SessionError(f"handshake with {pair} failed")
 
         self.clock.consume(self.handshake_s)
-        self.handshake_count += 1
         session = Session(
             resource=resource, credential=credential,
             opened_at=self.clock.now, idle_ttl=self.idle_ttl_s, last_used=self.clock.now,
@@ -126,10 +111,15 @@ class Transport:
     def live_sessions(self) -> int:
         return sum(1 for s in self._sessions.values() if s.live)
 
+    @property
+    def handshake_count(self) -> int:
+        """Handshakes so far, counted from the trace."""
+        return sum(1 for ev in self.trace if ev.kind == "handshake")
+
     # -- calls --------------------------------------------------------------
 
     def call(self, resource: str, credential: str, verb: str, payload: str) -> str:
-        """One round trip over the pair's session; logs exactly one line."""
+        """One round trip over the pair's session; traces exactly one call."""
         session = self.acquire_session(resource, credential)
         if self._take_failure("transport"):
             self.trace.emit("transport_failed", resource=resource,
@@ -139,27 +129,18 @@ class Transport:
         backend = self._backends[resource]
         output = backend.execute(payload)
         session.last_used = self.clock.now
-        record = TransportCall(
-            t=self.clock.now, resource=resource, credential=credential,
-            verb=verb, payload_digest=short_digest(payload.encode()), payload=payload,
-        )
-        self.log.append(record)
         self.trace.emit("transport_call", resource=resource, credential=credential,
-                        verb=verb, payload_digest=record.payload_digest)
+                        verb=verb, payload_digest=short_digest(payload.encode()))
         return output
 
-    # -- log queries --------------------------------------------------------
-
-    def calls(self, resource: str | None = None, verb: str | None = None) -> list[TransportCall]:
-        out = self.log
-        if resource is not None:
-            out = [c for c in out if c.resource == resource]
-        if verb is not None:
-            out = [c for c in out if c.verb == verb]
-        return list(out)
-
-    def query_count(self, resource: str | None = None) -> int:
-        return len(self.calls(resource=resource, verb="batch_status"))
+    # -- log ----------------------------------------------------------------
 
     def log_text(self) -> str:
-        return "\n".join(c.log_line() for c in self.log) + ("\n" if self.log else "")
+        """The transport log, rendered from the trace's ``transport_call`` events."""
+        lines = []
+        for ev in self.trace:
+            if ev.kind == "transport_call":
+                f = ev.fields
+                lines.append(f"{ev.t:.3f} | {f['resource']} | {f['credential']} | "
+                             f"{f['verb']} | {f['payload_digest']}\n")
+        return "".join(lines)

@@ -188,7 +188,6 @@ class World:
         self.proxy = ProxyRegistry(self.network, config.resources, self.clock, self.trace)
         self.pools: dict[str, PilotPool] = {}
         self.workload_latencies: list[float] = []
-        self.frontend_samples: dict[str, list[float]] = {}
         self.tales: dict[str, Tale] = {}
         self._latency_watch: dict[str, float] = {}
         self._submitted: list = []
@@ -329,19 +328,7 @@ class World:
     # -- metrics ------------------------------------------------------------
 
     def metrics(self) -> ScenarioMetrics:
-        m = ScenarioMetrics(
-            time_to_frontend={k: list(v) for k, v in self.frontend_samples.items()},
-            backend_queries={
-                name: self.transport.query_count(name) for name in sorted(self.clusters)
-            },
-            handshakes=self.transport.handshake_count,
-            transfers=len(self.cache.transfer_log),
-            transfer_bytes=sum(r.bytes for r in self.cache.transfer_log),
-            poll_failures=self.middleware.poll_failures,
-            workload_start_latencies=list(self.workload_latencies),
-        )
-        m.validate()
-        return m
+        return ScenarioMetrics.from_trace(self.trace, sorted(self.clusters), self.workload_latencies)
 
 
 def run_scenario(config: WorldConfig, seed: int, horizon: float) -> tuple[bytes, ScenarioMetrics]:

@@ -64,15 +64,16 @@ def test_criterion_01_polling_aggregation():
     for _ in range(1000):
         world.middleware.submit(JobSpec(resource="hpc-1", command=("sleep", "60")))
     world.clock.run_until(100.0)
-    # the transport log is the ground truth
+    # the transport log, rendered from the trace, is the ground truth
     log_lines = [line for line in world.transport.log_text().splitlines()
                  if "| batch_status |" in line]
     elapsed = time.monotonic() - started
-    ok = len(log_lines) == 20 and world.transport.query_count("hpc-1") == 20 and elapsed < 5.0
+    queries = world.metrics().backend_queries["hpc-1"]
+    ok = len(log_lines) == 20 and queries == 20 and elapsed < 5.0
     _report(1, ok, f"1000 jobs -> {len(log_lines)} aggregated queries in 100 s "
                    f"(expected 20), wall {elapsed:.2f} s")
     assert len(log_lines) == 20
-    assert world.transport.query_count("hpc-1") == 20
+    assert queries == 20
     assert elapsed < 5.0
 
 

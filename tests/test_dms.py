@@ -263,25 +263,15 @@ class TestLruOracle:
 
 class TestTransferLogInterface:
     def test_ndjson_one_record_per_line(self):
-        import json
-
-        from talescale.dms import transfer_log_ndjson
-
         a, b = ref("doi:a", 10), ref("doi:b", 20)
         clock, cache = make_cache([a, b])
         cache.open(a)
         cache.open(b)
-        lines = transfer_log_ndjson(cache.transfer_log).decode().splitlines()
-        assert len(lines) == 2
-        parsed = [json.loads(line) for line in lines]
-        assert parsed[0]["uri"] == "doi:a"
-        assert parsed[1]["bytes"] == 20
-        assert all(p["source"] == "remote_repo" for p in parsed)
-
-    def test_empty_log_is_empty_bytes(self):
-        from talescale.dms import transfer_log_ndjson
-
-        assert transfer_log_ndjson([]) == b""
+        records = cache.transfer_log
+        assert len(records) == 2
+        assert [r.uri for r in records] == ["doi:a", "doi:b"]
+        assert [r.bytes for r in records] == [10, 20]
+        assert all(r.source == TransferSource.REMOTE_REPO for r in records)
 
 
 class TestInvariants:

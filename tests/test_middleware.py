@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 from talescale.dialects import SimSlurmAdapter
+from talescale.digest import short_digest
 from talescale.errors import (
     SessionError,
     UnknownCredentialError,
@@ -18,6 +19,11 @@ from conftest import batch_world
 
 def spec(resource="hpc-1", command=("sleep", "30"), credential="user", **kw):
     return JobSpec(resource=resource, command=command, credential=credential, **kw)
+
+
+def transport_calls(world, verb=None):
+    return [ev for ev in world.trace if ev.kind == "transport_call"
+            and (verb is None or ev.fields["verb"] == verb)]
 
 
 class TestSubmit:
@@ -74,10 +80,10 @@ class TestStatus:
         world = batch_world()
         handle = world.middleware.submit(spec())
         world.clock.run_until(7.0)
-        before = len(world.transport.log)
+        before = len(transport_calls(world))
         for _ in range(1000):
             world.middleware.status(handle)
-        assert len(world.transport.log) == before
+        assert len(transport_calls(world)) == before
 
     def test_unknown_handle_rejected(self):
         world = batch_world()
@@ -106,14 +112,14 @@ class TestPolling:
         world = batch_world()
         for _ in range(100):
             world.middleware.submit(spec())
-        before = world.transport.query_count("hpc-1")
+        before = world.metrics().backend_queries["hpc-1"]
         world.middleware.poll_cycle("hpc-1")
-        assert world.transport.query_count("hpc-1") == before + 1
+        assert world.metrics().backend_queries["hpc-1"] == before + 1
 
     def test_no_jobs_no_query(self):
         world = batch_world()
         assert world.middleware.poll_cycle("hpc-1") == []
-        assert world.transport.query_count("hpc-1") == 0
+        assert world.metrics().backend_queries["hpc-1"] == 0
 
     def test_four_resources_twelve_cycles_each(self):
         resources = [
@@ -126,8 +132,8 @@ class TestPolling:
         for i in range(4):
             world.middleware.submit(spec(resource=f"hpc-{i}"))
         world.clock.run_until(60.0)
-        counts = [world.transport.query_count(f"hpc-{i}") for i in range(4)]
-        assert counts == [12, 12, 12, 12]
+        queries = world.metrics().backend_queries
+        assert [queries[f"hpc-{i}"] for i in range(4)] == [12, 12, 12, 12]
 
     def test_transport_failure_defers_transitions(self):
         world = batch_world(queue={"distribution": "fixed", "params": {"value": 1.0}})
@@ -290,11 +296,12 @@ class TestDialects:
     def test_pbs_command_strings_in_transport_log(self):
         world = batch_world()
         world.middleware.submit(spec(command=("sleep", "30")))
-        submit_calls = world.transport.calls(verb="submit")
-        assert submit_calls[0].payload == "qsub -l nodes=1 -N j000001 -- sleep 30"
+        submit_calls = transport_calls(world, "submit")
+        assert submit_calls[0].fields["payload_digest"] == short_digest(
+            b"qsub -l nodes=1 -N j000001 -- sleep 30")
         world.clock.run_until(5.0)
-        status_calls = world.transport.calls(verb="batch_status")
-        assert status_calls[0].payload == "qstat -f 1.hpc-1"
+        status_calls = transport_calls(world, "batch_status")
+        assert status_calls[0].fields["payload_digest"] == short_digest(b"qstat -f 1.hpc-1")
 
     def test_slurm_dialect_coexists_and_routes_by_resource(self):
         resources = [
@@ -307,9 +314,11 @@ class TestDialects:
                             queue={"distribution": "fixed", "params": {"value": 2.0}})
         h1 = world.middleware.submit(spec(resource="pbs-1"))
         h2 = world.middleware.submit(spec(resource="slurm-1"))
-        payloads = {c.resource: c.payload for c in world.transport.calls(verb="submit")}
-        assert payloads["pbs-1"].startswith("qsub ")
-        assert payloads["slurm-1"].startswith("sbatch ")
+        digests = {ev.fields["resource"]: ev.fields["payload_digest"]
+                   for ev in transport_calls(world, "submit")}
+        assert digests["pbs-1"] == short_digest(b"qsub -l nodes=1 -N j000001 -- sleep 30")
+        assert digests["slurm-1"] == short_digest(
+            b"sbatch --nodes=1 --job-name=j000002 --wrap 'sleep 30'")
         world.clock.run_until(40.0)
         assert world.middleware.status(h1).state == JobState.COMPLETED
         assert world.middleware.status(h2).state == JobState.COMPLETED

@@ -1,5 +1,6 @@
 import pytest
 
+from talescale.digest import short_digest
 from talescale.errors import ValidationError
 from talescale.middleware import JobSpec
 from talescale.pilots import PoolPolicy, SlotState
@@ -20,16 +21,21 @@ def workload(command=("sleep", "30")):
     return JobSpec(resource="hpc-1", command=command, credential="user", tale_id="t1")
 
 
+def submit_calls(world):
+    return [ev for ev in world.trace
+            if ev.kind == "transport_call" and ev.fields["verb"] == "submit"]
+
+
 class TestConfigure:
     def test_min_warm_pilots_submitted(self):
         world = pool_world(min_warm=2)
-        assert len(world.transport.calls(verb="submit")) == 2
-        pilots = [c for c in world.transport.calls(verb="submit") if "pilot-shim" in c.payload]
-        assert len(pilots) == 2
+        payloads = [f"qsub -l nodes=1 -N j00000{i} -- pilot-shim 50000.0" for i in (1, 2)]
+        assert [ev.fields["payload_digest"] for ev in submit_calls(world)] == [
+            short_digest(p.encode()) for p in payloads]
 
     def test_min_warm_zero_no_submissions(self):
         world = pool_world(min_warm=0)
-        assert world.transport.calls(verb="submit") == []
+        assert submit_calls(world) == []
 
     def test_max_size_below_min_warm_rejected(self):
         with pytest.raises(ValidationError):
@@ -137,9 +143,9 @@ class TestReplenish:
         world = pool_world(min_warm=2, max_size=8)
         world.clock.run_until(700.0)
         pool = world.pools["hpc-1"]
-        submits_before = len(world.transport.calls(verb="submit"))
+        submits_before = len(submit_calls(world))
         pool.claim(workload())
-        assert len(world.transport.calls(verb="submit")) == submits_before + 1
+        assert len(submit_calls(world)) == submits_before + 1
 
     def test_submit_failure_recorded_and_retried(self):
         world = pool_world(min_warm=0)

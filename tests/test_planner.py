@@ -8,9 +8,11 @@ from talescale.dms import DatasetCatalog, ExternalDataRef, StagingKind
 from talescale.errors import InfeasiblePlanError, ValidationError
 from talescale.planner import (
     ExecutionModel,
+    LaunchPath,
     WorkloadRequirements,
     enumerate_feasible_models,
     estimate_time_to_frontend,
+    launch_path,
     placement_candidates,
     plan_placement,
 )
@@ -117,6 +119,8 @@ class TestEnumerate:
                     rules = placement_candidates(req, inventory)
                     assert feasible_set(req, inventory) == {c.model for c in rules if c.pairs}
                     for c in rules:
+                        named = [(f.name, w and w.name) for f, w in c.pairs]
+                        assert len(set(named)) == len(named), (combo, req, c.model)
                         if c.pairs:
                             frontend, _ = c.pairs[0]
                             estimate_time_to_frontend(c.model, frontend, 8.0)
@@ -131,6 +135,25 @@ class TestEnumerate:
             before = feasible_set(req, [ARCHETYPES[n] for n in base])
             after = feasible_set(req, [ARCHETYPES[n] for n in base + [extra]])
             assert before <= after
+
+
+class TestLaunchPath:
+    def test_each_model_and_resource_kind_launches_one_way(self):
+        A = ARCHETYPES
+        queued_node = make_resource(name="cloudq-1", kind="cloud", lrm="none", incoming=True,
+                                    queue=fixed_queue(50))
+        cases = [
+            (M.M1_WT_CLUSTER, A["wt"], LaunchPath.IMAGE_LOAD),
+            (M.M2_HPC_NODE, A["hpc_direct"], LaunchPath.NODE_QUEUE),
+            (M.M3_HPC_NODE_LOCAL_LRM, A["hpc_batch"], LaunchPath.BATCH_QUEUE),
+            (M.M4_HPC_MPI, A["hpc_batch_mpi"], LaunchPath.BATCH_QUEUE),
+            (M.M5_WT_FRONTEND_REMOTE_LRM, A["wt"], LaunchPath.IMAGE_LOAD),
+            (M.M6_DECOUPLED_REMOTE_LRM, A["cloud"], LaunchPath.IMAGE_LOAD),
+            (M.M6_DECOUPLED_REMOTE_LRM, queued_node, LaunchPath.NODE_QUEUE),
+            (M.M6_DECOUPLED_REMOTE_LRM, A["cloud_batch"], LaunchPath.BATCH_QUEUE),
+        ]
+        for model, resource, path in cases:
+            assert launch_path(model, resource) == path, (model, resource.name)
 
 
 class TestEstimate:

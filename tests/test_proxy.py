@@ -80,11 +80,11 @@ def test_forwarding_log_one_record_per_exchange():
     route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
     network.listen(route.endpoint, lambda b: b + b"!")
     registry.route("/tales/t1/", b"hello")
-    assert len(registry.forwarding_log) == 1
-    record = registry.forwarding_log[0]
+    forwards = [ev for ev in registry.trace if ev.kind == "proxy_forward"]
+    assert len(forwards) == 1
+    record = forwards[0].fields
     assert record["request_bytes"] == 5
     assert record["response_bytes"] == 6
-    assert registry.forwarding_log_ndjson().endswith(b"\n")
 
 
 def test_route_bijection_over_live_routes():

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from talescale.digest import digest_bytes
 from talescale.errors import ConfigError, ValidationError
+from talescale.measure import launch_frontend
 from talescale.metrics import ReportRow, ReportTable, emit_report, parse_report
 from talescale.middleware import JobSpec, JobState
+from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import World, load_config, run_scenario
 
 from conftest import batch_world
@@ -123,18 +126,52 @@ class TestCausalityAndCounters:
         assert seqs == list(range(len(seqs)))
 
     def test_counters_match_trace_recount(self):
-        # Independent recount: the trace is the oracle for every counter.
-        config = load_config(SCENARIO)
-        trace_bytes, metrics = run_scenario(config, 11, 400.0)
-        events = [json.loads(line) for line in trace_bytes.splitlines()]
-        queries = sum(1 for ev in events
-                      if ev["kind"] == "transport_call" and ev["verb"] == "batch_status")
-        handshakes = sum(1 for ev in events if ev["kind"] == "handshake")
-        transfers = sum(1 for ev in events if ev["kind"] == "transfer_complete"
-                        and ev["source"] == "remote_repo")
-        assert metrics.backend_queries["hpc-1"] == queries
-        assert metrics.handshakes == handshakes
-        assert metrics.transfers == transfers
+        # Independent recount from the ndjson bytes: the trace is the oracle
+        # for every field the metrics reduce from it.
+        config = load_config({
+            **SCENARIO,
+            "resources": SCENARIO["resources"] + [
+                {"name": "hpc-2", "kind": "hpc_cluster", "lrm": "batch",
+                 "allows_incoming_connections": False, "queue": "q"},
+                {"name": "wt-1", "kind": "wt_cluster", "lrm": "none",
+                 "allows_incoming_connections": True},
+            ],
+            "cache": {"datasets": [{"uri": "doi:d", "size_bytes": 700,
+                                    "checksum": digest_bytes(b"doi:d")}]},
+            "scenario": {"actions": SCENARIO["scenario"]["actions"] + [
+                {"op": "open_dataset", "t": 2.0, "uri": "doi:d"},
+                {"op": "workload", "t": 3.0, "resource": "hpc-1", "command": ["sleep", "5"]},
+            ]},
+        })
+        world = World(config, 11)
+        world.start()
+        # the next call after t=4 is the t=5 poll, which fails
+        world.clock.at(4.0, world.transport.inject_failure)
+        req = WorkloadRequirements()
+        launch_frontend(world, ExecutionModel.M1_WT_CLUSTER, "wt-1", req)
+        launch_frontend(world, ExecutionModel.M3_HPC_NODE_LOCAL_LRM, "hpc-1", req)
+        world.clock.run_until(400.0)
+        metrics = world.metrics()
+
+        events = [json.loads(line) for line in world.trace.to_ndjson().splitlines()]
+
+        def of(kind):
+            return [ev for ev in events if ev["kind"] == kind]
+
+        queries = [ev["resource"] for ev in of("transport_call") if ev["verb"] == "batch_status"]
+        assert metrics.backend_queries == {"hpc-1": queries.count("hpc-1"), "hpc-2": 0}
+        assert metrics.backend_queries["hpc-1"] > 0
+        assert metrics.handshakes == len(of("handshake")) > 0
+        assert metrics.transfers == len(of("transfer_complete")) == 1
+        assert metrics.transfer_bytes == sum(ev["bytes"] for ev in of("transfer_complete")) == 700
+        assert metrics.poll_failures == len(of("poll_failed")) == 1
+        frontends = of("frontend_ready")
+        assert metrics.time_to_frontend == {
+            "M1_wt_cluster": [frontends[0]["time_to_frontend_s"]],
+            "M3_hpc_node_local_lrm": [frontends[1]["time_to_frontend_s"]],
+        }
+        assert metrics.workload_start_latencies == [ev["latency"] for ev in of("workload_started")]
+        assert len(metrics.workload_start_latencies) == 1
 
 
 class TestMaintenance:
