@@ -34,8 +34,10 @@ class ScenarioMetrics:
         """Reduce the trace to metrics in one pass.
 
         Every name in ``batch_resources`` gets a query count, 0 included.
-        ``workload_start_latencies`` is taken as given: a pilot claim
-        records its latency before its ``workload_started`` event fires.
+        ``workload_start_latencies`` is taken as given: ``World`` records
+        a pilot claim's latency when it claims, before the claim's
+        ``workload_started`` event fires, and a frontend launched on a
+        pilot has that event but is not a workload start.
         """
         m = cls(backend_queries=dict.fromkeys(batch_resources, 0),
                 workload_start_latencies=list(workload_start_latencies))

@@ -4,17 +4,22 @@ Pilots are ordinary batch jobs submitted through the middleware. Once one
 is running it marks its slot warm and sits idle; claiming a warm slot
 starts the real workload after only the dispatch overhead, no queue wait.
 The pool keeps min_warm slots warm-or-pending, never exceeds max_size
-non-expired slots, and retires warm slots whose walltime ran out.
+live slots, and retires warm slots whose walltime ran out.
+
+``PilotPool.slots`` holds the live slots only (pending, warm or claimed),
+oldest first. A retired slot leaves the list, so a pool tick costs the
+same however many slots the pool has had before.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import runtime_of_command
-from .errors import ValidationError
+from .errors import SessionError, TransportError, ValidationError
 from .middleware import JobHandle, JobSpec, JobState, LrmMiddleware, TERMINAL_STATES
 
 
@@ -57,16 +62,13 @@ class PilotSlot:
     slot_id: int
     handle: JobHandle
     state: SlotState = SlotState.PENDING
-    submitted_at: float = 0.0
     warmed_at: float | None = None
     claimed_by: str | None = None
-    claimed_at: float | None = None
 
 
 class PilotPool:
     def __init__(self, clock, middleware: LrmMiddleware, policy: PoolPolicy,
-                 trace, dispatch_overhead_s: float = 0.2,
-                 latency_sink: list | None = None):
+                 trace, dispatch_overhead_s: float = 0.2):
         if policy.resource not in middleware.resources:
             raise ValidationError(f"pool references unknown resource {policy.resource!r}")
         self.clock = clock
@@ -74,27 +76,18 @@ class PilotPool:
         self.policy = policy
         self.trace = trace
         self.dispatch_overhead_s = dispatch_overhead_s
-        self.latency_sink = latency_sink if latency_sink is not None else []
         self.slots: list[PilotSlot] = []
-        self.pending_retries = 0
+        self._slot_ids = itertools.count()
         middleware.register_credential(policy.credential)
         self.replenish()
         self._schedule_tick()
 
-    # -- views ---------------------------------------------------------------
-
     def counts(self) -> dict[SlotState, int]:
-        out = {state: 0 for state in SlotState}
+        """Live slots per live state."""
+        out = dict.fromkeys((SlotState.PENDING, SlotState.WARM, SlotState.CLAIMED), 0)
         for slot in self.slots:
             out[slot.state] += 1
         return out
-
-    @property
-    def warm_count(self) -> int:
-        return sum(1 for s in self.slots if s.state == SlotState.WARM)
-
-    def nonexpired(self) -> int:
-        return sum(1 for s in self.slots if s.state != SlotState.EXPIRED)
 
     # -- operations ------------------------------------------------------------
 
@@ -105,7 +98,7 @@ class PilotPool:
             counts = self.counts()
             if counts[SlotState.WARM] + counts[SlotState.PENDING] >= self.policy.min_warm:
                 break
-            if self.nonexpired() >= self.policy.max_size:
+            if len(self.slots) >= self.policy.max_size:
                 break
             spec = JobSpec(
                 resource=self.policy.resource,
@@ -114,55 +107,42 @@ class PilotPool:
                 node_count=self.policy.pilot_nodes,
             )
             handle = self.middleware.submit(spec)
-            slot = PilotSlot(
-                slot_id=len(self.slots), handle=handle, submitted_at=self.clock.now,
-            )
-            self.slots.append(slot)
+            slot_id = next(self._slot_ids)
             if self.middleware.status(handle).state == JobState.FAILED:
                 # Submission failed; retry on a later replenish tick.
-                slot.state = SlotState.EXPIRED
-                self.pending_retries += 1
                 self.trace.emit("pilot_submit_failed", resource=self.policy.resource,
-                                slot=slot.slot_id)
+                                slot=slot_id)
                 break
+            self.slots.append(PilotSlot(slot_id=slot_id, handle=handle))
             submitted.append(handle)
             self.trace.emit("pilot_submitted", resource=self.policy.resource,
-                            slot=slot.slot_id, job_id=handle.job_id)
+                            slot=slot_id, job_id=handle.job_id)
         return submitted
 
     def refresh(self) -> None:
         """Sync slot states with the middleware's view of the pilot jobs."""
-        for slot in self.slots:
-            if slot.state == SlotState.PENDING:
-                state = self.middleware.status(slot.handle).state
-                if state == JobState.RUNNING:
-                    slot.state = SlotState.WARM
-                    slot.warmed_at = self.clock.now
-                    self.trace.emit("pilot_warm", resource=self.policy.resource,
-                                    slot=slot.slot_id)
-                elif state in TERMINAL_STATES:
-                    slot.state = SlotState.EXPIRED
-                    self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                    slot=slot.slot_id, reason=state.value)
-            elif slot.state == SlotState.WARM:
-                state = self.middleware.status(slot.handle).state
-                if state in TERMINAL_STATES:
-                    slot.state = SlotState.EXPIRED
-                    self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                    slot=slot.slot_id, reason=state.value)
+        for slot in list(self.slots):
+            if slot.state == SlotState.CLAIMED:
+                continue
+            state = self.middleware.status(slot.handle).state
+            if state in TERMINAL_STATES:
+                self._retire(slot, state.value)
+            elif state == JobState.RUNNING and slot.state == SlotState.PENDING:
+                slot.state = SlotState.WARM
+                slot.warmed_at = self.clock.now
+                self.trace.emit("pilot_warm", resource=self.policy.resource,
+                                slot=slot.slot_id)
 
-    def expire(self, now: float | None = None) -> list[PilotSlot]:
+    def expire(self) -> list[PilotSlot]:
         """Retire warm slots older than the pilot walltime; claimed slots never
         expire through this path."""
-        now = self.clock.now if now is None else now
-        expired = []
-        for slot in self.slots:
-            if slot.state == SlotState.WARM and slot.warmed_at is not None:
-                if now - slot.warmed_at > self.policy.pilot_walltime_s:
-                    slot.state = SlotState.EXPIRED
-                    expired.append(slot)
-                    self.trace.emit("pilot_expired", resource=self.policy.resource,
-                                    slot=slot.slot_id, reason="walltime")
+        expired = [
+            slot for slot in self.slots
+            if slot.state == SlotState.WARM
+            and self.clock.now - slot.warmed_at > self.policy.pilot_walltime_s
+        ]
+        for slot in expired:
+            self._retire(slot, "walltime")
         if expired:
             self.replenish()
         return expired
@@ -188,18 +168,15 @@ class PilotPool:
         slot = min(warm, key=lambda s: s.warmed_at)
         slot.state = SlotState.CLAIMED
         slot.claimed_by = workload.tale_id or f"workload@{self.clock.now}"
-        slot.claimed_at = self.clock.now
         start_at = self.clock.now + self.dispatch_overhead_s
         runtime, exit_code = runtime_of_command(
             workload.command,
             self.middleware.resources[self.policy.resource].queue_model.default_runtime_s,
         )
-        latency = self.dispatch_overhead_s
-        self.latency_sink.append(latency)
         slot_id = slot.slot_id
         self.clock.at(start_at, lambda: self.trace.emit(
             "workload_started", resource=self.policy.resource, via="pilot",
-            slot=slot_id, latency=latency, tale_id=workload.tale_id))
+            slot=slot_id, latency=self.dispatch_overhead_s, tale_id=workload.tale_id))
         def finish():
             self.trace.emit("workload_finished", resource=self.policy.resource,
                             via="pilot", slot=slot_id, exit_code=exit_code,
@@ -215,14 +192,22 @@ class PilotPool:
         """Retire a claimed slot once its workload is done.
 
         A slot serves exactly one workload; releasing cancels the backing
-        pilot job and frees max_size headroom for replenishment.
+        pilot job and frees max_size headroom for replenishment. A cancel
+        lost in transit still retires the slot: the orphaned pilot runs
+        out its walltime on the backend.
         """
-        if slot.state != SlotState.CLAIMED:
-            return
+        try:
+            self.middleware.cancel(slot.handle)
+        except (TransportError, SessionError):
+            pass
+        self._retire(slot, "released")
+
+    def _retire(self, slot: PilotSlot, reason: str) -> None:
+        """The one way a slot leaves the pool."""
         slot.state = SlotState.EXPIRED
-        self.middleware.cancel(slot.handle)
+        self.slots.remove(slot)
         self.trace.emit("pilot_expired", resource=self.policy.resource,
-                        slot=slot.slot_id, reason="released")
+                        slot=slot.slot_id, reason=reason)
 
     # -- ticking -----------------------------------------------------------
 

@@ -30,7 +30,6 @@ class Route:
     public_path: str
     tale_id: str
     endpoint: Endpoint
-    created_at: float
 
 
 class SimulatedNetwork:
@@ -54,10 +53,9 @@ class SimulatedNetwork:
 
 class ProxyRegistry:
     def __init__(self, network: SimulatedNetwork, resources: dict[str, ResourceDescriptor],
-                 clock, trace):
+                 trace):
         self.network = network
         self.resources = resources
-        self.clock = clock
         self.trace = trace
         self._routes: dict[str, Route] = {}  # tale_id -> route
 
@@ -68,7 +66,6 @@ class ProxyRegistry:
             public_path=f"/tales/{tale_id}/",
             tale_id=tale_id,
             endpoint=endpoint,
-            created_at=self.clock.now,
         )
         self._routes[tale_id] = route
         self.trace.emit("route_registered", tale_id=tale_id,

@@ -42,18 +42,6 @@ class PackagingStrategy(str, enum.Enum):
     SOURCE_PLUS_GENERIC_LIBS = "source_plus_generic_libs"
     ON_DEMAND_COMPILE = "on_demand_compile"
 
-    @property
-    def option_number(self) -> int:
-        return _STRATEGY_NUMBERS[self]
-
-
-_STRATEGY_NUMBERS = {
-    PackagingStrategy.GENERIC_STATIC: 1,
-    PackagingStrategy.PER_RESOURCE_STATIC: 2,
-    PackagingStrategy.SOURCE_PLUS_GENERIC_LIBS: 3,
-    PackagingStrategy.ON_DEMAND_COMPILE: 4,
-}
-
 
 class ProvenanceKind(str, enum.Enum):
     CREATED = "created"
@@ -301,12 +289,6 @@ class Tale:
             raise ValidationError("; ".join(problems))
         return tale
 
-    def artifact(self, path: str) -> CodeArtifact:
-        for a in self.code_refs:
-            if a.path == path:
-                return a
-        raise ValidationError(f"no code artifact at {path!r}")
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,
@@ -424,9 +406,6 @@ def build_manifest(tale: Tale, strategy: PackagingStrategy,
     libraries = [a for a in tale.code_refs if a.kind == ArtifactKind.LIBRARY]
     if (executables or libraries) and not sources:
         raise ValidationError("tale has compiled artifacts but no source; source is mandatory")
-    if not sources:
-        # source-only tales are fine for option 3/4 and trivially for 1
-        pass
 
     entries: list[CodeArtifact] = list(sources)
     if strategy == PackagingStrategy.GENERIC_STATIC:

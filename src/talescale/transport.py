@@ -26,8 +26,6 @@ from .errors import SessionError, TransportError, UnknownCredentialError, Unknow
 class Session:
     resource: str
     credential: str
-    opened_at: float
-    idle_ttl: float
     live: bool = True
     last_used: float = 0.0
 
@@ -100,10 +98,7 @@ class Transport:
             raise SessionError(f"handshake with {pair} failed")
 
         self.clock.consume(self.handshake_s)
-        session = Session(
-            resource=resource, credential=credential,
-            opened_at=self.clock.now, idle_ttl=self.idle_ttl_s, last_used=self.clock.now,
-        )
+        session = Session(resource=resource, credential=credential, last_used=self.clock.now)
         self._sessions[pair] = session
         self.trace.emit("handshake", resource=resource, credential=credential)
         return session

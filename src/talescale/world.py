@@ -185,7 +185,7 @@ class World:
             config.cache_bandwidth_bytes_per_s, self.trace,
         )
         self.network = SimulatedNetwork()
-        self.proxy = ProxyRegistry(self.network, config.resources, self.clock, self.trace)
+        self.proxy = ProxyRegistry(self.network, config.resources, self.trace)
         self.pools: dict[str, PilotPool] = {}
         self.workload_latencies: list[float] = []
         self.tales: dict[str, Tale] = {}
@@ -209,7 +209,6 @@ class World:
             self.pools[policy.resource] = PilotPool(
                 self.clock, self.middleware, policy, self.trace,
                 dispatch_overhead_s=self.config.scenario.dispatch_overhead_s,
-                latency_sink=self.workload_latencies,
             )
 
     def start(self) -> None:
@@ -279,6 +278,7 @@ class World:
         if via_pool and pool is not None:
             slot = pool.claim(spec)
             if slot is not None:
+                self.workload_latencies.append(pool.dispatch_overhead_s)
                 return ("pilot", slot)
         started = self.clock.now
         handle = self._submit(spec)

@@ -430,32 +430,34 @@ def test_criterion_10_lifecycle_legality_fuzz():
     assert terminal + queued_maintenance == 10_000
 
 
+CRITERION_11_CONFIG = {
+    "resources": [
+        {"name": "wt-1", "kind": "wt_cluster", "lrm": "none",
+         "allows_incoming_connections": True},
+        {"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+         "allows_incoming_connections": False, "node_count": 8, "queue": "q"},
+    ],
+    "queues": {"q": {"distribution": "exponential", "params": {"mean": 120.0}}},
+    "pools": [{"resource": "hpc-1", "min_warm": 1, "max_size": 2,
+               "pilot_walltime_s": 5000.0}],
+    "cache": {"capacity_bytes": 10_000, "bandwidth_bytes_per_s": 100.0,
+              "datasets": [{"uri": "doi:d", "size_bytes": 500,
+                            "checksum": digest_bytes(b"doi:d")}]},
+    "scenario": {"actions": [
+        {"op": "submit_jobs", "t": 1.0, "resource": "hpc-1", "count": 20,
+         "command": ["sleep", "15"]},
+        {"op": "open_dataset", "t": 2.0, "uri": "doi:d"},
+        {"op": "workload", "t": 900.0, "resource": "hpc-1",
+         "command": ["sleep", "10"]},
+        {"op": "cancel", "t": 30.0, "job_index": 0},
+    ]},
+}
+
+
 def test_criterion_11_determinism_and_wall_clock():
     """Identical (config, seed, horizon) -> byte-identical traces; the
     acceptance module itself stays within the suite's 60 s budget."""
-    config_dict = {
-        "resources": [
-            {"name": "wt-1", "kind": "wt_cluster", "lrm": "none",
-             "allows_incoming_connections": True},
-            {"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
-             "allows_incoming_connections": False, "node_count": 8, "queue": "q"},
-        ],
-        "queues": {"q": {"distribution": "exponential", "params": {"mean": 120.0}}},
-        "pools": [{"resource": "hpc-1", "min_warm": 1, "max_size": 2,
-                   "pilot_walltime_s": 5000.0}],
-        "cache": {"capacity_bytes": 10_000, "bandwidth_bytes_per_s": 100.0,
-                  "datasets": [{"uri": "doi:d", "size_bytes": 500,
-                                "checksum": digest_bytes(b"doi:d")}]},
-        "scenario": {"actions": [
-            {"op": "submit_jobs", "t": 1.0, "resource": "hpc-1", "count": 20,
-             "command": ["sleep", "15"]},
-            {"op": "open_dataset", "t": 2.0, "uri": "doi:d"},
-            {"op": "workload", "t": 900.0, "resource": "hpc-1",
-             "command": ["sleep", "10"]},
-            {"op": "cancel", "t": 30.0, "job_index": 0},
-        ]},
-    }
-    config = load_config(config_dict)
+    config = load_config(CRITERION_11_CONFIG)
     first, metrics_a = run_scenario(config, 42, 2000.0)
     second, metrics_b = run_scenario(config, 42, 2000.0)
     elapsed = time.monotonic() - _MODULE_T0

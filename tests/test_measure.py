@@ -1,8 +1,10 @@
 import statistics
 
-from talescale.measure import measure_models
-from talescale.planner import WorkloadRequirements
+from talescale.measure import launch_frontend, measure_models
+from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import load_config
+
+from conftest import batch_world
 
 
 def test_wt_only_world_reports_only_m1_rows():
@@ -87,3 +89,16 @@ def test_mpi_frontend_skips_a_cloud_batch_resource_listed_first():
     table = measure_models(config, req, seeds=range(3))
     assert table.models() == ["M4_hpc_mpi"]
     assert min(table.samples("M4_hpc_mpi")) >= 608.0
+
+
+def test_frontend_on_a_warm_pilot_is_not_a_workload_start():
+    world = batch_world(pools=[{"resource": "hpc-1", "min_warm": 1, "max_size": 2,
+                                "pilot_walltime_s": 50_000.0}])
+    world.clock.run_until(700.0)
+    ttf = launch_frontend(world, ExecutionModel.M3_HPC_NODE_LOCAL_LRM, "hpc-1",
+                          WorkloadRequirements(needs_hpc=True))
+    assert ttf == 0.2 + world.config.scenario.image_load_s
+    assert world.metrics().workload_start_latencies == []
+    # the frontend's start stays in the trace
+    started = [ev.fields for ev in world.trace if ev.kind == "workload_started"]
+    assert [(f["via"], f["tale_id"]) for f in started] == [("pilot", "frontend")]

@@ -2,7 +2,7 @@ import pytest
 
 from talescale.digest import short_digest
 from talescale.errors import ValidationError
-from talescale.middleware import JobSpec
+from talescale.middleware import JobSpec, JobState
 from talescale.pilots import PoolPolicy, SlotState
 
 from conftest import batch_world
@@ -21,9 +21,16 @@ def workload(command=("sleep", "30")):
     return JobSpec(resource="hpc-1", command=command, credential="user", tale_id="t1")
 
 
+FAST_QUEUE = {"distribution": "fixed", "params": {"value": 10.0}}
+
+
 def submit_calls(world):
     return [ev for ev in world.trace
             if ev.kind == "transport_call" and ev.fields["verb"] == "submit"]
+
+
+def events(world, kind):
+    return [ev for ev in world.trace if ev.kind == kind]
 
 
 class TestConfigure:
@@ -56,13 +63,13 @@ class TestClaim:
         world = pool_world()
         world.clock.run_until(700.0)  # pilots through the 600 s queue
         pool = world.pools["hpc-1"]
-        assert pool.warm_count == 2
+        assert pool.counts()[SlotState.WARM] == 2
         before = world.clock.now
-        slot = pool.claim(workload())
-        assert slot is not None
+        kind, slot = world.submit_workload(workload())
+        assert kind == "pilot"
         assert slot.state == SlotState.CLAIMED
         # start latency is dispatch overhead only, well under a second
-        assert world.workload_latencies[-1] <= 1.0
+        assert world.workload_latencies == [pool.dispatch_overhead_s]
         # only the replenish submission's transport cost elapsed
         assert world.clock.now - before <= 0.1
 
@@ -110,15 +117,37 @@ class TestClaim:
         assert slot.claimed_by == owner
 
     def test_released_slot_frees_capacity(self):
-        world = pool_world(min_warm=1, max_size=1,
-                           queue={"distribution": "fixed", "params": {"value": 10.0}})
+        world = pool_world(min_warm=1, max_size=1, queue=FAST_QUEUE)
         pool = world.pools["hpc-1"]
         world.clock.run_until(20.0)
-        assert pool.claim(workload(command=("sleep", "5"))) is not None
+        slot = pool.claim(workload(command=("sleep", "5")))
+        assert slot is not None
         assert pool.replenish() == []  # cap holds while the workload runs
         world.clock.run_until(100.0)  # workload done, slot released, pool refilled
-        assert pool.counts()[SlotState.EXPIRED] == 1
-        assert pool.counts()[SlotState.PENDING] + pool.warm_count >= 1
+        assert [(ev.fields["slot"], ev.fields["reason"])
+                for ev in events(world, "pilot_expired")] == [(slot.slot_id, "released")]
+        assert slot not in pool.slots
+        counts = pool.counts()
+        assert counts[SlotState.PENDING] + counts[SlotState.WARM] == 1
+
+    def test_lost_release_cancel_still_retires_the_slot(self):
+        world = pool_world(min_warm=1, max_size=2, walltime=1000.0, queue=FAST_QUEUE)
+        pool = world.pools["hpc-1"]
+        world.clock.run_until(20.0)
+        kind, slot = world.submit_workload(workload(command=("sleep", "5")))
+        assert kind == "pilot"
+        # after the t=25 poll, so the release's cancel at t=25.2 is the call that fails
+        world.clock.at(25.1, world.transport.inject_failure)
+        world.clock.run_until(2000.0)
+        assert events(world, "transport_failed")[0].t == pytest.approx(25.2)
+        released = [ev for ev in events(world, "pilot_expired")
+                    if ev.fields["slot"] == slot.slot_id]
+        assert [(ev.t, ev.fields["reason"]) for ev in released] == [
+            (pytest.approx(25.2), "released")]
+        assert slot.state == SlotState.EXPIRED
+        assert slot not in pool.slots
+        # the orphaned pilot runs out its walltime on the backend
+        assert world.middleware.status(slot.handle).state == JobState.COMPLETED
 
 
 class TestReplenish:
@@ -137,7 +166,7 @@ class TestReplenish:
         pool.claim(workload())
         # claimed slots still count against max_size
         assert pool.replenish() == []
-        assert pool.nonexpired() == 2
+        assert pool.counts()[SlotState.CLAIMED] == len(pool.slots) == 2
 
     def test_claim_triggers_replenish(self):
         world = pool_world(min_warm=2, max_size=8)
@@ -153,33 +182,39 @@ class TestReplenish:
         object.__setattr__(pool.policy, "min_warm", 1)
         world.transport.inject_failure("transport", count=1)
         pool.replenish()
-        assert pool.pending_retries == 1
-        assert pool.counts()[SlotState.EXPIRED] == 1
-        pool.replenish()  # retry succeeds
+        assert [ev.fields["slot"] for ev in events(world, "pilot_submit_failed")] == [0]
+        assert pool.slots == []
+        pool.replenish()  # retry succeeds under the next slot id
         assert pool.counts()[SlotState.PENDING] == 1
+        assert [slot.slot_id for slot in pool.slots] == [1]
 
 
 class TestExpire:
     def test_walltime_expiry_and_restoration(self):
-        world = pool_world(min_warm=1, max_size=4, walltime=1000.0,
-                           queue={"distribution": "fixed", "params": {"value": 10.0}})
+        world = pool_world(min_warm=1, max_size=4, walltime=1000.0, queue=FAST_QUEUE)
         pool = world.pools["hpc-1"]
         world.clock.run_until(20.0)
-        assert pool.warm_count == 1
+        assert pool.counts()[SlotState.WARM] == 1
         world.clock.run_until(2000.0)
         # trace oracle: an expiry happened and replenish restored min_warm
-        kinds = [ev.kind for ev in world.trace]
-        assert "pilot_expired" in kinds
-        assert pool.warm_count >= 1
+        assert events(world, "pilot_expired")
+        assert pool.counts()[SlotState.WARM] >= 1
 
     def test_expire_is_age_based(self):
-        world = pool_world(min_warm=1, walltime=100.0,
-                           queue={"distribution": "fixed", "params": {"value": 10.0}})
+        # Two failed polls hide the pilot's completion at t=110, so only its
+        # age (warm since t=10, walltime 100 s) can retire it.
+        world = pool_world(min_warm=1, walltime=100.0, queue=FAST_QUEUE)
         pool = world.pools["hpc-1"]
         world.clock.run_until(20.0)
-        slot = next(s for s in pool.slots if s.state == SlotState.WARM)
-        expired = pool.expire(now=slot.warmed_at + 101.0)
-        assert slot in expired
+        [slot] = pool.slots
+        assert slot.warmed_at == 10.0
+        world.clock.at(107.0, lambda: world.transport.inject_failure("transport", count=2))
+        world.clock.run_until(110.0)
+        assert slot in pool.slots  # an age of exactly the walltime is not past it
+        world.clock.run_until(115.0)
+        assert slot not in pool.slots
+        assert [(ev.t, ev.fields["reason"]) for ev in events(world, "pilot_expired")] == [
+            (115.0, "walltime")]
 
 
 class TestConservation:
@@ -190,8 +225,24 @@ class TestConservation:
         checkpoints = [500.0, 1500.0, 3000.0, 6000.0]
         for t in checkpoints:
             world.clock.run_until(t)
-            if pool.warm_count:
+            if pool.counts()[SlotState.WARM]:
                 pool.claim(workload())
-            counts = pool.counts()
-            assert sum(counts.values()) == len(pool.slots)
-            assert pool.nonexpired() <= pool.policy.max_size
+            assert sum(pool.counts().values()) == len(pool.slots) <= pool.policy.max_size
+            # every submitted slot is live or retired exactly once, never both
+            live = {slot.slot_id for slot in pool.slots}
+            submitted = {ev.fields["slot"] for ev in events(world, "pilot_submitted")}
+            retired = [ev.fields["slot"] for ev in events(world, "pilot_expired")]
+            assert len(retired) == len(set(retired))
+            assert live.isdisjoint(retired)
+            assert live | set(retired) == submitted
+
+    def test_long_run_holds_only_live_slots(self):
+        world = pool_world(min_warm=2, max_size=4, walltime=300.0,
+                           queue={"distribution": "exponential", "params": {"mean": 60.0}})
+        pool = world.pools["hpc-1"]
+        for step in range(1, 401):
+            world.clock.run_until(step * 100.0)
+            if step % 3 == 0:
+                world.submit_workload(workload())
+            assert len(pool.slots) <= pool.policy.max_size
+        assert len(events(world, "pilot_expired")) >= 200

@@ -16,7 +16,7 @@ def make_proxy(no_proxy=False):
         "wt-1": wt_resource(),
         "hpc-1": make_resource(no_proxy=no_proxy),
     }
-    registry = ProxyRegistry(network, resources, clock, TraceLog(clock))
+    registry = ProxyRegistry(network, resources, TraceLog(clock))
     return network, registry
 
 

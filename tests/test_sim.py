@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import World, load_config, run_scenario
 
 from conftest import batch_world
+from test_acceptance import CRITERION_11_CONFIG
 
 
 MINIMAL = {
@@ -84,7 +86,33 @@ class TestLoadConfig:
             load_config(tmp_path / "nope.json")
 
 
+# A pooled soak: pilots with a 300 s walltime cycle through an exponential
+# queue while 60 workloads claim them or fall back to the queue.
+POOLED_SOAK = {
+    "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                   "allows_incoming_connections": False, "node_count": 16, "queue": "q"}],
+    "queues": {"q": {"distribution": "exponential", "params": {"mean": 600.0}}},
+    "pools": [{"resource": "hpc-1", "min_warm": 2, "max_size": 4, "pilot_walltime_s": 300.0}],
+    "scenario": {"actions": [
+        {"op": "workload", "t": 100.0 + 450.0 * i, "resource": "hpc-1", "tale_id": f"w{i:03d}",
+         "command": ["sleep", str(30 + 7 * (i % 13))]} for i in range(60)]},
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("config, seed, horizon, size, sha256", [
+        (CRITERION_11_CONFIG, 42, 2000.0, 85_967,
+         "6540c71552c1cbdc3b28d411f370cd9036b422c7176aaf453f6e64ba756e6f1d"),
+        (POOLED_SOAK, 7, 30_000.0, 1_033_878,
+         "2df910548d69d4120939662ddde4ce590e9bff56af493311e2f4ae3aa37794ae"),
+    ], ids=["criterion_11", "pooled_soak"])
+    def test_golden_trace_bytes(self, config, seed, horizon, size, sha256):
+        # Pinned bytes: a change that alters any trace event fails here, even
+        # when two runs in one process still agree with each other.
+        trace_bytes, _ = run_scenario(load_config(config), seed, horizon)
+        assert len(trace_bytes) == size
+        assert hashlib.sha256(trace_bytes).hexdigest() == sha256
+
     def test_same_seed_identical_trace_bytes(self):
         config = load_config(SCENARIO)
         first, _ = run_scenario(config, 42, 500.0)
