@@ -8,11 +8,21 @@ unpinned entries under capacity pressure. Datasets already resident on a
 resource bypass the cache entirely: POSIX-exposed copies are mounted,
 non-POSIX copies are staged in locally, and only truly remote data is
 fetched over the wide area.
+
+Eviction cost does not grow with the cache's history. A running count
+holds the bytes of resident and transferring entries, so the capacity
+check reads one number. The LRU order rule is: the next victim is the
+resident, unpinned entry with the smallest ``(last_access, uri)``, so
+entries last used at the same simulated time leave in URI order. A heap
+of those keys serves it; a hit pushes a new key and leaves the old one
+behind as stale, and the heap is rebuilt from its current keys whenever
+it grows past twice the resident entries.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -194,6 +204,11 @@ class DmsCache:
         self.transfer_log: list[TransferRecord] = []
         self._pending: dict[str, _PendingTransfer] = {}
         self._corrupt_next: set[str] = set()
+        self._used_bytes = 0  # resident plus transferring
+        self._resident = 0
+        # (last_access, uri) keys; every resident entry's current key is in
+        # here, next to stale keys of older accesses and evicted entries
+        self._lru: list[tuple[float, str]] = []
 
     # -- diagnostics ------------------------------------------------------
 
@@ -203,9 +218,8 @@ class DmsCache:
         return self.entries[uri]
 
     def resident_bytes(self) -> int:
-        committed = sum(e.ref.size_bytes for e in self.entries.values() if e.state == CacheState.RESIDENT)
-        reserved = sum(e.ref.size_bytes for e in self.entries.values() if e.state == CacheState.TRANSFERRING)
-        return committed + reserved
+        """Bytes held by resident entries plus those reserved by transfers."""
+        return self._used_bytes
 
     def records_for(self, uri: str) -> list[TransferRecord]:
         return [r for r in self.transfer_log if r.uri == uri]
@@ -248,7 +262,8 @@ class DmsCache:
         handle = OpenHandle(ref.uri)
 
         if entry.state == CacheState.RESIDENT:
-            entry.last_access = self.clock.now
+            if entry.last_access != self.clock.now:
+                self._touch(entry)
             handle.ready = True
             handle.local_path = entry.local_path
             self.trace.emit("cache_hit", uri=ref.uri)
@@ -261,6 +276,7 @@ class DmsCache:
 
         self._admit(ref)
         entry.state = CacheState.TRANSFERRING
+        self._used_bytes += ref.size_bytes
         duration = ref.size_bytes / self.bandwidth
         pending = _PendingTransfer(started_at=self.clock.now, finish_at=self.clock.now + duration)
         pending.handles.append(handle)
@@ -305,29 +321,63 @@ class DmsCache:
         if needed_bytes < 0:
             raise ValidationError("needed_bytes must be >= 0")
         evicted: list[str] = []
-        while self.capacity_bytes - self.resident_bytes() < needed_bytes:
-            victim = self._lru_victim()
-            if victim is None:
-                raise CapacityError(
-                    f"cannot free {needed_bytes} bytes: "
-                    f"{self.capacity_bytes - self.resident_bytes()} free, no evictable entries"
-                )
-            victim.state = CacheState.EVICTED
-            victim.local_path = None
-            evicted.append(victim.ref.uri)
-            self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
+        pinned: list[tuple[float, str]] = []  # current keys of pinned entries, set aside
+        try:
+            while self.capacity_bytes - self._used_bytes < needed_bytes:
+                victim = self._pop_lru_victim(pinned)
+                if victim is None:
+                    raise CapacityError(
+                        f"cannot free {needed_bytes} bytes: "
+                        f"{self.capacity_bytes - self._used_bytes} free, no evictable entries"
+                    )
+                victim.state = CacheState.EVICTED
+                victim.local_path = None
+                self._used_bytes -= victim.ref.size_bytes
+                self._resident -= 1
+                evicted.append(victim.ref.uri)
+                self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
+        finally:
+            for key in pinned:
+                heapq.heappush(self._lru, key)
+            self._compact_if_sparse()
         return evicted
 
     # -- internals ---------------------------------------------------------
 
-    def _lru_victim(self) -> CacheEntry | None:
-        candidates = [
-            e for e in self.entries.values()
-            if e.state == CacheState.RESIDENT and e.pin_count == 0
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: (e.last_access, e.ref.uri))
+    def _is_current(self, key: tuple[float, str]) -> bool:
+        entry = self.entries[key[1]]
+        return entry.state == CacheState.RESIDENT and entry.last_access == key[0]
+
+    def _pop_lru_victim(self, pinned: list[tuple[float, str]]) -> CacheEntry | None:
+        """Pop the LRU rule's next victim, dropping stale keys on the way.
+
+        Keys of pinned entries go to ``pinned``; the caller pushes them back.
+        """
+        while self._lru:
+            key = heapq.heappop(self._lru)
+            if self._is_current(key):
+                entry = self.entries[key[1]]
+                if not entry.pin_count:
+                    return entry
+                pinned.append(key)
+        return None
+
+    def _touch(self, entry: CacheEntry) -> None:
+        """Record an access of a resident entry at the current time."""
+        entry.last_access = self.clock.now
+        heapq.heappush(self._lru, (entry.last_access, entry.ref.uri))
+        self._compact_if_sparse()
+
+    def _compact_if_sparse(self) -> None:
+        """Keep the index within twice the resident entries.
+
+        Rebuilding keeps each current key once and drops the stale ones, so
+        the index stays proportional to the resident entries however many
+        hits the run has had; each rebuild drops more keys than it keeps.
+        """
+        if len(self._lru) > 2 * self._resident:
+            self._lru = list(dict.fromkeys(k for k in self._lru if self._is_current(k)))
+            heapq.heapify(self._lru)
 
     def _admit(self, ref: ExternalDataRef) -> None:
         if ref.size_bytes > self.capacity_bytes:
@@ -341,6 +391,7 @@ class DmsCache:
         self._corrupt_next.discard(ref.uri)
         if corrupted:
             entry.state = CacheState.ABSENT
+            self._used_bytes -= ref.size_bytes
             error = ChecksumMismatchError(ref.uri, ref.checksum, "sha256:<corrupted>")
             self.trace.emit("transfer_failed", uri=ref.uri, reason="checksum mismatch")
             for handle in pending.handles:
@@ -356,7 +407,8 @@ class DmsCache:
         self.transfer_log.append(record)
         entry.state = CacheState.RESIDENT
         entry.local_path = f"cache://{ref.uri}"
-        entry.last_access = self.clock.now
+        self._resident += 1
+        self._touch(entry)
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
                         source=TransferSource.REMOTE_REPO.value)
         for handle in pending.handles:

@@ -14,7 +14,7 @@ disagree about where a frontend may go or how it starts.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import TransportError, ValidationError
 from .metrics import ReportRow, ReportTable
 from .middleware import JobSpec, JobState
 from .planner import (
@@ -66,7 +66,9 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
                     raise ValidationError("simulation ran out of events before the frontend started")
             status = world.middleware.status(handle)
             if status.state != JobState.RUNNING:
-                raise ValidationError(f"frontend job ended in {status.state.value}")
+                # e.g. the submit hit a transport failure; a later launch may succeed
+                cause = f": {status.cause}" if status.cause else ""
+                raise TransportError(f"frontend job ended in {status.state.value}{cause}")
             running_at = status.transitions[-1][1]
             ready = (running_at - requested_at) + image
     else:

@@ -312,11 +312,17 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
         return ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
 
     refs = [ref_for(uri) for uri in sorted(req.dataset_uris)]
+    # many candidates share a consumer (the workload resource, else the
+    # frontend), and the sum depends on the consumer alone
+    wide_area: dict[str, int] = {}
 
     def wide_area_bytes(frontend, workload) -> int:
         consumer = workload if workload is not None else frontend
-        return sum(ref.size_bytes for ref in refs
-                   if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
+        if consumer.name not in wide_area:
+            wide_area[consumer.name] = sum(
+                ref.size_bytes for ref in refs
+                if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
+        return wide_area[consumer.name]
 
     def score(candidate):
         model, frontend, workload = candidate

@@ -104,7 +104,8 @@ class TestPrefetch:
         refs = [ref("doi:a"), ref("doi:b")]
         clock, cache = make_cache(refs)
         cache.prefetch(None, eager_refs=refs)
-        cache.entries["doi:a"].state = CacheState.EVICTED
+        # both arrived at t=1; the tie on last access breaks by uri
+        assert cache.evict(cache.capacity_bytes - 100) == ["doi:a"]
         cache.open(refs[0])
         assert len(cache.records_for("doi:a")) == 2
         assert len(cache.records_for("doi:b")) == 1
@@ -259,6 +260,122 @@ class TestLruOracle:
             resident, evictions = run_cache_sequence(capacity, accesses, sizes)
             assert resident == expected_resident, f"case {case}"
             assert evictions == expected_evictions, f"case {case}"
+
+
+def recount_bytes(cache):
+    return sum(e.ref.size_bytes for e in cache.entries.values()
+               if e.state in (CacheState.RESIDENT, CacheState.TRANSFERRING))
+
+
+def check_evictions_against_brute_force(cache):
+    """Wrap ``cache.evict`` so every call is checked against a rescan.
+
+    Before each call the expected victims are the resident, unpinned
+    entries in ``(last_access, uri)`` order, taken until the request fits;
+    if they run out, the call must raise ``CapacityError`` after evicting
+    all of them. ``open_nowait`` admits through ``self.evict``, so the
+    wrapper sees every eviction.
+    """
+    original = cache.evict
+
+    def checked_evict(needed):
+        order = sorted((e.last_access, uri) for uri, e in cache.entries.items()
+                       if e.state == CacheState.RESIDENT and e.pin_count == 0)
+        sizes = {uri: cache.entries[uri].ref.size_bytes for _, uri in order}
+        free = cache.capacity_bytes - recount_bytes(cache)
+        expected = []
+        while free < needed and order:
+            uri = order.pop(0)[1]
+            expected.append(uri)
+            free += sizes[uri]
+        mark = len(cache.trace)
+
+        def evicted_since_mark():
+            return [ev.fields["uri"] for ev in list(cache.trace)[mark:] if ev.kind == "cache_evict"]
+
+        try:
+            out = original(needed)
+        except CapacityError:
+            assert free < needed
+            assert evicted_since_mark() == expected
+            raise
+        assert free >= needed
+        assert out == evicted_since_mark() == expected
+        return out
+
+    cache.evict = checked_evict
+
+
+class TestLruDifferential:
+    """Randomized opens with shared timestamps, pins, corruption, coalesced
+    opens and prefetches; after every operation the victims match a
+    brute-force rescan and the byte count matches a recount."""
+
+    def run_case(self, rng):
+        n = rng.randint(2, 9)
+        sizes = {f"d{i}": rng.choice((0, rng.randint(1, 40))) for i in range(n)}
+        refs = {u: ExternalDataRef(uri=u, size_bytes=s, checksum=digest_bytes(u.encode()))
+                for u, s in sizes.items()}
+        capacity = rng.randint(max(sizes.values()), 120)
+        clock = SimClock()
+        cache = DmsCache(clock, DatasetCatalog(refs.values()), capacity,
+                         rng.choice((10.0, 1e9)), TraceLog(clock))
+        check_evictions_against_brute_force(cache)
+        pins = []
+        for _ in range(rng.randint(10, 60)):
+            op = rng.random()
+            uri = rng.choice(list(refs))
+            try:
+                if op < 0.35:
+                    cache.open_nowait(refs[uri])
+                elif op < 0.45:
+                    cache.open(refs[uri])
+                elif op < 0.55:
+                    cache.prefetch(None, eager_refs=rng.sample(list(refs.values()), 2))
+                elif op < 0.65:
+                    cache.pin(uri)
+                    pins.append(uri)
+                elif op < 0.75 and pins:
+                    cache.unpin(pins.pop(rng.randrange(len(pins))))
+                elif op < 0.8:
+                    cache.inject_corruption(uri)
+                elif op < 0.85:
+                    cache.evict(rng.randint(0, capacity))
+                else:
+                    # several operations share most timestamps
+                    clock.run_until(clock.now + rng.choice((0.0, 0.0, 0.5, 1.0, 3.0)))
+            except (CapacityError, ChecksumMismatchError):
+                pass
+            assert cache.resident_bytes() == recount_bytes(cache)
+            assert cache.resident_bytes() <= capacity
+        return cache
+
+    def test_randomized_ops_match_brute_force(self):
+        rng = random.Random(20261018)
+        evictions = 0
+        for _ in range(400):
+            cache = self.run_case(rng)
+            evictions += sum(1 for ev in cache.trace if ev.kind == "cache_evict")
+        assert evictions > 1000  # the cases exercise eviction, not just hits
+
+
+class TestLruIndexBound:
+    def test_index_stays_proportional_to_resident_entries(self):
+        refs = [ref(f"doi:{i}", 10) for i in range(6)]
+        clock, cache = make_cache(refs, capacity=40, bandwidth=1e9)
+        rng = random.Random(7)
+        largest = 0
+        for step in range(5000):
+            # mostly hits on the four resident datasets, now and then a miss
+            # that evicts one of them
+            cache.open(refs[rng.randrange(4) if step % 50 else rng.randrange(6)])
+            if step % 3 == 0:
+                clock.advance(1.0)
+            resident = sum(1 for e in cache.entries.values() if e.state == CacheState.RESIDENT)
+            assert len(cache._lru) <= 2 * resident
+            largest = max(largest, len(cache._lru))
+        hits = sum(1 for ev in cache.trace if ev.kind == "cache_hit")
+        assert hits > 4500 and largest <= 8
 
 
 class TestTransferLogInterface:

@@ -1,5 +1,8 @@
 import statistics
 
+import pytest
+
+from talescale.errors import TransportError
 from talescale.measure import launch_frontend, measure_models
 from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import load_config
@@ -102,3 +105,12 @@ def test_frontend_on_a_warm_pilot_is_not_a_workload_start():
     # the frontend's start stays in the trace
     started = [ev.fields for ev in world.trace if ev.kind == "workload_started"]
     assert [(f["via"], f["tale_id"]) for f in started] == [("pilot", "frontend")]
+
+
+def test_cold_frontend_submit_transport_failure_is_a_transport_error():
+    world = batch_world()
+    world.transport.inject_failure("transport")
+    with pytest.raises(TransportError, match="ended in Failed"):
+        launch_frontend(world, ExecutionModel.M3_HPC_NODE_LOCAL_LRM, "hpc-1",
+                        WorkloadRequirements(needs_hpc=True))
+    assert not any(ev.kind == "frontend_ready" for ev in world.trace)
