@@ -6,6 +6,14 @@ run is a pure function of its inputs. Events fire in (time, sequence)
 order; insertion sequence breaks ties, which makes interleavings
 reproducible without any wall-clock dependence.
 
+The heap holds ``(time, seq, handle)`` tuples, so ordering is a native
+tuple compare and ``seq`` is unique: the handle itself is never compared.
+A canceled event stays in the heap as a tombstone until it is popped, but
+the clock counts its live (pending, uncanceled) events and rebuilds the
+heap without tombstones as soon as they outnumber the live ones. That
+keeps the heap within twice the live events; since (time, seq) keys are
+unique, the rebuild cannot change the firing order.
+
 Two calling contexts exist:
 
 * driver context (test code, CLI): may advance the clock, and synchronous
@@ -19,37 +27,33 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    fn: Callable[[], None] = field(compare=False)
-    canceled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    __slots__ = ("_event",)
+    """One scheduled callback; pending while ``_fn`` is set."""
 
-    def __init__(self, event: _Event):
-        self._event = event
+    __slots__ = ("_time", "_fn", "_canceled")
+
+    def __init__(self, time: float, fn: Callable[[], None]):
+        self._time = time
+        self._fn: Callable[[], None] | None = fn
+        self._canceled = False
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._time
 
     @property
     def canceled(self) -> bool:
-        return self._event.canceled
+        return self._canceled
 
 
 class SimClock:
     def __init__(self):
         self._now = 0.0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._live = 0  # heap entries still pending; the rest are tombstones
         self._seq = itertools.count()
         self._dispatching = False
 
@@ -65,9 +69,10 @@ class SimClock:
         """Schedule ``fn`` at absolute simulated time; never in the past."""
         if time < self._now:
             raise ValueError(f"cannot schedule event at {time} before now={self._now}")
-        ev = _Event(time, next(self._seq), fn)
-        heapq.heappush(self._heap, ev)
-        return EventHandle(ev)
+        handle = EventHandle(time, fn)
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
+        self._live += 1
+        return handle
 
     def after(self, delay: float, fn: Callable[[], None]) -> EventHandle:
         if delay < 0:
@@ -75,7 +80,21 @@ class SimClock:
         return self.at(self._now + delay, fn)
 
     def cancel(self, handle: EventHandle) -> None:
-        handle._event.canceled = True
+        handle._canceled = True
+        if handle._fn is not None:  # neither fired nor canceled before
+            handle._fn = None
+            self._live -= 1
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop tombstones once they outnumber live events.
+
+        In place, because ``run_until`` may be iterating this very list.
+        """
+        heap = self._heap
+        if len(heap) > 2 * self._live:
+            heap[:] = [entry for entry in heap if entry[2]._fn is not None]
+            heapq.heapify(heap)
 
     def run_until(self, horizon: float) -> None:
         """Fire every event with time <= horizon, then set now = horizon.
@@ -86,17 +105,22 @@ class SimClock:
             raise RuntimeError("clock cannot be advanced from inside an event callback")
         if horizon < self._now:
             return
-        while self._heap and self._heap[0].time <= horizon:
-            ev = heapq.heappop(self._heap)
-            if ev.canceled:
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            time, _, handle = heapq.heappop(heap)
+            fn = handle._fn
+            if fn is None:
                 continue
-            self._now = ev.time
+            handle._fn = None
+            self._live -= 1
+            self._now = time
             self._dispatching = True
             try:
-                ev.fn()
+                fn()
             finally:
                 self._dispatching = False
         self._now = max(self._now, horizon)
+        self._compact()
 
     def advance(self, dt: float) -> None:
         self.run_until(self._now + dt)
@@ -113,9 +137,10 @@ class SimClock:
 
     def step(self) -> bool:
         """Fire the single next event, if any. Returns False when idle."""
-        while self._heap and self._heap[0].canceled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2]._fn is None:
+            heapq.heappop(heap)
+        if not heap:
             return False
-        self.run_until(self._heap[0].time)
+        self.run_until(heap[0][0])
         return True

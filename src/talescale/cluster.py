@@ -14,10 +14,19 @@ Job runtimes come from a tiny command convention::
     frontend ...   interactive frontend: runs until the horizon
 
 Anything else runs for the queue model's default runtime.
+
+Command lines are tokenized with ``shlex.split`` semantics, always.
+``_argv`` takes ``str.split`` as a fast path only for payloads on which
+the two cannot differ: no quote, no backslash, and no whitespace other
+than the space, tab, CR and LF that shlex splits on. ``str.split`` also
+splits on vertical tab, form feed, no-break space and other Unicode
+spaces, which shlex keeps inside a word, and PBS ids embed resource
+names, which may hold any of them.
 """
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass, field
 
@@ -28,6 +37,21 @@ from .resources import ResourceDescriptor
 FRONTEND_RUNTIME_S = 10.0 ** 9
 
 _PBS_KILL_EXIT = 271
+
+_SACCT_STATE = {
+    "queued": "PENDING", "running": "RUNNING", "completed": "COMPLETED",
+    "failed": "FAILED", "canceled": "CANCELLED",
+}
+
+# A quote, a backslash, or whitespace that shlex does not split on.
+_NEEDS_SHLEX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
+
+
+def _argv(payload: str) -> list[str]:
+    """``shlex.split(payload)``, without shlex where it cannot differ."""
+    if _NEEDS_SHLEX.search(payload) is None:
+        return payload.split()
+    return shlex.split(payload)
 
 
 def runtime_of_command(command: list[str] | tuple[str, ...], default_runtime_s: float) -> tuple[float, int]:
@@ -83,7 +107,7 @@ class SimulatedLrm:
 
     def execute(self, payload: str) -> str:
         """Run one LRM command line; both PBS and Slurm tools are installed."""
-        argv = shlex.split(payload)
+        argv = _argv(payload)
         if not argv:
             raise TransportError("empty command")
         tool = argv[0]
@@ -127,7 +151,7 @@ class SimulatedLrm:
             elif arg.startswith("--job-name="):
                 name = arg.split("=", 1)[1]
         if "--wrap" in args:
-            command = shlex.split(args[args.index("--wrap") + 1])
+            command = _argv(args[args.index("--wrap") + 1])
         self._counter += 1
         native_id = str(self._counter)
         self._enqueue(native_id, name, command, nodes)
@@ -160,16 +184,12 @@ class SimulatedLrm:
             if arg.startswith("--jobs="):
                 ids = arg.split("=", 1)[1].split(",")
         lines = []
-        state_names = {
-            "queued": "PENDING", "running": "RUNNING", "completed": "COMPLETED",
-            "failed": "FAILED", "canceled": "CANCELLED",
-        }
         for native_id in ids:
             job = self.jobs.get(native_id)
             if job is None:
                 continue
             code = job.exit_code if job.exit_code is not None else 0
-            lines.append(f"{native_id}|{state_names[job.state]}|{code}:0")
+            lines.append(f"{native_id}|{_SACCT_STATE[job.state]}|{code}:0")
         return "\n".join(lines)
 
     def _cancel_cmd(self, args: list[str]) -> str:

@@ -54,24 +54,27 @@ class SimPbsAdapter(DialectAdapter):
         return "qstat -f " + " ".join(native_ids)
 
     def parse_status(self, output):
+        # Native ids embed the resource name, which may hold any character
+        # but a newline: the id is the rest of its line, and lines end only
+        # at "\n" (str.splitlines also breaks at \x0b, \x85 and others).
         states: dict[str, tuple[str, int | None]] = {}
         current = None
-        for line in output.splitlines():
-            m = re.match(r"^Job Id:\s*(\S+)", line)
-            if m:
-                current = m.group(1)
+        for line in output.split("\n"):
+            if line.startswith("Job Id:"):
+                current = line[7:].lstrip(" \t") or None
                 continue
-            m = re.match(r"^\s*job_state\s*=\s*(\S+)", line)
-            if m and current:
-                letter = m.group(1)
+            if current is None:
+                continue
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key == "job_state":
+                letter = value.strip()
                 if letter == "Q":
                     states[current] = ("queued", None)
                 elif letter == "R":
                     states[current] = ("running", None)
-                continue
-            m = re.match(r"^\s*exit_status\s*=\s*(-?\d+)", line)
-            if m and current:
-                code = int(m.group(1))
+            elif key == "exit_status":
+                code = int(value)
                 if code == PBS_KILL_EXIT:
                     states[current] = ("canceled", None)
                 elif code == 0:

@@ -183,8 +183,8 @@ class LrmMiddleware:
 
     @property
     def poll_failures(self) -> int:
-        """Failed poll cycles so far, counted from the trace."""
-        return sum(1 for ev in self.trace if ev.kind == "poll_failed")
+        """Failed poll cycles so far, as counted by the trace."""
+        return self.trace.count("poll_failed")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -264,10 +264,8 @@ class LrmMiddleware:
         Transport failure leaves every job untouched; the next cycle
         retries (at-least-once status semantics).
         """
-        active = [
-            self._records[job_id] for job_id in sorted(self._active.get(resource_name, ()))
-            if self._records[job_id].native_id is not None
-        ]
+        # A job enters _active only once parse_submit has set its native id.
+        active = [self._records[job_id] for job_id in sorted(self._active.get(resource_name, ()))]
         if not active:
             return []
         resource = self.resources[resource_name]
@@ -287,9 +285,10 @@ class LrmMiddleware:
                 continue
             target = _BACKEND_TO_CLIENT[state_code[0]]
             before = record.state
+            if target is before:
+                continue
             self._advance_to(record, target, exit_code=state_code[1])
-            if record.state != before:
-                applied.append((record.job_id, before, record.state))
+            applied.append((record.job_id, before, record.state))
         return applied
 
     def _ensure_poller(self, resource_name: str) -> None:

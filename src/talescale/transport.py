@@ -108,8 +108,8 @@ class Transport:
 
     @property
     def handshake_count(self) -> int:
-        """Handshakes so far, counted from the trace."""
-        return sum(1 for ev in self.trace if ev.kind == "handshake")
+        """Handshakes so far, as counted by the trace."""
+        return self.trace.count("handshake")
 
     # -- calls --------------------------------------------------------------
 

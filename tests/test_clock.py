@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from talescale.clock import SimClock
+from talescale.middleware import JobSpec
+
+from conftest import batch_world
 
 
 def test_events_fire_in_time_then_insertion_order():
@@ -88,3 +92,77 @@ def test_step_processes_single_event():
     assert clock.step()
     assert fired == [1, 2]
     assert not clock.step()
+
+
+def _live(clock):
+    """Live events, recounted from the heap rather than read from the clock."""
+    return sum(1 for _, _, handle in clock._heap if not handle.canceled)
+
+
+def test_cancel_counts_once_and_not_after_firing():
+    clock = SimClock()
+    fired = clock.at(1.0, lambda: None)
+    pending = clock.at(5.0, lambda: None)
+    clock.run_until(2.0)
+    clock.cancel(fired)  # already fired: the live count must not move
+    assert clock._live == 1 == _live(clock)
+    clock.cancel(pending)
+    clock.cancel(pending)  # already canceled
+    assert clock._live == 0 == _live(clock)
+    assert fired.canceled and pending.canceled
+
+
+def test_cancel_churn_keeps_tombstones_bounded():
+    # Every job is submitted and canceled at once on a queue whose start
+    # events lie far in the future: without compaction their tombstones
+    # pile up (3,833 of them after 4,000 s, with no live event left).
+    world = batch_world(queue={"distribution": "exponential", "params": {"mean": 50_000.0}})
+    clock = world.clock
+    for _ in range(4_000):
+        handle = world.middleware.submit(JobSpec(resource="hpc-1", command=("sleep", "1")))
+        world.middleware.cancel(handle)
+        clock.advance(1.0)
+        live = _live(clock)
+        assert clock._live == live
+        assert len(clock._heap) <= 2 * live + 1
+    clock.advance(10.0)
+    assert world.middleware.active_pollers == 0
+    assert len(clock._heap) == clock._live == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["at", "cancel", "run"]),
+                          st.integers(0, 30), st.integers(0, 10**6)), max_size=80))
+def test_compaction_never_changes_firing_order(ops):
+    # The model: advancing to a horizon fires every pending event at or
+    # before it, in (time, insertion) order; a cancel only hits pending ones.
+    clock = SimClock()
+    fired, handles = [], []
+    model, model_fired = [], []  # model[key] = [time, pending]
+
+    def model_run(horizon):
+        due = sorted((when, key) for key, (when, pending) in enumerate(model)
+                     if pending and when <= horizon)
+        for _, key in due:
+            model[key][1] = False
+            model_fired.append(key)
+
+    for op, t, pick in ops:
+        if op == "at":
+            key = len(model)
+            handles.append(clock.at(clock.now + t, lambda key=key: fired.append(key)))
+            model.append([clock.now + t, True])
+        elif op == "cancel" and handles:
+            key = pick % len(handles)
+            clock.cancel(handles[key])
+            model[key][1] = False
+        elif op == "run":
+            model_run(clock.now + t)
+            clock.advance(t)
+        assert fired == model_fired
+        assert clock._live == _live(clock) == sum(pending for _, pending in model)
+        assert len(clock._heap) <= 2 * _live(clock) + 1
+    model_run(clock.now + 100.0)
+    clock.advance(100.0)
+    assert fired == model_fired
+    assert clock._live == 0

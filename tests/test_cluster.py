@@ -1,0 +1,80 @@
+import random
+import shlex
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from talescale.clock import SimClock
+from talescale.cluster import SimulatedLrm, _argv
+from talescale.dialects import SimPbsAdapter, SimSlurmAdapter
+from talescale.queues import QueueModel
+from talescale.resources import ResourceDescriptor
+from talescale.trace import TraceLog
+
+# Characters where shlex and str.split could part ways: shlex's own
+# whitespace, every other character str.split treats as whitespace, quotes,
+# the escape character, and plain word characters.
+_TRICKY = (" \t\r\n" "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
+           "'\"\\" "ab1.-=,|#")
+
+
+def _outcome(split, text):
+    try:
+        return split(text)
+    except ValueError:
+        return ValueError
+
+
+class TestTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet=st.sampled_from(_TRICKY))))
+    @example("qstat -f 1.a\x0b2.a")
+    @example("sbatch --wrap 'sleep 1")
+    @example("qdel 1.a\\")
+    def test_same_argv_as_shlex_or_same_error(self, text):
+        assert _outcome(_argv, text) == _outcome(shlex.split, text)
+
+    def test_vertical_tab_stays_inside_a_word(self):
+        # str.split() would give four tokens here
+        assert _argv("qstat -f 1.a\x0b2.a") == ["qstat", "-f", "1.a\x0b2.a"]
+
+
+def _lrm(name, adapter):
+    resource = ResourceDescriptor(
+        name=name, kind="hpc_cluster", lrm="batch", allows_incoming_connections=False,
+        node_count=4, dialect=adapter.name,
+        queue_model=QueueModel("fixed", {"value": 10.0}),
+    )
+    clock = SimClock()
+    return clock, SimulatedLrm(clock, resource, random.Random(0), TraceLog(clock))
+
+
+@pytest.mark.parametrize("adapter, name", [
+    (SimPbsAdapter(), "pbs\xa0east"),
+    (SimPbsAdapter(), "pbs\u3000x\x0by\x85z"),
+    (SimSlurmAdapter(), "slurm\xa0east"),
+], ids=["pbs-nbsp", "pbs-unicode-spaces", "slurm"])
+def test_status_round_trip(adapter, name):
+    clock, lrm = _lrm(name, adapter)
+
+    def submit(*command):
+        return adapter.parse_submit(lrm.execute(adapter.format_submit(list(command), 1, "j")))
+
+    done, failed, running, canceled = (submit("sleep", "1"), submit("fail", "1", "3"),
+                                       submit("sleep", "100"), submit("sleep", "1"))
+    lrm.execute(adapter.format_cancel(canceled))
+    clock.run_until(12.0)
+    queued = submit("sleep", "1")
+    ids = [done, failed, running, canceled, queued]
+    if adapter.name == "sim-pbs":
+        assert all(native_id.endswith("." + name) for native_id in ids)
+
+    observed = adapter.parse_status(lrm.execute(adapter.format_status(ids)))
+    assert observed == {
+        done: ("completed", 0),
+        failed: ("failed", 3),
+        running: ("running", None),
+        canceled: ("canceled", None),
+        queued: ("queued", None),
+    }
+    assert {i: observed[i][0] for i in ids} == {i: lrm.jobs[i].state for i in ids}

@@ -152,6 +152,19 @@ class TestPolling:
         world.clock.run_until(60.0)
         assert world.middleware.active_pollers == 0
 
+    def test_only_jobs_with_a_native_id_are_polled(self):
+        # poll_cycle reads native ids without a None check: a job enters the
+        # active set only once parse_submit has given it one
+        world = batch_world()
+        world.transport.inject_failure("transport", count=1)
+        lost = world.middleware.submit(spec())
+        kept = world.middleware.submit(spec())
+        active = world.middleware._active["hpc-1"]
+        assert lost.job_id not in active and kept.job_id in active
+        assert all(world.middleware._records[j].native_id is not None for j in active)
+        world.clock.run_until(5.0)
+        assert world.middleware.status(kept).state == JobState.QUEUED
+
 
 class TestSubscribe:
     def test_full_lifecycle_replay(self):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,21 @@ class TestDeterminism:
         events = [json.loads(line) for line in trace_bytes.splitlines()]
         assert not any(ev["kind"] == "backend_job_started" for ev in events)
         assert any(ev["kind"] == "backend_job_queued" for ev in events)
+
+
+class TestTraceCounts:
+    @pytest.mark.parametrize("config, seed, horizon", [
+        (CRITERION_11_CONFIG, 42, 2000.0),
+        (POOLED_SOAK, 7, 30_000.0),
+    ], ids=["criterion_11", "pooled_soak"])
+    def test_counts_as_emitted_equal_a_recount(self, config, seed, horizon):
+        world = World(load_config(config), seed)
+        trace, _ = world.run(horizon)
+        recount = Counter(ev.kind for ev in trace)
+        assert {kind: trace.count(kind) for kind in recount} == recount
+        assert trace.count("no_such_kind") == 0
+        assert world.transport.handshake_count == recount["handshake"] > 0
+        assert world.middleware.poll_failures == recount["poll_failed"]
 
 
 class TestCausalityAndCounters:
