@@ -6,6 +6,12 @@ placement minimizing either expected time to a usable frontend or wide-
 area data movement. Selection is deterministic: ties break by model order
 (M1 first), then inventory order.
 
+A candidate's wide-area bytes are the sizes of the requested refs that are
+not local to its consumer; the consumer is the workload resource, else the
+frontend. These are exactly the refs ``resolve_local`` sends through the
+cache, so scoring builds no staging actions: ``resolve_local`` runs once
+per dataset, for the chosen consumer's staging tuple.
+
 Model rules, fixed as this artifact's policy:
 
 * M1 frontend and workload on the deployment cluster: single-node,
@@ -31,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .dms import DatasetCatalog, ExternalDataRef, StagingAction, StagingKind, resolve_local
+from .dms import DatasetCatalog, ExternalDataRef, StagingAction, resolve_local
 from .errors import InfeasiblePlanError, ValidationError
 from .resources import ResourceDescriptor
 
@@ -46,6 +52,7 @@ class ExecutionModel(str, enum.Enum):
 
 
 MODEL_ORDER = tuple(ExecutionModel)
+_MODEL_RANK = {model: i for i, model in enumerate(MODEL_ORDER)}
 
 OBJECTIVES = ("min_time_to_frontend", "min_data_movement")
 
@@ -227,7 +234,7 @@ def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescripto
     frontend on.
     """
     model = ExecutionModel(model)
-    rule = placement_candidates(WorkloadRequirements(), [resource])[MODEL_ORDER.index(model)]
+    rule = placement_candidates(WorkloadRequirements(), [resource])[_MODEL_RANK[model]]
     if not rule.frontends:
         raise ValidationError(f"{model.value} cannot place a frontend on {resource.name!r}")
     return _time_to_frontend(model, resource, image_load_s, pool_state, dispatch_overhead_s)
@@ -298,7 +305,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
         override = {r.name: r for r in inventory}.get(frontend_override)
         if override is None:
             raise ValidationError(f"frontend override {frontend_override!r} is not in the inventory")
-        decoupled = rules[MODEL_ORDER.index(ExecutionModel.M6_DECOUPLED_REMOTE_LRM)]
+        decoupled = rules[_MODEL_RANK[ExecutionModel.M6_DECOUPLED_REMOTE_LRM]]
         if not decoupled.feasible:
             raise InfeasiblePlanError(list(reasons))
         candidates = [(decoupled.model, override, workload) for _, workload in decoupled.pairs]
@@ -320,8 +327,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
         consumer = workload if workload is not None else frontend
         if consumer.name not in wide_area:
             wide_area[consumer.name] = sum(
-                ref.size_bytes for ref in refs
-                if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
+                ref.size_bytes for ref in refs if ref.uri not in consumer.local_datasets)
         return wide_area[consumer.name]
 
     def score(candidate):
@@ -333,7 +339,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
             primary = wide_area_bytes(frontend, workload)
         return (
             primary,
-            MODEL_ORDER.index(model),
+            _MODEL_RANK[model],
             index[frontend.name],
             index[workload.name] if workload is not None else -1,
         )

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from talescale.digest import digest_bytes
-from talescale.dms import DatasetCatalog, ExternalDataRef, StagingKind
+from talescale.dms import DatasetCatalog, ExternalDataRef, StagingKind, resolve_local
 from talescale.errors import InfeasiblePlanError, ValidationError
 from talescale.planner import (
+    MODEL_ORDER,
+    OBJECTIVES,
     ExecutionModel,
     LaunchPath,
     WorkloadRequirements,
@@ -287,3 +289,157 @@ class TestRequirements:
     def test_min_nodes_positive(self):
         with pytest.raises(ValidationError):
             WorkloadRequirements(min_nodes=0)
+
+
+def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_override=None,
+                     image_load_s=8.0, pool_state=None, dispatch_overhead_s=0.2):
+    """The placement rule restated the slow way.
+
+    Every scored candidate resolves every requested dataset on its consumer
+    (the workload resource, else the frontend) and sums the sizes of the
+    cache fetches; the plan is the min over (primary, model index, frontend
+    index, workload index).
+    """
+    rules = placement_candidates(req, inventory)
+    reasons = [f"{c.model.value}: {'feasible' if c.feasible else 'infeasible'} - {c.reason}"
+               for c in rules]
+    by_name = {r.name: r for r in inventory}
+    if frontend_override is None:
+        candidates = [(c.model, f, w) for c in rules for f, w in c.pairs]
+    else:
+        if frontend_override not in by_name:
+            raise ValidationError(
+                f"frontend override {frontend_override!r} is not in the inventory")
+        decoupled = rules[-1]
+        candidates = [(decoupled.model, by_name[frontend_override], w)
+                      for _, w in decoupled.pairs]
+    if not candidates:
+        raise InfeasiblePlanError(reasons)
+    refs = [catalog.get(uri) if catalog is not None and uri in catalog
+            else ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
+            for uri in sorted(req.dataset_uris)]
+
+    def estimate(model, frontend):
+        return estimate_time_to_frontend(model, frontend, image_load_s, pool_state,
+                                         dispatch_overhead_s)
+
+    def key(candidate):
+        model, frontend, workload = candidate
+        consumer = workload or frontend
+        if objective == "min_time_to_frontend":
+            primary = estimate(model, frontend)
+        else:
+            primary = sum(ref.size_bytes for ref in refs
+                          if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
+        return (primary, MODEL_ORDER.index(model), inventory.index(frontend),
+                inventory.index(workload) if workload is not None else -1)
+
+    model, frontend, workload = min(candidates, key=key)
+    notes = reasons + [f"selected {model.value} minimizing {objective}"]
+    if frontend_override is not None:
+        notes.append(f"user_override=true: frontend pinned to {frontend.name}")
+    return {
+        "model": model.value,
+        "frontend_resource": frontend.name,
+        "workload_resources": [workload.name] if workload is not None else [],
+        "proxy_required": not frontend.allows_incoming_connections,
+        "staging_actions": [resolve_local(ref, workload or frontend).to_dict() for ref in refs],
+        "estimated_time_to_frontend": estimate(model, frontend),
+        "objective": objective,
+        "reasons": notes,
+        "user_override": frontend_override is not None,
+    }
+
+
+def outcome(plan, *args, **kwargs):
+    """A plan's dict, or the (type, message) of the error it raised."""
+    try:
+        result = plan(*args, **kwargs)
+    except (ValidationError, InfeasiblePlanError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, dict) else result.to_dict()
+
+
+def random_inventory(rng, uris):
+    """1-12 resources of every kind, holding random POSIX or non-POSIX data."""
+    inventory = []
+    for i in range(rng.randint(1, 12)):
+        kind = rng.choice(("wt_cluster", "hpc_cluster", "hpc_cluster", "cloud"))
+        lrm = "none" if kind == "wt_cluster" else rng.choice(("none", "batch", "batch"))
+        queue = rng.choice((None, fixed_queue(rng.choice((0, 30, 600)))))
+        inventory.append(make_resource(
+            name=f"r{i}", kind=kind, lrm=lrm,
+            incoming=kind == "wt_cluster" or rng.random() < 0.3,
+            mpi=rng.random() < 0.4, nodes=rng.choice((1, 2, 4, 8, 16)),
+            datasets=rng.sample(uris, rng.randint(0, len(uris))),
+            posix=rng.random() < 0.5, queue=queue))
+    return inventory
+
+
+class TestPlanMatchesBruteForce:
+    def test_seeded_random_inputs(self):
+        rng = random.Random(20201)
+        uris = [f"doi:10.5072/d{j}" for j in range(6)]
+        compared = 0
+        for _ in range(1000):
+            inventory = random_inventory(rng, uris)
+            # the catalog leaves some URIs out (size 1) and holds zero sizes
+            catalog = rng.choice((None, DatasetCatalog(
+                ExternalDataRef(uri=u, size_bytes=rng.choice((0, 0, 5, 70, 10 ** 12)),
+                                checksum=digest_bytes(u.encode()))
+                for u in uris if rng.random() < 0.7)))
+            needs_mpi = rng.random() < 0.2
+            req = WorkloadRequirements(
+                needs_hpc=needs_mpi or rng.random() < 0.5, needs_mpi=needs_mpi,
+                min_nodes=rng.choice((1, 1, 1, 2, 8)),
+                dataset_uris=rng.sample(uris, rng.randint(0, len(uris))))
+            override = rng.choice((None, None, None, "ghost", *(r.name for r in inventory[:3])))
+            pool_state = rng.choice((None, {r.name: True for r in inventory
+                                            if rng.random() < 0.5}))
+            for objective in OBJECTIVES:
+                kwargs = dict(catalog=catalog, frontend_override=override,
+                              pool_state=pool_state)
+                expected = outcome(brute_force_plan, req, inventory, objective, **kwargs)
+                assert outcome(plan_placement, req, inventory, objective, **kwargs) == expected
+                compared += isinstance(expected, dict)
+        assert compared > 1000  # most draws plan; the rest compare their errors
+
+
+def tale_launch_inventory(resources, seed=3):
+    """A deployment cluster, 9 direct nodes, and batch clusters with local
+    data for the rest of ``resources``."""
+    rng = random.Random(seed)
+    uris = [f"doi:10.5072/ds{j:05d}" for j in range(3000)]
+    inventory = [wt_resource(name="wt-0")]
+    inventory += [make_resource(name=f"node-{k}", lrm="none", datasets=rng.sample(uris, 30))
+                  for k in range(9)]
+    inventory += [make_resource(name=f"hpc-{k:03d}", nodes=rng.choice((8, 16, 32, 64)),
+                                mpi=k % 3 == 0, datasets=rng.sample(uris, 60),
+                                posix=k % 2 == 0, queue=fixed_queue(300))
+                  for k in range(resources - 10)]
+    catalog = DatasetCatalog(ExternalDataRef(uri=u, size_bytes=rng.randint(1, 10 ** 9),
+                                             checksum=digest_bytes(u.encode())) for u in uris)
+    return inventory, catalog, rng, uris
+
+
+class TestScoringWork:
+    @pytest.mark.parametrize("resources", [50, 1000])
+    def test_one_staging_resolution_per_dataset(self, monkeypatch, resources):
+        # Scoring builds no staging actions: however many candidates a plan
+        # ranks, only the chosen consumer's staging tuple resolves datasets.
+        inventory, catalog, rng, uris = tale_launch_inventory(resources)
+        calls = []
+
+        def counting(ref, resource):
+            calls.append(ref.uri)
+            return resolve_local(ref, resource)
+
+        monkeypatch.setattr("talescale.planner.resolve_local", counting)
+        for needs_hpc, needs_mpi, min_nodes in ((False, False, 1), (True, False, 1),
+                                                 (True, True, 16)):
+            req = WorkloadRequirements(needs_hpc=needs_hpc, needs_mpi=needs_mpi,
+                                       min_nodes=min_nodes,
+                                       dataset_uris=rng.sample(uris[:200], 8))
+            calls.clear()
+            plan = plan_placement(req, inventory, "min_data_movement", catalog=catalog)
+            assert len(calls) == len(req.dataset_uris) == len(plan.staging_actions)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -360,3 +361,70 @@ class TestWorldRun:
         failed = [ev for ev in events
                   if ev["kind"] == "job_transition" and ev["to_state"] == "Failed"]
         assert failed  # the job failed, the run did not
+
+
+FLAT_URIS = [f"doi:10.5072/flat{j:02d}" for j in range(40)]
+FLAT_CACHE_ENTRIES = 8  # capacity in 1 MB datasets
+
+# Two batch clusters, one pooled; the cache holds 8 of 40 equal datasets.
+FLAT_WORLD = {
+    "resources": [{"name": name, "kind": "hpc_cluster", "lrm": "batch",
+                   "allows_incoming_connections": False, "node_count": 16, "queue": "q"}
+                  for name in ("hpc-1", "hpc-2")],
+    "queues": {"q": {"distribution": "exponential", "params": {"mean": 600.0}}},
+    "pools": [{"resource": "hpc-1", "min_warm": 2, "max_size": 4, "pilot_walltime_s": 300.0}],
+    "cache": {"capacity_bytes": FLAT_CACHE_ENTRIES * 10 ** 6, "bandwidth_bytes_per_s": 10 ** 6,
+              "datasets": [{"uri": uri, "size_bytes": 10 ** 6,
+                            "checksum": digest_bytes(uri.encode())} for uri in FLAT_URIS]},
+    "scenario": {"poll_interval_s": 30.0},
+}
+
+
+class TestHistoryFlatness:
+    def test_work_counters_do_not_grow_with_simulated_history(self):
+        # Per-tick cost must not grow with the history behind a run. Wall
+        # time would flake, so this reads the sizes the per-tick work scans.
+        world = World(load_config(FLAT_WORLD), seed=5)
+        world.start()
+        clock, rng = world.clock, random.Random(5)
+
+        def arrive():
+            # each arrival schedules the next, so the heap never holds the future
+            world.submit_workload(JobSpec(resource="hpc-1",
+                                          command=("sleep", str(rng.randint(30, 600)))))
+            # a canceled long job leaves a tombstone due far in the future
+            job = world.middleware.submit(JobSpec(
+                resource="hpc-2", command=("sleep", rng.choice(("60", "100000")))))
+            clock.after(rng.uniform(100.0, 1500.0), lambda: world.middleware.cancel(job))
+            # hits on a hot set re-key the LRU index; a cold open evicts
+            for uri in rng.sample(FLAT_URIS[:4], 2):
+                world.cache.open_nowait(world.catalog.get(uri))
+            if rng.random() < 0.25:
+                world.cache.open_nowait(world.catalog.get(rng.choice(FLAT_URIS[4:])))
+            clock.after(400.0, arrive)
+
+        def counters():
+            return {
+                "clock heap": len(clock._heap),
+                "pool slots": len(world.pools["hpc-1"].slots),
+                "dms lru index": len(world.cache._lru),
+                "active jobs": sum(len(ids) for ids in world.middleware._active.values()),
+            }
+
+        # set by the config, not the horizon: live events plus as many
+        # tombstones, max_size slots, twice the resident entries
+        bounds = {"clock heap": 64, "pool slots": 4, "dms lru index": 2 * FLAT_CACHE_ENTRIES,
+                  "active jobs": 32}
+        clock.after(400.0, arrive)
+        clock.run_until(50_000.0)
+        early = counters()
+        done = {kind: world.trace.count(kind)
+                for kind in ("cache_hit", "cache_evict", "pilot_expired", "job_submitted")}
+        clock.run_until(400_000.0)
+        late = counters()
+        # seven times as much history again, with churn on every path
+        churn = {kind: world.trace.count(kind) - count for kind, count in done.items()}
+        assert churn["cache_hit"] > 1500 and churn["job_submitted"] > 1500, churn
+        assert churn["cache_evict"] > 150 and churn["pilot_expired"] > 500, churn
+        for name, bound in bounds.items():
+            assert early[name] <= bound and late[name] <= bound, (name, early, late)
