@@ -21,9 +21,9 @@ import zipfile
 from dataclasses import replace
 from pathlib import Path
 
-from .digest import digest_bytes, parse as parse_checksum
+from .digest import DEFAULT_ALGO, digest_bytes, parse as parse_checksum
 from .errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError
-from .tale import ProvenanceEvent, ProvenanceKind, Tale
+from .tale import CodeArtifact, ProvenanceEvent, ProvenanceKind, Tale
 
 FORMAT_VERSION = 1
 
@@ -45,6 +45,19 @@ def _zero_info(name: str) -> zipfile.ZipInfo:
     return info
 
 
+def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
+    """Digest ``data`` in the algorithm of the artifact's checksum.
+
+    Raises ChecksumMismatchError when the artifact records a different
+    checksum; an artifact that records none is digested with sha256.
+    """
+    algo = parse_checksum(artifact.checksum)[0] if artifact.checksum else DEFAULT_ALGO
+    actual = digest_bytes(data, algo)
+    if artifact.checksum is not None and artifact.checksum != actual:
+        raise ChecksumMismatchError(artifact.path, artifact.checksum, actual)
+    return actual
+
+
 def export_tale(tale: Tale, workspace_root) -> bytes:
     """Serialize a validated Tale plus its workspace files to archive bytes."""
     problems = tale.validate()
@@ -59,11 +72,7 @@ def export_tale(tale: Tale, workspace_root) -> bytes:
         if not path.is_file():
             raise MissingFileError(f"workspace file missing: {artifact.path}")
         data = path.read_bytes()
-        algo = parse_checksum(artifact.checksum)[0] if artifact.checksum else "sha256"
-        actual = digest_bytes(data, algo)
-        if artifact.checksum is not None and artifact.checksum != actual:
-            raise ChecksumMismatchError(artifact.path, artifact.checksum, actual)
-        artifacts.append(replace(artifact, checksum=actual))
+        artifacts.append(replace(artifact, checksum=checked_digest(artifact, data)))
         entries[_WORKSPACE + artifact.path] = data
 
     meta = Tale(
@@ -122,10 +131,7 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
         data = zf.read(entry)
         if artifact.checksum is None:
             raise ValidationError(f"archived artifact {artifact.path} lacks a checksum")
-        algo = parse_checksum(artifact.checksum)[0]
-        actual = digest_bytes(data, algo)
-        if actual != artifact.checksum:
-            raise ChecksumMismatchError(artifact.path, artifact.checksum, actual)
+        checked_digest(artifact, data)
         if workspace_dir is not None:
             target = Path(workspace_dir) / artifact.path
             target.parent.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,12 @@ import click
 from . import archive as archive_mod
 from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
-from .errors import InfeasiblePlanError, TalescaleError
+from .errors import ChecksumMismatchError, InfeasiblePlanError, TalescaleError
 from .metrics import ReportRow, ReportTable, emit_report
 from .middleware import JobSpec
 from .planner import WorkloadRequirements, plan_placement
 from .queues import QueueModel
-from .resources import ResourceDescriptor
+from .resources import resources_by_name
 from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, ProvenanceEvent, Tale, create_tale
 from .world import World, load_config
 
@@ -172,7 +172,11 @@ def tale_validate(workspace, archive_path, fmt):
             path = root / artifact.path
             if not path.is_file():
                 problems.append(f"missing workspace file: {artifact.path}")
-            elif artifact.checksum and digest_file(path) != artifact.checksum:
+                continue
+            try:
+                archive_mod.checked_digest(artifact, path.read_bytes())
+            except (ChecksumMismatchError, ValueError):
+                # ValueError: a malformed checksum or an unknown algorithm
                 problems.append(f"checksum mismatch: {artifact.path}")
     if fmt == "json":
         click.echo(json.dumps({"valid": not problems, "problems": problems}))
@@ -205,7 +209,7 @@ def plan_cmd(inventory, requirements, objective, catalog, frontend_override, ima
     if isinstance(inv_raw, dict):
         queues = {k: QueueModel.from_dict(v) for k, v in inv_raw.get("queues", {}).items()}
         inv_raw = inv_raw["resources"]
-    resources = [ResourceDescriptor.from_dict(r, queues=queues) for r in inv_raw]
+    resources = list(resources_by_name(inv_raw, queues).values())
     req = WorkloadRequirements.from_dict(json.loads(Path(requirements).read_text()))
     cat = None
     if catalog:
@@ -253,13 +257,9 @@ def sim_run(config_path, seed, horizon, report_fmt, trace_path):
     if report_fmt == "json":
         click.echo(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
         return
-    rows = [
-        ReportRow(model=model, seed=seed, time_to_frontend_s=value,
-                  queries=sum(metrics.backend_queries.values()),
-                  handshakes=metrics.handshakes, transfers=metrics.transfers)
-        for model, values in sorted(metrics.time_to_frontend.items())
-        for value in values
-    ]
+    rows = [ReportRow.from_metrics(model, seed, value, metrics)
+            for model, values in sorted(metrics.time_to_frontend.items())
+            for value in values]
     click.echo(emit_report(ReportTable(rows=rows), report_fmt).decode().rstrip("\n"))
 
 
@@ -393,9 +393,6 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

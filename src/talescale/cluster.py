@@ -81,12 +81,9 @@ class NativeJob:
     node_count: int
     state: str = "queued"  # queued | running | completed | failed | canceled
     exit_code: int | None = None
-    submitted_at: float = 0.0
-    started_at: float | None = None
-    finished_at: float | None = None
-    cause: str | None = None
-    _start_handle: object = field(default=None, repr=False)
-    _end_handle: object = field(default=None, repr=False)
+    # the one pending clock event: the start while queued, the finish while
+    # running or held by a maintenance window
+    _handle: object = field(default=None, repr=False)
 
 
 class SimulatedLrm:
@@ -201,20 +198,16 @@ class SimulatedLrm:
     # -- lifecycle -------------------------------------------------------------
 
     def _enqueue(self, native_id: str, name: str, command: list[str], nodes: int) -> None:
-        job = NativeJob(
-            native_id=native_id, name=name, command=tuple(command),
-            node_count=nodes, submitted_at=self.clock.now,
-        )
+        job = NativeJob(native_id=native_id, name=name, command=tuple(command), node_count=nodes)
         self.jobs[native_id] = job
         wait, held = self._wait_for(self.clock.now)
         self.trace.emit("backend_job_queued", resource=self.resource.name,
                         native_id=native_id, name=name, nodes=nodes, wait=wait)
         if held and self.queue_model.maintenance_policy == "fail":
             # Reject submissions that would start inside a maintenance window.
-            job.cause = "maintenance"
-            job._end_handle = self.clock.at(self.clock.now, lambda: self._finish(native_id, "canceled"))
+            job._handle = self.clock.at(self.clock.now, lambda: self._finish(native_id, "canceled"))
             return
-        job._start_handle = self.clock.at(self.clock.now + wait, lambda: self._start(native_id))
+        job._handle = self.clock.at(self.clock.now + wait, lambda: self._start(native_id))
 
     def _wait_for(self, submit_time: float) -> tuple[float, bool]:
         raw = self.queue_model.sample(self.rng)
@@ -226,13 +219,12 @@ class SimulatedLrm:
         if job.state != "queued":
             return
         job.state = "running"
-        job.started_at = self.clock.now
         self.trace.emit("backend_job_started", resource=self.resource.name,
                         native_id=native_id, name=job.name, nodes=job.node_count)
         runtime, exit_code = runtime_of_command(job.command, self.queue_model.default_runtime_s)
         final = "completed" if exit_code == 0 else "failed"
         job.exit_code = exit_code
-        job._end_handle = self.clock.at(self.clock.now + runtime, lambda: self._finish(native_id, final))
+        job._handle = self.clock.at(self.clock.now + runtime, lambda: self._finish(native_id, final))
 
     def _finish(self, native_id: str, state: str) -> None:
         job = self.jobs[native_id]
@@ -241,7 +233,6 @@ class SimulatedLrm:
         if state == "canceled":
             job.exit_code = None
         job.state = state
-        job.finished_at = self.clock.now
         self.trace.emit("backend_job_finished", resource=self.resource.name,
                         native_id=native_id, name=job.name, state=state,
                         exit_code=job.exit_code)
@@ -250,8 +241,6 @@ class SimulatedLrm:
         job = self.jobs.get(native_id)
         if job is None or job.state in ("completed", "failed", "canceled"):
             return
-        for handle in (job._start_handle, job._end_handle):
-            if handle is not None:
-                self.clock.cancel(handle)
+        self.clock.cancel(job._handle)
         self._finish(native_id, "canceled")
 

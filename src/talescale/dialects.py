@@ -16,8 +16,6 @@ import shlex
 
 from .errors import DuplicateError, UnknownDialectError
 
-BACKEND_STATES = ("queued", "running", "completed", "failed", "canceled")
-
 # PBS reports a kill with exit_status 271; adapters map it to "canceled".
 PBS_KILL_EXIT = 271
 

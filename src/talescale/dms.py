@@ -2,12 +2,15 @@
 
 External data is referenced, not copied, until something opens it. The
 cache then performs a single simulated transfer per dataset (concurrent
-opens coalesce), verifies the checksum on arrival, accounts every byte
-moved in an append-only transfer log, and evicts least-recently-used
-unpinned entries under capacity pressure. Datasets already resident on a
-resource bypass the cache entirely: POSIX-exposed copies are mounted,
-non-POSIX copies are staged in locally, and only truly remote data is
-fetched over the wide area.
+opens coalesce), verifies the checksum on arrival, and evicts
+least-recently-used unpinned entries under capacity pressure. Datasets
+already resident on a resource bypass the cache entirely: POSIX-exposed
+copies are mounted, non-POSIX copies are staged in locally, and only truly
+remote data is fetched over the wide area.
+
+Every completed transfer is a ``transfer_complete`` trace event, and the
+trace is the only record of it: ``transfer_log`` reads those events back.
+So a trace serves one cache.
 
 Eviction cost does not grow with the cache's history. A running count
 holds the bytes of resident and transferring entries, so the capacity
@@ -87,8 +90,6 @@ class TransferRecord:
     uri: str
     source: TransferSource
     bytes: int
-    started_at: float
-    finished_at: float
 
 
 @dataclass
@@ -173,11 +174,10 @@ class PrefetchReport:
 
 
 class _PendingTransfer:
-    __slots__ = ("handles", "finish_at", "started_at")
+    __slots__ = ("handles", "finish_at")
 
-    def __init__(self, started_at: float, finish_at: float):
+    def __init__(self, finish_at: float):
         self.handles: list[OpenHandle] = []
-        self.started_at = started_at
         self.finish_at = finish_at
 
 
@@ -201,7 +201,6 @@ class DmsCache:
         self.bandwidth = bandwidth_bytes_per_s
         self.trace = trace
         self.entries: dict[str, CacheEntry] = {}
-        self.transfer_log: list[TransferRecord] = []
         self._pending: dict[str, _PendingTransfer] = {}
         self._corrupt_next: set[str] = set()
         self._used_bytes = 0  # resident plus transferring
@@ -220,6 +219,13 @@ class DmsCache:
     def resident_bytes(self) -> int:
         """Bytes held by resident entries plus those reserved by transfers."""
         return self._used_bytes
+
+    @property
+    def transfer_log(self) -> list[TransferRecord]:
+        """Completed transfers, rendered from the trace's ``transfer_complete`` events."""
+        return [TransferRecord(ev.fields["uri"], TransferSource(ev.fields["source"]),
+                               ev.fields["bytes"])
+                for ev in self.trace if ev.kind == "transfer_complete"]
 
     def records_for(self, uri: str) -> list[TransferRecord]:
         return [r for r in self.transfer_log if r.uri == uri]
@@ -278,7 +284,7 @@ class DmsCache:
         entry.state = CacheState.TRANSFERRING
         self._used_bytes += ref.size_bytes
         duration = ref.size_bytes / self.bandwidth
-        pending = _PendingTransfer(started_at=self.clock.now, finish_at=self.clock.now + duration)
+        pending = _PendingTransfer(self.clock.now + duration)
         pending.handles.append(handle)
         self._pending[ref.uri] = pending
         self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes,
@@ -297,7 +303,7 @@ class DmsCache:
         refs = list(eager_refs) if eager_refs is not None else list(tale.data_refs)
         report = PrefetchReport()
         handles: list[tuple[ExternalDataRef, OpenHandle]] = []
-        before = len(self.transfer_log)
+        before = self.trace.count("transfer_complete")
         for ref in refs:
             entry = self.entry(ref.uri)
             if entry.state == CacheState.RESIDENT:
@@ -397,14 +403,6 @@ class DmsCache:
             for handle in pending.handles:
                 handle.error = error
             return
-        record = TransferRecord(
-            uri=ref.uri,
-            source=TransferSource.REMOTE_REPO,
-            bytes=ref.size_bytes,
-            started_at=pending.started_at,
-            finished_at=self.clock.now,
-        )
-        self.transfer_log.append(record)
         entry.state = CacheState.RESIDENT
         entry.local_path = f"cache://{ref.uri}"
         self._resident += 1
@@ -419,19 +417,11 @@ class DmsCache:
         """Local stage-in on a resource holding a non-POSIX copy.
 
         Bytes move inside the resource, not over the wide area, but they
-        still move, so the transfer log gets a record.
+        still move, so the trace gets a ``transfer_complete`` event.
         """
         if ref.uri not in resource.local_datasets:
             raise ValidationError(f"{ref.uri!r} is not local to {resource.name!r}")
-        record = TransferRecord(
-            uri=ref.uri,
-            source=TransferSource.HPC_LOCAL_STAGEIN,
-            bytes=ref.size_bytes,
-            started_at=self.clock.now,
-            finished_at=self.clock.now,
-        )
-        self.transfer_log.append(record)
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
                         source=TransferSource.HPC_LOCAL_STAGEIN.value)
-        return record
+        return TransferRecord(ref.uri, TransferSource.HPC_LOCAL_STAGEIN, ref.size_bytes)
 

@@ -94,13 +94,5 @@ def measure_models(config: WorldConfig, req: WorkloadRequirements, seeds,
             if warmup_s > 0:
                 world.clock.run_until(warmup_s)
             ttf = launch_frontend(world, rule.model, frontend.name, req)
-            metrics = world.metrics()
-            rows.append(ReportRow(
-                model=rule.model.value,
-                seed=seed,
-                time_to_frontend_s=ttf,
-                queries=sum(metrics.backend_queries.values()),
-                handshakes=metrics.handshakes,
-                transfers=metrics.transfers,
-            ))
+            rows.append(ReportRow.from_metrics(rule.model.value, seed, ttf, world.metrics()))
     return ReportTable(rows=rows)

@@ -78,6 +78,14 @@ class ReportRow:
     handshakes: int
     transfers: int
 
+    @classmethod
+    def from_metrics(cls, model: str, seed: int, time_to_frontend_s: float,
+                     metrics: ScenarioMetrics) -> "ReportRow":
+        """One launch's row; the counters are its run's totals."""
+        return cls(model=model, seed=seed, time_to_frontend_s=time_to_frontend_s,
+                   queries=sum(metrics.backend_queries.values()),
+                   handshakes=metrics.handshakes, transfers=metrics.transfers)
+
     def as_tuple(self):
         return (self.model, self.seed, self.time_to_frontend_s,
                 self.queries, self.handshakes, self.transfers)

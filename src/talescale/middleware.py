@@ -76,12 +76,9 @@ class JobSpec:
     tale_id: str | None = None
     node_count: int = 1
     mpi: bool = False
-    env: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "command", tuple(self.command))
-        if isinstance(self.env, dict):
-            object.__setattr__(self, "env", tuple(sorted(self.env.items())))
         if self.node_count < 1:
             raise ValidationError("node_count must be >= 1")
 
@@ -90,7 +87,6 @@ class JobSpec:
 class JobHandle:
     job_id: str
     resource: str
-    submitted_at: float
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ class LrmMiddleware:
             self._apply(record, JobState.SUBMITTED)
             self._active[spec.resource].add(job_id)
             self._ensure_poller(spec.resource)
-        handle = JobHandle(job_id=job_id, resource=spec.resource, submitted_at=self.clock.now)
+        handle = JobHandle(job_id=job_id, resource=spec.resource)
         self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
                         credential=spec.credential, tale_id=spec.tale_id)
         return handle

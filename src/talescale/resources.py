@@ -91,3 +91,17 @@ class ResourceDescriptor:
             "no_proxy": self.no_proxy,
             "dialect": self.dialect,
         }
+
+
+def resources_by_name(entries, queues: dict[str, QueueModel]) -> dict[str, ResourceDescriptor]:
+    """Parse an inventory's resource list, in order; names must be unique.
+
+    A ``queue`` entry names one of ``queues``.
+    """
+    resources: dict[str, ResourceDescriptor] = {}
+    for raw in entries:
+        rd = ResourceDescriptor.from_dict(raw, queues=queues)
+        if rd.name in resources:
+            raise ConfigError(f"duplicate resource name {rd.name!r}")
+        resources[rd.name] = rd
+    return resources

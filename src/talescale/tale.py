@@ -424,8 +424,6 @@ def build_manifest(tale: Tale, strategy: PackagingStrategy,
             a for a in entries
             if not (a.kind == ArtifactKind.PREBUILT_EXECUTABLE and a.proprietary_toolchain)
         ]
-    if not entries:
-        raise ValidationError("manifest would be empty; nothing to package")
     return PackagingManifest(
         workload_class=workload_class,
         strategy=strategy,

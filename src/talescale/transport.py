@@ -26,7 +26,6 @@ from .errors import SessionError, TransportError, UnknownCredentialError, Unknow
 class Session:
     resource: str
     credential: str
-    live: bool = True
     last_used: float = 0.0
 
 
@@ -86,11 +85,9 @@ class Transport:
             del self._unhealthy[pair]
 
         session = self._sessions.get(pair)
-        if session is not None and session.live:
-            if self.clock.now - session.last_used <= self.idle_ttl_s:
-                session.last_used = self.clock.now
-                return session
-            session.live = False
+        if session is not None and self._live(session):
+            session.last_used = self.clock.now
+            return session
 
         if self._take_failure("handshake"):
             self._unhealthy[pair] = self.clock.now + self.handshake_backoff_s
@@ -103,8 +100,12 @@ class Transport:
         self.trace.emit("handshake", resource=resource, credential=credential)
         return session
 
+    def _live(self, session: Session) -> bool:
+        """A session is live until it has idled longer than the TTL."""
+        return self.clock.now - session.last_used <= self.idle_ttl_s
+
     def live_sessions(self) -> int:
-        return sum(1 for s in self._sessions.values() if s.live)
+        return sum(1 for s in self._sessions.values() if self._live(s))
 
     @property
     def handshake_count(self) -> int:

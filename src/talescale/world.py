@@ -24,7 +24,7 @@ from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
 from .proxy import ProxyRegistry, SimulatedNetwork
 from .queues import QueueModel
-from .resources import ResourceDescriptor
+from .resources import ResourceDescriptor, resources_by_name
 from .tale import ProvenanceKind, Tale, record_provenance
 from .trace import TraceLog
 from .transport import Transport
@@ -95,14 +95,10 @@ def load_config(source) -> WorldConfig:
     for name, qraw in raw.get("queues", {}).items():
         queues[name] = QueueModel.from_dict(qraw)
 
-    resources: dict[str, ResourceDescriptor] = {}
-    for rraw in raw.get("resources", []):
-        rd = ResourceDescriptor.from_dict(rraw, queues=queues)
-        if rd.name in resources:
-            raise ConfigError(f"duplicate resource name {rd.name!r}")
+    resources = resources_by_name(raw.get("resources", []), queues)
+    for rd in resources.values():
         if rd.is_batch and rd.queue_model is None:
             raise ConfigError(f"batch resource {rd.name!r} has no queue model")
-        resources[rd.name] = rd
     if not resources:
         raise ConfigError("config declares no resources")
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from talescale.cli import main
+from talescale.digest import digest_bytes
 from talescale.planner import WorkloadRequirements, plan_placement
 from talescale.resources import ResourceDescriptor
 from talescale.queues import QueueModel
@@ -94,6 +95,21 @@ class TestTaleCommands:
         assert main(["tale", "validate", "--workspace", str(ws)]) == 1
         assert "checksum" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ["sha512", "sha1"])
+    def test_validate_accepts_a_correct_non_sha256_checksum(self, ws, capsys, algo):
+        main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
+        meta_path = ws / ".tale" / "tale.json"
+        meta = json.loads(meta_path.read_text())
+        for artifact in meta["code_refs"]:
+            artifact["checksum"] = digest_bytes((ws / artifact["path"]).read_bytes(), algo)
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["tale", "validate", "--workspace", str(ws)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        (ws / "main.c").write_bytes(b"tampered")
+        assert main(["tale", "validate", "--workspace", str(ws)]) == 1
+        assert capsys.readouterr().out == "checksum mismatch: main.c\n"
+
     def test_validate_json_output(self, ws, capsys):
         main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
         capsys.readouterr()
@@ -153,6 +169,19 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("infeasible") >= 6
+
+
+    def test_duplicate_resource_names_exit_one(self, tmp_path, capsys):
+        inv = tmp_path / "inv.json"
+        req = tmp_path / "req.json"
+        node = {"name": "n", "kind": "cloud", "lrm": "none", "allows_incoming_connections": True}
+        inv.write_text(json.dumps([node, dict(node, allows_incoming_connections=False)]))
+        req.write_text(json.dumps({"needs_hpc": False}))
+        code = main(["plan", "--inventory", str(inv), "--requirements", str(req)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "duplicate" in captured.err
+        assert captured.out == ""
 
 
 class TestSimCommand:

@@ -78,3 +78,34 @@ def test_status_round_trip(adapter, name):
         queued: ("queued", None),
     }
     assert {i: observed[i][0] for i in ids} == {i: lrm.jobs[i].state for i in ids}
+
+
+def _held_lrm(policy):
+    """An LRM whose every submission lands in a maintenance window."""
+    resource = ResourceDescriptor(
+        name="maint", kind="hpc_cluster", lrm="batch", allows_incoming_connections=False,
+        queue_model=QueueModel("fixed", {"value": 10.0}, maintenance_windows=((0.0, 1000.0),),
+                               maintenance_policy=policy),
+    )
+    clock = SimClock()
+    return clock, SimulatedLrm(clock, resource, random.Random(0), TraceLog(clock))
+
+
+@pytest.mark.parametrize("setup", ["queued", "running", "maintenance_fail", "maintenance_hold"])
+def test_cancel_drops_the_jobs_one_pending_event(setup):
+    if setup.startswith("maintenance"):
+        clock, lrm = _held_lrm(setup.split("_")[1])
+    else:
+        clock, lrm = _lrm("c", SimSlurmAdapter())
+    native_id = lrm.execute("sbatch --job-name=j --wrap 'sleep 100'").split()[-1]
+    if setup == "running":
+        clock.run_until(10.0)
+    assert lrm.jobs[native_id].state == ("running" if setup == "running" else "queued")
+    live = clock._live
+    lrm.cancel(native_id)
+    assert clock._live == live - 1
+    finished = [ev.fields for ev in lrm.trace if ev.kind == "backend_job_finished"]
+    assert [(f["native_id"], f["state"]) for f in finished] == [(native_id, "canceled")]
+    clock.run_until(5000.0)  # nothing left to fire for the job
+    assert lrm.trace.count("backend_job_finished") == 1
+    assert lrm.trace.count("backend_job_started") == (setup == "running")

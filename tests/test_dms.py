@@ -390,6 +390,22 @@ class TestTransferLogInterface:
         assert [r.bytes for r in records] == [10, 20]
         assert all(r.source == TransferSource.REMOTE_REPO for r in records)
 
+    def test_log_is_read_from_the_trace(self):
+        a, b, c = ref("doi:a", 10), ref("doi:b", 20), ref("doi:c", 30)
+        clock, cache = make_cache([a, b, c])
+        cache.open(a)
+        staged = cache.stage_in(b, make_resource(datasets={"doi:b"}, posix=False))
+        report = cache.prefetch(None, eager_refs=[a, c])
+        assert [(r.uri, r.source, r.bytes) for r in report.transferred] == [
+            ("doi:c", TransferSource.REMOTE_REPO, 30)]
+        events = [(ev.fields["uri"], ev.fields["source"], ev.fields["bytes"])
+                  for ev in cache.trace if ev.kind == "transfer_complete"]
+        assert [(r.uri, r.source, r.bytes) for r in cache.transfer_log] == events == [
+            ("doi:a", "remote_repo", 10), ("doi:b", "hpc_local_stagein", 20),
+            ("doi:c", "remote_repo", 30)]
+        assert cache.transfer_log[1] == staged
+        assert cache.records_for("doi:b") == [staged]
+
 
 class TestInvariants:
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=30))

@@ -273,6 +273,16 @@ class TestSessions:
         assert world.transport.handshake_count == 2
         assert world.transport.live_sessions() == 2
 
+    def test_a_session_idle_past_its_ttl_is_not_live(self):
+        world = batch_world(scenario={"idle_ttl_s": 10.0})
+        world.middleware.acquire_session("hpc-1", "user")
+        assert world.transport.live_sessions() == 1
+        world.clock.run_until(100.0)
+        assert world.transport.live_sessions() == 0
+        world.middleware.acquire_session("hpc-1", "user")  # the next call re-handshakes
+        assert world.transport.live_sessions() == 1
+        assert world.transport.handshake_count == 2
+
     def test_handshake_failure_fails_submit_with_cause_and_backoff(self):
         world = batch_world()
         world.transport.inject_failure("handshake", count=1)
