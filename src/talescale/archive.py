@@ -49,10 +49,17 @@ def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
     """Digest ``data`` in the algorithm of the artifact's checksum.
 
     Raises ChecksumMismatchError when the artifact records a different
-    checksum; an artifact that records none is digested with sha256.
+    checksum, and ValidationError when its checksum is malformed or names
+    an algorithm hashlib cannot digest with; an artifact that records none
+    is digested with sha256.
     """
-    algo = parse_checksum(artifact.checksum)[0] if artifact.checksum else DEFAULT_ALGO
-    actual = digest_bytes(data, algo)
+    try:
+        algo = parse_checksum(artifact.checksum)[0] if artifact.checksum else DEFAULT_ALGO
+        actual = digest_bytes(data, algo)
+    except (ValueError, TypeError) as exc:
+        # ValueError: no "algo:hex" form, or an unknown algorithm; TypeError:
+        # a variable-length one (shake_*), whose hexdigest needs a length
+        raise ValidationError(f"artifact {artifact.path}: {exc}") from None
     if artifact.checksum is not None and artifact.checksum != actual:
         raise ChecksumMismatchError(artifact.path, artifact.checksum, actual)
     return actual

@@ -18,7 +18,7 @@ import click
 from . import archive as archive_mod
 from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
-from .errors import ChecksumMismatchError, InfeasiblePlanError, TalescaleError
+from .errors import ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError
 from .metrics import ReportRow, ReportTable, emit_report
 from .middleware import JobSpec
 from .planner import WorkloadRequirements, plan_placement
@@ -175,9 +175,10 @@ def tale_validate(workspace, archive_path, fmt):
                 continue
             try:
                 archive_mod.checked_digest(artifact, path.read_bytes())
-            except (ChecksumMismatchError, ValueError):
-                # ValueError: a malformed checksum or an unknown algorithm
+            except ChecksumMismatchError:
                 problems.append(f"checksum mismatch: {artifact.path}")
+            except ValidationError as exc:
+                problems.append(str(exc))
     if fmt == "json":
         click.echo(json.dumps({"valid": not problems, "problems": problems}))
     else:

@@ -15,13 +15,20 @@ Job runtimes come from a tiny command convention::
 
 Anything else runs for the queue model's default runtime.
 
+Each native job carries the text ``sacct`` and ``qstat`` report for it,
+re-rendered at each write of its state, so a status query joins stored
+lines at C level instead of formatting every held job again.
+
 Command lines are tokenized with ``shlex.split`` semantics, always.
 ``_argv`` takes ``str.split`` as a fast path only for payloads on which
 the two cannot differ: no quote, no backslash, and no whitespace other
 than the space, tab, CR and LF that shlex splits on. ``str.split`` also
 splits on vertical tab, form feed, no-break space and other Unicode
 spaces, which shlex keeps inside a word, and PBS ids embed resource
-names, which may hold any of them.
+names, which may hold any of them. A payload whose only quoting is
+balanced single quotes (as every ``sbatch --wrap`` carries) is split by
+one regex instead: a word runs to the next space, tab, CR or LF outside
+quotes, and shlex would only drop its quote characters.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from __future__ import annotations
 import re
 import shlex
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import attrgetter, methodcaller
 
 from .errors import TransportError
 from .queues import QueueModel, adjust_for_maintenance
@@ -45,12 +54,17 @@ _SACCT_STATE = {
 
 # A quote, a backslash, or whitespace that shlex does not split on.
 _NEEDS_SHLEX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
+# One shlex word when the only quotes are single ones: unquoted characters
+# other than shlex's whitespace, and whole '...' runs.
+_SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
 
 
 def _argv(payload: str) -> list[str]:
     """``shlex.split(payload)``, without shlex where it cannot differ."""
     if _NEEDS_SHLEX.search(payload) is None:
         return payload.split()
+    if '"' not in payload and "\\" not in payload and payload.count("'") % 2 == 0:
+        return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(payload)]
     return shlex.split(payload)
 
 
@@ -84,6 +98,31 @@ class NativeJob:
     # the one pending clock event: the start while queued, the finish while
     # running or held by a maintenance window
     _handle: object = field(default=None, repr=False)
+    # what sacct and qstat report for the job, rendered from state and
+    # exit_code by set_state
+    sacct_line: str = field(default="", repr=False)
+    qstat_block: str = field(default="", repr=False)
+
+    def __post_init__(self):
+        self.set_state(self.state)
+
+    def set_state(self, state: str) -> None:
+        self.state = state
+        code = self.exit_code if self.exit_code is not None else 0
+        self.sacct_line = f"{self.native_id}|{_SACCT_STATE[state]}|{code}:0"
+        if state == "queued":
+            pbs = "job_state = Q"
+        elif state == "running":
+            pbs = "job_state = R"
+        else:
+            exit_status = _PBS_KILL_EXIT if state == "canceled" else self.exit_code
+            pbs = f"job_state = F\n    exit_status = {exit_status}"
+        self.qstat_block = f"Job Id: {self.native_id}\n    {pbs}"
+
+
+_SACCT_LINE = attrgetter("sacct_line")
+_QSTAT_BLOCK = attrgetter("qstat_block")
+_IS_OPTION = methodcaller("startswith", "-")
 
 
 class SimulatedLrm:
@@ -155,39 +194,15 @@ class SimulatedLrm:
         return f"Submitted batch job {native_id}"
 
     def _qstat(self, args: list[str]) -> str:
-        ids = [a for a in args if not a.startswith("-")]
-        blocks = []
-        for native_id in ids:
-            job = self.jobs.get(native_id)
-            if job is None:
-                continue
-            lines = [f"Job Id: {native_id}"]
-            if job.state == "queued":
-                lines.append("    job_state = Q")
-            elif job.state == "running":
-                lines.append("    job_state = R")
-            else:
-                lines.append("    job_state = F")
-                if job.state == "canceled":
-                    lines.append(f"    exit_status = {_PBS_KILL_EXIT}")
-                else:
-                    lines.append(f"    exit_status = {job.exit_code}")
-            blocks.append("\n".join(lines))
-        return "\n".join(blocks)
+        jobs = filter(None, map(self.jobs.get, filterfalse(_IS_OPTION, args)))
+        return "\n".join(map(_QSTAT_BLOCK, jobs))
 
     def _sacct(self, args: list[str]) -> str:
         ids: list[str] = []
         for arg in args:
             if arg.startswith("--jobs="):
                 ids = arg.split("=", 1)[1].split(",")
-        lines = []
-        for native_id in ids:
-            job = self.jobs.get(native_id)
-            if job is None:
-                continue
-            code = job.exit_code if job.exit_code is not None else 0
-            lines.append(f"{native_id}|{_SACCT_STATE[job.state]}|{code}:0")
-        return "\n".join(lines)
+        return "\n".join(map(_SACCT_LINE, filter(None, map(self.jobs.get, ids))))
 
     def _cancel_cmd(self, args: list[str]) -> str:
         for native_id in args:
@@ -218,12 +233,12 @@ class SimulatedLrm:
         job = self.jobs[native_id]
         if job.state != "queued":
             return
-        job.state = "running"
-        self.trace.emit("backend_job_started", resource=self.resource.name,
-                        native_id=native_id, name=job.name, nodes=job.node_count)
         runtime, exit_code = runtime_of_command(job.command, self.queue_model.default_runtime_s)
         final = "completed" if exit_code == 0 else "failed"
         job.exit_code = exit_code
+        job.set_state("running")
+        self.trace.emit("backend_job_started", resource=self.resource.name,
+                        native_id=native_id, name=job.name, nodes=job.node_count)
         job._handle = self.clock.at(self.clock.now + runtime, lambda: self._finish(native_id, final))
 
     def _finish(self, native_id: str, state: str) -> None:
@@ -232,7 +247,7 @@ class SimulatedLrm:
             return
         if state == "canceled":
             job.exit_code = None
-        job.state = state
+        job.set_state(state)
         self.trace.emit("backend_job_finished", resource=self.resource.name,
                         native_id=native_id, name=job.name, state=state,
                         exit_code=job.exit_code)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import shlex
+from itertools import filterfalse
 
 from .errors import DuplicateError, UnknownDialectError
 
@@ -96,6 +97,12 @@ class SimSlurmAdapter(DialectAdapter):
         "CANCELLED": "canceled",
     }
 
+    def __init__(self):
+        # status line -> (native id, (state, code)). A poll reports every held
+        # job, and nearly every line is the same as in the poll before.
+        self._lines: dict[str, tuple[str, tuple[str, int | None]]] = {}
+        self._widest = 0  # most lines one poll has reported
+
     def format_submit(self, command, node_count, job_name):
         wrapped = shlex.join(command)
         return f"sbatch --nodes={node_count} --job-name={job_name} --wrap {shlex.quote(wrapped)}"
@@ -111,17 +118,25 @@ class SimSlurmAdapter(DialectAdapter):
         return f"sacct --jobs={joined} --format=JobID,State,ExitCode --noheader --parsable2"
 
     def parse_status(self, output):
-        states: dict[str, tuple[str, int | None]] = {}
-        for line in output.splitlines():
-            if not line.strip():
-                continue
-            job_id, state, exitcode = line.split("|")
-            neutral = self._STATE_MAP[state]
-            code = None
-            if neutral in ("completed", "failed"):
-                code = int(exitcode.split(":")[0])
-            states[job_id] = (neutral, code)
-        return states
+        lines = output.splitlines()
+        memo = self._lines
+        self._widest = max(self._widest, len(lines))
+        if len(memo) > 2 * self._widest + 1024:
+            memo.clear()  # forget lines no poll reports any more
+        # misses in line order, so the first malformed line is the one raised
+        for line in filterfalse(memo.__contains__, lines):
+            if not line.strip():  # blank lines are skipped; they are rare, so no memo
+                return dict(self._parse_line(each) for each in lines if each.strip())
+            memo[line] = self._parse_line(line)
+        return dict(map(memo.__getitem__, lines))
+
+    def _parse_line(self, line):
+        job_id, state, exitcode = line.split("|")
+        neutral = self._STATE_MAP[state]
+        code = None
+        if neutral in ("completed", "failed"):
+            code = int(exitcode.split(":")[0])
+        return job_id, (neutral, code)
 
     def format_cancel(self, native_id):
         return f"scancel {native_id}"

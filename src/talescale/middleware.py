@@ -10,6 +10,10 @@ Design constraints, each of which is load-bearing for scale:
 * a single per-resource poller issues ONE aggregated status query per
   cycle covering every non-terminal job, however many there are, and only
   while there is something to poll (no per-job control flows);
+* a cycle's Python-level work is proportional to the jobs whose observed
+  state changed since the last successful cycle; the part proportional to
+  every active job (building the payload, diffing the observation) runs
+  inside C-level ``str``, ``dict`` and ``itertools`` operations;
 * sessions are reused across operations per (resource, credential) pair.
 
 Client job states move only along the legal edges
@@ -24,6 +28,8 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from typing import Callable
 
 from .dialects import DialectRegistry, default_registry
@@ -154,7 +160,16 @@ class LrmMiddleware:
         self.on_transition = on_transition
         self.resources: dict[str, ResourceDescriptor] = {}
         self._records: dict[str, _JobRecord] = {}
-        self._active: dict[str, set[str]] = {}  # resource -> non-terminal job ids
+        # Per resource, over its non-terminal jobs: {job id: native id} in
+        # job-id string order (the order of the status payload), its inverse,
+        # and how many of them each credential owns.
+        self._active: dict[str, dict[str, str]] = {}
+        self._job_ids: dict[str, dict[str, str]] = {}
+        self._credentials: dict[str, dict[str, int]] = {}
+        self._unsorted: set[str] = set()  # resources whose _active is out of order
+        # resource -> the last successful parse_status result, less the
+        # entries not yet applied to their records
+        self._observed: dict[str, dict[str, tuple[str, int | None]]] = {}
         self._pollers: dict[str, object] = {}   # resource -> scheduled EventHandle
         self._counter = 0
 
@@ -162,7 +177,8 @@ class LrmMiddleware:
 
     def register_resource(self, resource: ResourceDescriptor) -> None:
         self.resources[resource.name] = resource
-        self._active.setdefault(resource.name, set())
+        for per_resource in (self._active, self._job_ids, self._credentials, self._observed):
+            per_resource.setdefault(resource.name, {})
 
     def register_dialect(self, name: str, adapter) -> None:
         self.dialects.register(name, adapter)
@@ -214,7 +230,7 @@ class LrmMiddleware:
         else:
             record.native_id = adapter.parse_submit(output)
             self._apply(record, JobState.SUBMITTED)
-            self._active[spec.resource].add(job_id)
+            self._activate(record)
             self._ensure_poller(spec.resource)
         handle = JobHandle(job_id=job_id, resource=spec.resource)
         self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
@@ -259,32 +275,57 @@ class LrmMiddleware:
 
         Transport failure leaves every job untouched; the next cycle
         retries (at-least-once status semantics).
+
+        Invariant: after a successful cycle, every active record whose job
+        the backend reported has the mapped state of its latest observation.
+        So an observation equal to the previous one needs no work, and only
+        the difference between the two is applied, in job-id order.
         """
         # A job enters _active only once parse_submit has set its native id.
-        active = [self._records[job_id] for job_id in sorted(self._active.get(resource_name, ()))]
+        active = self._active.get(resource_name)
         if not active:
             return []
+        if resource_name in self._unsorted:
+            self._unsorted.discard(resource_name)
+            entries = sorted(active.items())
+            active.clear()
+            active.update(entries)
         resource = self.resources[resource_name]
         adapter = self.dialects.get(resource.dialect)
-        credential = min(r.spec.credential for r in active)
-        command = adapter.format_status([r.native_id for r in active])
+        credential = min(self._credentials[resource_name])
+        command = adapter.format_status(list(active.values()))
         try:
             output = self.transport.call(resource_name, credential, "batch_status", command)
         except (TransportError, SessionError) as exc:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
         observed = adapter.parse_status(output)
+        # observed.items() - last.items(), without building two sets of pairs
+        last = self._observed[resource_name]
+        changed = list(compress(observed.items(),
+                                map(ne, observed.values(), map(last.get, observed))))
+        self._observed[resource_name] = observed
+        if not changed:
+            return []
+        job_ids = self._job_ids[resource_name]
+        pending = []
+        for native_id, state_code in changed:
+            # Unapplied until its record is visited: a cycle nested in this
+            # one's callbacks sees the job as changed and applies it itself.
+            del observed[native_id]
+            job_id = job_ids.get(native_id)
+            if job_id is not None:  # None: no longer active, as a nested cycle finished it
+                pending.append((job_id, native_id, state_code))
+        pending.sort()
         applied: list[tuple[str, JobState, JobState]] = []
-        for record in active:
-            state_code = observed.get(record.native_id)
-            if state_code is None:
-                continue
+        for job_id, native_id, state_code in pending:
+            record = self._records[job_id]
             target = _BACKEND_TO_CLIENT[state_code[0]]
             before = record.state
-            if target is before:
-                continue
-            self._advance_to(record, target, exit_code=state_code[1])
-            applied.append((record.job_id, before, record.state))
+            if target is not before:
+                self._advance_to(record, target, exit_code=state_code[1])
+                applied.append((job_id, before, record.state))
+            observed[native_id] = state_code
         return applied
 
     def _ensure_poller(self, resource_name: str) -> None:
@@ -303,6 +344,30 @@ class LrmMiddleware:
         self.poll_cycle(resource_name)
         if self._active.get(resource_name):
             self._ensure_poller(resource_name)
+
+    # -- active set ------------------------------------------------------------
+
+    def _activate(self, record: _JobRecord) -> None:
+        resource = record.spec.resource
+        active = self._active[resource]
+        # Ids are j%06d, so each new id sorts last up to j999999; past it
+        # string order and submit order part, and the next cycle re-sorts.
+        if active and record.job_id < next(reversed(active)):
+            self._unsorted.add(resource)
+        active[record.job_id] = record.native_id
+        self._job_ids[resource][record.native_id] = record.job_id
+        credentials = self._credentials[resource]
+        credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
+
+    def _deactivate(self, record: _JobRecord) -> None:
+        resource = record.spec.resource
+        if self._active[resource].pop(record.job_id, None) is None:
+            return  # never active: its submit failed
+        del self._job_ids[resource][record.native_id]
+        credentials = self._credentials[resource]
+        left = credentials.pop(record.spec.credential) - 1
+        if left:
+            credentials[record.spec.credential] = left
 
     # -- state machine ---------------------------------------------------------
 
@@ -345,7 +410,7 @@ class LrmMiddleware:
             record.cause = cause
         record.transitions.append((state, self.clock.now))
         if state in TERMINAL_STATES:
-            self._active.get(record.spec.resource, set()).discard(record.job_id)
+            self._deactivate(record)
         self.trace.emit("job_transition", job_id=record.job_id,
                         resource=record.spec.resource,
                         from_state=previous.value, to_state=state.value,

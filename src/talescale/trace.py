@@ -12,11 +12,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator
 
 # One encoder for every event: json.dumps with these options would build a
 # new, identically configured JSONEncoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+if c_make_encoder is None:
+    _encode = _ENCODER.encode
+else:
+    # JSONEncoder.encode builds a C encoder per call; build it once, with the
+    # arguments iterencode(..., _one_shot=True) passes, but for the
+    # circularity markers: a shared markers dict would be module state every
+    # call mutates, and without it a circular field fails with RecursionError
+    # instead of ValueError. Trace fields are never circular.
+    _c_encoder = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan)
+
+    def _encode(record: dict) -> str:
+        return "".join(_c_encoder(record, 0))
 
 
 @dataclass(frozen=True)
@@ -29,7 +46,7 @@ class TraceEvent:
     def to_json(self) -> str:
         record = {"t": self.t, "seq": self.seq, "kind": self.kind}
         record.update(self.fields)
-        return _ENCODER.encode(record)
+        return _encode(record)
 
 
 class TraceLog:

@@ -118,6 +118,73 @@ class TestTaleCommands:
         assert payload == {"valid": True, "problems": []}
 
 
+def _with_checksum(ws, tmp_path, checksum):
+    """A tale workspace and an archive of it whose main.c records ``checksum``."""
+    import io
+    import zipfile
+
+    main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
+    good = tmp_path / "good.zip"
+    assert main(["tale", "export", "--workspace", str(ws), "--out", str(good)]) == 0
+    meta_path = ws / ".tale" / "tale.json"
+    meta = json.loads(meta_path.read_text())
+    for artifact in meta["code_refs"]:
+        if artifact["path"] == "main.c":
+            artifact["checksum"] = checksum
+    meta_path.write_text(json.dumps(meta))
+    src = zipfile.ZipFile(io.BytesIO(good.read_bytes()))
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for info in src.infolist():
+            payload = src.read(info.filename)
+            if info.filename == "metadata/tale.json":
+                archived = json.loads(payload)
+                for artifact in archived["code_refs"]:
+                    if artifact["path"] == "main.c":
+                        artifact["checksum"] = checksum
+                payload = json.dumps(archived).encode()
+            zf.writestr(info.filename, payload)
+    bad = tmp_path / "bad.zip"
+    bad.write_bytes(out.getvalue())
+    return bad
+
+
+@pytest.mark.parametrize("checksum", ["nocolon", "md99:abcd", "shake_128:abcd"])
+class TestMalformedChecksum:
+    """A checksum that cannot be checked is invalid input (exit 1), not an
+    internal error (exit 2), and the message names the artifact."""
+
+    def test_export_exits_one(self, ws, tmp_path, capsys, checksum):
+        _with_checksum(ws, tmp_path, checksum)
+        capsys.readouterr()
+        code = main(["tale", "export", "--workspace", str(ws), "--out", str(tmp_path / "o.zip")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: artifact main.c: ")
+        assert not (tmp_path / "o.zip").exists()
+
+    def test_import_exits_one(self, ws, tmp_path, capsys, checksum):
+        bad = _with_checksum(ws, tmp_path, checksum)
+        capsys.readouterr()
+        code = main(["tale", "import", "--in", str(bad), "--workspace", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: artifact main.c: ")
+
+    def test_validate_archive_exits_one(self, ws, tmp_path, capsys, checksum):
+        bad = _with_checksum(ws, tmp_path, checksum)
+        capsys.readouterr()
+        assert main(["tale", "validate", "--in", str(bad), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] is False
+        assert [p.split(": ")[0] for p in payload["problems"]] == ["artifact main.c"]
+
+    def test_validate_workspace_exits_one(self, ws, tmp_path, capsys, checksum):
+        _with_checksum(ws, tmp_path, checksum)
+        capsys.readouterr()
+        assert main(["tale", "validate", "--workspace", str(ws)]) == 1
+        assert capsys.readouterr().out.startswith("artifact main.c: ")
+
+
 class TestPlanCommand:
     def write_inputs(self, tmp_path, needs_mpi=False):
         inventory = {

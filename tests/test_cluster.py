@@ -18,11 +18,11 @@ _TRICKY = (" \t\r\n" "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
            "'\"\\" "ab1.-=,|#")
 
 
-def _outcome(split, text):
+def _outcome(parse, text):
     try:
-        return split(text)
-    except ValueError:
-        return ValueError
+        return parse(text)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
 
 
 class TestTokenizer:
@@ -31,12 +31,59 @@ class TestTokenizer:
     @example("qstat -f 1.a\x0b2.a")
     @example("sbatch --wrap 'sleep 1")
     @example("qdel 1.a\\")
+    @example("sbatch --wrap 'sleep 12.5'")
+    @example("a'b c'd")
+    @example("''")
     def test_same_argv_as_shlex_or_same_error(self, text):
         assert _outcome(_argv, text) == _outcome(shlex.split, text)
 
     def test_vertical_tab_stays_inside_a_word(self):
         # str.split() would give four tokens here
         assert _argv("qstat -f 1.a\x0b2.a") == ["qstat", "-f", "1.a\x0b2.a"]
+
+
+def _plain_sacct_parse(output):
+    """SimSlurmAdapter.parse_status, one line at a time, without its memo."""
+    states = {}
+    for line in output.splitlines():
+        if not line.strip():
+            continue
+        job_id, state, exitcode = line.split("|")
+        neutral = SimSlurmAdapter._STATE_MAP[state]
+        code = int(exitcode.split(":")[0]) if neutral in ("completed", "failed") else None
+        states[job_id] = (neutral, code)
+    return states
+
+
+_SACCT_LINE = st.one_of(
+    st.builds("{}|{}|{}:0".format, st.sampled_from(["1", "2", "17", " 3", "4\x0b5"]),
+              st.sampled_from([*SimSlurmAdapter._STATE_MAP, "BOGUS"]),
+              st.sampled_from(["0", "3", "271", "x"])),
+    st.text(alphabet=st.sampled_from("12|:PENDIG \t\x0b")),
+)
+
+
+class TestSlurmStatusParse:
+    # one adapter for every example, so later examples meet a warm memo
+    adapter = SimSlurmAdapter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_SACCT_LINE, max_size=8), st.sampled_from(["\n", "\r\n", "\x0b"]))
+    @example(["1|PENDING|0:0", "", "2|FAILED|3:0"], "\n")
+    @example(["1|PENDING|0:0", "2|RUNNING"], "\n")
+    def test_same_states_as_a_plain_parse_or_same_error(self, lines, newline):
+        output = newline.join(lines)
+        for _ in range(2):  # a cold, then a warm memo
+            assert (_outcome(self.adapter.parse_status, output)
+                    == _outcome(_plain_sacct_parse, output))
+
+    def test_memo_stays_bounded(self):
+        adapter = SimSlurmAdapter()
+        held = "\n".join(f"{i}|PENDING|0:0" for i in range(100))
+        for i in range(5000):
+            assert adapter.parse_status(held + f"\n{1000 + i}|COMPLETED|0:0")[str(1000 + i)] == (
+                "completed", 0)
+            assert len(adapter._lines) <= 2 * 101 + 1024 + 101
 
 
 def _lrm(name, adapter):

@@ -1,3 +1,4 @@
+import random
 import statistics
 
 import pytest
@@ -6,13 +7,21 @@ from talescale.dialects import SimSlurmAdapter
 from talescale.digest import short_digest
 from talescale.errors import (
     SessionError,
+    TransportError,
     UnknownCredentialError,
     UnknownDialectError,
     UnknownJobError,
     UnknownResourceError,
     ValidationError,
 )
-from talescale.middleware import JobSpec, JobState, LEGAL_TRANSITIONS, TERMINAL_STATES
+from talescale.middleware import (
+    _BACKEND_TO_CLIENT,
+    JobSpec,
+    JobState,
+    LEGAL_TRANSITIONS,
+    TERMINAL_STATES,
+)
+from talescale.world import World, load_config
 
 from conftest import batch_world
 
@@ -164,6 +173,187 @@ class TestPolling:
         assert all(world.middleware._records[j].native_id is not None for j in active)
         world.clock.run_until(5.0)
         assert world.middleware.status(kept).state == JobState.QUEUED
+
+
+def _mixed_world(seed):
+    """Both dialects, a holding and a failing maintenance window, two
+    credentials, a short session TTL and slow handshakes and round trips, so
+    that calls made outside clock callbacks often cross poll ticks."""
+    resources = [
+        {"name": name, "kind": "hpc_cluster", "lrm": "batch",
+         "allows_incoming_connections": False, "node_count": 8,
+         "queue": queue, "dialect": dialect}
+        for name, queue, dialect in [("pbs", "fast", "sim-pbs"), ("slurm", "fast", "sim-slurm"),
+                                     ("pbs-hold", "hold", "sim-pbs"),
+                                     ("slurm-fail", "fail", "sim-slurm")]
+    ]
+    world = World(load_config({
+        "resources": resources,
+        "queues": {
+            "fast": {"distribution": "exponential", "params": {"mean": 8.0}},
+            "hold": {"distribution": "exponential", "params": {"mean": 8.0},
+                     "maintenance_windows": [[40.0, 160.0]]},
+            "fail": {"distribution": "exponential", "params": {"mean": 8.0},
+                     "maintenance_windows": [[60.0, 140.0]], "maintenance_policy": "fail"},
+        },
+        "scenario": {"credentials": ["alice", "bob"], "idle_ttl_s": 8.0,
+                     "handshake_s": 2.0, "transport_rtt_s": 0.5},
+    }), seed)
+    world.start()
+    return world
+
+
+class CountingDict(dict):
+    """A dict that counts reads by key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def _slurm_world(queue):
+    """One sim-slurm resource whose calls take no simulated time."""
+    return batch_world(
+        queue=queue,
+        resources=[{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                    "allows_incoming_connections": False, "node_count": 8,
+                    "queue": "q", "dialect": "sim-slurm"}],
+        scenario={"transport_rtt_s": 0.0},
+    )
+
+
+class TestIncrementalPoll:
+    """poll_cycle applies only the observations that changed since its last
+    successful cycle; these pin that it still ends where a full pass would."""
+
+    def test_records_match_the_backend_after_every_successful_poll(self):
+        names = ("pbs", "slurm", "pbs-hold", "slurm-fail")
+        checked = nested = failed_polls = 0
+        for seed in range(6):
+            world = _mixed_world(seed)
+            mw, rng = world.middleware, random.Random(seed)
+            poll_cycle, depth = mw.poll_cycle, [0]
+            call, polled_as = world.transport.call, {}
+
+            def recording_call(resource, credential, verb, payload):
+                if verb == "batch_status":
+                    polled_as[resource] = credential
+                return call(resource, credential, verb, payload)
+
+            world.transport.call = recording_call
+
+            def checked_poll(resource):
+                nonlocal checked, nested
+                polled = [(job_id, mw._records[job_id].native_id)
+                          for job_id in mw._active.get(resource, ())]
+                failures = world.trace.count("poll_failed")
+                depth[0] += 1
+                try:
+                    applied = poll_cycle(resource)
+                finally:
+                    depth[0] -= 1
+                if polled and world.trace.count("poll_failed") == failures:
+                    assert polled_as[resource] == min(
+                        mw._records[job_id].spec.credential for job_id, _ in polled)
+                    backend = world.clusters[resource].jobs
+                    for job_id, native_id in polled:
+                        expected = _BACKEND_TO_CLIENT[backend[native_id].state]
+                        assert mw.status(job_id).state is expected, (seed, resource, job_id)
+                    checked += 1
+                    nested += depth[0] > 0
+                return applied
+
+            mw.poll_cycle = checked_poll
+
+            def cancel(handle):
+                try:
+                    mw.cancel(handle)
+                except (TransportError, SessionError):
+                    pass  # a lost cancel: the job ends on its own
+
+            handles = []
+            for _ in range(400):
+                op = rng.random()
+                if op < 0.35:
+                    command = (("sleep", str(rng.randint(1, 40))) if rng.random() < 0.8
+                               else ("fail", str(rng.randint(1, 20)), str(rng.randint(1, 3))))
+                    handles.append(mw.submit(JobSpec(
+                        resource=rng.choice(names), command=command,
+                        credential=rng.choice(("alice", "bob")))))
+                elif op < 0.42 and handles:
+                    cancel(rng.choice(handles))
+                elif op < 0.47 and handles:
+                    world.clock.after(rng.uniform(0.0, 20.0),
+                                      lambda h=rng.choice(handles): cancel(h))
+                elif op < 0.52:
+                    world.transport.inject_failure(rng.choice(("transport", "handshake")))
+                elif op < 0.75:
+                    mw.poll_cycle(rng.choice(names))
+                else:
+                    world.clock.advance(rng.uniform(0.0, 15.0))
+            world.clock.advance(1000.0)
+            failed_polls += world.trace.count("poll_failed")
+
+            assert mw.active_pollers == 0
+            for handle in handles:
+                status = mw.status(handle)
+                assert status.terminal, (seed, handle)
+                states = [state for state, _ in status.transitions]
+                assert all(b in LEGAL_TRANSITIONS[a] for a, b in zip(states, states[1:]))
+        # every path the invariant must survive was taken
+        assert checked > 1000 and nested > 20 and failed_polls > 20
+
+    def test_an_unchanged_cycle_reads_no_job_record(self):
+        world = _slurm_world({"distribution": "fixed", "params": {"value": 10.0},
+                              "maintenance_windows": [[0.0, 10_000.0]]})
+        mw = world.middleware
+        handles = [mw.submit(spec()) for _ in range(2000)]
+        assert len(mw.poll_cycle("hpc-1")) == 2000  # Submitted -> Queued, each
+        mw._records = CountingDict(mw._records)
+        queries = world.metrics().backend_queries["hpc-1"]
+
+        assert mw.poll_cycle("hpc-1") == []
+        assert mw._records.reads == 0
+        assert world.metrics().backend_queries["hpc-1"] == queries + 1
+
+        mw.cancel(handles[7])
+        mw._records.reads = 0
+        assert mw.poll_cycle("hpc-1") == [(handles[7].job_id, JobState.QUEUED,
+                                           JobState.CANCELED)]
+        assert mw._records.reads == 1
+        assert len(mw._active["hpc-1"]) == 1999
+
+    def test_payload_keeps_job_id_order_past_j999999(self):
+        world = _slurm_world({"distribution": "fixed", "params": {"value": 20.0}})
+        mw = world.middleware
+        payloads = []
+        call = world.transport.call
+
+        def recording_call(resource, credential, verb, payload):
+            if verb == "batch_status":
+                payloads.append(payload)
+            return call(resource, credential, verb, payload)
+
+        world.transport.call = recording_call
+        mw._counter = 999_990
+        job_ids = [mw.submit(spec(command=("sleep", str(5 * (i % 3) + 1)))).job_id
+                   for i in range(8)]
+        world.clock.run_until(22.0)  # some start, some finish
+        job_ids += [mw.submit(spec()).job_id for _ in range(8)]
+        assert "j999999" in job_ids and "j1000000" in job_ids
+        active = [j for j in sorted(job_ids) if not mw.status(j).terminal]
+        mw.poll_cycle("hpc-1")
+        natives = [mw._records[j].native_id for j in active]
+        assert payloads[-1].split()[1] == "--jobs=" + ",".join(natives)
+        assert list(mw._active["hpc-1"]) == [j for j in active if not mw.status(j).terminal]
 
 
 class TestSubscribe:
