@@ -11,15 +11,44 @@ Identical inputs produce byte-identical archives: entries are written in
 sorted path order, timestamps are zeroed, and permissions are fixed.
 ``imported`` events record how a tale arrived in one deployment and are
 deliberately not serialized, so export(import(export(T))) == export(T).
+
+Per-entry work runs on every CPU this process may use.  Export and import
+split ``tale.code_refs`` into contiguous runs, one per usable CPU (at most
+``_MAX_RUNS``); the calling thread does the first run and one thread each
+does the others, so a single run starts no thread.  The work of an entry
+is C code that releases the GIL: file reads and writes, digests, CRC-32,
+deflate and inflate.  Each run stops at its own first failure, so the
+earliest failed run holds the failure first in ``code_refs`` order, and
+that is the error raised, once every run has finished.
+
+Framing rule: export deflates each workspace entry inside its run, the way
+``zipfile`` does at level 6 (raw deflate, ``zlib.compressobj(6, DEFLATED,
+-15)``), and ``_frame`` then lays the entries out in sorted name order
+through ``ZipInfo.FileHeader`` and ``ZipFile``'s own end record.  The bytes
+equal those of ``ZipFile.writestr(_zero_info(name), data, compresslevel=6)``
+for each entry: the UTF-8 name flag, writestr's zip64 rule for the local
+header (``file_size * 1.05 > ZIP64_LIMIT``) and the central directory's
+zip64 extras all come from ``zipfile`` itself.
+
+Thread safety: no object that is not thread-safe is shared between runs.
+``ZipFile.open`` counts its open readers (``_fileRefCnt += 1``) outside
+the file lock, and ``_fpclose`` asserts that count, so concurrent reads
+through one ``ZipFile`` hold only while the GIL keeps that increment whole.
+Import therefore gives every run but the calling thread's its own
+``ZipFile`` over the same bytes.  Runs write disjoint result slots and
+disjoint files, and every parent directory exists before any run starts.
 """
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
+import threading
 import zipfile
+import zlib
 from dataclasses import replace
-from pathlib import Path
 
 from .digest import DEFAULT_ALGO, digest_bytes, parse as parse_checksum
 from .errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError
@@ -32,6 +61,14 @@ _DATA_MANIFEST = "metadata/data-manifest.json"
 _EVENTS = "provenance/events.ndjson"
 _WORKSPACE = "workspace/"
 
+# Past a few runs, the Python work each entry still does under the GIL and
+# the central directory each extra import run parses outweigh the C work
+# they split off.
+_MAX_RUNS = 4
+
+# What Path.is_file() reports as "no file", plus a directory in its place.
+_ABSENT = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ELOOP})
+
 
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -43,6 +80,74 @@ def _zero_info(name: str) -> zipfile.ZipInfo:
     info.external_attr = 0o644 << 16
     info.compress_type = zipfile.ZIP_DEFLATED
     return info
+
+
+def _deflated(data: bytes) -> tuple[int, int, bytes]:
+    """``data``'s size, CRC-32 and raw deflate stream, as zipfile makes them at level 6."""
+    compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return len(data), zlib.crc32(data), compressor.compress(data) + compressor.flush()
+
+
+def _frame(entries: dict[str, tuple[int, int, bytes]]) -> bytes:
+    """Lay ``_deflated`` entries out as a zip, in sorted name order, byte
+    for byte as ``writestr(_zero_info(name), data, compresslevel=6)`` would."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name in sorted(entries):
+            info = _zero_info(name)
+            info.file_size, info.CRC, deflated = entries[name]
+            info.compress_size = len(deflated)
+            info.header_offset = buffer.tell()
+            buffer.write(info.FileHeader(info.file_size * 1.05 > zipfile.ZIP64_LIMIT))
+            buffer.write(deflated)
+            zf.filelist.append(info)
+        zf.start_dir = buffer.tell()  # close() writes the central directory here
+    return buffer.getvalue()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _runs(count: int) -> list[range]:
+    """Contiguous index runs covering ``range(count)``, one per usable CPU."""
+    n = max(1, min(_usable_cpus(), _MAX_RUNS, count))
+    return [range(count * k // n, count * (k + 1) // n) for k in range(n)]
+
+
+def _in_runs(work, count: int) -> None:
+    """Call ``work(run)`` for each of ``_runs(count)``, the first in the
+    calling thread; once all have finished, raise the earliest run's error."""
+    runs = _runs(count)
+    errors: list[BaseException | None] = [None] * len(runs)
+
+    def attempt(k: int) -> None:
+        try:
+            work(runs[k])
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=attempt, args=(k,)) for k in range(1, len(runs))]
+    for thread in threads:
+        thread.start()
+    attempt(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _read_workspace_file(path: str, name: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        if exc.errno not in _ABSENT:
+            raise
+        raise MissingFileError(f"workspace file missing: {name}") from None
 
 
 def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
@@ -70,17 +175,21 @@ def export_tale(tale: Tale, workspace_root) -> bytes:
     problems = tale.validate()
     if problems:
         raise ValidationError("cannot export invalid tale: " + "; ".join(problems))
-    root = Path(workspace_root)
+    root = os.fspath(workspace_root)
+    refs = tale.code_refs
+    artifacts: list = [None] * len(refs)
+    packed: list = [None] * len(refs)
 
-    entries: dict[str, bytes] = {}
-    artifacts = []
-    for artifact in tale.code_refs:
-        path = root / artifact.path
-        if not path.is_file():
-            raise MissingFileError(f"workspace file missing: {artifact.path}")
-        data = path.read_bytes()
-        artifacts.append(replace(artifact, checksum=checked_digest(artifact, data)))
-        entries[_WORKSPACE + artifact.path] = data
+    def pack(run: range) -> None:
+        for i in run:
+            artifact = refs[i]
+            data = _read_workspace_file(os.path.join(root, artifact.path), artifact.path)
+            checksum = checked_digest(artifact, data)
+            artifacts[i] = artifact if artifact.checksum == checksum else replace(artifact, checksum=checksum)
+            packed[i] = _deflated(data)
+
+    _in_runs(pack, len(refs))
+    entries = {_WORKSPACE + a.path: entry for a, entry in zip(refs, packed)}
 
     meta = Tale(
         id=tale.id, title=tale.title, code_refs=tuple(artifacts),
@@ -88,25 +197,21 @@ def export_tale(tale: Tale, workspace_root) -> bytes:
     ).to_dict()
     meta["format_version"] = FORMAT_VERSION
     meta.pop("data_refs")
-    entries[_TALE_JSON] = _json_bytes(meta)
-    entries[_DATA_MANIFEST] = _json_bytes([r.to_dict() for r in tale.data_refs])
+    entries[_TALE_JSON] = _deflated(_json_bytes(meta))
+    entries[_DATA_MANIFEST] = _deflated(_json_bytes([r.to_dict() for r in tale.data_refs]))
 
     durable = [ev for ev in tale.provenance if ev.kind != ProvenanceKind.IMPORTED]
     lines = [json.dumps(ev.to_dict(), sort_keys=True, separators=(",", ":")) for ev in durable]
-    entries[_EVENTS] = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w") as zf:
-        for name in sorted(entries):
-            zf.writestr(_zero_info(name), entries[name], compresslevel=6)
-    return buffer.getvalue()
+    entries[_EVENTS] = _deflated(("\n".join(lines) + "\n").encode("utf-8") if lines else b"")
+    return _frame(entries)
 
 
 def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
     """Reconstruct a Tale from archive bytes, verifying every checksum.
 
     Extracts workspace files under ``workspace_dir`` when given, and
-    appends an ``imported`` provenance event.
+    appends an ``imported`` provenance event.  A tale that fails validation
+    is rejected before any file is written.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(archive))
@@ -130,23 +235,33 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
             events.append(ProvenanceEvent.from_dict(json.loads(line)))
 
     tale = Tale.from_dict(meta, provenance=events)
-
-    for artifact in tale.code_refs:
-        entry = _WORKSPACE + artifact.path
-        if entry not in names:
-            raise MissingFileError(f"archive is missing workspace entry {artifact.path}")
-        data = zf.read(entry)
-        if artifact.checksum is None:
-            raise ValidationError(f"archived artifact {artifact.path} lacks a checksum")
-        checked_digest(artifact, data)
-        if workspace_dir is not None:
-            target = Path(workspace_dir) / artifact.path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-
     problems = tale.validate()
     if problems:
         raise ValidationError("archive reconstructs an invalid tale: " + "; ".join(problems))
+
+    refs = tale.code_refs
+    for artifact in refs:
+        if _WORKSPACE + artifact.path not in names:
+            raise MissingFileError(f"archive is missing workspace entry {artifact.path}")
+        if artifact.checksum is None:
+            raise ValidationError(f"archived artifact {artifact.path} lacks a checksum")
+    dest = None if workspace_dir is None else os.fspath(workspace_dir)
+    if dest is not None:
+        # validate() rules out a path that is also another's directory
+        for directory in {os.path.dirname(os.path.join(dest, a.path)) for a in refs}:
+            os.makedirs(directory, exist_ok=True)
+
+    def extract(run: range) -> None:
+        reader = zf if run.start == 0 else zipfile.ZipFile(io.BytesIO(archive))
+        for i in run:
+            artifact = refs[i]
+            data = reader.read(_WORKSPACE + artifact.path)
+            checked_digest(artifact, data)
+            if dest is not None:
+                with open(os.path.join(dest, artifact.path), "wb") as f:
+                    f.write(data)
+
+    _in_runs(extract, len(refs))
     tale.provenance.append(tale.next_event(
         ProvenanceKind.IMPORTED, {"format_version": version}, timestamp=now,
     ))

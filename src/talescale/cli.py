@@ -141,7 +141,6 @@ def tale_import(archive_path, workspace):
     """Import an archive, verifying every checksum."""
     data = Path(archive_path).read_bytes()
     ws = Path(workspace)
-    ws.mkdir(parents=True, exist_ok=True)
     tale_obj = archive_mod.import_tale(data, workspace_dir=ws)
     _save_tale_meta(tale_obj, ws / TALE_META)
     click.echo(f"imported tale {tale_obj.id}: {tale_obj.title}")

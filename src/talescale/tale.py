@@ -64,6 +64,17 @@ def _normalize_path(path: str) -> str:
     return "/".join(parts)
 
 
+def _directories(paths) -> set[str]:
+    """Every ancestor directory of the normalized ``paths``."""
+    dirs: set[str] = set()
+    for path in paths:
+        parent = path.rpartition("/")[0]
+        while parent and parent not in dirs:
+            dirs.add(parent)
+            parent = parent.rpartition("/")[0]
+    return dirs
+
+
 @dataclass(frozen=True)
 class CodeArtifact:
     path: str
@@ -245,6 +256,8 @@ class Tale:
         paths = [a.path for a in self.code_refs]
         if len(paths) != len(set(paths)):
             problems.append("duplicate code artifact paths")
+        for path in sorted(_directories(paths).intersection(paths)):
+            problems.append(f"artifact path {path} is also a directory of other artifacts")
         uris = [r.uri for r in self.data_refs]
         if len(uris) != len(set(uris)):
             problems.append("duplicate data ref uris")

@@ -29,7 +29,18 @@ from .tale import ProvenanceKind, Tale, record_provenance
 from .trace import TraceLog
 from .transport import Transport
 
-_KNOWN_OPS = ("submit_jobs", "workload", "open_dataset", "prefetch", "cancel")
+_JOB_KEYS = frozenset({"resource", "command", "credential", "tale_id", "node_count", "mpi"})
+
+# Each scenario op's required keys and every key it accepts, beside "op" and "t".
+_ACTIONS = {
+    "submit_jobs": ({"resource"}, _JOB_KEYS | {"count", "spacing"}),
+    "workload": ({"resource"}, _JOB_KEYS | {"via_pool"}),
+    "open_dataset": ({"uri"}, {"uri"}),
+    "prefetch": (set(), {"uris"}),
+    "cancel": ({"job_index"}, {"job_index"}),
+}
+
+_INTEGER_KEYS = ("count", "job_index", "node_count")
 
 _KNOWN_SECTIONS = {"resources", "queues", "pools", "cache", "scenario"}
 
@@ -126,22 +137,44 @@ def load_config(source) -> WorldConfig:
     scenario = ScenarioConfig.from_dict(raw.get("scenario", {}))
     known_uris = {d.uri for d in datasets}
     for action in scenario.actions:
-        op = action.get("op")
-        if op not in _KNOWN_OPS:
-            raise ConfigError(f"unknown scenario op {op!r}")
-        if float(action.get("t", 0.0)) < 0:
-            raise ConfigError(f"scenario action {op!r} has negative time")
-        if "resource" in action and action["resource"] not in resources:
-            raise ConfigError(f"scenario op {op!r} references unknown resource {action['resource']!r}")
-        for uri in [action["uri"]] if "uri" in action else action.get("uris", []):
-            if uri not in known_uris:
-                raise ConfigError(f"scenario op {op!r} references unknown dataset {uri!r}")
+        _check_action(action, resources, known_uris)
 
     return WorldConfig(
         resources=resources, queues=queues, pools=pools,
         cache_capacity_bytes=capacity, cache_bandwidth_bytes_per_s=bandwidth,
         datasets=datasets, scenario=scenario,
     )
+
+
+def _check_action(action, resources, known_uris) -> None:
+    """Reject a scenario action that ``World._run_action`` could not run."""
+    if not isinstance(action, dict):
+        raise ConfigError(f"scenario action must be an object, got {action!r}")
+    op = action.get("op")
+    if op not in _ACTIONS:
+        raise ConfigError(f"unknown scenario op {op!r}")
+    required, accepted = _ACTIONS[op]
+    unknown = set(action) - accepted - {"op", "t"}
+    if unknown:
+        raise ConfigError(f"scenario op {op!r} has unknown keys {sorted(unknown)}")
+    missing = sorted(required - set(action))
+    if missing:
+        raise ConfigError(f"scenario op {op!r} is missing {missing}")
+    for key in _INTEGER_KEYS:
+        value = action.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"scenario op {op!r} needs an integer {key}, got {value!r}")
+    try:
+        t = float(action.get("t", 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"scenario op {op!r} has a non-numeric time {action['t']!r}") from None
+    if t < 0:
+        raise ConfigError(f"scenario action {op!r} has negative time")
+    if "resource" in action and action["resource"] not in resources:
+        raise ConfigError(f"scenario op {op!r} references unknown resource {action['resource']!r}")
+    for uri in [action["uri"]] if "uri" in action else action.get("uris", []):
+        if uri not in known_uris:
+            raise ConfigError(f"scenario op {op!r} references unknown dataset {uri!r}")
 
 
 class World:

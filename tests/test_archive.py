@@ -1,12 +1,28 @@
+import hashlib
 import io
+import json
+import random
 import zipfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from talescale import archive
 from talescale.archive import export_tale, import_tale
 from talescale.digest import digest_bytes
-from talescale.errors import ChecksumMismatchError, FormatVersionError, MissingFileError
-from talescale.tale import ArtifactKind, CodeArtifact, EnvironmentSpec, ProvenanceKind, create_tale
+from talescale.dms import ExternalDataRef
+from talescale.errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError
+from talescale.tale import (
+    ArtifactKind,
+    CodeArtifact,
+    EnvironmentSpec,
+    PackagingStrategy,
+    ProvenanceKind,
+    build_manifest,
+    create_tale,
+    record_provenance,
+)
 
 from conftest import simple_tale
 
@@ -130,3 +146,200 @@ def test_round_trip_survives_post_import_history(workspace):
     seqs = [e.seq for e in twice.provenance]
     assert seqs == sorted(seqs)
     assert export_tale(twice, workspace / "r2") == first
+
+
+# ---------------------------------------------------------------------------
+# byte-identical archives across the per-CPU runs
+
+# sha256 of golden_tale's export as ZipFile.writestr framed it, with zlib
+# 1.2.13's level-6 deflate: any change to the archive code must keep it.
+GOLDEN_ARCHIVE_SHA256 = "7fd7d71997b418414a5a25c82abfe81a41cdd868d8986e5874d14cf6f41dbfe5"
+
+
+def golden_tale(root):
+    """A 40-file tale with packaging, compressible and random bytes, an
+    empty file and a unicode path; half its artifacts record no checksum."""
+    rng = random.Random(2020)
+    files = {}
+    for i in range(37):
+        line = f"value_{i} = compute({i})  # step\n".encode()
+        files[f"src/pkg{i % 5}/mod{i:02d}.py"] = rng.randbytes(i * 41 % 700) + line * (i * 13 % 97)
+    files["bin/solver"] = rng.randbytes(3000)
+    files["empty.dat"] = b""
+    files["données/résumé ✓.txt"] = "naïve café\n".encode("utf-8")
+    artifacts = []
+    for i, (path, data) in enumerate(files.items()):
+        target = root / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
+        exe = path == "bin/solver"
+        artifacts.append(CodeArtifact(
+            path=path,
+            kind=ArtifactKind.PREBUILT_EXECUTABLE if exe else ArtifactKind.SOURCE,
+            target_arch="x86_64" if exe else None,
+            checksum=digest_bytes(data) if i % 2 else None,
+        ))
+    data_ref = ExternalDataRef(uri="doi:10.5072/golden", size_bytes=4096,
+                               checksum=digest_bytes(b"golden"))
+    env = EnvironmentSpec(base_image_name="python-3.11", dependency_pins=(("numpy", "==1.26.4"),))
+    tale = create_tale("golden tale", artifacts, [data_ref], env, tale_id="golden-1", now=1.0)
+    record_provenance(tale, tale.next_event(ProvenanceKind.LAUNCHED, {"model": "M1"}, timestamp=2.5))
+    return tale.with_packaging(build_manifest(tale, PackagingStrategy.SOURCE_PLUS_GENERIC_LIBS))
+
+
+def with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(archive, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 64])
+def test_golden_archive_digest(workspace, monkeypatch, cpus):
+    with_cpus(monkeypatch, cpus)
+    tale = golden_tale(workspace)
+    assert len(archive._runs(len(tale.code_refs))) == min(cpus, archive._MAX_RUNS)
+    blob = export_tale(tale, workspace)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_ARCHIVE_SHA256
+    restored = import_tale(blob, workspace_dir=workspace / "back")
+    assert export_tale(restored, workspace / "back") == blob
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("cpus", [1, 2, 4, 64])
+def test_runs_cover_the_entries_in_order(monkeypatch, count, cpus):
+    with_cpus(monkeypatch, cpus)
+    runs = archive._runs(count)
+    assert len(runs) == max(1, min(cpus, archive._MAX_RUNS, count))
+    assert [i for run in runs for i in run] == list(range(count))
+    assert all(len(run) for run in runs) or count == 0
+
+
+def _writestr_archive(entries: dict[str, bytes]) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as zf:
+        for name in sorted(entries):
+            zf.writestr(archive._zero_info(name), entries[name], compresslevel=6)
+    return buffer.getvalue()
+
+
+def _framed_archive(entries: dict[str, bytes]) -> bytes:
+    return archive._frame({name: archive._deflated(data) for name, data in entries.items()})
+
+
+_NAMES = st.text(alphabet="ab/._-0Zéπд✓", min_size=1, max_size=10)
+_DATA = st.one_of(
+    st.just(b""),
+    st.binary(max_size=300),  # incompressible: deflate falls back to a stored block
+    st.builds(lambda unit, n: unit * n, st.binary(min_size=1, max_size=6), st.integers(1, 400)),
+)
+
+
+@given(st.dictionaries(_NAMES, _DATA, max_size=8))
+def test_framing_equals_zipfile_writestr(entries):
+    framed = _framed_archive(entries)
+    assert framed == _writestr_archive(entries)
+    zf = zipfile.ZipFile(io.BytesIO(framed))
+    assert {name: zf.read(name) for name in zf.namelist()} == entries
+
+
+@given(st.dictionaries(_NAMES, _DATA, min_size=1, max_size=8))
+@example({"a": b"x" * 98, "é": b""})  # zip64 by the 5% rule alone: neither size passes 100
+def test_framing_equals_zipfile_writestr_past_the_zip64_limit(entries):
+    # At a 100-byte limit, entries over 95 bytes take writestr's zip64 local
+    # header, and later offsets and the central directory take zip64 extras.
+    # Below the limit, a deflated entry is at most 5 bytes over its size, so
+    # zipfile never refuses one for outgrowing a plain header.
+    with mock.patch.object(zipfile, "ZIP64_LIMIT", 100):
+        framed = _framed_archive(entries)
+        assert framed == _writestr_archive(entries)
+        zf = zipfile.ZipFile(io.BytesIO(framed))
+        assert {name: zf.read(name) for name in zf.namelist()} == entries
+
+
+# ---------------------------------------------------------------------------
+# the first failure in code_refs order names the error, whatever run it is in
+
+
+def _run_tale(workspace, files=8):
+    """A tale whose code_refs order is the reverse of its name order, with
+    larger files first so the later runs reach their failures sooner."""
+    artifacts = []
+    for i in range(files):
+        path = f"f{files - i:02d}.dat"
+        data = random.Random(i).randbytes(max(1, (files - i) * 40_000))
+        (workspace / path).write_bytes(data)
+        artifacts.append(CodeArtifact(path=path, checksum=digest_bytes(data)))
+    return create_tale("runs", artifacts, [], EnvironmentSpec(), tale_id="runs-1")
+
+
+def _last_of_each_run(tale):
+    return [tale.code_refs[run.stop - 1].path for run in archive._runs(len(tale.code_refs))]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_export_names_the_first_missing_file(workspace, monkeypatch, cpus):
+    with_cpus(monkeypatch, cpus)
+    tale = _run_tale(workspace)
+    bad = _last_of_each_run(tale)
+    assert len(bad) == cpus
+    for path in bad:
+        (workspace / path).unlink()
+    with pytest.raises(MissingFileError) as exc:
+        export_tale(tale, workspace)
+    assert str(exc.value) == f"workspace file missing: {bad[0]}"
+
+
+def test_export_reports_a_directory_as_a_missing_file(workspace):
+    tale = _run_tale(workspace, files=2)
+    path = tale.code_refs[1].path
+    (workspace / path).unlink()
+    (workspace / path).mkdir()
+    with pytest.raises(MissingFileError, match=path):
+        export_tale(tale, workspace)
+
+
+def _rewrite(blob: bytes, change) -> bytes:
+    src = zipfile.ZipFile(io.BytesIO(blob))
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for info in src.infolist():
+            zf.writestr(info, change(info.filename, src.read(info.filename)))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_import_names_the_first_corrupt_entry(workspace, monkeypatch, cpus):
+    with_cpus(monkeypatch, cpus)
+    tale = _run_tale(workspace)
+    bad = _last_of_each_run(tale)
+    corrupt = {"workspace/" + path for path in bad}
+    blob = _rewrite(export_tale(tale, workspace),
+                    lambda name, data: bytes([data[0] ^ 0xFF]) + data[1:] if name in corrupt else data)
+    with pytest.raises(ChecksumMismatchError) as exc:
+        import_tale(blob, workspace_dir=workspace / "out")
+    assert exc.value.entry == bad[0]
+
+
+def _colliding_archive() -> bytes:
+    """An archive whose artifact ``a`` is also the directory of ``a/b``."""
+    refs = [CodeArtifact(path=p, checksum=digest_bytes(p.encode())).to_dict() for p in ("a", "a/b")]
+    meta = {"id": "c-1", "title": "collide", "code_refs": refs, "env_spec": {},
+            "packaging": None, "format_version": archive.FORMAT_VERSION}
+    entries = {"metadata/tale.json": json.dumps(meta).encode(),
+               "metadata/data-manifest.json": b"[]", "provenance/events.ndjson": b"",
+               "workspace/a": b"a", "workspace/a/b": b"a/b"}
+    return _writestr_archive(entries)
+
+
+def test_import_rejects_a_path_that_is_another_ones_directory(workspace):
+    target = workspace / "out"
+    with pytest.raises(ValidationError, match="artifact path a is also a directory"):
+        import_tale(_colliding_archive(), workspace_dir=target)
+    assert not target.exists()
+
+
+def test_export_rejects_a_path_that_is_another_ones_directory(workspace):
+    (workspace / "a").mkdir()
+    (workspace / "a" / "b").write_bytes(b"a/b")
+    artifacts = [CodeArtifact(path="a"), CodeArtifact(path="a/b")]
+    tale = create_tale("collide", artifacts, [], EnvironmentSpec(), tale_id="c-2")
+    with pytest.raises(ValidationError, match="artifact path a is also a directory"):
+        export_tale(tale, workspace)

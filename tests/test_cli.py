@@ -118,6 +118,29 @@ class TestTaleCommands:
         assert payload == {"valid": True, "problems": []}
 
 
+class TestCollidingPaths:
+    """An artifact path that is also the directory of another is invalid
+    input: validate and import exit 1 and name it, and import writes nothing."""
+
+    def archive(self, tmp_path):
+        from test_archive import _colliding_archive
+
+        path = tmp_path / "collide.zip"
+        path.write_bytes(_colliding_archive())
+        return path
+
+    def test_validate_archive_exits_one(self, tmp_path, capsys):
+        assert main(["tale", "validate", "--in", str(self.archive(tmp_path))]) == 1
+        assert "artifact path a is also a directory" in capsys.readouterr().out
+
+    def test_import_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        target = tmp_path / "x"
+        code = main(["tale", "import", "--in", str(self.archive(tmp_path)), "--workspace", str(target)])
+        assert code == 1
+        assert "artifact path a is also a directory" in capsys.readouterr().err
+        assert not target.exists()
+
+
 def _with_checksum(ws, tmp_path, checksum):
     """A tale workspace and an archive of it whose main.c records ``checksum``."""
     import io
@@ -277,6 +300,18 @@ class TestSimCommand:
         path = tmp_path / "f.json"
         path.write_text(json.dumps(config))
         assert main(["sim", "run", "--config", str(path), "--horizon", "50"]) == 0
+
+    def test_malformed_action_exits_one(self, tmp_path, capsys):
+        config = {
+            "resources": [{"name": "r", "kind": "hpc_cluster", "lrm": "batch",
+                           "allows_incoming_connections": False, "queue": "q"}],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "scenario": {"actions": [{"op": "submit_jobs", "resource": "r", "count": "x"}]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
+        assert "integer count" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["sim", "run", "--config", str(tmp_path / "nope.json")]) == 1

@@ -75,6 +75,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="doi:ghost"):
             load_config(bad)
 
+    @pytest.mark.parametrize("action, message", [
+        ({"op": "submit_jobs", "resource": "hpc-1", "count": "x"}, "integer count"),
+        ({"op": "submit_jobs", "resource": "hpc-1", "count": 2.0}, "integer count"),
+        ({"op": "submit_jobs", "resource": "hpc-1", "node_count": True}, "integer node_count"),
+        ({"op": "workload", "resource": "hpc-1", "node_count": "2"}, "integer node_count"),
+        ({"op": "cancel", "job_index": "0"}, "integer job_index"),
+        ({"op": "cancel"}, "missing \\['job_index'\\]"),
+        ({"op": "submit_jobs", "count": 2}, "missing \\['resource'\\]"),
+        ({"op": "workload"}, "missing \\['resource'\\]"),
+        ({"op": "open_dataset"}, "missing \\['uri'\\]"),
+        ({"op": "submit_jobs", "resource": "hpc-1", "cout": 5}, "unknown keys \\['cout'\\]"),
+        ({"op": "cancel", "job_index": 0, "resource": "hpc-1"}, "unknown keys \\['resource'\\]"),
+        ({"op": "prefetch", "t": "soon"}, "non-numeric time"),
+        ("submit_jobs", "must be an object"),
+    ])
+    def test_malformed_action_rejected(self, action, message):
+        bad = {**SCENARIO, "scenario": {"actions": [action]}}
+        with pytest.raises(ConfigError, match=message):
+            load_config(bad)
+
     def test_unknown_sections_rejected(self):
         with pytest.raises(ConfigError):
             load_config({**MINIMAL, "extra": {}})

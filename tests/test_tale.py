@@ -44,6 +44,16 @@ class TestCreate:
         with pytest.raises(ValidationError, match="duplicate"):
             create_tale("t", [art("a.c"), art("a.c")], [], EnvironmentSpec())
 
+    @pytest.mark.parametrize("paths, collided", [
+        (["a", "a/b"], ["a"]),
+        (["x/y/z", "x", "x/y", "w"], ["x", "x/y"]),
+        (["ab", "a/b", "abc/d"], []),
+    ])
+    def test_path_that_is_another_ones_directory_reported(self, paths, collided):
+        tale = create_tale("t", [art(p) for p in paths], [], EnvironmentSpec())
+        assert tale.validate() == [f"artifact path {p} is also a directory of other artifacts"
+                                   for p in collided]
+
     def test_data_ref_requires_checksum_and_size(self):
         from talescale.dms import ExternalDataRef
         with pytest.raises(ValidationError):
