@@ -27,7 +27,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
+
+
+def grid_after(now: float, interval: float) -> float:
+    """The first point of the ``interval`` grid strictly after ``now``.
+
+    The one grid rule: middleware pollers and pilot-pool ticks both land on
+    these points, so events of the two meet at bit-identical times.
+    """
+    return math.floor(now / interval) * interval + interval
 
 
 class EventHandle:

@@ -25,13 +25,13 @@ later backend state replays the intermediate transitions in order.
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
 from typing import Callable
 
+from .clock import grid_after
 from .dialects import DialectRegistry, default_registry
 from .errors import (
     SessionError,
@@ -158,6 +158,7 @@ class LrmMiddleware:
         self.dialects = dialects if dialects is not None else default_registry()
         self.poll_interval_s = poll_interval_s
         self.on_transition = on_transition
+        self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}
         self._records: dict[str, _JobRecord] = {}
         # Per resource, over its non-terminal jobs: {job id: native id} in
@@ -245,6 +246,11 @@ class LrmMiddleware:
             transitions=tuple(record.transitions), cause=record.cause,
         )
 
+    def add_transition_listener(self, listener: Callable) -> None:
+        """Call ``listener(spec, job_id, previous, state, t)`` on every job
+        transition, after ``on_transition``."""
+        self._transition_listeners.append(listener)
+
     def subscribe(self, handle: JobHandle | str) -> Subscription:
         record = self._record(handle)
         sub = Subscription(record.job_id)
@@ -331,12 +337,11 @@ class LrmMiddleware:
     def _ensure_poller(self, resource_name: str) -> None:
         if resource_name in self._pollers or not self._active.get(resource_name):
             return
-        interval = self.poll_interval_s
-        # Grid-aligned ticks: cycle boundaries land on multiples of the
-        # interval regardless of when the first job arrived.
-        next_tick = math.floor(self.clock.now / interval) * interval + interval
+        # Grid-aligned ticks: cycle boundaries land on the interval grid
+        # regardless of when the first job arrived.
         self._pollers[resource_name] = self.clock.at(
-            next_tick, lambda: self._poll_tick(resource_name)
+            grid_after(self.clock.now, self.poll_interval_s),
+            lambda: self._poll_tick(resource_name),
         )
 
     def _poll_tick(self, resource_name: str) -> None:
@@ -421,3 +426,5 @@ class LrmMiddleware:
             record.subscribers.clear()
         if self.on_transition is not None:
             self.on_transition(record.spec, record.job_id, previous, state, self.clock.now)
+        for listener in self._transition_listeners:
+            listener(record.spec, record.job_id, previous, state, self.clock.now)

@@ -7,8 +7,19 @@ The pool keeps min_warm slots warm-or-pending, never exceeds max_size
 live slots, and retires warm slots whose walltime ran out.
 
 ``PilotPool.slots`` holds the live slots only (pending, warm or claimed),
-oldest first. A retired slot leaves the list, so a pool tick costs the
-same however many slots the pool has had before.
+oldest first. A retired slot leaves the list.
+
+The pool's tick event sits on the middleware's poll grid, but a tick
+works only when it has something to do. The pool listens to the
+middleware's job transitions and wakes the next tick when one of its
+pilots started or ended, and when a claim, a release or a failed
+replenish submit leaves it short of min_warm with room to submit; ticks
+past the oldest warm slot's walltime deadline work too. A working tick
+visits only the slots whose pilots changed, so its cost depends on
+neither the pool's history nor the time since the last one; an idle tick
+only schedules the next. The tick event is scheduled just as when every
+tick worked, so it keeps its place among equal-time events and traces
+are the same.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .clock import grid_after
 from .cluster import runtime_of_command
 from .errors import SessionError, TransportError, ValidationError
 from .middleware import JobHandle, JobSpec, JobState, LrmMiddleware, TERMINAL_STATES
@@ -63,7 +75,6 @@ class PilotSlot:
     handle: JobHandle
     state: SlotState = SlotState.PENDING
     warmed_at: float | None = None
-    claimed_by: str | None = None
 
 
 class PilotPool:
@@ -77,10 +88,17 @@ class PilotPool:
         self.trace = trace
         self.dispatch_overhead_s = dispatch_overhead_s
         self.slots: list[PilotSlot] = []
+        self._by_job: dict[str, PilotSlot] = {}  # live slots by pilot job id
+        # slot id -> live slot whose pilot started or ended since refresh
+        self._touched: dict[int, PilotSlot] = {}
+        self._woken = False  # the next grid tick has work, the deadline aside
+        self._expires_at = math.inf  # no warm slot is past its walltime before this
         self._slot_ids = itertools.count()
         middleware.register_credential(policy.credential)
+        middleware.add_transition_listener(self._job_changed)
         self.replenish()
         self._schedule_tick()
+        self._rearm()
 
     def counts(self) -> dict[SlotState, int]:
         """Live slots per live state."""
@@ -89,17 +107,18 @@ class PilotPool:
             out[slot.state] += 1
         return out
 
+    def _short(self) -> bool:
+        """Below min_warm warm-or-pending, with room under max_size to submit."""
+        counts = self.counts()
+        return (counts[SlotState.WARM] + counts[SlotState.PENDING] < self.policy.min_warm
+                and len(self.slots) < self.policy.max_size)
+
     # -- operations ------------------------------------------------------------
 
     def replenish(self) -> list[JobHandle]:
         """Top the pool up to min_warm warm-or-pending, capped at max_size."""
         submitted: list[JobHandle] = []
-        while True:
-            counts = self.counts()
-            if counts[SlotState.WARM] + counts[SlotState.PENDING] >= self.policy.min_warm:
-                break
-            if len(self.slots) >= self.policy.max_size:
-                break
+        while self._short():
             spec = JobSpec(
                 resource=self.policy.resource,
                 command=("pilot-shim", str(self.policy.pilot_walltime_s)),
@@ -113,17 +132,29 @@ class PilotPool:
                 self.trace.emit("pilot_submit_failed", resource=self.policy.resource,
                                 slot=slot_id)
                 break
-            self.slots.append(PilotSlot(slot_id=slot_id, handle=handle))
+            slot = PilotSlot(slot_id=slot_id, handle=handle)
+            self.slots.append(slot)
+            self._by_job[handle.job_id] = slot
             submitted.append(handle)
             self.trace.emit("pilot_submitted", resource=self.policy.resource,
                             slot=slot_id, job_id=handle.job_id)
         return submitted
 
+    def _job_changed(self, spec: JobSpec, job_id: str, previous: JobState,
+                     state: JobState, t: float) -> None:
+        """Note a pilot that started or ended, for the next tick's refresh."""
+        slot = self._by_job.get(job_id)
+        if slot is None or slot.state == SlotState.CLAIMED:
+            return  # a claimed slot leaves through its release alone
+        if state == JobState.RUNNING or state in TERMINAL_STATES:
+            self._touched[slot.slot_id] = slot
+            self._woken = True
+
     def refresh(self) -> None:
-        """Sync slot states with the middleware's view of the pilot jobs."""
-        for slot in list(self.slots):
-            if slot.state == SlotState.CLAIMED:
-                continue
+        """Sync slot states with the middleware's view of the pilot jobs
+        that started or ended since the last refresh."""
+        touched, self._touched = self._touched, {}
+        for _, slot in sorted(touched.items()):
             state = self.middleware.status(slot.handle).state
             if state in TERMINAL_STATES:
                 self._retire(slot, state.value)
@@ -134,8 +165,10 @@ class PilotPool:
                                 slot=slot.slot_id)
 
     def expire(self) -> list[PilotSlot]:
-        """Retire warm slots older than the pilot walltime; claimed slots never
-        expire through this path."""
+        """Retire warm slots older than the pilot walltime, once the oldest
+        one's deadline has come; claimed slots never expire through this path."""
+        if self.clock.now < self._expires_at:
+            return []
         expired = [
             slot for slot in self.slots
             if slot.state == SlotState.WARM
@@ -167,7 +200,6 @@ class PilotPool:
             return None
         slot = min(warm, key=lambda s: s.warmed_at)
         slot.state = SlotState.CLAIMED
-        slot.claimed_by = workload.tale_id or f"workload@{self.clock.now}"
         start_at = self.clock.now + self.dispatch_overhead_s
         runtime, exit_code = runtime_of_command(
             workload.command,
@@ -186,6 +218,7 @@ class PilotPool:
         counts = self.counts()
         if counts[SlotState.WARM] + counts[SlotState.PENDING] <= self.policy.replenish_threshold:
             self.replenish()
+        self._rearm()
         return slot
 
     def _release(self, slot: PilotSlot) -> None:
@@ -201,24 +234,41 @@ class PilotPool:
         except (TransportError, SessionError):
             pass
         self._retire(slot, "released")
+        self._rearm()
 
     def _retire(self, slot: PilotSlot, reason: str) -> None:
         """The one way a slot leaves the pool."""
         slot.state = SlotState.EXPIRED
         self.slots.remove(slot)
+        del self._by_job[slot.handle.job_id]
+        self._touched.pop(slot.slot_id, None)
         self.trace.emit("pilot_expired", resource=self.policy.resource,
                         slot=slot.slot_id, reason=reason)
 
     # -- ticking -----------------------------------------------------------
 
+    def _rearm(self) -> None:
+        """Wake the next grid tick when replenish has work (a submit failed,
+        or a claim or release left the pool short), and move the walltime
+        deadline to the oldest warm slot's."""
+        if self._short():
+            self._woken = True
+        warm = [slot.warmed_at for slot in self.slots if slot.state == SlotState.WARM]
+        self._expires_at = min(warm) + self.policy.pilot_walltime_s if warm else math.inf
+
     def _schedule_tick(self) -> None:
-        # Same cadence as the middleware poller, same clock.
-        interval = self.middleware.poll_interval_s
-        next_tick = math.floor(self.clock.now / interval) * interval + interval
-        self.clock.at(next_tick, self._tick)
+        # Same grid as the middleware poller, same clock.
+        self.clock.at(grid_after(self.clock.now, self.middleware.poll_interval_s),
+                      self._on_grid)
+
+    def _on_grid(self) -> None:
+        if self._woken or self.clock.now >= self._expires_at:
+            self._tick()
+        self._schedule_tick()
 
     def _tick(self) -> None:
+        self._woken = False
         self.refresh()
         self.expire()
         self.replenish()
-        self._schedule_tick()
+        self._rearm()

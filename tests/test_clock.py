@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from talescale.clock import SimClock
+from talescale.clock import SimClock, grid_after
 from talescale.middleware import JobSpec
 
 from conftest import batch_world
@@ -166,3 +166,9 @@ def test_compaction_never_changes_firing_order(ops):
     clock.advance(100.0)
     assert fired == model_fired
     assert clock._live == 0
+
+
+def test_grid_after_is_strictly_after():
+    assert grid_after(0.0, 5.0) == 5.0
+    assert grid_after(5.0, 5.0) == 10.0
+    assert grid_after(7.3, 5.0) == 10.0

@@ -10,6 +10,7 @@ from talescale.errors import ConfigError, ValidationError
 from talescale.measure import launch_frontend
 from talescale.metrics import ReportRow, ReportTable, emit_report, parse_report
 from talescale.middleware import JobSpec, JobState
+from talescale.pilots import PilotPool
 from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import World, load_config, run_scenario
 
@@ -448,3 +449,26 @@ class TestHistoryFlatness:
         assert churn["cache_evict"] > 150 and churn["pilot_expired"] > 500, churn
         for name, bound in bounds.items():
             assert early[name] <= bound and late[name] <= bound, (name, early, late)
+
+
+class TestPoolWork:
+    def test_pool_ticks_follow_pool_events_not_the_poll_interval(self, monkeypatch):
+        # A working pool tick costs a sync of its slots. Working at every
+        # poll interval made 30,000 s / 5 s = 6,000 ticks here; ticks that
+        # follow the pool's own changes are bounded by the events those
+        # changes emit.
+        ticks = []
+        tick = PilotPool._tick
+
+        def counted(pool):
+            ticks.append(pool.clock.now)
+            tick(pool)
+
+        monkeypatch.setattr(PilotPool, "_tick", counted)
+        world = World(load_config(POOLED_SOAK), 7)
+        world.run(30_000.0)
+        pool_events = sum(world.trace.count(kind) for kind in (
+            "pilot_submitted", "pilot_submit_failed", "pilot_warm", "pilot_expired",
+            "workload_started", "workload_finished"))
+        assert world.trace.count("pilot_expired") > 50
+        assert 0 < len(ticks) <= pool_events < 30_000.0 / 5.0 / 10
