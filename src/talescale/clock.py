@@ -76,8 +76,12 @@ class SimClock:
         return self._dispatching
 
     def at(self, time: float, fn: Callable[[], None]) -> EventHandle:
-        """Schedule ``fn`` at absolute simulated time; never in the past."""
-        if time < self._now:
+        """Schedule ``fn`` at absolute simulated time; never in the past.
+
+        A NaN time is refused too: it compares false with every key, so
+        on the heap it would stop the events behind it from firing.
+        """
+        if not time >= self._now:
             raise ValueError(f"cannot schedule event at {time} before now={self._now}")
         handle = EventHandle(time, fn)
         heapq.heappush(self._heap, (time, next(self._seq), handle))

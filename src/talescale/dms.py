@@ -223,9 +223,8 @@ class DmsCache:
     @property
     def transfer_log(self) -> list[TransferRecord]:
         """Completed transfers, rendered from the trace's ``transfer_complete`` events."""
-        return [TransferRecord(ev.fields["uri"], TransferSource(ev.fields["source"]),
-                               ev.fields["bytes"])
-                for ev in self.trace if ev.kind == "transfer_complete"]
+        return [TransferRecord(r["uri"], TransferSource(r["source"]), r["bytes"])
+                for r in self.trace.records("transfer_complete")]
 
     def records_for(self, uri: str) -> list[TransferRecord]:
         return [r for r in self.transfer_log if r.uri == uri]

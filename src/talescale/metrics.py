@@ -1,8 +1,9 @@
 """Run metrics and report emission.
 
 The event trace is the one record of a run. ScenarioMetrics is reduced
-from it in a single pass (``ScenarioMetrics.from_trace``); no component
-keeps a counter of its own beside it.
+from it by ``ScenarioMetrics.from_trace``, which reads only the kinds it
+counts (``TraceLog.records``) and never scans the rest; no component keeps
+a counter of its own beside it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ScenarioMetrics:
 
     @classmethod
     def from_trace(cls, trace, batch_resources, workload_start_latencies) -> "ScenarioMetrics":
-        """Reduce the trace to metrics in one pass.
+        """Reduce the trace to metrics, reading only the kinds they count.
 
         Every name in ``batch_resources`` gets a query count, 0 included.
         ``workload_start_latencies`` is taken as given: ``World`` records
@@ -41,20 +42,16 @@ class ScenarioMetrics:
         """
         m = cls(backend_queries=dict.fromkeys(batch_resources, 0),
                 workload_start_latencies=list(workload_start_latencies))
-        for ev in trace:
-            kind, f = ev.kind, ev.fields
-            if kind == "transport_call":
-                if f["verb"] == "batch_status":
-                    m.backend_queries[f["resource"]] += 1
-            elif kind == "handshake":
-                m.handshakes += 1
-            elif kind == "transfer_complete":
-                m.transfers += 1
-                m.transfer_bytes += f["bytes"]
-            elif kind == "poll_failed":
-                m.poll_failures += 1
-            elif kind == "frontend_ready":
-                m.time_to_frontend.setdefault(f["model"], []).append(f["time_to_frontend_s"])
+        for r in trace.records("transport_call"):
+            if r["verb"] == "batch_status":
+                m.backend_queries[r["resource"]] += 1
+        m.handshakes = trace.count("handshake")
+        transfers = trace.records("transfer_complete")
+        m.transfers = len(transfers)
+        m.transfer_bytes = sum(r["bytes"] for r in transfers)
+        m.poll_failures = trace.count("poll_failed")
+        for r in trace.records("frontend_ready"):
+            m.time_to_frontend.setdefault(r["model"], []).append(r["time_to_frontend_s"])
         return m
 
     def to_dict(self) -> dict:

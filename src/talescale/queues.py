@@ -43,14 +43,14 @@ class QueueModel:
     def _check_params(self):
         p = self.params
         if self.distribution == "fixed":
-            if p.get("value", -1) < 0:
+            if not p.get("value", -1) >= 0:  # NaN too
                 raise ConfigError("fixed queue wait must be >= 0")
         elif self.distribution == "uniform":
             low, high = p.get("low", -1), p.get("high", -1)
             if not (0 <= low <= high):
                 raise ConfigError("uniform queue wait needs 0 <= low <= high")
         elif self.distribution == "exponential":
-            if p.get("mean", -1) <= 0:
+            if not p.get("mean", -1) > 0:  # NaN too
                 raise ConfigError("exponential queue wait needs mean > 0")
 
     def expected_wait(self) -> float:

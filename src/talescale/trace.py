@@ -4,13 +4,25 @@ Every component writes its observable actions here; the trace is the
 ground truth that counters and acceptance checks are recounted against.
 Serialized as ndjson, one ``{"t": ..., "seq": ..., "kind": ..., ...}``
 object per line, with sorted keys so identical runs produce identical
-bytes. The log counts its events per kind as they are emitted, so a
-counter read from it is O(1).
+bytes.
+
+What is stored is one plain record per event: the keyword dict ``emit``
+was called with, with ``t``, ``seq`` and ``kind`` set on it. Each record
+sits in the log and in its kind's list, so ``count(kind)`` is a length and
+a reader that needs some kinds (``ScenarioMetrics.from_trace``,
+``Transport.log_text``, ``DmsCache.transfer_log``) reads them with
+``records(kind)`` and never scans the rest. Nothing is encoded at emit:
+``to_ndjson`` encodes every record once, when the trace is written.
+Iterating the log yields ``TraceEvent`` views, built on demand.
+
+Every kind is declared once in ``KINDS``, with the layer that emits it and
+its field names; ``emit`` does not check them, the tests do.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator
@@ -36,43 +48,105 @@ else:
         return "".join(_c_encoder(record, 0))
 
 
+# Keys every record carries beside its fields.
+_HEADER = frozenset(("t", "seq", "kind"))
+
+
+@dataclass(frozen=True)
+class TraceKind:
+    """A declared event kind: the layer that emits it, and the field names
+    its events carry. A kind emitted on two paths lists one shape each."""
+
+    layer: str
+    shapes: tuple[tuple[str, ...], ...]
+
+
+def _kind(layer: str, *shapes: tuple[str, ...]) -> TraceKind:
+    return TraceKind(layer, shapes)
+
+
+KINDS: dict[str, TraceKind] = {
+    "handshake": _kind("transport", ("resource", "credential")),
+    "handshake_failed": _kind("transport", ("resource", "credential")),
+    "transport_call": _kind("transport", ("resource", "credential", "verb", "payload_digest")),
+    "transport_failed": _kind("transport", ("resource", "credential", "verb")),
+    "backend_job_queued": _kind("cluster", ("resource", "native_id", "name", "nodes", "wait")),
+    "backend_job_started": _kind("cluster", ("resource", "native_id", "name", "nodes")),
+    "backend_job_finished": _kind("cluster",
+                                  ("resource", "native_id", "name", "state", "exit_code")),
+    "job_submitted": _kind("middleware", ("job_id", "resource", "credential", "tale_id")),
+    "job_transition": _kind("middleware",
+                            ("job_id", "resource", "from_state", "to_state", "exit_code")),
+    "poll_failed": _kind("middleware", ("resource", "reason")),
+    "pilot_submitted": _kind("pilots", ("resource", "slot", "job_id")),
+    "pilot_submit_failed": _kind("pilots", ("resource", "slot")),
+    "pilot_warm": _kind("pilots", ("resource", "slot")),
+    "pilot_expired": _kind("pilots", ("resource", "slot", "reason")),
+    # The world starts a workload on the LRM; the pool starts one on a pilot
+    # slot on the world's behalf.
+    "workload_started": _kind("world", ("resource", "via", "latency", "tale_id", "job_id"),
+                              ("resource", "via", "slot", "latency", "tale_id")),
+    "workload_finished": _kind("pilots", ("resource", "via", "slot", "exit_code", "tale_id")),
+    "mount": _kind("world", ("uri", "resource")),
+    "cache_hit": _kind("dms", ("uri",)),
+    "cache_evict": _kind("dms", ("uri", "bytes")),
+    "transfer_start": _kind("dms", ("uri", "bytes", "source")),
+    "transfer_complete": _kind("dms", ("uri", "bytes", "source")),
+    "transfer_failed": _kind("dms", ("uri", "reason")),
+    "route_registered": _kind("proxy", ("tale_id", "public_path", "resource")),
+    "route_deregistered": _kind("proxy", ("tale_id",)),
+    "proxy_forward": _kind("proxy", ("public_path", "tale_id", "resource", "node", "port",
+                                     "request_bytes", "response_bytes",
+                                     "request_digest", "response_digest")),
+    "frontend_ready": _kind("measure", ("model", "resource", "time_to_frontend_s")),
+}
+
+
 @dataclass(frozen=True)
 class TraceEvent:
+    """A read-only view of one record."""
+
     t: float
     seq: int
     kind: str
     fields: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        record = {"t": self.t, "seq": self.seq, "kind": self.kind}
-        record.update(self.fields)
-        return _encode(record)
-
 
 class TraceLog:
     def __init__(self, clock):
         self._clock = clock
-        self._events: list[TraceEvent] = []
-        self._counts: dict[str, int] = {}
+        self._records: list[dict[str, Any]] = []
+        self._by_kind: defaultdict[str, list[dict[str, Any]]] = defaultdict(list)
 
-    def emit(self, kind: str, **fields: Any) -> TraceEvent:
-        ev = TraceEvent(t=self._clock.now, seq=len(self._events), kind=kind, fields=fields)
-        self._events.append(ev)
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        return ev
+    def emit(self, kind: str, **fields: Any) -> None:
+        fields["t"] = self._clock.now
+        fields["seq"] = len(self._records)
+        fields["kind"] = kind
+        self._records.append(fields)
+        self._by_kind[kind].append(fields)
 
     def count(self, kind: str) -> int:
         """Events of ``kind`` emitted so far."""
-        return self._counts.get(kind, 0)
+        return len(self._by_kind.get(kind, ()))
+
+    def records(self, kind: str) -> list[dict[str, Any]]:
+        """The records of ``kind``, in emit order: ``t``, ``seq`` and
+        ``kind`` beside the event's fields. The dicts are the log's own;
+        a reader must not change them."""
+        return list(self._by_kind.get(kind, ()))
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        for record in self._records:
+            yield TraceEvent(record["t"], record["seq"], record["kind"],
+                             {k: v for k, v in record.items() if k not in _HEADER})
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     def to_ndjson(self) -> bytes:
-        return ("\n".join(ev.to_json() for ev in self._events) + "\n").encode("utf-8") if self._events else b""
+        if not self._records:
+            return b""
+        return ("\n".join(map(_encode, self._records)) + "\n").encode("utf-8")
 
     def write(self, path) -> None:
         with open(path, "wb") as f:

@@ -133,10 +133,6 @@ class Transport:
 
     def log_text(self) -> str:
         """The transport log, rendered from the trace's ``transport_call`` events."""
-        lines = []
-        for ev in self.trace:
-            if ev.kind == "transport_call":
-                f = ev.fields
-                lines.append(f"{ev.t:.3f} | {f['resource']} | {f['credential']} | "
-                             f"{f['verb']} | {f['payload_digest']}\n")
-        return "".join(lines)
+        return "".join(f"{r['t']:.3f} | {r['resource']} | {r['credential']} | "
+                       f"{r['verb']} | {r['payload_digest']}\n"
+                       for r in self.trace.records("transport_call"))

@@ -11,6 +11,7 @@ horizon yields a byte-identical trace.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,18 @@ _INTEGER_KEYS = ("count", "job_index", "node_count")
 
 _KNOWN_SECTIONS = {"resources", "queues", "pools", "cache", "scenario"}
 
+# Numeric scenario keys: each is a finite number, at least 0, and the poll
+# interval above 0. ``idle_ttl_s`` may also be null: sessions never lapse.
+_SCENARIO_NUMBERS = ("image_load_s", "poll_interval_s", "idle_ttl_s", "transport_rtt_s",
+                     "handshake_s", "dispatch_overhead_s")
+
+
+def _is_finite_number(value) -> bool:
+    """An int or a finite float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -63,8 +76,21 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        for key in _SCENARIO_NUMBERS:
+            if key not in raw or (key == "idle_ttl_s" and raw[key] is None):
+                continue
+            value = raw[key]
+            positive = key == "poll_interval_s"
+            if not (_is_finite_number(value) and (value > 0 if positive else value >= 0)):
+                bound = "greater than 0" if positive else "at least 0"
+                raise ConfigError(f"scenario {key} must be a finite number {bound}, got {value!r}")
         if "credentials" in raw:
-            raw["credentials"] = tuple(raw["credentials"])
+            credentials = raw["credentials"]
+            if (not isinstance(credentials, (list, tuple))
+                    or not all(isinstance(c, str) for c in credentials)):
+                raise ConfigError(f"scenario credentials must be a list of strings, "
+                                  f"got {credentials!r}")
+            raw["credentials"] = tuple(credentials)
         if "actions" in raw:
             raw["actions"] = tuple(raw["actions"])
         return cls(**raw)
@@ -168,6 +194,8 @@ def _check_action(action, resources, known_uris) -> None:
         t = float(action.get("t", 0.0))
     except (TypeError, ValueError):
         raise ConfigError(f"scenario op {op!r} has a non-numeric time {action['t']!r}") from None
+    if not math.isfinite(t):
+        raise ConfigError(f"scenario op {op!r} has a non-finite time {action['t']!r}")
     if t < 0:
         raise ConfigError(f"scenario action {op!r} has negative time")
     if "resource" in action and action["resource"] not in resources:
@@ -247,7 +275,7 @@ class World:
             self.clock.run_until(0.0)
 
     def run(self, horizon: float) -> tuple[TraceLog, ScenarioMetrics]:
-        if horizon <= 0:
+        if not horizon > 0:  # NaN too
             raise ValidationError("horizon must be > 0")
         self.start()
         self.clock.run_until(horizon)

@@ -313,6 +313,31 @@ class TestSimCommand:
         assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
         assert "integer count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, message", [
+        ({"credentials": "alice"}, "credentials must be a list of strings"),
+        ({"poll_interval_s": "5"}, "poll_interval_s must be a finite number"),
+        ({"poll_interval_s": float("nan")}, "poll_interval_s must be a finite number"),
+        ({"handshake_s": "x"}, "handshake_s must be a finite number"),
+        ({"transport_rtt_s": -1}, "transport_rtt_s must be a finite number at least 0"),
+        ({"actions": [{"op": "submit_jobs", "t": float("nan"), "resource": "r"}]},
+         "non-finite time"),
+    ], ids=["credentials_string", "poll_interval_string", "poll_interval_nan",
+            "handshake_string", "negative_rtt", "action_time_nan"])
+    def test_malformed_scenario_exits_one(self, tmp_path, capsys, scenario, message):
+        config = {
+            "resources": [{"name": "r", "kind": "hpc_cluster", "lrm": "batch",
+                           "allows_incoming_connections": False, "queue": "q"}],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "scenario": {"actions": [{"op": "submit_jobs", "t": 0.0, "resource": "r"}],
+                         **scenario},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))  # NaN is written as the bare token NaN
+        assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["sim", "run", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -35,6 +35,21 @@ def test_cannot_schedule_in_the_past():
         clock.at(9.0, lambda: None)
 
 
+def test_nan_time_is_refused_and_the_clock_keeps_running():
+    # A NaN key compares false with every other one, so on the heap it would
+    # keep the events behind it from firing.
+    clock = SimClock()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 5.0, 7.0, 8.0, 9.0):
+        clock.at(t, lambda t=t: fired.append(t))
+    with pytest.raises(ValueError):
+        clock.at(float("nan"), lambda: fired.append("nan"))
+    with pytest.raises(ValueError):
+        clock.after(float("nan"), lambda: fired.append("nan"))
+    clock.run_until(100.0)
+    assert fired == [1.0, 2.0, 3.0, 5.0, 7.0, 8.0, 9.0]
+
+
 def test_cancel_prevents_firing():
     clock = SimClock()
     fired = []

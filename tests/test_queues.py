@@ -73,6 +73,8 @@ def test_reservation_still_respects_maintenance():
     {"distribution": "exponential", "params": {"mean": 0}},
     {"distribution": "fixed", "params": {"value": 0}, "maintenance_policy": "explode"},
     {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [[5, 1]]},
+    {"distribution": "fixed", "params": {"value": float("nan")}},
+    {"distribution": "exponential", "params": {"mean": float("nan")}},
 ])
 def test_bad_queue_configs_rejected(raw):
     with pytest.raises(ConfigError):

@@ -89,12 +89,33 @@ class TestLoadConfig:
         ({"op": "submit_jobs", "resource": "hpc-1", "cout": 5}, "unknown keys \\['cout'\\]"),
         ({"op": "cancel", "job_index": 0, "resource": "hpc-1"}, "unknown keys \\['resource'\\]"),
         ({"op": "prefetch", "t": "soon"}, "non-numeric time"),
+        ({"op": "prefetch", "t": float("nan")}, "non-finite time"),
+        ({"op": "prefetch", "t": "inf"}, "non-finite time"),
         ("submit_jobs", "must be an object"),
     ])
     def test_malformed_action_rejected(self, action, message):
         bad = {**SCENARIO, "scenario": {"actions": [action]}}
         with pytest.raises(ConfigError, match=message):
             load_config(bad)
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"credentials": ["alice", 7]}, "credentials must be a list of strings"),
+        ({"poll_interval_s": 0}, "poll_interval_s must be a finite number greater than 0"),
+        ({"image_load_s": float("inf")}, "image_load_s must be a finite number at least 0"),
+        ({"idle_ttl_s": -1.0}, "idle_ttl_s must be"),
+        ({"dispatch_overhead_s": True}, "dispatch_overhead_s must be"),
+    ])
+    def test_malformed_scenario_rejected(self, scenario, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config({**SCENARIO, "scenario": scenario})
+
+    def test_scenario_numbers_keep_their_type(self):
+        sc = load_config({**SCENARIO, "scenario": {
+            "image_load_s": 8, "poll_interval_s": 2.5, "idle_ttl_s": None,
+            "transport_rtt_s": 0, "credentials": ["alice", "bob"]}}).scenario
+        assert (sc.image_load_s, sc.poll_interval_s, sc.idle_ttl_s, sc.transport_rtt_s,
+                sc.credentials) == (8, 2.5, None, 0, ("alice", "bob"))
+        assert type(sc.image_load_s) is int
 
     def test_unknown_sections_rejected(self):
         with pytest.raises(ConfigError):
@@ -368,6 +389,10 @@ class TestWorldRun:
     def test_run_requires_positive_horizon(self):
         with pytest.raises(ValidationError):
             World(load_config(MINIMAL), 0).run(0.0)
+
+    def test_nan_horizon_is_refused(self):
+        with pytest.raises(ValidationError):
+            World(load_config(MINIMAL), 0).run(float("nan"))
 
     def test_failures_inside_world_are_events_not_errors(self):
         config = load_config({
