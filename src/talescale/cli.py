@@ -18,14 +18,15 @@ import click
 from . import archive as archive_mod
 from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
-from .errors import ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError
+from .errors import (ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError,
+                     check_keys, check_list)
 from .metrics import ReportRow, ReportTable, emit_report
 from .middleware import JobSpec
 from .planner import WorkloadRequirements, plan_placement
-from .queues import QueueModel
+from .queues import queues_by_name
 from .resources import resources_by_name
 from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, ProvenanceEvent, Tale, create_tale
-from .world import World, load_config
+from .world import World, load_config, read_json
 
 TALE_META = ".tale/tale.json"
 
@@ -106,7 +107,8 @@ def tale_create(workspace, title, out, tale_id, data_manifest, base_image, pin,
         pins.append((name, constraint or "*"))
     data_refs = []
     if data_manifest:
-        data_refs = [ExternalDataRef.from_dict(d) for d in json.loads(Path(data_manifest).read_text())]
+        data_refs = [ExternalDataRef.from_dict(d)
+                     for d in check_list("data manifest", read_json(data_manifest))]
     artifacts = _scan_workspace(root, tuple(exe), tuple(lib), arch_map, tuple(proprietary))
     tale_obj = create_tale(
         title=title, code_refs=artifacts, data_refs=data_refs,
@@ -205,16 +207,17 @@ def tale_validate(workspace, archive_path, fmt):
 def plan_cmd(inventory, requirements, objective, catalog, frontend_override, image_load, fmt):
     """Enumerate feasible execution models and print the chosen placement."""
     queues = {}
-    inv_raw = json.loads(Path(inventory).read_text())
+    inv_raw = read_json(inventory)
     if isinstance(inv_raw, dict):
-        queues = {k: QueueModel.from_dict(v) for k, v in inv_raw.get("queues", {}).items()}
+        check_keys("inventory", inv_raw, ("queues", "resources"), ("resources",))
+        queues = queues_by_name(inv_raw.get("queues", {}))
         inv_raw = inv_raw["resources"]
     resources = list(resources_by_name(inv_raw, queues).values())
-    req = WorkloadRequirements.from_dict(json.loads(Path(requirements).read_text()))
+    req = WorkloadRequirements.from_dict(read_json(requirements))
     cat = None
     if catalog:
         cat = DatasetCatalog(ExternalDataRef.from_dict(d)
-                             for d in json.loads(Path(catalog).read_text()))
+                             for d in check_list("catalog", read_json(catalog)))
     plan = plan_placement(
         req, resources, objective, catalog=cat,
         frontend_override=frontend_override, image_load_s=image_load,

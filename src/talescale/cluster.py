@@ -39,18 +39,14 @@ from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import attrgetter, methodcaller
 
+from .dialects import PBS_KILL_EXIT, SimSlurmAdapter
 from .errors import TransportError
 from .queues import QueueModel, adjust_for_maintenance
 from .resources import ResourceDescriptor
 
 FRONTEND_RUNTIME_S = 10.0 ** 9
 
-_PBS_KILL_EXIT = 271
-
-_SACCT_STATE = {
-    "queued": "PENDING", "running": "RUNNING", "completed": "COMPLETED",
-    "failed": "FAILED", "canceled": "CANCELLED",
-}
+_SACCT_STATE = {neutral: native for native, neutral in SimSlurmAdapter._STATE_MAP.items()}
 
 # A quote, a backslash, or whitespace that shlex does not split on.
 _NEEDS_SHLEX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
@@ -115,7 +111,7 @@ class NativeJob:
         elif state == "running":
             pbs = "job_state = R"
         else:
-            exit_status = _PBS_KILL_EXIT if state == "canceled" else self.exit_code
+            exit_status = PBS_KILL_EXIT if state == "canceled" else self.exit_code
             pbs = f"job_state = F\n    exit_status = {exit_status}"
         self.qstat_block = f"Job Id: {self.native_id}\n    {pbs}"
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .digest import parse as parse_checksum
-from .errors import CapacityError, ChecksumMismatchError, DuplicateError, ValidationError
+from .errors import (CapacityError, ChecksumMismatchError, DuplicateError, ValidationError,
+                     check_keys, check_number)
 from .resources import ResourceDescriptor
 
 
@@ -39,21 +40,30 @@ class ExternalDataRef:
     uri: str
     size_bytes: int
     checksum: str
+    _KEYS = frozenset(("uri", "size_bytes", "checksum"))  # not a field: it has no annotation
 
     def __post_init__(self):
-        if not self.uri:
-            raise ValidationError("data ref uri must be nonempty")
+        if not isinstance(self.uri, str) or not self.uri:
+            raise ValidationError(f"data ref uri must be a nonempty string, got {self.uri!r:.200}")
         if self.size_bytes < 0:
             raise ValidationError(f"data ref {self.uri!r} has negative size")
-        if not self.checksum:
+        if not isinstance(self.checksum, str) or not self.checksum:
             raise ValidationError(f"data ref {self.uri!r} is missing a checksum")
-        parse_checksum(self.checksum)
+        try:
+            parse_checksum(self.checksum)
+        except ValueError as exc:
+            raise ValidationError(f"data ref {self.uri!r} checksum: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"uri": self.uri, "size_bytes": self.size_bytes, "checksum": self.checksum}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExternalDataRef":
+        # Catalogs hold thousands of entries: the rules run on those that do not plainly pass.
+        if type(raw) is not dict or raw.keys() != cls._KEYS:
+            check_keys("dataset", raw, cls._KEYS, cls._KEYS)
+        if type(raw["size_bytes"]) is not int:
+            check_number(f"dataset {raw['uri']!r}", "size_bytes", raw["size_bytes"])
         return cls(uri=raw["uri"], size_bytes=int(raw["size_bytes"]), checksum=raw["checksum"])
 
 

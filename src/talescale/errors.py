@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all talescale modules."""
+"""Exception hierarchy shared by all talescale modules, and the config rules."""
+
+import math
 
 
 class TalescaleError(Exception):
@@ -71,5 +73,44 @@ class InfeasiblePlanError(TalescaleError):
         self.reasons = list(reasons)
 
 
-class ConfigError(TalescaleError):
+class ConfigError(ValidationError):
     """Simulation config failed to parse or cross-references do not resolve."""
+
+
+def check_keys(section: str, raw, allowed, required=(), strings=()) -> dict:
+    """The key rule: ``raw`` is a JSON object, its keys are in ``allowed`` and
+    include ``required``, and its ``strings`` keys hold a string or null."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be an object, got {raw!r:.200}")
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(f"{section} has unknown keys {sorted(raw.keys() - allowed)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{section} is missing {sorted(k for k in required if k not in raw)}")
+    for key in strings:
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ConfigError(f"{section} {key} must be a string, got {raw[key]!r:.200}")
+    return raw
+
+
+def check_number(section: str, key: str, value, low=0, *, above=False, integer=False, infinite=False):
+    """The number rule: ``value`` is an int, or a float unless ``integer``, and
+    never a bool; it is finite unless ``infinite``, and at least ``low``, or
+    greater than it when ``above``. Returns ``value`` unchanged."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not (value > low if above else value >= low)  # NaN fails both
+            or value == math.inf and not infinite):
+        bound = f"{'greater than' if above else 'at least'} {low}, got {value!r:.200}"
+        if integer:
+            raise ConfigError(f"{section} needs an integer {key} {bound}")
+        raise ConfigError(f"{section} {key} must be a {'' if infinite else 'finite '}number {bound}")
+    return value
+
+
+def check_list(section: str, value, item=None) -> tuple:
+    """A JSON list, or a tuple, whose items are each an ``item`` if given, as a tuple."""
+    if not isinstance(value, (list, tuple)) or item and not all(isinstance(v, item) for v in value):
+        what = "a list of strings" if item is str else "a list"
+        raise ConfigError(f"{section} must be {what}, got {value!r:.200}")
+    return tuple(value)

@@ -148,8 +148,7 @@ class _JobRecord:
 class LrmMiddleware:
     def __init__(self, clock, transport, trace,
                  dialects: DialectRegistry | None = None,
-                 poll_interval_s: float = 5.0,
-                 on_transition: Callable | None = None):
+                 poll_interval_s: float = 5.0):
         if poll_interval_s <= 0:
             raise ValidationError("poll interval must be > 0")
         self.clock = clock
@@ -157,7 +156,6 @@ class LrmMiddleware:
         self.trace = trace
         self.dialects = dialects if dialects is not None else default_registry()
         self.poll_interval_s = poll_interval_s
-        self.on_transition = on_transition
         self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}
         self._records: dict[str, _JobRecord] = {}
@@ -183,9 +181,6 @@ class LrmMiddleware:
 
     def register_dialect(self, name: str, adapter) -> None:
         self.dialects.register(name, adapter)
-
-    def register_credential(self, name: str) -> None:
-        self.transport.register_credential(name)
 
     def acquire_session(self, resource: str, credential: str):
         return self.transport.acquire_session(resource, credential)
@@ -248,7 +243,7 @@ class LrmMiddleware:
 
     def add_transition_listener(self, listener: Callable) -> None:
         """Call ``listener(spec, job_id, previous, state, t)`` on every job
-        transition, after ``on_transition``."""
+        transition; listeners run in the order they were added."""
         self._transition_listeners.append(listener)
 
     def subscribe(self, handle: JobHandle | str) -> Subscription:
@@ -424,7 +419,5 @@ class LrmMiddleware:
             sub._push(state, self.clock.now)
         if state in TERMINAL_STATES:
             record.subscribers.clear()
-        if self.on_transition is not None:
-            self.on_transition(record.spec, record.job_id, previous, state, self.clock.now)
         for listener in self._transition_listeners:
             listener(record.spec, record.job_id, previous, state, self.clock.now)

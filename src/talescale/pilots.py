@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .clock import grid_after
 from .cluster import runtime_of_command
-from .errors import SessionError, TransportError, ValidationError
+from .errors import SessionError, TransportError, ValidationError, check_keys, check_number
 from .middleware import JobHandle, JobSpec, JobState, LrmMiddleware, TERMINAL_STATES
 
 
@@ -53,19 +53,22 @@ class PoolPolicy:
     credential: str = "pilot-svc"
 
     def __post_init__(self):
-        if self.min_warm < 0:
-            raise ValidationError("min_warm must be >= 0")
-        if self.max_size < self.min_warm:
+        section = f"pool on {self.resource!r}"
+        check_number(section, "min_warm", self.min_warm, integer=True)
+        if check_number(section, "max_size", self.max_size, integer=True) < self.min_warm:
             raise ValidationError("max_size must be >= min_warm")
-        if self.pilot_walltime_s <= 0:
-            raise ValidationError("pilot walltime must be > 0")
+        check_number(section, "pilot_walltime_s", self.pilot_walltime_s, above=True, infinite=True)
+        check_number(section, "pilot_nodes", self.pilot_nodes, 1, integer=True)
+        if not isinstance(self.credential, str):
+            raise ValidationError(f"{section} credential must be a string, got {self.credential!r}")
         threshold = self.min_warm if self.replenish_threshold is None else self.replenish_threshold
-        if threshold > self.min_warm:
+        if check_number(section, "replenish_threshold", threshold, integer=True) > self.min_warm:
             raise ValidationError("replenish_threshold must be <= min_warm")
         object.__setattr__(self, "replenish_threshold", threshold)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PoolPolicy":
+        check_keys("pool", raw, cls.__dataclass_fields__, ("resource",), ("resource",))
         return cls(**raw)
 
 
@@ -94,7 +97,7 @@ class PilotPool:
         self._woken = False  # the next grid tick has work, the deadline aside
         self._expires_at = math.inf  # no warm slot is past its walltime before this
         self._slot_ids = itertools.count()
-        middleware.register_credential(policy.credential)
+        middleware.transport.register_credential(policy.credential)
         middleware.add_transition_listener(self._job_changed)
         self.replenish()
         self._schedule_tick()

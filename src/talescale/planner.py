@@ -38,7 +38,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .dms import DatasetCatalog, ExternalDataRef, StagingAction, resolve_local
-from .errors import InfeasiblePlanError, ValidationError
+from .errors import InfeasiblePlanError, ValidationError, check_keys, check_list, check_number
 from .resources import ResourceDescriptor
 
 
@@ -65,20 +65,16 @@ class WorkloadRequirements:
     dataset_uris: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.min_nodes < 1:
-            raise ValidationError("min_nodes must be >= 1")
+        check_number("requirements", "min_nodes", self.min_nodes, 1, integer=True)
         if self.needs_mpi and not self.needs_hpc:
             raise ValidationError("needs_mpi implies needs_hpc")
         object.__setattr__(self, "dataset_uris", frozenset(self.dataset_uris))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "WorkloadRequirements":
-        return cls(
-            needs_hpc=bool(raw.get("needs_hpc", False)),
-            needs_mpi=bool(raw.get("needs_mpi", False)),
-            min_nodes=int(raw.get("min_nodes", 1)),
-            dataset_uris=frozenset(raw.get("dataset_uris", [])),
-        )
+        check_keys("requirements", raw, cls.__dataclass_fields__)
+        check_list("requirements dataset_uris", raw.get("dataset_uris", ()), str)
+        return cls(**raw)
 
 
 @dataclass(frozen=True)

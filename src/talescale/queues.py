@@ -12,9 +12,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, check_list, check_number
 
-DISTRIBUTIONS = ("fixed", "uniform", "exponential")
+# Each distribution's required parameters, and whether each must be above 0 (else at least 0).
+DISTRIBUTIONS = {"fixed": {"value": False}, "uniform": {"low": False, "high": False},
+                 "exponential": {"mean": True}}
 MAINTENANCE_POLICIES = ("hold", "fail")
 
 
@@ -35,23 +37,20 @@ class QueueModel:
             raise ConfigError(f"unknown queue distribution {self.distribution!r}")
         if self.maintenance_policy not in MAINTENANCE_POLICIES:
             raise ConfigError(f"unknown maintenance policy {self.maintenance_policy!r}")
-        for window in self.maintenance_windows:
-            if len(window) != 2 or window[0] > window[1]:
+        windows = tuple(check_list("queue maintenance window", w)
+                        for w in check_list("queue maintenance_windows", self.maintenance_windows))
+        for window in windows:
+            if len(window) != 2 or (check_number("queue maintenance window", "start", window[0])
+                                    > check_number("queue maintenance window", "end", window[1])):
                 raise ConfigError(f"malformed maintenance window {window!r}")
-        self._check_params()
-
-    def _check_params(self):
-        p = self.params
-        if self.distribution == "fixed":
-            if not p.get("value", -1) >= 0:  # NaN too
-                raise ConfigError("fixed queue wait must be >= 0")
-        elif self.distribution == "uniform":
-            low, high = p.get("low", -1), p.get("high", -1)
-            if not (0 <= low <= high):
-                raise ConfigError("uniform queue wait needs 0 <= low <= high")
-        elif self.distribution == "exponential":
-            if not p.get("mean", -1) > 0:  # NaN too
-                raise ConfigError("exponential queue wait needs mean > 0")
+        object.__setattr__(self, "maintenance_windows", windows)
+        params = DISTRIBUTIONS[self.distribution]
+        check_keys(f"{self.distribution} queue params", self.params, params, params)
+        for key, above in params.items():
+            check_number(f"{self.distribution} queue params", key, self.params[key], above=above)
+        if self.distribution == "uniform" and self.params["low"] > self.params["high"]:
+            raise ConfigError("uniform queue wait needs low <= high")
+        check_number("queue", "default_runtime_s", self.default_runtime_s)
 
     def expected_wait(self) -> float:
         """Analytic mean of the configured distribution (0 under reservation)."""
@@ -89,17 +88,13 @@ class QueueModel:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "QueueModel":
-        known = {
-            "distribution", "params", "seed", "reservation",
-            "maintenance_windows", "maintenance_policy", "default_runtime_s",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown queue model keys: {sorted(unknown)}")
-        raw = dict(raw)
-        if "maintenance_windows" in raw:
-            raw["maintenance_windows"] = tuple(tuple(w) for w in raw["maintenance_windows"])
+        check_keys("queue", raw, cls.__dataclass_fields__, strings=("distribution", "maintenance_policy"))
         return cls(**raw)
+
+
+def queues_by_name(raw) -> dict[str, QueueModel]:
+    """Parse a config's ``queues`` object, whose keys are free queue names."""
+    return {name: QueueModel.from_dict(q) for name, q in check_keys("queues", raw, raw).items()}
 
 
 def adjust_for_maintenance(qm: QueueModel, submit_time: float, sampled: float) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_keys, check_list, check_number
 from .queues import QueueModel
 
 RESOURCE_KINDS = ("wt_cluster", "hpc_cluster", "cloud")
@@ -45,8 +45,7 @@ class ResourceDescriptor:
             raise ValidationError(f"unknown lrm {self.lrm!r}")
         if self.dataset_interface not in DATASET_INTERFACES:
             raise ValidationError(f"unknown dataset interface {self.dataset_interface!r}")
-        if self.node_count < 1:
-            raise ValidationError("node_count must be >= 1")
+        check_number(f"resource {self.name!r}", "node_count", self.node_count, 1, integer=True)
         if self.kind == "wt_cluster" and (self.lrm != "none" or not self.allows_incoming_connections):
             raise ValidationError("wt_cluster must have lrm=none and allow incoming connections")
         if self.lrm == "batch" and self.dialect is None:
@@ -59,12 +58,14 @@ class ResourceDescriptor:
 
     @classmethod
     def from_dict(cls, raw: dict, queues: dict[str, QueueModel] | None = None) -> "ResourceDescriptor":
+        check_keys("resource", raw, cls.__dataclass_fields__.keys() | {"queue"}, ("name", "kind"),
+                   ("name", "kind", "lrm", "dataset_interface", "dialect", "queue"))
         raw = dict(raw)
         queue_name = raw.pop("queue", None)
         if "local_datasets" in raw:
-            raw["local_datasets"] = frozenset(raw["local_datasets"])
+            check_list(f"resource {raw['name']!r} local_datasets", raw["local_datasets"], str)
         qm = raw.pop("queue_model", None)
-        if isinstance(qm, dict):
+        if qm is not None and not isinstance(qm, QueueModel):
             qm = QueueModel.from_dict(qm)
         if queue_name is not None:
             if queues is None or queue_name not in (queues or {}):
@@ -72,10 +73,7 @@ class ResourceDescriptor:
                     f"resource {raw.get('name')!r} references unknown queue {queue_name!r}"
                 )
             qm = queues[queue_name]
-        try:
-            return cls(queue_model=qm, **raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad resource entry {raw.get('name')!r}: {exc}") from exc
+        return cls(queue_model=qm, **raw)
 
     def to_dict(self) -> dict:
         return {
@@ -99,7 +97,7 @@ def resources_by_name(entries, queues: dict[str, QueueModel]) -> dict[str, Resou
     A ``queue`` entry names one of ``queues``.
     """
     resources: dict[str, ResourceDescriptor] = {}
-    for raw in entries:
+    for raw in check_list("resources", entries):
         rd = ResourceDescriptor.from_dict(raw, queues=queues)
         if rd.name in resources:
             raise ConfigError(f"duplicate resource name {rd.name!r}")

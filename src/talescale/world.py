@@ -19,12 +19,12 @@ from pathlib import Path
 from .clock import SimClock
 from .cluster import SimulatedLrm
 from .dms import DatasetCatalog, DmsCache, ExternalDataRef, StagingKind
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_keys, check_list, check_number
 from .metrics import ScenarioMetrics
 from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
 from .proxy import ProxyRegistry, SimulatedNetwork
-from .queues import QueueModel
+from .queues import QueueModel, queues_by_name
 from .resources import ResourceDescriptor, resources_by_name
 from .tale import ProvenanceKind, Tale, record_provenance
 from .trace import TraceLog
@@ -41,21 +41,8 @@ _ACTIONS = {
     "cancel": ({"job_index"}, {"job_index"}),
 }
 
-_INTEGER_KEYS = ("count", "job_index", "node_count")
-
-_KNOWN_SECTIONS = {"resources", "queues", "pools", "cache", "scenario"}
-
-# Numeric scenario keys: each is a finite number, at least 0, and the poll
-# interval above 0. ``idle_ttl_s`` may also be null: sessions never lapse.
-_SCENARIO_NUMBERS = ("image_load_s", "poll_interval_s", "idle_ttl_s", "transport_rtt_s",
-                     "handshake_s", "dispatch_overhead_s")
-
-
-def _is_finite_number(value) -> bool:
-    """An int or a finite float; a bool is not a number here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
+# Each scenario op's numeric keys: their lower bounds, and whether they are integers.
+_NUMBERS = {"count": (0, True), "job_index": (0, True), "node_count": (1, True), "spacing": (0, False)}
 
 
 @dataclass(frozen=True)
@@ -69,31 +56,21 @@ class ScenarioConfig:
     credentials: tuple[str, ...] = ("user",)
     actions: tuple[dict, ...] = ()
 
+    def __post_init__(self):
+        check_number("scenario", "image_load_s", self.image_load_s)
+        check_number("scenario", "poll_interval_s", self.poll_interval_s, above=True)
+        if self.idle_ttl_s is not None:  # null: sessions never lapse
+            check_number("scenario", "idle_ttl_s", self.idle_ttl_s)
+        check_number("scenario", "transport_rtt_s", self.transport_rtt_s)
+        check_number("scenario", "handshake_s", self.handshake_s)
+        check_number("scenario", "dispatch_overhead_s", self.dispatch_overhead_s)
+        object.__setattr__(self, "credentials",
+                           check_list("scenario credentials", self.credentials, str))
+        object.__setattr__(self, "actions", check_list("scenario actions", self.actions))
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        raw = dict(raw)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in _SCENARIO_NUMBERS:
-            if key not in raw or (key == "idle_ttl_s" and raw[key] is None):
-                continue
-            value = raw[key]
-            positive = key == "poll_interval_s"
-            if not (_is_finite_number(value) and (value > 0 if positive else value >= 0)):
-                bound = "greater than 0" if positive else "at least 0"
-                raise ConfigError(f"scenario {key} must be a finite number {bound}, got {value!r}")
-        if "credentials" in raw:
-            credentials = raw["credentials"]
-            if (not isinstance(credentials, (list, tuple))
-                    or not all(isinstance(c, str) for c in credentials)):
-                raise ConfigError(f"scenario credentials must be a list of strings, "
-                                  f"got {credentials!r}")
-            raw["credentials"] = tuple(credentials)
-        if "actions" in raw:
-            raw["actions"] = tuple(raw["actions"])
-        return cls(**raw)
+        return cls(**check_keys("scenario", raw, cls.__dataclass_fields__))
 
 
 @dataclass
@@ -111,27 +88,21 @@ class WorldConfig:
         return list(self.resources.values())
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} does not parse: {exc}") from exc
+
+
 def load_config(source) -> WorldConfig:
     """Parse and cross-validate a simulation config (path, str or dict)."""
-    if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {source}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config does not parse: {exc}") from exc
-    else:
-        raw = source
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(raw) - _KNOWN_SECTIONS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    queues = {}
-    for name, qraw in raw.get("queues", {}).items():
-        queues[name] = QueueModel.from_dict(qraw)
-
+    raw = read_json(source) if isinstance(source, (str, Path)) else source
+    check_keys("config", raw, ("resources", "queues", "pools", "cache", "scenario"))
+    queues = queues_by_name(raw.get("queues", {}))
     resources = resources_by_name(raw.get("resources", []), queues)
     for rd in resources.values():
         if rd.is_batch and rd.queue_model is None:
@@ -140,11 +111,8 @@ def load_config(source) -> WorldConfig:
         raise ConfigError("config declares no resources")
 
     pools = []
-    for praw in raw.get("pools", []):
-        try:
-            policy = PoolPolicy.from_dict(praw)
-        except (TypeError, ValidationError) as exc:
-            raise ConfigError(f"bad pool policy {praw!r}: {exc}") from exc
+    for praw in check_list("pools", raw.get("pools", ())):
+        policy = PoolPolicy.from_dict(praw)
         if policy.resource not in resources:
             raise ConfigError(
                 f"pool policy references unknown resource {policy.resource!r}"
@@ -153,12 +121,13 @@ def load_config(source) -> WorldConfig:
             raise ConfigError(f"pool resource {policy.resource!r} has no batch LRM")
         pools.append(policy)
 
-    cache_raw = dict(raw.get("cache", {}))
-    datasets = [ExternalDataRef.from_dict(d) for d in cache_raw.pop("datasets", [])]
-    capacity = int(cache_raw.pop("capacity_bytes", 10 ** 12))
-    bandwidth = float(cache_raw.pop("bandwidth_bytes_per_s", 10 ** 8))
-    if cache_raw:
-        raise ConfigError(f"unknown cache keys: {sorted(cache_raw)}")
+    cache = check_keys("cache", raw.get("cache", {}),
+                       ("capacity_bytes", "bandwidth_bytes_per_s", "datasets"))
+    datasets = [ExternalDataRef.from_dict(d)
+                for d in check_list("cache datasets", cache.get("datasets", ()))]
+    capacity = int(check_number("cache", "capacity_bytes", cache.get("capacity_bytes", 10 ** 12)))
+    bandwidth = float(check_number("cache", "bandwidth_bytes_per_s",
+                                   cache.get("bandwidth_bytes_per_s", 10 ** 8), above=True))
 
     scenario = ScenarioConfig.from_dict(raw.get("scenario", {}))
     known_uris = {d.uri for d in datasets}
@@ -174,22 +143,19 @@ def load_config(source) -> WorldConfig:
 
 def _check_action(action, resources, known_uris) -> None:
     """Reject a scenario action that ``World._run_action`` could not run."""
-    if not isinstance(action, dict):
-        raise ConfigError(f"scenario action must be an object, got {action!r}")
-    op = action.get("op")
+    op = check_keys("scenario action", action, action, strings=("op",)).get("op")
     if op not in _ACTIONS:
         raise ConfigError(f"unknown scenario op {op!r}")
     required, accepted = _ACTIONS[op]
-    unknown = set(action) - accepted - {"op", "t"}
-    if unknown:
-        raise ConfigError(f"scenario op {op!r} has unknown keys {sorted(unknown)}")
-    missing = sorted(required - set(action))
-    if missing:
-        raise ConfigError(f"scenario op {op!r} is missing {missing}")
-    for key in _INTEGER_KEYS:
-        value = action.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"scenario op {op!r} needs an integer {key}, got {value!r}")
+    section = f"scenario op {op!r}"
+    check_keys(section, action, accepted | {"op", "t"}, required,
+               ("resource", "uri", "credential", "tale_id"))
+    for key, (low, integer) in _NUMBERS.items():
+        if key in action:
+            check_number(section, key, action[key], low, integer=integer)
+    for key in ("command", "uris"):
+        if key in action:
+            check_list(f"{section} {key}", action[key], str)
     try:
         t = float(action.get("t", 0.0))
     except (TypeError, ValueError):
@@ -218,10 +184,9 @@ class World:
             self.clock, self.trace, rtt_s=sc.transport_rtt_s,
             handshake_s=sc.handshake_s, idle_ttl_s=sc.idle_ttl_s,
         )
-        self.middleware = LrmMiddleware(
-            self.clock, self.transport, self.trace,
-            poll_interval_s=sc.poll_interval_s, on_transition=self._on_transition,
-        )
+        self.middleware = LrmMiddleware(self.clock, self.transport, self.trace,
+                                        poll_interval_s=sc.poll_interval_s)
+        self.middleware.add_transition_listener(self._on_transition)
         self.clusters: dict[str, SimulatedLrm] = {}
         for rd in config.resources.values():
             self.middleware.register_resource(rd)

@@ -403,3 +403,135 @@ class TestExitCodes:
 
     def test_unknown_command_is_exit_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+# One batch resource with a fixed queue, one pool and one dataset, and one
+# submit_jobs action: each case below breaks one value of it.
+def _sim_base():
+    return {
+        "resources": [{"name": "r", "kind": "hpc_cluster", "lrm": "batch",
+                       "allows_incoming_connections": False, "node_count": 2, "queue": "q"}],
+        "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+        "pools": [{"resource": "r", "min_warm": 1, "max_size": 2}],
+        "cache": {"datasets": [{"uri": "doi:x", "size_bytes": 10, "checksum": "sha256:00"}]},
+        "scenario": {"actions": [{"op": "submit_jobs", "t": 0.0, "resource": "r"}]},
+    }
+
+
+def _queue(raw):
+    return lambda c: c["queues"].__setitem__("q", raw)
+
+
+def _cache(key, value):
+    return lambda c: c["cache"].__setitem__(key, value)
+
+
+def _dataset(**change):
+    return lambda c: c["cache"]["datasets"][0].update(change)
+
+
+MALFORMED_CONFIGS = {
+    # exit 2 before the config rules
+    "params_value_string": (_queue({"distribution": "fixed", "params": {"value": "5"}}),
+                            ["fixed queue params", "value", "'5'"]),
+    "params_mean_infinite": (_queue({"distribution": "exponential",
+                                     "params": {"mean": float("inf")}}),
+                             ["exponential queue params", "mean", "inf"]),
+    "params_uniform_string": (_queue({"distribution": "uniform",
+                                      "params": {"low": "1", "high": 2}}),
+                              ["uniform queue params", "low", "'1'"]),
+    "window_strings": (_queue({"distribution": "fixed", "params": {"value": 1.0},
+                               "maintenance_windows": [["a", "b"]]}),
+                       ["queue maintenance window", "start", "'a'"]),
+    "scenario_string": (lambda c: c.__setitem__("scenario", "x"),
+                        ["scenario must be an object"]),
+    "queues_list": (lambda c: c.__setitem__("queues", []), ["queues must be an object"]),
+    "queue_number": (_queue(5), ["queue must be an object", "5"]),
+    "resources_object": (lambda c: c.__setitem__("resources", {"a": 1}),
+                         ["resources must be a list"]),
+    "resource_number": (lambda c: c.__setitem__("resources", [5]),
+                        ["resource must be an object", "5"]),
+    "cache_string": (lambda c: c.__setitem__("cache", "x"), ["cache must be an object"]),
+    "cache_capacity_string": (_cache("capacity_bytes", "big"),
+                              ["cache capacity_bytes", "'big'"]),
+    "dataset_without_size": (lambda c: c["cache"]["datasets"][0].pop("size_bytes"),
+                             ["dataset is missing", "size_bytes"]),
+    "dataset_checksum_malformed": (_dataset(checksum="abc"), ["doi:x", "checksum", "'abc'"]),
+    "actions_number": (lambda c: c["scenario"].__setitem__("actions", 5),
+                       ["scenario actions must be a list", "5"]),
+    # loaded without a word before the config rules
+    "params_value_infinite": (_queue({"distribution": "fixed",
+                                      "params": {"value": float("inf")}}),
+                              ["fixed queue params", "value", "inf"]),
+    "default_runtime_string": (_queue({"distribution": "fixed", "params": {"value": 1.0},
+                                       "default_runtime_s": "60"}),
+                               ["queue", "default_runtime_s", "'60'"]),
+    "dataset_unknown_key": (_dataset(colour="red"), ["dataset has unknown keys", "colour"]),
+    "local_datasets_string": (lambda c: c["resources"][0].__setitem__("local_datasets", "abc"),
+                              ["resource 'r'", "local_datasets", "list of strings"]),
+    "node_count_fraction": (lambda c: c["resources"][0].__setitem__("node_count", 2.5),
+                            ["resource 'r'", "integer node_count", "2.5"]),
+    "min_warm_fraction": (lambda c: c["pools"][0].__setitem__("min_warm", 1.5),
+                          ["pool on 'r'", "integer min_warm", "1.5"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CONFIGS))
+def test_malformed_config_exits_one_naming_section_and_key(tmp_path, capsys, name):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(_sim_base()))
+    assert main(["sim", "run", "--config", str(base), "--horizon", "100"]) == 0
+    capsys.readouterr()
+    breaks, words = MALFORMED_CONFIGS[name]
+    config = _sim_base()
+    breaks(config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))  # infinity is written as the bare token Infinity
+    assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    for word in words:
+        assert word in captured.err
+    assert captured.out == ""
+
+
+class TestMalformedInputs:
+    """``plan`` and ``tale create`` read their input files through the config
+    rules: a malformed file exits 1 and names what is wrong."""
+
+    def plan(self, tmp_path, inventory, requirements):
+        inv, req = tmp_path / "inv.json", tmp_path / "req.json"
+        inv.write_text(json.dumps(inventory))
+        req.write_text(json.dumps(requirements))
+        return main(["plan", "--inventory", str(inv), "--requirements", str(req)])
+
+    def test_inventory_without_resources(self, tmp_path, capsys):
+        assert self.plan(tmp_path, {"queues": {}}, {}) == 1
+        assert "inventory is missing ['resources']" in capsys.readouterr().err
+
+    def test_inventory_queue_mean_string(self, tmp_path, capsys):
+        inventory = {"queues": {"q": {"distribution": "exponential", "params": {"mean": "600"}}},
+                     "resources": [{"name": "h", "kind": "hpc_cluster", "lrm": "batch",
+                                    "allows_incoming_connections": False, "queue": "q"}]}
+        assert self.plan(tmp_path, inventory, {}) == 1
+        assert "exponential queue params mean must be a finite number" in capsys.readouterr().err
+
+    def test_requirements_min_nodes_string(self, tmp_path, capsys):
+        inventory = [{"name": "c", "kind": "cloud", "lrm": "none"}]
+        assert self.plan(tmp_path, inventory, {"min_nodes": "x"}) == 1
+        assert "requirements needs an integer min_nodes" in capsys.readouterr().err
+
+    def test_inputs_that_are_not_json(self, tmp_path, capsys):
+        inv = tmp_path / "inv.json"
+        inv.write_text("{not json")
+        assert main(["plan", "--inventory", str(inv), "--requirements", str(inv)]) == 1
+        assert "does not parse" in capsys.readouterr().err
+
+    def test_data_manifest_checksum_malformed(self, ws, tmp_path, capsys):
+        manifest = tmp_path / "data.json"
+        manifest.write_text(json.dumps([{"uri": "doi:x", "size_bytes": 1, "checksum": "abc"}]))
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     "--data-manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert "data ref 'doi:x' checksum: malformed checksum 'abc'" in captured.err
+        assert captured.out == ""

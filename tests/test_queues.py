@@ -75,6 +75,20 @@ def test_reservation_still_respects_maintenance():
     {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [[5, 1]]},
     {"distribution": "fixed", "params": {"value": float("nan")}},
     {"distribution": "exponential", "params": {"mean": float("nan")}},
+    {"distribution": "fixed", "params": {"value": "5"}},
+    {"distribution": "exponential", "params": {"mean": float("inf")}},
+    {"distribution": "uniform", "params": {"low": "1", "high": 2}},
+    {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [["a", "b"]]},
+    {"distribution": "fixed", "params": {"value": float("inf")}},
+    {"distribution": "fixed", "params": {"value": 0}, "default_runtime_s": "60"},
+    {"distribution": "fixed", "params": {"value": 0, "mean": 5}},
+    {"distribution": "uniform", "params": {"low": 1}},
+    {"distribution": "fixed", "params": {"value": True}},
+    {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [[1, 2, 3]]},
+    {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [5]},
+    {"distribution": "fixed", "params": {"value": 0}, "maintenance_windows": [[0, float("inf")]]},
+    {"distribution": ["fixed"], "params": {"value": 0}},
+    5,
 ])
 def test_bad_queue_configs_rejected(raw):
     with pytest.raises(ConfigError):

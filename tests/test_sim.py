@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 import pytest
 
 from talescale.digest import digest_bytes
-from talescale.errors import ConfigError, ValidationError
+from talescale.errors import ConfigError, TalescaleError, ValidationError
 from talescale.measure import launch_frontend
 from talescale.metrics import ReportRow, ReportTable, emit_report, parse_report
 from talescale.middleware import JobSpec, JobState
@@ -128,6 +129,93 @@ class TestLoadConfig:
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+
+# A config that uses every section, key and scenario op. The sweep below puts
+# each odd JSON value in place of each part of it in turn.
+FULL_CONFIG = {
+    "resources": [
+        {"name": "wt-1", "kind": "wt_cluster", "lrm": "none", "allows_incoming_connections": True},
+        {"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "queue": "q",
+         "allows_incoming_connections": False, "node_count": 8, "mpi_capable": True,
+         "dialect": "sim-slurm", "local_datasets": ["doi:a"], "dataset_interface": "posix",
+         "no_proxy": False, "can_compile": True},
+        {"name": "hpc-2", "kind": "hpc_cluster", "lrm": "batch",
+         "allows_incoming_connections": False, "node_count": 4,
+         "queue_model": {"distribution": "uniform", "params": {"low": 1, "high": 5}}},
+    ],
+    "queues": {"q": {"distribution": "exponential", "params": {"mean": 20.0}, "seed": 3,
+                     "reservation": False, "maintenance_windows": [[50, 60]],
+                     "maintenance_policy": "hold", "default_runtime_s": 30}},
+    "pools": [{"resource": "hpc-1", "min_warm": 1, "max_size": 2, "pilot_walltime_s": 60,
+               "replenish_threshold": 1, "pilot_nodes": 1, "credential": "svc"}],
+    "cache": {"capacity_bytes": 10000, "bandwidth_bytes_per_s": 100.0,
+              "datasets": [{"uri": "doi:a", "size_bytes": 100, "checksum": "sha256:00"},
+                           {"uri": "doi:b", "size_bytes": 200, "checksum": "sha256:01"}]},
+    "scenario": {"image_load_s": 8, "poll_interval_s": 5, "idle_ttl_s": 300,
+                 "transport_rtt_s": 0.05, "handshake_s": 0.5, "dispatch_overhead_s": 0.2,
+                 "credentials": ["user", "bob"],
+                 "actions": [
+                     {"op": "submit_jobs", "t": 0, "resource": "hpc-1", "count": 2,
+                      "spacing": 1, "command": ["sleep", "5"], "credential": "user",
+                      "tale_id": "t1", "node_count": 1, "mpi": False},
+                     {"op": "workload", "t": 2, "resource": "hpc-1", "via_pool": True},
+                     {"op": "open_dataset", "t": 3, "uri": "doi:b"},
+                     {"op": "prefetch", "t": 4, "uris": ["doi:a"]},
+                     {"op": "cancel", "t": 5, "job_index": 0},
+                 ]},
+}
+
+ODD_VALUES = ["x", "", -1, 0, 2.5, True, None, [], {}, [["a", "b"]], [1], {"a": 1},
+              float("inf"), float("nan")]
+
+
+def _parts(node, path=()):
+    """The path of every section, list item and value in ``node``."""
+    if path:
+        yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _parts(child, path + (key,))
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+# The simulated LRM reads a job's runtime from its command with float(); a
+# command whose argument is not a number fails the run with a ValueError.
+_SLEEP_ARGUMENT = ("scenario", "actions", 0, "command", 1)
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(path, marks=pytest.mark.xfail(raises=ValueError, strict=True))
+    if path == _SLEEP_ARGUMENT else path
+    for path in _parts(FULL_CONFIG)], ids=lambda path: "/".join(map(str, path)))
+def test_odd_value_anywhere_is_rejected_or_runs(path):
+    """No value in any place makes loading or running fail other than with a
+    TalescaleError: a malformed config never reaches an internal error."""
+    World(load_config(FULL_CONFIG), 0).run(100.0)
+    for value in ODD_VALUES:
+        config = copy.deepcopy(FULL_CONFIG)
+        _at(config, path[:-1])[path[-1]] = value
+        try:
+            World(load_config(config), 0).run(100.0)
+        except TalescaleError:
+            pass
+
+
+@pytest.mark.parametrize("path", [()] + [
+    path for path in _parts(FULL_CONFIG)
+    if isinstance(_at(FULL_CONFIG, path), dict) and path != ("queues",)],
+    ids=lambda path: "/".join(map(str, path)) or "root")
+def test_unknown_key_anywhere_rejected(path):
+    config = copy.deepcopy(FULL_CONFIG)
+    _at(config, path)["colour"] = "red"
+    with pytest.raises(ConfigError, match="unknown keys \\['colour'\\]"):
+        load_config(config)
 
 
 # A pooled soak: pilots with a 300 s walltime cycle through an exponential
