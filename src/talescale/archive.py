@@ -51,8 +51,8 @@ import zlib
 from dataclasses import replace
 
 from .digest import DEFAULT_ALGO, digest_bytes, parse as parse_checksum
-from .errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError
-from .tale import CodeArtifact, ProvenanceEvent, ProvenanceKind, Tale
+from .errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError, check_keys
+from .tale import CodeArtifact, ProvenanceKind, Tale
 
 FORMAT_VERSION = 1
 
@@ -170,6 +170,40 @@ def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
     return actual
 
 
+def _entry(zf: zipfile.ZipFile, name: str) -> bytes:
+    try:
+        return zf.read(name)
+    except KeyError:
+        raise ValidationError(f"archive is missing {name}") from None
+    # bad CRC, header or deflate stream; unknown compression method; encrypted
+    except (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError) as exc:
+        raise ValidationError(f"archive entry {name} is corrupt: {exc}") from None
+
+
+def _member(zf: zipfile.ZipFile, member: str, read, lines: bool = False):
+    """``read`` of the JSON in archive ``member``, or of the list of its JSON
+    lines; a member that does not decode, or that ``read`` rejects, is a
+    ValidationError that names it."""
+    data = _entry(zf, member)
+    try:
+        raw = ([json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
+               if lines else json.loads(data))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{member} does not parse: {exc}") from None
+    try:
+        return read(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{member}: {exc}") from None
+
+
+def _read_tale(raw) -> Tale:
+    """The tale in ``tale.json``, whose ``format_version`` must be this code's."""
+    version = check_keys("tale", raw, raw).get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatVersionError(f"unsupported tale format version {version!r}, expected {FORMAT_VERSION}")
+    return Tale.from_dict({key: value for key, value in raw.items() if key != "format_version"})
+
+
 def export_tale(tale: Tale, workspace_root) -> bytes:
     """Serialize a validated Tale plus its workspace files to archive bytes."""
     problems = tale.validate()
@@ -191,12 +225,9 @@ def export_tale(tale: Tale, workspace_root) -> bytes:
     _in_runs(pack, len(refs))
     entries = {_WORKSPACE + a.path: entry for a, entry in zip(refs, packed)}
 
-    meta = Tale(
-        id=tale.id, title=tale.title, code_refs=tuple(artifacts),
-        data_refs=tale.data_refs, env_spec=tale.env_spec, packaging=tale.packaging,
-    ).to_dict()
+    meta = replace(tale, code_refs=tuple(artifacts)).to_dict()
     meta["format_version"] = FORMAT_VERSION
-    meta.pop("data_refs")
+    del meta["data_refs"], meta["provenance"]
     entries[_TALE_JSON] = _deflated(_json_bytes(meta))
     entries[_DATA_MANIFEST] = _deflated(_json_bytes([r.to_dict() for r in tale.data_refs]))
 
@@ -217,28 +248,14 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
         zf = zipfile.ZipFile(io.BytesIO(archive))
     except zipfile.BadZipFile as exc:
         raise ValidationError(f"not a tale archive: {exc}") from exc
-    names = set(zf.namelist())
-    for required in (_TALE_JSON, _DATA_MANIFEST, _EVENTS):
-        if required not in names:
-            raise ValidationError(f"archive is missing {required}")
-
-    meta = json.loads(zf.read(_TALE_JSON))
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise FormatVersionError(f"unsupported tale format version {version!r}, expected {FORMAT_VERSION}")
-    meta["data_refs"] = json.loads(zf.read(_DATA_MANIFEST))
-
-    events = []
-    raw_events = zf.read(_EVENTS).decode("utf-8")
-    for line in raw_events.splitlines():
-        if line.strip():
-            events.append(ProvenanceEvent.from_dict(json.loads(line)))
-
-    tale = Tale.from_dict(meta, provenance=events)
+    tale = _member(zf, _TALE_JSON, _read_tale)
+    tale = _member(zf, _DATA_MANIFEST, lambda refs: replace(tale, data_refs=refs))
+    tale = _member(zf, _EVENTS, lambda events: replace(tale, provenance=events), lines=True)
     problems = tale.validate()
     if problems:
         raise ValidationError("archive reconstructs an invalid tale: " + "; ".join(problems))
 
+    names = set(zf.namelist())
     refs = tale.code_refs
     for artifact in refs:
         if _WORKSPACE + artifact.path not in names:
@@ -255,7 +272,7 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
         reader = zf if run.start == 0 else zipfile.ZipFile(io.BytesIO(archive))
         for i in run:
             artifact = refs[i]
-            data = reader.read(_WORKSPACE + artifact.path)
+            data = _entry(reader, _WORKSPACE + artifact.path)
             checked_digest(artifact, data)
             if dest is not None:
                 with open(os.path.join(dest, artifact.path), "wb") as f:
@@ -263,6 +280,6 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
 
     _in_runs(extract, len(refs))
     tale.provenance.append(tale.next_event(
-        ProvenanceKind.IMPORTED, {"format_version": version}, timestamp=now,
+        ProvenanceKind.IMPORTED, {"format_version": FORMAT_VERSION}, timestamp=now,
     ))
     return tale

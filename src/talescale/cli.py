@@ -19,13 +19,13 @@ from . import archive as archive_mod
 from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
 from .errors import (ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError,
-                     check_keys, check_list)
+                     check_choice, check_keys, check_list, check_number)
 from .metrics import ReportRow, ReportTable, emit_report
 from .middleware import JobSpec
 from .planner import WorkloadRequirements, plan_placement
 from .queues import queues_by_name
 from .resources import resources_by_name
-from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, ProvenanceEvent, Tale, create_tale
+from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, Tale, create_tale
 from .world import World, load_config, read_json
 
 TALE_META = ".tale/tale.json"
@@ -68,16 +68,16 @@ def _scan_workspace(root: Path, exes: tuple[str, ...], libs: tuple[str, ...],
 
 
 def _load_tale_meta(path: Path) -> Tale:
-    raw = json.loads(path.read_text())
-    events = [ProvenanceEvent.from_dict(e) for e in raw.pop("provenance", [])]
-    return Tale.from_dict(raw, provenance=events)
+    raw = read_json(path)
+    try:
+        return Tale.from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _save_tale_meta(tale_obj: Tale, path: Path) -> None:
-    raw = tale_obj.to_dict()
-    raw["provenance"] = [e.to_dict() for e in tale_obj.provenance]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(tale_obj.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 @tale.command("create")
@@ -278,10 +278,26 @@ def job():
     """
 
 
+# Each session op kind's required keys and every key it accepts, beside "kind" and "t".
+_SESSION_OPS = {"submit": ({"resource", "command"}, {"resource", "command", "credential"}),
+                "cancel": ({"id"}, {"id"})}
+
+
 def _session_load(path: Path) -> dict:
-    if path.exists():
-        return json.loads(path.read_text())
-    return {"seed": 0, "now": 0.0, "ops": []}
+    if not path.exists():
+        return {"seed": 0, "now": 0.0, "ops": []}
+    session = check_keys("session", read_json(path), ("seed", "now", "ops"), ("now", "ops"))
+    check_number("session", "seed", session.get("seed", 0), integer=True)
+    check_number("session", "now", session["now"])
+    for op in check_list("session ops", session["ops"]):
+        kind = check_choice("session op", "kind", check_keys("session op", op, op).get("kind"), _SESSION_OPS)
+        required, accepted = _SESSION_OPS[kind]
+        check_keys(f"session {kind} op", op, accepted | {"kind", "t"}, required | {"t"},
+                   ("resource", "credential", "id"))
+        check_number(f"session {kind} op", "t", op["t"])
+        if kind == "submit":
+            check_list("session submit op command", op["command"], str)
+    return session
 
 def _session_save(path: Path, session: dict) -> None:
     path.write_text(json.dumps(session, sort_keys=True, indent=2) + "\n")
@@ -333,8 +349,12 @@ def _with_session_opts(fn):
 @click.option("--credential", default="user")
 def job_submit(config_path, session_path, fmt, resource, command_str, credential):
     session = _session_load(Path(session_path))
+    try:
+        command = shlex.split(command_str)
+    except ValueError as exc:
+        raise ValidationError(f"--command does not parse: {exc}") from None
     op = {"kind": "submit", "t": session["now"], "resource": resource,
-          "command": shlex.split(command_str), "credential": credential}
+          "command": command, "credential": credential}
     session["ops"].append(op)
     world, results = _session_replay(config_path, session)
     handle = results[-1]

@@ -33,6 +33,7 @@ quotes, and shlex would only drop its quote characters.
 
 from __future__ import annotations
 
+import math
 import re
 import shlex
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from itertools import filterfalse
 from operator import attrgetter, methodcaller
 
 from .dialects import PBS_KILL_EXIT, SimSlurmAdapter
-from .errors import TransportError
+from .errors import TransportError, ValidationError
 from .queues import QueueModel, adjust_for_maintenance
 from .resources import ResourceDescriptor
 
@@ -64,20 +65,35 @@ def _argv(payload: str) -> list[str]:
     return shlex.split(payload)
 
 
+def _runtime(word) -> float:
+    try:
+        runtime = float(word)
+    except (TypeError, ValueError):
+        runtime = math.nan
+    if not runtime >= 0:  # NaN too; an infinite runtime never ends
+        raise ValidationError(f"job command runtime must be a number at least 0, got {word!r:.200}")
+    return runtime
+
+
 def runtime_of_command(command: list[str] | tuple[str, ...], default_runtime_s: float) -> tuple[float, int]:
-    """(runtime seconds, exit code) implied by a job command."""
-    command = list(command)
+    """(runtime seconds, exit code) implied by a job command; a runtime that is
+    not a number at least 0, or an exit code that is not an integer, is a
+    ValidationError."""
     if not command:
         return default_runtime_s, 0
     head = command[0]
     if head == "sleep" and len(command) > 1:
-        return float(command[1]), 0
+        return _runtime(command[1]), 0
     if head == "fail":
-        runtime = float(command[1]) if len(command) > 1 else default_runtime_s
-        code = int(command[2]) if len(command) > 2 else 1
+        runtime = _runtime(command[1]) if len(command) > 1 else default_runtime_s
+        try:
+            code = int(command[2]) if len(command) > 2 else 1
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"job command exit code must be an integer, got {command[2]!r:.200}") from None
         return runtime, code
     if head == "pilot-shim" and len(command) > 1:
-        return float(command[1]), 0
+        return _runtime(command[1]), 0
     if head == "frontend":
         return FRONTEND_RUNTIME_S, 0
     return default_runtime_s, 0

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all talescale modules, and the config rules."""
+"""Exception hierarchy shared by all talescale modules, and the rules that read
+every JSON input: config, inventories, catalogs, tale metadata, archives and sessions."""
 
 import math
 
@@ -74,7 +75,7 @@ class InfeasiblePlanError(TalescaleError):
 
 
 class ConfigError(ValidationError):
-    """Simulation config failed to parse or cross-references do not resolve."""
+    """An input failed one of the rules below, or its cross-references do not resolve."""
 
 
 def check_keys(section: str, raw, allowed, required=(), strings=()) -> dict:
@@ -114,3 +115,17 @@ def check_list(section: str, value, item=None) -> tuple:
         what = "a list of strings" if item is str else "a list"
         raise ConfigError(f"{section} must be {what}, got {value!r:.200}")
     return tuple(value)
+
+
+def check_choice(section: str, key: str, value, choices):
+    """The choice rule: ``value`` is one of ``choices``, a collection of strings
+    or a string enum. Returns ``value``, or for an enum the member it names."""
+    try:
+        if isinstance(choices, type):
+            return choices(value)
+        if isinstance(value, str) and value in choices:
+            return value
+    except ValueError:  # not a value of the enum
+        pass
+    names = [getattr(choice, "value", choice) for choice in choices]
+    raise ConfigError(f"{section} {key} must be one of {names}, got {value!r:.200}")

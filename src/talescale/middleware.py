@@ -32,6 +32,7 @@ from operator import ne
 from typing import Callable
 
 from .clock import grid_after
+from .cluster import runtime_of_command
 from .dialects import DialectRegistry, default_registry
 from .errors import (
     SessionError,
@@ -85,6 +86,7 @@ class JobSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "command", tuple(self.command))
+        runtime_of_command(self.command, 0.0)  # rejects a malformed runtime or exit code
         if self.node_count < 1:
             raise ValidationError("node_count must be >= 1")
 

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, check_keys, check_list, check_number
+from .errors import ConfigError, check_choice, check_keys, check_list, check_number
 
 # Each distribution's required parameters, and whether each must be above 0 (else at least 0).
 DISTRIBUTIONS = {"fixed": {"value": False}, "uniform": {"low": False, "high": False},
@@ -33,10 +33,8 @@ class QueueModel:
     default_runtime_s: float = 60.0
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(f"unknown queue distribution {self.distribution!r}")
-        if self.maintenance_policy not in MAINTENANCE_POLICIES:
-            raise ConfigError(f"unknown maintenance policy {self.maintenance_policy!r}")
+        check_choice("queue", "distribution", self.distribution, DISTRIBUTIONS)
+        check_choice("queue", "maintenance_policy", self.maintenance_policy, MAINTENANCE_POLICIES)
         windows = tuple(check_list("queue maintenance window", w)
                         for w in check_list("queue maintenance_windows", self.maintenance_windows))
         for window in windows:

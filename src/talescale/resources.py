@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ValidationError, check_keys, check_list, check_number
+from .errors import ConfigError, ValidationError, check_choice, check_keys, check_list, check_number
 from .queues import QueueModel
 
 RESOURCE_KINDS = ("wt_cluster", "hpc_cluster", "cloud")
 LRM_KINDS = ("none", "batch")
 DATASET_INTERFACES = ("posix", "non_posix")
+
+# PBS job ids end with the resource name. qstat and qdel payloads carry them
+# unquoted and are split on these; qsub's reply is read back stripped.
+_PBS_UNSAFE = re.compile(r"[ \t\r\n\"'\\]")
 
 
 @dataclass(frozen=True)
@@ -39,17 +44,18 @@ class ResourceDescriptor:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("resource name must be nonempty")
-        if self.kind not in RESOURCE_KINDS:
-            raise ValidationError(f"unknown resource kind {self.kind!r}")
-        if self.lrm not in LRM_KINDS:
-            raise ValidationError(f"unknown lrm {self.lrm!r}")
-        if self.dataset_interface not in DATASET_INTERFACES:
-            raise ValidationError(f"unknown dataset interface {self.dataset_interface!r}")
-        check_number(f"resource {self.name!r}", "node_count", self.node_count, 1, integer=True)
+        section = f"resource {self.name!r}"
+        check_choice(section, "kind", self.kind, RESOURCE_KINDS)
+        check_choice(section, "lrm", self.lrm, LRM_KINDS)
+        check_choice(section, "dataset_interface", self.dataset_interface, DATASET_INTERFACES)
+        check_number(section, "node_count", self.node_count, 1, integer=True)
         if self.kind == "wt_cluster" and (self.lrm != "none" or not self.allows_incoming_connections):
             raise ValidationError("wt_cluster must have lrm=none and allow incoming connections")
         if self.lrm == "batch" and self.dialect is None:
             object.__setattr__(self, "dialect", "sim-pbs")
+        if self.dialect == "sim-pbs" and (_PBS_UNSAFE.search(self.name) or self.name != self.name.rstrip()):
+            raise ConfigError(f"{section} name cannot be carried in sim-pbs job ids: it holds a space, tab, "
+                              "CR, LF, quote or backslash, or ends with whitespace")
         object.__setattr__(self, "local_datasets", frozenset(self.local_datasets))
 
     @property

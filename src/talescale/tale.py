@@ -15,7 +15,7 @@ import uuid
 from dataclasses import dataclass, field, replace
 
 from .dms import ExternalDataRef
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError, check_choice, check_keys, check_list, check_number
 from .resources import ResourceDescriptor
 
 GENERIC_ARCH = "generic"
@@ -64,6 +64,12 @@ def _normalize_path(path: str) -> str:
     return "/".join(parts)
 
 
+def _each(section: str, items, cls) -> tuple:
+    """``items`` as a tuple of ``cls``, each JSON object in it read by ``cls.from_dict``."""
+    return tuple(item if isinstance(item, cls) else cls.from_dict(item)
+                 for item in check_list(section, items))
+
+
 def _directories(paths) -> set[str]:
     """Every ancestor directory of the normalized ``paths``."""
     dirs: set[str] = set()
@@ -87,30 +93,20 @@ class CodeArtifact:
 
     def __post_init__(self):
         object.__setattr__(self, "path", _normalize_path(self.path))
-        object.__setattr__(self, "kind", ArtifactKind(self.kind))
+        object.__setattr__(self, "kind", check_choice("code ref", "kind", self.kind, ArtifactKind))
+        object.__setattr__(self, "proprietary_toolchain", bool(self.proprietary_toolchain))
 
     @property
     def arch_specific(self) -> bool:
         return self.target_arch not in (None, "", GENERIC_ARCH)
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "kind": self.kind.value,
-            "target_arch": self.target_arch,
-            "checksum": self.checksum,
-            "proprietary_toolchain": self.proprietary_toolchain,
-        }
+        return dict(vars(self), kind=self.kind.value)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CodeArtifact":
-        return cls(
-            path=raw["path"],
-            kind=ArtifactKind(raw.get("kind", "source")),
-            target_arch=raw.get("target_arch"),
-            checksum=raw.get("checksum"),
-            proprietary_toolchain=bool(raw.get("proprietary_toolchain", False)),
-        )
+        return cls(**check_keys("code ref", raw, cls.__dataclass_fields__, ("path",),
+                                ("path", "kind", "target_arch", "checksum")))
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,11 @@ class EnvironmentSpec:
     env_vars: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        pins = tuple((str(n), str(c)) for n, c in self.dependency_pins)
+        pins = check_list("env_spec dependency_pins", self.dependency_pins)
+        if not all(isinstance(pin, (list, tuple)) and len(pin) == 2 for pin in pins):
+            raise ConfigError(f"env_spec dependency_pins must be [name, constraint] pairs, "
+                              f"got {self.dependency_pins!r:.200}")
+        pins = tuple((str(n), str(c)) for n, c in pins)
         names = [n for n, _ in pins]
         if len(names) != len(set(names)):
             raise ValidationError("duplicate dependency pin names")
@@ -130,38 +130,34 @@ class EnvironmentSpec:
                     f"pin {name!r} has malformed constraint {constraint!r} (exact or range)"
                 )
         object.__setattr__(self, "dependency_pins", pins)
-        if isinstance(self.env_vars, dict):
-            object.__setattr__(self, "env_vars", tuple(sorted(self.env_vars.items())))
-        else:
-            object.__setattr__(self, "env_vars", tuple((str(k), str(v)) for k, v in self.env_vars))
+        env_vars = self.env_vars
+        if not isinstance(env_vars, tuple):
+            env_vars = sorted(check_keys("env_spec env_vars", env_vars, env_vars).items())
+        object.__setattr__(self, "env_vars", tuple((str(k), str(v)) for k, v in env_vars))
 
     def to_dict(self) -> dict:
-        return {
-            "base_image_name": self.base_image_name,
-            "dependency_pins": [list(p) for p in self.dependency_pins],
-            "env_vars": {k: v for k, v in self.env_vars},
-        }
+        return dict(vars(self), dependency_pins=[list(pin) for pin in self.dependency_pins],
+                    env_vars=dict(self.env_vars))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "EnvironmentSpec":
-        return cls(
-            base_image_name=raw.get("base_image_name", "generic-base"),
-            dependency_pins=tuple(tuple(p) for p in raw.get("dependency_pins", [])),
-            env_vars=tuple(sorted(raw.get("env_vars", {}).items())),
-        )
+        return cls(**check_keys("env_spec", raw, cls.__dataclass_fields__, strings=("base_image_name",)))
 
 
 @dataclass(frozen=True)
 class PackagingManifest:
     workload_class: WorkloadClass
     strategy: PackagingStrategy
-    entries: tuple[CodeArtifact, ...]
+    entries: tuple[CodeArtifact, ...] = ()
     redistribution_ok: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "workload_class", WorkloadClass(self.workload_class))
-        object.__setattr__(self, "strategy", PackagingStrategy(self.strategy))
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "workload_class", check_choice(
+            "packaging", "workload_class", self.workload_class, WorkloadClass))
+        object.__setattr__(self, "strategy", check_choice(
+            "packaging", "strategy", self.strategy, PackagingStrategy))
+        object.__setattr__(self, "entries", _each("packaging entries", self.entries, CodeArtifact))
+        object.__setattr__(self, "redistribution_ok", bool(self.redistribution_ok))
         self.validate()
 
     def validate(self) -> None:
@@ -186,21 +182,12 @@ class PackagingManifest:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "workload_class": self.workload_class.value,
-            "strategy": self.strategy.value,
-            "entries": [e.to_dict() for e in self.entries],
-            "redistribution_ok": self.redistribution_ok,
-        }
+        return dict(vars(self), workload_class=self.workload_class.value, strategy=self.strategy.value,
+                    entries=[e.to_dict() for e in self.entries])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PackagingManifest":
-        return cls(
-            workload_class=WorkloadClass(raw["workload_class"]),
-            strategy=PackagingStrategy(raw["strategy"]),
-            entries=tuple(CodeArtifact.from_dict(e) for e in raw.get("entries", [])),
-            redistribution_ok=bool(raw.get("redistribution_ok", True)),
-        )
+        return cls(**check_keys("packaging", raw, cls.__dataclass_fields__, ("workload_class", "strategy")))
 
 
 @dataclass(frozen=True)
@@ -211,40 +198,44 @@ class ProvenanceEvent:
     payload: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ProvenanceKind(self.kind))
-        if isinstance(self.payload, dict):
-            object.__setattr__(self, "payload", tuple(sorted(self.payload.items())))
+        check_number("provenance event", "seq", self.seq, integer=True)
+        object.__setattr__(self, "timestamp", float(check_number(
+            "provenance event", "timestamp", self.timestamp)))
+        object.__setattr__(self, "kind", check_choice("provenance event", "kind", self.kind, ProvenanceKind))
+        if not isinstance(self.payload, tuple):
+            object.__setattr__(self, "payload", tuple(sorted(
+                check_keys("provenance event payload", self.payload, self.payload).items())))
 
     def payload_dict(self) -> dict:
         return {k: v for k, v in self.payload}
 
     def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "timestamp": self.timestamp,
-            "kind": self.kind.value,
-            "payload": self.payload_dict(),
-        }
+        return dict(vars(self), kind=self.kind.value, payload=self.payload_dict())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProvenanceEvent":
-        return cls(
-            seq=int(raw["seq"]),
-            timestamp=float(raw["timestamp"]),
-            kind=ProvenanceKind(raw["kind"]),
-            payload=tuple(sorted(raw.get("payload", {}).items())),
-        )
+        return cls(**check_keys("provenance event", raw, cls.__dataclass_fields__,
+                                ("seq", "timestamp", "kind")))
 
 
 @dataclass
 class Tale:
     id: str
     title: str
-    code_refs: tuple[CodeArtifact, ...]
-    data_refs: tuple[ExternalDataRef, ...]
-    env_spec: EnvironmentSpec
+    code_refs: tuple[CodeArtifact, ...] = ()
+    data_refs: tuple[ExternalDataRef, ...] = ()
+    env_spec: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     packaging: PackagingManifest | None = None
     provenance: list[ProvenanceEvent] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.code_refs = _each("tale code_refs", self.code_refs, CodeArtifact)
+        self.data_refs = _each("tale data_refs", self.data_refs, ExternalDataRef)
+        if not isinstance(self.env_spec, EnvironmentSpec):
+            self.env_spec = EnvironmentSpec.from_dict(self.env_spec)
+        if self.packaging is not None and not isinstance(self.packaging, PackagingManifest):
+            self.packaging = PackagingManifest.from_dict(self.packaging)
+        self.provenance = list(_each("tale provenance", self.provenance, ProvenanceEvent))
 
     def validate(self) -> list[str]:
         """Return the list of invariant violations (empty when valid)."""
@@ -292,7 +283,7 @@ class Tale:
             seq=self.last_seq + 1,
             timestamp=timestamp,
             kind=kind,
-            payload=tuple(sorted((payload or {}).items())),
+            payload=payload or {},
         )
 
     def with_packaging(self, manifest: PackagingManifest) -> "Tale":
@@ -303,49 +294,29 @@ class Tale:
         return tale
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "code_refs": [a.to_dict() for a in self.code_refs],
-            "data_refs": [r.to_dict() for r in self.data_refs],
-            "env_spec": self.env_spec.to_dict(),
-            "packaging": self.packaging.to_dict() if self.packaging else None,
-        }
+        return dict(vars(self), code_refs=[a.to_dict() for a in self.code_refs],
+                    data_refs=[r.to_dict() for r in self.data_refs], env_spec=self.env_spec.to_dict(),
+                    packaging=self.packaging.to_dict() if self.packaging else None,
+                    provenance=[e.to_dict() for e in self.provenance])
 
     @classmethod
-    def from_dict(cls, raw: dict, provenance: list[ProvenanceEvent] | None = None) -> "Tale":
-        packaging = raw.get("packaging")
-        return cls(
-            id=raw["id"],
-            title=raw["title"],
-            code_refs=tuple(CodeArtifact.from_dict(a) for a in raw.get("code_refs", [])),
-            data_refs=tuple(ExternalDataRef.from_dict(r) for r in raw.get("data_refs", [])),
-            env_spec=EnvironmentSpec.from_dict(raw.get("env_spec", {})),
-            packaging=PackagingManifest.from_dict(packaging) if packaging else None,
-            provenance=list(provenance or []),
-        )
+    def from_dict(cls, raw: dict) -> "Tale":
+        return cls(**check_keys("tale", raw, cls.__dataclass_fields__, ("id", "title"), ("id", "title")))
 
 
 def create_tale(title: str, code_refs, data_refs, env_spec: EnvironmentSpec,
                 tale_id: str | None = None, now: float = 0.0) -> Tale:
     if not title:
         raise ValidationError("tale title must be nonempty")
-    code_refs = tuple(code_refs)
-    data_refs = tuple(data_refs)
-    paths = [a.path for a in code_refs]
+    tale = Tale(id=tale_id or uuid.uuid4().hex, title=title, code_refs=code_refs,
+                data_refs=data_refs, env_spec=env_spec)
+    paths = [a.path for a in tale.code_refs]
     if len(paths) != len(set(paths)):
         dupes = sorted({p for p in paths if paths.count(p) > 1})
         raise ValidationError(f"duplicate code artifact paths: {dupes}")
-    uris = [r.uri for r in data_refs]
+    uris = [r.uri for r in tale.data_refs]
     if len(uris) != len(set(uris)):
         raise ValidationError("duplicate data ref uris")
-    tale = Tale(
-        id=tale_id or uuid.uuid4().hex,
-        title=title,
-        code_refs=code_refs,
-        data_refs=data_refs,
-        env_spec=env_spec,
-    )
     tale.provenance.append(ProvenanceEvent(
         seq=1, timestamp=now, kind=ProvenanceKind.CREATED,
         payload=(("title", title),),
@@ -391,7 +362,7 @@ def select_strategy(workload_class: WorkloadClass, targets: list[ResourceDescrip
                               else source_plus_generic_libs
     mixed                  -> same compile-or-source fallback
     """
-    workload_class = WorkloadClass(workload_class)
+    workload_class = check_choice("packaging", "workload_class", workload_class, WorkloadClass)
     compile_capable = any(t.can_compile for t in targets)
     if workload_class == WorkloadClass.UNOPTIMIZED:
         return PackagingStrategy.SOURCE_PLUS_GENERIC_LIBS
@@ -412,7 +383,7 @@ def build_manifest(tale: Tale, strategy: PackagingStrategy,
     Source artifacts are always included, whatever the strategy; a Tale
     whose only payload is a binary cannot be packaged at all.
     """
-    strategy = PackagingStrategy(strategy)
+    strategy = check_choice("packaging", "strategy", strategy, PackagingStrategy)
     workload_class = classify_workload(tale)
     sources = [a for a in tale.code_refs if a.kind == ArtifactKind.SOURCE]
     executables = [a for a in tale.code_refs if a.kind == ArtifactKind.PREBUILT_EXECUTABLE]

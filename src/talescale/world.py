@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .clock import SimClock
-from .cluster import SimulatedLrm
+from .cluster import SimulatedLrm, runtime_of_command
 from .dms import DatasetCatalog, DmsCache, ExternalDataRef, StagingKind
 from .errors import ConfigError, ValidationError, check_keys, check_list, check_number
 from .metrics import ScenarioMetrics
@@ -156,6 +156,8 @@ def _check_action(action, resources, known_uris) -> None:
     for key in ("command", "uris"):
         if key in action:
             check_list(f"{section} {key}", action[key], str)
+    if "command" in action:
+        runtime_of_command(action["command"], 0.0)
     try:
         t = float(action.get("t", 0.0))
     except (TypeError, ValueError):

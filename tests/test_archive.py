@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -12,7 +13,8 @@ from talescale import archive
 from talescale.archive import export_tale, import_tale
 from talescale.digest import digest_bytes
 from talescale.dms import ExternalDataRef
-from talescale.errors import ChecksumMismatchError, FormatVersionError, MissingFileError, ValidationError
+from talescale.errors import (ChecksumMismatchError, FormatVersionError, MissingFileError, TalescaleError,
+                              ValidationError)
 from talescale.tale import (
     ArtifactKind,
     CodeArtifact,
@@ -25,6 +27,7 @@ from talescale.tale import (
 )
 
 from conftest import simple_tale
+from test_sim import ODD_VALUES, _at, _parts
 
 
 def test_export_is_deterministic(workspace):
@@ -343,3 +346,77 @@ def test_export_rejects_a_path_that_is_another_ones_directory(workspace):
     tale = create_tale("collide", artifacts, [], EnvironmentSpec(), tale_id="c-2")
     with pytest.raises(ValidationError, match="artifact path a is also a directory"):
         export_tale(tale, workspace)
+
+
+# The workspace and metadata of an archive that uses every key the reader
+# takes. The sweep below puts each odd JSON value in place of each part of its
+# tale.json, its data manifest and the second line of its events.
+_FULL_FILES = {"main.c": b"int main(void) { return 0; }\n", "lib/fast.so": b"\x7fELF-lib",
+               "bin/solver": b"\x7fELF-exe"}
+_FULL_REFS = [
+    {"path": "main.c", "kind": "source", "target_arch": None,
+     "checksum": digest_bytes(_FULL_FILES["main.c"]), "proprietary_toolchain": False},
+    {"path": "lib/fast.so", "kind": "library", "target_arch": "x86_64",
+     "checksum": digest_bytes(_FULL_FILES["lib/fast.so"]), "proprietary_toolchain": False},
+    {"path": "bin/solver", "kind": "prebuilt_executable", "target_arch": "x86_64",
+     "checksum": digest_bytes(_FULL_FILES["bin/solver"]), "proprietary_toolchain": True},
+]
+_FULL_MEMBERS = {
+    "metadata/tale.json": {
+        "format_version": 1, "id": "full-1", "title": "full tale", "code_refs": _FULL_REFS,
+        "env_spec": {"base_image_name": "python-3.11",
+                     "dependency_pins": [["numpy", "==1.26.4"], ["scipy", ">=1.11"]],
+                     "env_vars": {"OMP_NUM_THREADS": "4"}},
+        "packaging": {"workload_class": "mixed", "strategy": "per_resource_static",
+                      "entries": _FULL_REFS, "redistribution_ok": True}},
+    "metadata/data-manifest.json": [
+        {"uri": "doi:10.5072/full", "size_bytes": 4096, "checksum": digest_bytes(b"full")}],
+    "provenance/events.ndjson": {"seq": 2, "timestamp": 2.5, "kind": "launched",
+                                 "payload": {"model": "M1"}},
+}
+_CREATED_LINE = '{"kind":"created","payload":{"title":"full tale"},"seq":1,"timestamp":1.0}\n'
+
+
+def _full_archive(members) -> bytes:
+    entries = {name: json.dumps(doc).encode() for name, doc in members.items()}
+    entries["provenance/events.ndjson"] = (_CREATED_LINE + json.dumps(
+        members["provenance/events.ndjson"]) + "\n").encode()
+    entries.update({"workspace/" + path: data for path, data in _FULL_FILES.items()})
+    return _writestr_archive(entries)
+
+
+def test_full_archive_imports_every_key():
+    tale = import_tale(_full_archive(_FULL_MEMBERS))
+    assert [a.to_dict() for a in tale.code_refs] == _FULL_REFS
+    assert tale.packaging.to_dict() == _FULL_MEMBERS["metadata/tale.json"]["packaging"]
+    assert tale.env_spec.to_dict() == _FULL_MEMBERS["metadata/tale.json"]["env_spec"]
+    assert [r.to_dict() for r in tale.data_refs] == _FULL_MEMBERS["metadata/data-manifest.json"]
+    assert [e.kind for e in tale.provenance] == [
+        ProvenanceKind.CREATED, ProvenanceKind.LAUNCHED, ProvenanceKind.IMPORTED]
+
+
+@pytest.mark.parametrize("member, path", [
+    (member, path) for member, doc in _FULL_MEMBERS.items() for path in _parts(doc)],
+    ids=lambda part: "/".join(map(str, part)) if isinstance(part, tuple) else part)
+def test_odd_value_anywhere_in_an_archive_is_rejected_or_imported(member, path):
+    """No value in any place of an archive's metadata makes import fail other
+    than with a TalescaleError: a malformed archive never reaches an internal error."""
+    for value in ODD_VALUES:
+        members = copy.deepcopy(_FULL_MEMBERS)
+        _at(members[member], path[:-1])[path[-1]] = value
+        try:
+            import_tale(_full_archive(members))
+        except TalescaleError:
+            pass
+
+
+@pytest.mark.parametrize("name, offset", [("workspace/main.c", 3), ("metadata/tale.json", 3),
+                                          ("workspace/main.c", -1)])
+def test_corrupt_entry_is_a_validation_error_naming_it(workspace, name, offset):
+    """A flipped byte in an entry's deflate stream fails its inflate or its CRC."""
+    blob = bytearray(export_tale(simple_tale(workspace), workspace))
+    info = zipfile.ZipFile(io.BytesIO(bytes(blob))).getinfo(name)
+    start = info.header_offset + 30 + len(info.filename.encode())
+    blob[start + offset % info.compress_size] ^= 0xFF
+    with pytest.raises(ValidationError, match=f"archive entry {name} is corrupt"):
+        import_tale(bytes(blob))

@@ -430,6 +430,17 @@ def _dataset(**change):
     return lambda c: c["cache"]["datasets"][0].update(change)
 
 
+def _command(*words):
+    return lambda c: c["scenario"]["actions"][0].__setitem__("command", list(words))
+
+
+def _rename(name):
+    def rename(config):
+        config["resources"][0]["name"] = config["pools"][0]["resource"] = name
+        config["scenario"]["actions"][0]["resource"] = name
+    return rename
+
+
 MALFORMED_CONFIGS = {
     # exit 2 before the config rules
     "params_value_string": (_queue({"distribution": "fixed", "params": {"value": "5"}}),
@@ -473,6 +484,15 @@ MALFORMED_CONFIGS = {
                             ["resource 'r'", "integer node_count", "2.5"]),
     "min_warm_fraction": (lambda c: c["pools"][0].__setitem__("min_warm", 1.5),
                           ["pool on 'r'", "integer min_warm", "1.5"]),
+    # exit 2 at run time before the job command rule
+    "command_runtime_string": (_command("sleep", "x"), ["job command runtime", "'x'"]),
+    "command_exit_code_string": (_command("fail", "1", "x"), ["job command exit code", "'x'"]),
+    "command_runtime_negative": (_command("sleep", "-5"), ["job command runtime", "'-5'"]),
+    # ran with every job stuck Submitted and its poller live: the PBS job id
+    # round trip cannot carry the resource name
+    **{f"pbs_name_{label}": (_rename(name), [repr(name), "cannot be carried in sim-pbs job ids"])
+       for label, name in [("space", "hpc 1"), ("tab", "hpc\t1"), ("quote", "hpc'1"),
+                           ("trailing_vtab", "hpc\x0b")]},
 }
 
 
@@ -535,3 +555,147 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert "data ref 'doi:x' checksum: malformed checksum 'abc'" in captured.err
         assert captured.out == ""
+
+
+def _meta(change):
+    """A tale.json rewrite: ``change`` edits its decoded object in place."""
+    def rewrite(data):
+        meta = json.loads(data)
+        change(meta)
+        return json.dumps(meta).encode()
+    return "metadata/tale.json", rewrite
+
+
+def _code_ref(key, value=None):
+    return _meta(lambda m: m["code_refs"][0].pop(key) if value is None
+                 else m["code_refs"][0].__setitem__(key, value))
+
+
+# Each archive breaks one member of a good one; each exited 2 before tale
+# metadata was read by the key and choice rules.
+MALFORMED_ARCHIVES = {
+    "code_ref_without_path": (_code_ref("path"), ["metadata/tale.json", "code ref", "path"]),
+    "code_ref_path_number": (_code_ref("path", 5), ["metadata/tale.json", "code ref path", "5"]),
+    "code_ref_checksum_number": (_code_ref("checksum", 5),
+                                 ["metadata/tale.json", "code ref checksum", "5"]),
+    "tale_json_not_json": (("metadata/tale.json", lambda data: b"{not json"),
+                           ["metadata/tale.json does not parse"]),
+    "tale_json_list": (("metadata/tale.json", lambda data: b"[]"),
+                       ["metadata/tale.json", "tale must be an object", "[]"]),
+    "code_refs_string": (_meta(lambda m: m.__setitem__("code_refs", "abc")),
+                         ["metadata/tale.json", "tale code_refs must be a list", "'abc'"]),
+    "artifact_kind_weird": (_code_ref("kind", "weird"),
+                            ["metadata/tale.json", "code ref kind", "'weird'"]),
+    "dependency_pin_short": (_meta(lambda m: m["env_spec"].__setitem__("dependency_pins", [["a"]])),
+                             ["metadata/tale.json", "env_spec dependency_pins", "[['a']]"]),
+    "events_line_not_json": (("provenance/events.ndjson", lambda data: b"{oops\n"),
+                             ["provenance/events.ndjson does not parse"]),
+    "events_kind_bogus": (("provenance/events.ndjson",
+                           lambda data: data.replace(b'"created"', b'"bogus"')),
+                          ["provenance/events.ndjson", "provenance event kind", "'bogus'"]),
+    "events_not_utf8": (("provenance/events.ndjson", lambda data: b"\xff\xfe\n"),
+                        ["provenance/events.ndjson does not parse", "utf-8"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ARCHIVES))
+class TestMalformedArchive:
+    """A malformed archive is invalid input: import exits 1 and names the
+    member and key, and validate reports it as a problem."""
+
+    def archive(self, ws, tmp_path, name):
+        import io
+        import zipfile
+
+        main(["tale", "create", "--workspace", str(ws), "--title", "demo", "--id", "m-1"])
+        good = tmp_path / "good.zip"
+        assert main(["tale", "export", "--workspace", str(ws), "--out", str(good)]) == 0
+        (member, rewrite), _ = MALFORMED_ARCHIVES[name]
+        src = zipfile.ZipFile(io.BytesIO(good.read_bytes()))
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w") as zf:
+            for info in src.infolist():
+                data = src.read(info.filename)
+                zf.writestr(info.filename, rewrite(data) if info.filename == member else data)
+        bad = tmp_path / "bad.zip"
+        bad.write_bytes(out.getvalue())
+        return bad
+
+    def test_import_exits_one(self, ws, tmp_path, capsys, name):
+        bad = self.archive(ws, tmp_path, name)
+        capsys.readouterr()
+        assert main(["tale", "import", "--in", str(bad), "--workspace", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        for word in MALFORMED_ARCHIVES[name][1]:
+            assert word in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x").exists()
+
+    def test_validate_archive_exits_one(self, ws, tmp_path, capsys, name):
+        bad = self.archive(ws, tmp_path, name)
+        capsys.readouterr()
+        assert main(["tale", "validate", "--in", str(bad), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] is False
+        assert MALFORMED_ARCHIVES[name][1][0] in payload["problems"][0]
+
+
+@pytest.mark.parametrize("text, words", [
+    ("{", ["tale.json does not parse"]),
+    ("[]", ["tale.json", "tale must be an object"]),
+    ('{"id": "t", "title": "t", "code_refs": [{"kind": "source"}]}', ["tale.json", "code ref is missing"]),
+    ('{"id": "t", "title": "t", "provenance": [{"seq": 1, "timestamp": 0, "kind": "bogus"}]}',
+     ["tale.json", "provenance event kind", "'bogus'"]),
+], ids=["not_json", "list", "code_ref_without_path", "event_kind_bogus"])
+@pytest.mark.parametrize("command", ["export", "validate"])
+def test_malformed_tale_metadata_exits_one(ws, tmp_path, capsys, text, words, command):
+    (ws / ".tale").mkdir()
+    (ws / ".tale" / "tale.json").write_text(text)
+    args = ["--out", str(tmp_path / "o.zip")] if command == "export" else []
+    assert main(["tale", command, "--workspace", str(ws), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    for word in words:
+        assert word in captured.err
+    assert captured.out == ""
+
+
+class TestMalformedSession:
+    """``job`` session files are read by the key rule, and a submit's command
+    by the command rule: bad input exits 1 and leaves the session as it was."""
+
+    def run(self, sim_config, tmp_path, session_text, *args):
+        session = tmp_path / "s.json"
+        if session_text is not None:
+            session.write_text(session_text)
+        return main(["job", *args, "--config", str(sim_config), "--session", str(session)])
+
+    @pytest.mark.parametrize("text, words", [
+        ("{", ["s.json does not parse"]),
+        ("[]", ["session must be an object"]),
+        (json.dumps({"seed": 0, "now": 0.0, "ops": [
+            {"kind": "submit", "t": 0.0, "command": ["sleep", "1"]}]}),
+         ["session submit op is missing ['resource']"]),
+    ], ids=["not_json", "list", "op_without_resource"])
+    def test_session_file(self, sim_config, tmp_path, capsys, text, words):
+        assert self.run(sim_config, tmp_path, text, "status", "--id", "j000001") == 1
+        captured = capsys.readouterr()
+        for word in words:
+            assert word in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, words", [
+        ("sleep 'unbalanced", ["--command does not parse", "No closing quotation"]),
+        ("sleep x", ["job command runtime", "'x'"]),
+        ("fail 1 x", ["job command exit code", "'x'"]),
+        ("sleep -5", ["job command runtime", "'-5'"]),
+    ], ids=["unbalanced_quote", "runtime_string", "exit_code_string", "runtime_negative"])
+    def test_submit_command(self, sim_config, tmp_path, capsys, command, words):
+        code = self.run(sim_config, tmp_path, None, "submit", "--resource", "hpc-1", "--command", command)
+        assert code == 1
+        captured = capsys.readouterr()
+        for word in words:
+            assert word in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "s.json").exists()

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +22,8 @@ from talescale.tale import (
 )
 
 from conftest import make_resource, simple_tale
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "talescale"
 
 
 def art(path, kind=ArtifactKind.SOURCE, arch=None, proprietary=False):
@@ -244,3 +249,38 @@ class TestProvenance:
         assert tale.provenance[:len(before)] == before
         seqs = [e.seq for e in tale.provenance]
         assert all(b - a == 1 for a, b in zip(seqs, seqs[1:]))
+
+
+class TestReaders:
+    def test_every_from_dict_applies_the_key_rule(self):
+        """Every reader of a JSON object in the package calls check_keys, so
+        none of them lists its fields a second time or trusts its input."""
+        readers = {}
+        for path in sorted(SRC.glob("*.py")):
+            for cls in ast.walk(ast.parse(path.read_text())):
+                for node in getattr(cls, "body", ()) if isinstance(cls, ast.ClassDef) else ():
+                    if isinstance(node, ast.FunctionDef) and node.name == "from_dict":
+                        readers[cls.name] = any(
+                            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_keys"
+                            for call in ast.walk(node))
+        assert {"CodeArtifact", "EnvironmentSpec", "PackagingManifest", "ProvenanceEvent",
+                "Tale"} <= readers.keys()
+        assert [name for name, checked in readers.items() if not checked] == []
+
+    @pytest.mark.parametrize("make, words", [
+        (lambda: CodeArtifact(path="a.c", kind="weird"), ["code ref kind", "'weird'"]),
+        (lambda: ProvenanceEvent(seq=1, timestamp=0.0, kind="bogus"), ["provenance event kind"]),
+        (lambda: build_manifest(simple_tale(), "fastest"), ["packaging strategy", "'fastest'"]),
+        (lambda: make_resource(kind="mainframe"), ["resource 'hpc-1' kind", "'mainframe'"]),
+    ], ids=["artifact_kind", "event_kind", "strategy", "resource_kind"])
+    def test_an_unknown_choice_is_a_validation_error(self, make, words):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        for word in words:
+            assert word in str(exc.value)
+
+    def test_choices_read_back_as_enum_members(self):
+        artifact = CodeArtifact.from_dict({"path": "bin/x", "kind": "prebuilt_executable"})
+        assert artifact.kind is ArtifactKind.PREBUILT_EXECUTABLE
+        event = ProvenanceEvent.from_dict({"seq": 3, "timestamp": 2, "kind": "launched"})
+        assert (event.kind, event.timestamp, type(event.timestamp)) == (ProvenanceKind.LAUNCHED, 2.0, float)
