@@ -25,7 +25,7 @@ from .middleware import JobSpec
 from .planner import WorkloadRequirements, plan_placement
 from .queues import queues_by_name
 from .resources import resources_by_name
-from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, Tale, create_tale
+from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, Tale, create_tale, parse_pin
 from .world import World, load_config, read_json
 
 TALE_META = ".tale/tale.json"
@@ -88,7 +88,8 @@ def _save_tale_meta(tale_obj: Tale, path: Path) -> None:
 @click.option("--data-manifest", type=click.Path(exists=True), default=None,
               help="JSON list of {uri, size_bytes, checksum}.")
 @click.option("--base-image", default="generic-base")
-@click.option("--pin", multiple=True, help="Dependency pin name==constraint (repeatable).")
+@click.option("--pin", multiple=True,
+              help="Dependency pin: name, name==version or a range such as name>=1.2 (repeatable).")
 @click.option("--exe", multiple=True, help="Workspace path of a prebuilt executable (repeatable).")
 @click.option("--lib", multiple=True, help="Workspace path of a library (repeatable).")
 @click.option("--arch", multiple=True, help="path=ARCH target tag (repeatable).")
@@ -101,10 +102,6 @@ def tale_create(workspace, title, out, tale_id, data_manifest, base_image, pin,
     for item in arch:
         path, _, tag = item.partition("=")
         arch_map[path] = tag
-    pins = []
-    for item in pin:
-        name, _, constraint = item.partition("==")
-        pins.append((name, constraint or "*"))
     data_refs = []
     if data_manifest:
         data_refs = [ExternalDataRef.from_dict(d)
@@ -112,7 +109,8 @@ def tale_create(workspace, title, out, tale_id, data_manifest, base_image, pin,
     artifacts = _scan_workspace(root, tuple(exe), tuple(lib), arch_map, tuple(proprietary))
     tale_obj = create_tale(
         title=title, code_refs=artifacts, data_refs=data_refs,
-        env_spec=EnvironmentSpec(base_image_name=base_image, dependency_pins=tuple(pins)),
+        env_spec=EnvironmentSpec(base_image_name=base_image,
+                                 dependency_pins=tuple(map(parse_pin, pin))),
         tale_id=tale_id,
     )
     meta_path = Path(out) if out else root / TALE_META

@@ -17,7 +17,12 @@ Anything else runs for the queue model's default runtime.
 
 Each native job carries the text ``sacct`` and ``qstat`` report for it,
 re-rendered at each write of its state, so a status query joins stored
-lines at C level instead of formatting every held job again.
+lines at C level instead of formatting every held job again. The LRM
+also keeps its last status command line and the output it gave. Every
+write to the job table (a job enqueued, started or finished, which a
+cancel goes through) drops them, so a status command equal to the last
+one with no write in between returns the stored output, without
+tokenizing or rendering anything.
 
 Command lines are tokenized with ``shlex.split`` semantics, always.
 ``_argv`` takes ``str.split`` as a fast path only for payloads on which
@@ -150,11 +155,16 @@ class SimulatedLrm:
         self.trace = trace
         self.jobs: dict[str, NativeJob] = {}
         self._counter = 0
+        # (payload, output) of the last qstat or sacct since the last job write
+        self._last_status: tuple[str, str] | None = None
 
     # -- shell ---------------------------------------------------------------
 
     def execute(self, payload: str) -> str:
         """Run one LRM command line; both PBS and Slurm tools are installed."""
+        last = self._last_status
+        if last is not None and last[0] == payload:
+            return last[1]
         argv = _argv(payload)
         if not argv:
             raise TransportError("empty command")
@@ -163,13 +173,16 @@ class SimulatedLrm:
             return self._qsub(argv[1:])
         if tool == "sbatch":
             return self._sbatch(argv[1:])
-        if tool == "qstat":
-            return self._qstat(argv[1:])
-        if tool == "sacct":
-            return self._sacct(argv[1:])
         if tool in ("qdel", "scancel"):
             return self._cancel_cmd(argv[1:])
-        raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
+        if tool == "qstat":
+            output = self._qstat(argv[1:])
+        elif tool == "sacct":
+            output = self._sacct(argv[1:])
+        else:
+            raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
+        self._last_status = (payload, output)
+        return output
 
     def _qsub(self, args: list[str]) -> str:
         nodes, name, command = 1, "job", []
@@ -225,6 +238,7 @@ class SimulatedLrm:
     # -- lifecycle -------------------------------------------------------------
 
     def _enqueue(self, native_id: str, name: str, command: list[str], nodes: int) -> None:
+        self._last_status = None
         job = NativeJob(native_id=native_id, name=name, command=tuple(command), node_count=nodes)
         self.jobs[native_id] = job
         wait, held = self._wait_for(self.clock.now)
@@ -248,6 +262,7 @@ class SimulatedLrm:
         runtime, exit_code = runtime_of_command(job.command, self.queue_model.default_runtime_s)
         final = "completed" if exit_code == 0 else "failed"
         job.exit_code = exit_code
+        self._last_status = None
         job.set_state("running")
         self.trace.emit("backend_job_started", resource=self.resource.name,
                         native_id=native_id, name=job.name, nodes=job.node_count)
@@ -259,6 +274,7 @@ class SimulatedLrm:
             return
         if state == "canceled":
             job.exit_code = None
+        self._last_status = None
         job.set_state(state)
         self.trace.emit("backend_job_finished", resource=self.resource.name,
                         native_id=native_id, name=job.name, state=state,

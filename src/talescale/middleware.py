@@ -13,7 +13,8 @@ Design constraints, each of which is load-bearing for scale:
 * a cycle's Python-level work is proportional to the jobs whose observed
   state changed since the last successful cycle; the part proportional to
   every active job (building the payload, diffing the observation) runs
-  inside C-level ``str``, ``dict`` and ``itertools`` operations;
+  inside C-level ``str``, ``dict`` and ``itertools`` operations, and a
+  cycle whose output repeats the one last applied parses nothing;
 * sessions are reused across operations per (resource, credential) pair.
 
 Client job states move only along the legal edges
@@ -171,6 +172,8 @@ class LrmMiddleware:
         # resource -> the last successful parse_status result, less the
         # entries not yet applied to their records
         self._observed: dict[str, dict[str, tuple[str, int | None]]] = {}
+        # resource -> the status output its _observed was fully applied from
+        self._applied_output: dict[str, str] = {}
         self._pollers: dict[str, object] = {}   # resource -> scheduled EventHandle
         self._counter = 0
 
@@ -283,6 +286,13 @@ class LrmMiddleware:
         the backend reported has the mapped state of its latest observation.
         So an observation equal to the previous one needs no work, and only
         the difference between the two is applied, in job-id order.
+
+        The output a cycle parsed is kept once the cycle has applied all of
+        it and its observation is still the resource's latest. An equal
+        output is then answered with ``[]`` unparsed: its difference could
+        only name jobs that are no longer active. A cycle drops the kept
+        output before it applies anything, so a cycle nested in its
+        callbacks never takes that shortcut against a half-applied one.
         """
         # A job enters _active only once parse_submit has set its native id.
         active = self._active.get(resource_name)
@@ -302,14 +312,15 @@ class LrmMiddleware:
         except (TransportError, SessionError) as exc:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
+        if output == self._applied_output.get(resource_name):
+            return []
+        self._applied_output.pop(resource_name, None)
         observed = adapter.parse_status(output)
         # observed.items() - last.items(), without building two sets of pairs
         last = self._observed[resource_name]
         changed = list(compress(observed.items(),
                                 map(ne, observed.values(), map(last.get, observed))))
         self._observed[resource_name] = observed
-        if not changed:
-            return []
         job_ids = self._job_ids[resource_name]
         pending = []
         for native_id, state_code in changed:
@@ -329,6 +340,8 @@ class LrmMiddleware:
                 self._advance_to(record, target, exit_code=state_code[1])
                 applied.append((job_id, before, record.state))
             observed[native_id] = state_code
+        if self._observed[resource_name] is observed:  # no nested cycle parsed since
+            self._applied_output[resource_name] = output
         return applied
 
     def _ensure_poller(self, resource_name: str) -> None:

@@ -22,6 +22,23 @@ GENERIC_ARCH = "generic"
 
 _EXACT_PIN = re.compile(r"^(==)?[A-Za-z0-9_.\-+*!]+$")
 _RANGE_PIN = re.compile(r"^(>=|<=|>|<|~=|!=)[A-Za-z0-9_.\-+*!]+(\s*,\s*(>=|<=|>|<|~=|!=)[A-Za-z0-9_.\-+*!]+)*$")
+_PIN_OPERATOR = re.compile(r"==|>=|<=|!=|~=|>|<")
+
+
+def parse_pin(text: str) -> tuple[str, str]:
+    """``(name, constraint)`` of a ``name``, ``name==version`` or
+    ``name<op>version`` pin, split at its first operator. An exact pin
+    drops its ``==``, a range keeps its operator, and a bare name gets
+    ``*``; the constraint itself is checked by ``EnvironmentSpec``."""
+    match = _PIN_OPERATOR.search(text)
+    if match is None:
+        name, constraint = text, "*"
+    else:
+        name = text[:match.start()]
+        constraint = text[match.end() if match.group() == "==" else match.start():]
+    if not name:
+        raise ValidationError(f"pin {text!r} has no package name")
+    return name, constraint
 
 
 class ArtifactKind(str, enum.Enum):

@@ -45,6 +45,8 @@ class Transport:
         # pending injected failures per kind; each kind fires on its own next
         # opportunity, so a waiting handshake failure never blocks a transport one
         self._fail_next = {"transport": 0, "handshake": 0}
+        # (resource, verb) -> (payload, short digest) of the last call
+        self._digests: dict[tuple[str, str], tuple[str, str]] = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -115,7 +117,12 @@ class Transport:
     # -- calls --------------------------------------------------------------
 
     def call(self, resource: str, credential: str, verb: str, payload: str) -> str:
-        """One round trip over the pair's session; traces exactly one call."""
+        """One round trip over the pair's session; traces exactly one call.
+
+        The payload digest of the last call per (resource, verb) is kept
+        with its payload and reused while the payload stays equal, so a
+        status query repeated cycle after cycle is hashed once.
+        """
         session = self.acquire_session(resource, credential)
         if self._take_failure("transport"):
             self.trace.emit("transport_failed", resource=resource,
@@ -125,8 +132,12 @@ class Transport:
         backend = self._backends[resource]
         output = backend.execute(payload)
         session.last_used = self.clock.now
+        key = (resource, verb)
+        last = self._digests.get(key)
+        if last is None or last[0] != payload:
+            last = self._digests[key] = (payload, short_digest(payload.encode()))
         self.trace.emit("transport_call", resource=resource, credential=credential,
-                        verb=verb, payload_digest=short_digest(payload.encode()))
+                        verb=verb, payload_digest=last[1])
         return output
 
     # -- log ----------------------------------------------------------------

@@ -242,8 +242,8 @@ class World:
             self.clock.run_until(0.0)
 
     def run(self, horizon: float) -> tuple[TraceLog, ScenarioMetrics]:
-        if not horizon > 0:  # NaN too
-            raise ValidationError("horizon must be > 0")
+        if not 0 < horizon < math.inf:  # NaN too; a pool's ticks never end
+            raise ValidationError(f"horizon must be a finite number > 0, got {horizon!r}")
         self.start()
         self.clock.run_until(horizon)
         return self.trace, self.metrics()

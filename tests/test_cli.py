@@ -338,6 +338,14 @@ class TestSimCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("horizon", ["inf", "-inf", "nan", "0"])
+    def test_horizon_not_finite_and_positive_exits_one(self, sim_config, capsys, horizon):
+        # refused before the run starts: a pooled run to an infinite horizon never returns
+        assert main(["sim", "run", "--config", str(sim_config), "--horizon", horizon]) == 1
+        captured = capsys.readouterr()
+        assert "horizon must be a finite number > 0" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["sim", "run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -546,6 +554,33 @@ class TestMalformedInputs:
         inv.write_text("{not json")
         assert main(["plan", "--inventory", str(inv), "--requirements", str(inv)]) == 1
         assert "does not parse" in capsys.readouterr().err
+
+    def test_pins_split_at_their_first_operator(self, ws, capsys):
+        pins = ["numpy==1.26", "scipy>=1.11", "click>=8,<9", "attrs!=21.1", "pandas~=2.1",
+                "six<2", "tz>2020", "requests"]
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     *(arg for pin in pins for arg in ("--pin", pin))]) == 0
+        meta = json.loads((ws / ".tale" / "tale.json").read_text())
+        assert meta["env_spec"]["dependency_pins"] == [
+            ["numpy", "1.26"], ["scipy", ">=1.11"], ["click", ">=8,<9"], ["attrs", "!=21.1"],
+            ["pandas", "~=2.1"], ["six", "<2"], ["tz", ">2020"], ["requests", "*"]]
+
+    @pytest.mark.parametrize("pin, message", [
+        ("==1.26", "pin '==1.26' has no package name"),
+        (">=1.0", "pin '>=1.0' has no package name"),
+        ("scipy>=", "pin 'scipy' has malformed constraint '>='"),
+        ("numpy==", "pin 'numpy' has malformed constraint ''"),
+        ("scipy>=1.0>=2", "pin 'scipy' has malformed constraint '>=1.0>=2'"),
+        ("numpy==1.26,<2", "pin 'numpy' has malformed constraint '1.26,<2'"),
+    ], ids=["exact_no_name", "range_no_name", "range_no_version", "exact_no_version",
+            "two_operators", "exact_with_range"])
+    def test_malformed_pin_exits_one(self, ws, capsys, pin, message):
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     "--pin", pin]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (ws / ".tale").exists()
 
     def test_data_manifest_checksum_malformed(self, ws, tmp_path, capsys):
         manifest = tmp_path / "data.json"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from talescale.clock import SimClock
 from talescale.cluster import SimulatedLrm, _argv
 from talescale.dialects import SimPbsAdapter, SimSlurmAdapter
+from talescale.errors import TransportError
 from talescale.queues import QueueModel
 from talescale.resources import ResourceDescriptor
 from talescale.trace import TraceLog
@@ -156,3 +157,60 @@ def test_cancel_drops_the_jobs_one_pending_event(setup):
     clock.run_until(5000.0)  # nothing left to fire for the job
     assert lrm.trace.count("backend_job_finished") == 1
     assert lrm.trace.count("backend_job_started") == (setup == "running")
+
+
+def _counted_lrm(adapter):
+    """An LRM whose jobs wait 10 s, the list its status renders append to,
+    and a submit helper."""
+    clock, lrm = _lrm("c", adapter)
+    renders = []
+    for tool in ("_qstat", "_sacct"):
+        render = getattr(lrm, tool)
+        setattr(lrm, tool, lambda args, render=render: renders.append(args) or render(args))
+
+    def submit(*command):
+        return adapter.parse_submit(lrm.execute(adapter.format_submit(list(command), 1, "j")))
+
+    return clock, lrm, renders, submit
+
+
+@pytest.mark.parametrize("write", ["enqueue", "start", "finish", "cancel_queued",
+                                   "cancel_running"])
+@pytest.mark.parametrize("adapter", [SimPbsAdapter(), SimSlurmAdapter()], ids=["pbs", "slurm"])
+def test_a_job_write_between_equal_status_queries_renders_again(adapter, write):
+    clock, lrm, renders, submit = _counted_lrm(adapter)
+    first = submit("sleep", "5")
+    query = adapter.format_status([first, first.replace("1", "2", 1)])  # the next id, too
+    if write in ("finish", "cancel_running"):
+        clock.run_until(10.0)
+    before = lrm.execute(query)
+    assert lrm.execute(query) is before and len(renders) == 1  # kept, not rendered
+
+    if write == "enqueue":
+        submit("sleep", "5")
+    elif write == "start":
+        clock.run_until(10.0)
+    elif write == "finish":
+        clock.run_until(15.0)
+    else:
+        lrm.execute(adapter.format_cancel(first))
+    after = lrm.execute(query)
+    assert after != before and len(renders) == 2
+    assert after == "\n".join(
+        (job.qstat_block if adapter.name == "sim-pbs" else job.sacct_line)
+        for job in lrm.jobs.values())
+
+
+@pytest.mark.parametrize("adapter", [SimPbsAdapter(), SimSlurmAdapter()], ids=["pbs", "slurm"])
+def test_a_failed_command_keeps_the_last_status_answer(adapter):
+    clock, lrm, renders, submit = _counted_lrm(adapter)
+    query = adapter.format_status([submit("sleep", "5"), submit("sleep", "5")])
+    before = lrm.execute(query)
+    for payload in ("", " \t", "frobnicate 1"):
+        with pytest.raises(TransportError):
+            lrm.execute(payload)
+    assert lrm.execute(query) is before
+    # a cancel of an id the LRM never issued writes nothing either
+    assert lrm.execute(adapter.format_cancel("99")) == ""
+    assert lrm.execute(query) is before
+    assert len(renders) == 1

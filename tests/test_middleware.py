@@ -1,8 +1,10 @@
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
+from talescale.cluster import SimulatedLrm
 from talescale.dialects import SimSlurmAdapter
 from talescale.digest import short_digest
 from talescale.errors import (
@@ -20,7 +22,9 @@ from talescale.middleware import (
     JobState,
     LEGAL_TRANSITIONS,
     TERMINAL_STATES,
+    LrmMiddleware,
 )
+from talescale.transport import Transport
 from talescale.world import World, load_config
 
 from conftest import batch_world
@@ -203,6 +207,46 @@ def _mixed_world(seed):
     return world
 
 
+MIXED_NAMES = ("pbs", "slurm", "pbs-hold", "slurm-fail")
+
+
+def _drive(world, seed):
+    """400 random steps on a _mixed_world, then 1000 s to let every job end:
+    submits, direct and scheduled cancels, injected transport and handshake
+    failures, poll cycles called from outside the clock, and clock advances.
+    Returns the handles submitted."""
+    mw, rng = world.middleware, random.Random(seed)
+
+    def cancel(handle):
+        try:
+            mw.cancel(handle)
+        except (TransportError, SessionError):
+            pass  # a lost cancel: the job ends on its own
+
+    handles = []
+    for _ in range(400):
+        op = rng.random()
+        if op < 0.35:
+            command = (("sleep", str(rng.randint(1, 40))) if rng.random() < 0.8
+                       else ("fail", str(rng.randint(1, 20)), str(rng.randint(1, 3))))
+            handles.append(mw.submit(JobSpec(
+                resource=rng.choice(MIXED_NAMES), command=command,
+                credential=rng.choice(("alice", "bob")))))
+        elif op < 0.42 and handles:
+            cancel(rng.choice(handles))
+        elif op < 0.47 and handles:
+            world.clock.after(rng.uniform(0.0, 20.0),
+                              lambda h=rng.choice(handles): cancel(h))
+        elif op < 0.52:
+            world.transport.inject_failure(rng.choice(("transport", "handshake")))
+        elif op < 0.75:
+            mw.poll_cycle(rng.choice(MIXED_NAMES))
+        else:
+            world.clock.advance(rng.uniform(0.0, 15.0))
+    world.clock.advance(1000.0)
+    return handles
+
+
 class CountingDict(dict):
     """A dict that counts reads by key."""
 
@@ -230,16 +274,33 @@ def _slurm_world(queue):
     )
 
 
+def _scripted_status_world():
+    """A PBS world with two queued jobs whose status queries are answered
+    from the returned list, first entry first."""
+    world = batch_world(scenario={"transport_rtt_s": 0.0})
+    for _ in range(2):
+        world.middleware.submit(spec())
+    lrm, answers = world.clusters["hpc-1"], []
+    execute = lrm.execute
+    lrm.execute = lambda payload: (answers.pop(0) if payload.startswith("qstat")
+                                   else execute(payload))
+    return world, answers
+
+
+def _qstat(*letters):
+    return "\n".join(f"Job Id: {i}.hpc-1\n    job_state = {letter}"
+                     for i, letter in enumerate(letters, 1))
+
+
 class TestIncrementalPoll:
     """poll_cycle applies only the observations that changed since its last
     successful cycle; these pin that it still ends where a full pass would."""
 
     def test_records_match_the_backend_after_every_successful_poll(self):
-        names = ("pbs", "slurm", "pbs-hold", "slurm-fail")
         checked = nested = failed_polls = 0
         for seed in range(6):
             world = _mixed_world(seed)
-            mw, rng = world.middleware, random.Random(seed)
+            mw = world.middleware
             poll_cycle, depth = mw.poll_cycle, [0]
             call, polled_as = world.transport.call, {}
 
@@ -273,33 +334,7 @@ class TestIncrementalPoll:
 
             mw.poll_cycle = checked_poll
 
-            def cancel(handle):
-                try:
-                    mw.cancel(handle)
-                except (TransportError, SessionError):
-                    pass  # a lost cancel: the job ends on its own
-
-            handles = []
-            for _ in range(400):
-                op = rng.random()
-                if op < 0.35:
-                    command = (("sleep", str(rng.randint(1, 40))) if rng.random() < 0.8
-                               else ("fail", str(rng.randint(1, 20)), str(rng.randint(1, 3))))
-                    handles.append(mw.submit(JobSpec(
-                        resource=rng.choice(names), command=command,
-                        credential=rng.choice(("alice", "bob")))))
-                elif op < 0.42 and handles:
-                    cancel(rng.choice(handles))
-                elif op < 0.47 and handles:
-                    world.clock.after(rng.uniform(0.0, 20.0),
-                                      lambda h=rng.choice(handles): cancel(h))
-                elif op < 0.52:
-                    world.transport.inject_failure(rng.choice(("transport", "handshake")))
-                elif op < 0.75:
-                    mw.poll_cycle(rng.choice(names))
-                else:
-                    world.clock.advance(rng.uniform(0.0, 15.0))
-            world.clock.advance(1000.0)
+            handles = _drive(world, seed)
             failed_polls += world.trace.count("poll_failed")
 
             assert mw.active_pollers == 0
@@ -310,6 +345,112 @@ class TestIncrementalPoll:
                 assert all(b in LEGAL_TRANSITIONS[a] for a, b in zip(states, states[1:]))
         # every path the invariant must survive was taken
         assert checked > 1000 and nested > 20 and failed_polls > 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kept_status_answers_change_no_trace_byte_or_cycle_result(self, seed, monkeypatch):
+        # The LRM's last status output, the transport's last payload digest
+        # and the middleware's last applied output are each reused only when
+        # the answer cannot differ. The same run with all three dropped before
+        # every call must give the same trace bytes and cycle results.
+        def run():
+            world = _mixed_world(seed)
+            mw, nest = world.middleware, random.Random(seed + 100)
+            poll_cycle, results, depth = mw.poll_cycle, [], [0]
+            work = Counter()
+            for adapter in map(mw.dialects.get, ("sim-pbs", "sim-slurm")):
+                parse = adapter.parse_status
+                adapter.parse_status = lambda output, parse=parse: (
+                    work.update(["parse"]) or parse(output))
+            for lrm in world.clusters.values():
+                for tool in ("_qstat", "_sacct"):
+                    render = getattr(lrm, tool)
+                    setattr(lrm, tool, lambda args, render=render: (
+                        work.update(["render"]) or render(args)))
+
+            def recorded(resource):
+                work["nested"] += depth[0] > 0
+                depth[0] += 1
+                try:
+                    applied = poll_cycle(resource)
+                finally:
+                    depth[0] -= 1
+                results.append((world.clock.now, resource, applied))
+                return applied
+
+            def poll_from_a_callback(spec, job_id, previous, state, t):
+                if depth[0] < 3 and nest.random() < 0.1:
+                    mw.poll_cycle(nest.choice(MIXED_NAMES))
+
+            mw.poll_cycle = recorded
+            mw.add_transition_listener(poll_from_a_callback)
+            _drive(world, seed)
+            return world.trace.to_ndjson(), results, work
+
+        kept = run()
+
+        def forgetting(method, forget):
+            def call(self, *args):
+                forget(self)
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(SimulatedLrm, "execute", forgetting(
+            SimulatedLrm.execute, lambda lrm: setattr(lrm, "_last_status", None)))
+        monkeypatch.setattr(Transport, "call", forgetting(
+            Transport.call, lambda transport: transport._digests.clear()))
+        monkeypatch.setattr(LrmMiddleware, "poll_cycle", forgetting(
+            LrmMiddleware.poll_cycle, lambda mw: mw._applied_output.clear()))
+        plain = run()
+
+        assert kept[0] == plain[0]
+        assert kept[1] == plain[1]
+        assert kept[2]["nested"] == plain[2]["nested"] > 10
+        # the shortcuts were taken: fewer parses and renders than cycles
+        assert kept[2]["parse"] < plain[2]["parse"] * 0.75
+        assert kept[2]["render"] < plain[2]["render"] * 0.75
+
+    def test_a_stale_answer_is_refused_even_when_it_repeats_a_kept_one(self):
+        # The simulated LRM never answers back in time, so only a scripted
+        # backend can show what a kept output may stand for: the latest
+        # observation, fully applied. A cycle nested in another's callbacks
+        # must not skip against the output kept before the outer cycle.
+        world, answers = _scripted_status_world()
+        mw = world.middleware
+        answers.append(_qstat("Q", "Q"))
+        assert len(mw.poll_cycle("hpc-1")) == 2
+
+        nested = []
+
+        def poll_once_running(spec, job_id, previous, state, t):
+            if state is JobState.RUNNING and not nested:
+                nested.append(job_id)
+                mw.poll_cycle("hpc-1")
+
+        mw.add_transition_listener(poll_once_running)
+        answers += [_qstat("R", "Q"), _qstat("Q", "Q")]  # the nested answer goes back
+        with pytest.raises(ValidationError, match="no legal path"):
+            mw.poll_cycle("hpc-1")
+
+    def test_an_outer_cycle_keeps_no_output_a_nested_cycle_superseded(self):
+        world, answers = _scripted_status_world()
+        mw = world.middleware
+        answers.append(_qstat("Q", "Q"))
+        mw.poll_cycle("hpc-1")
+        nested = []
+
+        def poll_once_running(spec, job_id, previous, state, t):
+            if state is JobState.RUNNING and not nested:
+                nested.append(job_id)
+                nested.extend(mw.poll_cycle("hpc-1"))
+
+        mw.add_transition_listener(poll_once_running)
+        answers += [_qstat("R", "Q"), _qstat("R", "R")]
+        assert mw.poll_cycle("hpc-1") == [("j000001", JobState.QUEUED, JobState.RUNNING)]
+        assert nested == ["j000001", ("j000002", JobState.QUEUED, JobState.RUNNING)]
+        # the outer answer again: the second job would go back, which is refused
+        answers.append(_qstat("R", "Q"))
+        with pytest.raises(ValidationError, match="no legal path"):
+            mw.poll_cycle("hpc-1")
 
     def test_an_unchanged_cycle_reads_no_job_record(self):
         world = _slurm_world({"distribution": "fixed", "params": {"value": 10.0},

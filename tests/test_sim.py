@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from talescale.cluster import SimulatedLrm
 from talescale.digest import digest_bytes
 from talescale.errors import ConfigError, TalescaleError, ValidationError
 from talescale.measure import launch_frontend
@@ -554,6 +555,52 @@ class TestHistoryFlatness:
         assert churn["cache_evict"] > 150 and churn["pilot_expired"] > 500, churn
         for name, bound in bounds.items():
             assert early[name] <= bound and late[name] <= bound, (name, early, late)
+
+
+class TestStatusWork:
+    def test_status_parses_and_renders_follow_backend_events_not_polls(self, monkeypatch):
+        # Most polls of a pooled run get the same answer as the poll before;
+        # such a poll renders and parses nothing. A backend job event makes
+        # the next poll render and parse once, and a finish once more, at the
+        # poll whose payload no longer names the job.
+        config = copy.deepcopy(FLAT_WORLD)
+        config["resources"][1]["dialect"] = "sim-slurm"
+        config["scenario"]["poll_interval_s"] = 5.0
+        world = World(load_config(config), seed=5)
+        renders, parses = Counter(), Counter()
+        for tool in ("_qstat", "_sacct"):
+            render = getattr(SimulatedLrm, tool)
+            monkeypatch.setattr(SimulatedLrm, tool, lambda lrm, args, render=render: (
+                renders.update([lrm.resource.name]) or render(lrm, args)))
+        for dialect, resource in (("sim-pbs", "hpc-1"), ("sim-slurm", "hpc-2")):
+            adapter = world.middleware.dialects.get(dialect)
+            parse = adapter.parse_status
+            adapter.parse_status = lambda output, parse=parse, resource=resource: (
+                parses.update([resource]) or parse(output))
+        world.start()
+        clock, rng = world.clock, random.Random(5)
+
+        def arrive():
+            world.submit_workload(JobSpec(resource="hpc-1",
+                                          command=("sleep", str(rng.randint(30, 600)))))
+            job = world.middleware.submit(JobSpec(
+                resource="hpc-2", command=("sleep", rng.choice(("60", "100000")))))
+            clock.after(rng.uniform(100.0, 1500.0), lambda: world.middleware.cancel(job))
+            clock.after(400.0, arrive)
+
+        clock.after(400.0, arrive)
+        clock.run_until(50_000.0)
+        events, finished, polls = Counter(), Counter(), Counter()
+        for kind in ("backend_job_queued", "backend_job_started", "backend_job_finished"):
+            events.update(r["resource"] for r in world.trace.records(kind))
+        finished.update(r["resource"] for r in world.trace.records("backend_job_finished"))
+        polls.update(r["resource"] for r in world.trace.records("transport_call")
+                     if r["verb"] == "batch_status")
+        for resource in ("hpc-1", "hpc-2"):
+            bound = 1 + events[resource] + finished[resource]
+            for count in (renders[resource], parses[resource]):
+                assert 0 < count <= bound and count < polls[resource] / 10, (
+                    resource, count, bound, polls[resource])
 
 
 class TestPoolWork:
