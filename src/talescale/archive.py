@@ -30,12 +30,16 @@ for each entry: the UTF-8 name flag, writestr's zip64 rule for the local
 header (``file_size * 1.05 > ZIP64_LIMIT``) and the central directory's
 zip64 extras all come from ``zipfile`` itself.
 
-Thread safety: no object that is not thread-safe is shared between runs.
-``ZipFile.open`` counts its open readers (``_fileRefCnt += 1``) outside
-the file lock, and ``_fpclose`` asserts that count, so concurrent reads
-through one ``ZipFile`` hold only while the GIL keeps that increment whole.
-Import therefore gives every run but the calling thread's its own
-``ZipFile`` over the same bytes.  Runs write disjoint result slots and
+Reading rule: import parses the central directory once, with ``ZipFile``,
+and reads no entry through it.  ``_entry`` skips an entry's local header
+by the name and extra field lengths it gives, inflates the data (or
+copies it, when stored) straight from the archive bytes, and checks its
+size and CRC-32 against the central directory; no other local header
+field is read.  An entry compressed any other way is corrupt.  Every
+workspace entry's checksum is then verified.
+
+Thread safety: runs share the archive bytes and the parsed central
+directory, which they only read.  They write disjoint result slots and
 disjoint files, and every parent directory exists before any run starts.
 """
 
@@ -45,6 +49,7 @@ import errno
 import io
 import json
 import os
+import struct
 import threading
 import zipfile
 import zlib
@@ -61,9 +66,8 @@ _DATA_MANIFEST = "metadata/data-manifest.json"
 _EVENTS = "provenance/events.ndjson"
 _WORKSPACE = "workspace/"
 
-# Past a few runs, the Python work each entry still does under the GIL and
-# the central directory each extra import run parses outweigh the C work
-# they split off.
+# Past a few runs, the Python work each entry still does under the GIL
+# outweighs the C work they split off.
 _MAX_RUNS = 4
 
 # What Path.is_file() reports as "no file", plus a directory in its place.
@@ -150,6 +154,18 @@ def _read_workspace_file(path: str, name: str) -> bytes:
         raise MissingFileError(f"workspace file missing: {name}") from None
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` as the whole of the file at ``path``, as ``open(path,
+    "wb").write(data)`` would, without the buffered file object."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
     """Digest ``data`` in the algorithm of the artifact's checksum.
 
@@ -170,21 +186,40 @@ def checked_digest(artifact: CodeArtifact, data: bytes) -> str:
     return actual
 
 
-def _entry(zf: zipfile.ZipFile, name: str) -> bytes:
+def _entry(zf: zipfile.ZipFile, archive: bytes, name: str) -> bytes:
+    """The bytes of entry ``name``, read straight from ``archive`` at the
+    place ``zf``'s central directory gives, and checked against its CRC-32
+    and size."""
     try:
-        return zf.read(name)
+        info = zf.getinfo(name)
     except KeyError:
         raise ValidationError(f"archive is missing {name}") from None
-    # bad CRC, header or deflate stream; unknown compression method; encrypted
-    except (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError) as exc:
+    try:
+        # the local header: signature, 22 bytes of fields the central
+        # directory repeats, then the name and extra field lengths
+        signature, name_len, extra_len = struct.unpack_from("<4s22xHH", archive, info.header_offset)
+        if signature != zipfile.stringFileHeader:
+            raise ValueError("bad local header")
+        start = info.header_offset + zipfile.sizeFileHeader + name_len + extra_len
+        stream = memoryview(archive)[start:start + info.compress_size]
+        if info.compress_type == zipfile.ZIP_DEFLATED:
+            data = zlib.decompress(stream, -15)
+        elif info.compress_type == zipfile.ZIP_STORED:
+            data = bytes(stream)
+        else:
+            raise ValueError(f"compression method {info.compress_type} is not supported")
+        if len(data) != info.file_size or zlib.crc32(data) != info.CRC:
+            raise ValueError("bad CRC-32 or size")
+    except (struct.error, zlib.error, ValueError) as exc:  # short header, bad deflate stream
         raise ValidationError(f"archive entry {name} is corrupt: {exc}") from None
+    return data
 
 
-def _member(zf: zipfile.ZipFile, member: str, read, lines: bool = False):
+def _member(zf: zipfile.ZipFile, archive: bytes, member: str, read, lines: bool = False):
     """``read`` of the JSON in archive ``member``, or of the list of its JSON
     lines; a member that does not decode, or that ``read`` rejects, is a
     ValidationError that names it."""
-    data = _entry(zf, member)
+    data = _entry(zf, archive, member)
     try:
         raw = ([json.loads(line) for line in data.decode("utf-8").splitlines() if line.strip()]
                if lines else json.loads(data))
@@ -246,11 +281,12 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(archive))
-    except zipfile.BadZipFile as exc:
+    # NotImplementedError: a "version needed to extract" past zipfile's
+    except (zipfile.BadZipFile, NotImplementedError) as exc:
         raise ValidationError(f"not a tale archive: {exc}") from exc
-    tale = _member(zf, _TALE_JSON, _read_tale)
-    tale = _member(zf, _DATA_MANIFEST, lambda refs: replace(tale, data_refs=refs))
-    tale = _member(zf, _EVENTS, lambda events: replace(tale, provenance=events), lines=True)
+    tale = _member(zf, archive, _TALE_JSON, _read_tale)
+    tale = _member(zf, archive, _DATA_MANIFEST, lambda refs: replace(tale, data_refs=refs))
+    tale = _member(zf, archive, _EVENTS, lambda events: replace(tale, provenance=events), lines=True)
     problems = tale.validate()
     if problems:
         raise ValidationError("archive reconstructs an invalid tale: " + "; ".join(problems))
@@ -269,14 +305,12 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
             os.makedirs(directory, exist_ok=True)
 
     def extract(run: range) -> None:
-        reader = zf if run.start == 0 else zipfile.ZipFile(io.BytesIO(archive))
         for i in run:
             artifact = refs[i]
-            data = _entry(reader, _WORKSPACE + artifact.path)
+            data = _entry(zf, archive, _WORKSPACE + artifact.path)
             checked_digest(artifact, data)
             if dest is not None:
-                with open(os.path.join(dest, artifact.path), "wb") as f:
-                    f.write(data)
+                _write_file(os.path.join(dest, artifact.path), data)
 
     _in_runs(extract, len(refs))
     tale.provenance.append(tale.next_event(

@@ -293,6 +293,8 @@ class LrmMiddleware:
         only name jobs that are no longer active. A cycle drops the kept
         output before it applies anything, so a cycle nested in its
         callbacks never takes that shortcut against a half-applied one.
+        Once a nested cycle has applied a newer observation, the outer one
+        applies nothing more of its own, older one.
         """
         # A job enters _active only once parse_submit has set its native id.
         active = self._active.get(resource_name)
@@ -333,6 +335,8 @@ class LrmMiddleware:
         pending.sort()
         applied: list[tuple[str, JobState, JobState]] = []
         for job_id, native_id, state_code in pending:
+            if self._observed[resource_name] is not observed:
+                break  # a nested cycle applied a newer observation; ours is stale
             record = self._records[job_id]
             target = _BACKEND_TO_CLIENT[state_code[0]]
             before = record.state

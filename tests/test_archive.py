@@ -1,13 +1,16 @@
 import copy
+import functools
 import hashlib
 import io
 import json
 import random
+import tempfile
 import zipfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from talescale import archive
 from talescale.archive import export_tale, import_tale
@@ -420,3 +423,91 @@ def test_corrupt_entry_is_a_validation_error_naming_it(workspace, name, offset):
     blob[start + offset % info.compress_size] ^= 0xFF
     with pytest.raises(ValidationError, match=f"archive entry {name} is corrupt"):
         import_tale(bytes(blob))
+
+
+# ---------------------------------------------------------------------------
+# entries read straight from the archive bytes
+
+
+def _recompressed(blob: bytes, compress_type: int, only=None) -> bytes:
+    """``blob`` written again by ``ZipFile.writestr``, every entry (or only
+    those named in ``only``) compressed with ``compress_type``."""
+    src = zipfile.ZipFile(io.BytesIO(blob))
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as zf:
+        for info in src.infolist():
+            method = compress_type if only is None or info.filename in only else info.compress_type
+            zf.writestr(info.filename, src.read(info.filename), compress_type=method)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stored_entries_import_like_deflated_ones(workspace, monkeypatch, cpus):
+    with_cpus(monkeypatch, cpus)
+    tale = golden_tale(workspace)
+    blob = export_tale(tale, workspace)
+    restored = import_tale(_recompressed(blob, zipfile.ZIP_STORED), workspace_dir=workspace / "back")
+    assert restored.code_refs == import_tale(blob).code_refs
+    assert export_tale(restored, workspace / "back") == blob
+
+
+def test_an_entry_compressed_otherwise_is_corrupt(workspace):
+    blob = _recompressed(export_tale(simple_tale(workspace), workspace), zipfile.ZIP_BZIP2,
+                         only={"workspace/main.c"})
+    with pytest.raises(ValidationError, match="archive entry workspace/main.c is corrupt: "
+                                              "compression method 12 is not supported"):
+        import_tale(blob)
+
+
+def test_a_bad_local_header_is_corrupt(workspace):
+    blob = bytearray(export_tale(simple_tale(workspace), workspace))
+    blob[zipfile.ZipFile(io.BytesIO(bytes(blob))).getinfo("workspace/main.c").header_offset] ^= 0xFF
+    with pytest.raises(ValidationError, match="workspace/main.c is corrupt: bad local header"):
+        import_tale(bytes(blob))
+
+
+def test_a_size_the_central_directory_disagrees_with_is_corrupt(workspace):
+    blob = export_tale(simple_tale(workspace), workspace)
+    src = zipfile.ZipFile(io.BytesIO(blob))
+    entries = {name: archive._deflated(src.read(name)) for name in src.namelist()}
+    size, crc, deflated = entries["workspace/lib/util.c"]
+    entries["workspace/lib/util.c"] = (size + 1, crc, deflated)
+    with pytest.raises(ValidationError, match="workspace/lib/util.c is corrupt: bad CRC-32 or size"):
+        import_tale(archive._frame(entries))
+
+
+def test_a_version_needed_past_zipfiles_is_not_a_tale_archive(workspace):
+    blob = bytearray(export_tale(simple_tale(workspace), workspace))
+    blob[zipfile.ZipFile(io.BytesIO(bytes(blob))).start_dir + 6] = 0xFF  # first entry's version needed
+    with pytest.raises(ValidationError, match="not a tale archive: zip file version 25.5"):
+        import_tale(bytes(blob))
+
+
+def test_import_replaces_a_longer_file_in_its_place(workspace):
+    tale = simple_tale(workspace)
+    blob = export_tale(tale, workspace)
+    back = workspace / "back"
+    back.mkdir()
+    (back / "main.c").write_bytes(b"x" * 10_000)
+    import_tale(blob, workspace_dir=back)
+    assert (back / "main.c").read_bytes() == (workspace / "main.c").read_bytes()
+
+
+@functools.cache
+def _flip_target() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return export_tale(simple_tale(Path(tmp)), tmp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 7)), min_size=1, max_size=3))
+def test_flipped_bits_anywhere_in_an_archive_are_rejected_or_imported(flips):
+    """No bit flipped in an archive's headers, central directory or entry
+    data makes import fail other than with a TalescaleError."""
+    blob = bytearray(_flip_target())
+    for at, bit in flips:
+        blob[at % len(blob)] ^= 1 << bit
+    try:
+        import_tale(bytes(blob))
+    except TalescaleError:
+        pass

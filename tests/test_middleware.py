@@ -452,6 +452,29 @@ class TestIncrementalPoll:
         with pytest.raises(ValidationError, match="no legal path"):
             mw.poll_cycle("hpc-1")
 
+    def test_an_outer_cycle_stops_once_a_nested_cycle_applied_a_newer_observation(self):
+        # Driver context: the nested poll's round trip moves the clock past
+        # the second job's finish, so the outer cycle's own observation of
+        # that job (Running) is older than the one already applied.
+        world = batch_world(queue={"distribution": "fixed", "params": {"value": 10.0}},
+                            scenario={"transport_rtt_s": 0.5, "poll_interval_s": 100.0})
+        mw = world.middleware
+        handles = [mw.submit(spec(command=("sleep", seconds))) for seconds in ("100", "1")]
+        world.clock.run_until(5.0)
+        assert len(mw.poll_cycle("hpc-1")) == 2
+        world.clock.run_until(11.6)
+        nested = []
+
+        def poll_once_running(spec, job_id, previous, state, t):
+            if state is JobState.RUNNING and not nested:
+                nested.append(job_id)
+                nested.extend(mw.poll_cycle("hpc-1"))
+
+        mw.add_transition_listener(poll_once_running)
+        assert mw.poll_cycle("hpc-1") == [("j000001", JobState.QUEUED, JobState.RUNNING)]
+        assert nested == ["j000001", ("j000002", JobState.QUEUED, JobState.COMPLETED)]
+        assert [mw.status(h).state for h in handles] == [JobState.RUNNING, JobState.COMPLETED]
+
     def test_an_unchanged_cycle_reads_no_job_record(self):
         world = _slurm_world({"distribution": "fixed", "params": {"value": 10.0},
                               "maintenance_windows": [[0.0, 10_000.0]]})
