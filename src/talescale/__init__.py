@@ -10,7 +10,6 @@ from .dms import (
     StagingAction,
     StagingKind,
     TransferRecord,
-    register_dataset,
     resolve_local,
 )
 from .errors import TalescaleError, ValidationError

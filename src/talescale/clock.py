@@ -71,10 +71,6 @@ class SimClock:
     def now(self) -> float:
         return self._now
 
-    @property
-    def dispatching(self) -> bool:
-        return self._dispatching
-
     def at(self, time: float, fn: Callable[[], None]) -> EventHandle:
         """Schedule ``fn`` at absolute simulated time; never in the past.
 

@@ -7,6 +7,14 @@ into neutral job states. Swapping the adapter is the whole longevity
 story: the internal API never moves.
 
 Neutral backend states: queued, running, completed, failed, canceled.
+
+A status output splits into one unit per job: a Slurm line, or a PBS
+``Job Id:`` block. A poll reports every held job, and nearly every unit is
+the same as in the poll before, so each adapter memoises a unit's parse
+(``None`` for a unit that reports no state) and parses only the units it
+has not seen, in output order; the memo is cleared once it holds more than
+``2 * widest + 1024`` units, where ``widest`` is the most units one poll
+has reported.
 """
 
 from __future__ import annotations
@@ -15,14 +23,29 @@ import re
 import shlex
 from itertools import filterfalse
 
-from .errors import DuplicateError, UnknownDialectError
-
 # PBS reports a kill with exit_status 271; adapters map it to "canceled".
 PBS_KILL_EXIT = 271
 
 
 class DialectAdapter:
     name: str = "abstract"
+
+    def __init__(self):
+        self._units: dict[str, tuple[str, tuple[str, int | None]] | None] = {}
+        self._widest = 0
+
+    def _parse_units(self, units: list[str]) -> dict[str, tuple[str, int | None]]:
+        memo = self._units
+        self._widest = max(self._widest, len(units))
+        if len(memo) > 2 * self._widest + 1024:
+            memo.clear()  # forget units no poll reports any more
+        # misses in unit order, so the first malformed unit is the one raised
+        for unit in filterfalse(memo.__contains__, units):
+            memo[unit] = self._parse_unit(unit)
+        return dict(filter(None, map(memo.__getitem__, units)))
+
+    def _parse_unit(self, unit: str) -> tuple[str, tuple[str, int | None]] | None:
+        raise NotImplementedError
 
     def format_submit(self, command: list[str], node_count: int, job_name: str) -> str:
         raise NotImplementedError
@@ -43,6 +66,8 @@ class DialectAdapter:
 class SimPbsAdapter(DialectAdapter):
     name = "sim-pbs"
 
+    _LETTERS = {"Q": ("queued", None), "R": ("running", None)}
+
     def format_submit(self, command, node_count, job_name):
         return f"qsub -l nodes={node_count} -N {job_name} -- {shlex.join(command)}"
 
@@ -53,34 +78,27 @@ class SimPbsAdapter(DialectAdapter):
         return "qstat -f " + " ".join(native_ids)
 
     def parse_status(self, output):
+        return self._parse_units(("\n" + output).split("\nJob Id:")[1:])
+
+    def _parse_unit(self, block):
         # Native ids embed the resource name, which may hold any character
         # but a newline: the id is the rest of its line, and lines end only
         # at "\n" (str.splitlines also breaks at \x0b, \x85 and others).
-        states: dict[str, tuple[str, int | None]] = {}
-        current = None
-        for line in output.split("\n"):
-            if line.startswith("Job Id:"):
-                current = line[7:].lstrip(" \t") or None
-                continue
-            if current is None:
-                continue
+        native_id, *lines = block.split("\n")
+        native_id = native_id.lstrip(" \t")
+        if not native_id:
+            return None
+        state = None
+        for line in lines:
             key, _, value = line.partition("=")
             key = key.strip()
             if key == "job_state":
-                letter = value.strip()
-                if letter == "Q":
-                    states[current] = ("queued", None)
-                elif letter == "R":
-                    states[current] = ("running", None)
+                state = self._LETTERS.get(value.strip(), state)
             elif key == "exit_status":
                 code = int(value)
-                if code == PBS_KILL_EXIT:
-                    states[current] = ("canceled", None)
-                elif code == 0:
-                    states[current] = ("completed", 0)
-                else:
-                    states[current] = ("failed", code)
-        return states
+                state = (("canceled", None) if code == PBS_KILL_EXIT
+                         else ("failed", code) if code else ("completed", 0))
+        return state and (native_id, state)
 
     def format_cancel(self, native_id):
         return f"qdel {native_id}"
@@ -97,12 +115,6 @@ class SimSlurmAdapter(DialectAdapter):
         "CANCELLED": "canceled",
     }
 
-    def __init__(self):
-        # status line -> (native id, (state, code)). A poll reports every held
-        # job, and nearly every line is the same as in the poll before.
-        self._lines: dict[str, tuple[str, tuple[str, int | None]]] = {}
-        self._widest = 0  # most lines one poll has reported
-
     def format_submit(self, command, node_count, job_name):
         wrapped = shlex.join(command)
         return f"sbatch --nodes={node_count} --job-name={job_name} --wrap {shlex.quote(wrapped)}"
@@ -118,19 +130,11 @@ class SimSlurmAdapter(DialectAdapter):
         return f"sacct --jobs={joined} --format=JobID,State,ExitCode --noheader --parsable2"
 
     def parse_status(self, output):
-        lines = output.splitlines()
-        memo = self._lines
-        self._widest = max(self._widest, len(lines))
-        if len(memo) > 2 * self._widest + 1024:
-            memo.clear()  # forget lines no poll reports any more
-        # misses in line order, so the first malformed line is the one raised
-        for line in filterfalse(memo.__contains__, lines):
-            if not line.strip():  # blank lines are skipped; they are rare, so no memo
-                return dict(self._parse_line(each) for each in lines if each.strip())
-            memo[line] = self._parse_line(line)
-        return dict(map(memo.__getitem__, lines))
+        return self._parse_units(output.splitlines())
 
-    def _parse_line(self, line):
+    def _parse_unit(self, line):
+        if not line.strip():
+            return None
         job_id, state, exitcode = line.split("|")
         neutral = self._STATE_MAP[state]
         code = None
@@ -140,28 +144,3 @@ class SimSlurmAdapter(DialectAdapter):
 
     def format_cancel(self, native_id):
         return f"scancel {native_id}"
-
-
-class DialectRegistry:
-    def __init__(self):
-        self._adapters: dict[str, DialectAdapter] = {}
-
-    def register(self, name: str, adapter: DialectAdapter) -> None:
-        if name in self._adapters:
-            raise DuplicateError(f"dialect {name!r} already registered")
-        self._adapters[name] = adapter
-
-    def get(self, name: str | None) -> DialectAdapter:
-        if name is None or name not in self._adapters:
-            raise UnknownDialectError(f"no dialect adapter registered for {name!r}")
-        return self._adapters[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._adapters
-
-
-def default_registry() -> DialectRegistry:
-    registry = DialectRegistry()
-    registry.register("sim-pbs", SimPbsAdapter())
-    registry.register("sim-slurm", SimSlurmAdapter())
-    return registry

@@ -122,13 +122,6 @@ class OpenHandle:
         self.local_path: str | None = None
         self.error: Exception | None = None
 
-    def result(self) -> str:
-        if self.error is not None:
-            raise self.error
-        if not self.ready:
-            raise RuntimeError(f"open of {self.uri!r} has not completed")
-        return self.local_path
-
 
 class DatasetCatalog:
     def __init__(self, refs: Iterable[ExternalDataRef] = ()):
@@ -156,10 +149,6 @@ class DatasetCatalog:
 
     def __len__(self) -> int:
         return len(self._refs)
-
-
-def register_dataset(catalog: DatasetCatalog, uri: str, size_bytes: int, checksum: str) -> ExternalDataRef:
-    return catalog.register(ExternalDataRef(uri=uri, size_bytes=size_bytes, checksum=checksum))
 
 
 def resolve_local(ref: ExternalDataRef, resource: ResourceDescriptor) -> StagingAction:

@@ -105,17 +105,6 @@ class ReportTable:
                 seen.append(r.model)
         return seen
 
-    @classmethod
-    def from_rows(cls, dicts: list[dict]) -> "ReportTable":
-        return cls(rows=[
-            ReportRow(
-                model=d["model"], seed=int(d["seed"]),
-                time_to_frontend_s=float(d["time_to_frontend_s"]),
-                queries=int(d["queries"]), handshakes=int(d["handshakes"]),
-                transfers=int(d["transfers"]),
-            ) for d in dicts
-        ])
-
 
 def emit_report(table: ReportTable, fmt: str = "table") -> bytes:
     """Render a report with stable column order; deterministic bytes."""
@@ -135,8 +124,4 @@ def emit_report(table: ReportTable, fmt: str = "table") -> bytes:
     widths = [max(len(row[i]) for row in cells) for i in range(len(CSV_HEADER))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_report(data: bytes) -> ReportTable:
-    return ReportTable.from_rows(json.loads(data.decode("utf-8")))
 

@@ -17,6 +17,9 @@ Design constraints, each of which is load-bearing for scale:
   cycle whose output repeats the one last applied parses nothing;
 * sessions are reused across operations per (resource, credential) pair.
 
+The dialect adapters live in a plain dict, ``dialects``, keyed by the
+dialect name a resource descriptor carries.
+
 Client job states move only along the legal edges
 Created -> Submitted -> Queued -> Running -> {Completed, Failed, Canceled},
 plus Queued -> Canceled and Submitted -> Failed; a poll that observes a
@@ -34,10 +37,11 @@ from typing import Callable
 
 from .clock import grid_after
 from .cluster import runtime_of_command
-from .dialects import DialectRegistry, default_registry
+from .dialects import DialectAdapter, SimPbsAdapter, SimSlurmAdapter
 from .errors import (
     SessionError,
     TransportError,
+    UnknownDialectError,
     UnknownJobError,
     UnknownResourceError,
     ValidationError,
@@ -149,15 +153,14 @@ class _JobRecord:
 
 
 class LrmMiddleware:
-    def __init__(self, clock, transport, trace,
-                 dialects: DialectRegistry | None = None,
-                 poll_interval_s: float = 5.0):
+    def __init__(self, clock, transport, trace, poll_interval_s: float = 5.0):
         if poll_interval_s <= 0:
             raise ValidationError("poll interval must be > 0")
         self.clock = clock
         self.transport = transport
         self.trace = trace
-        self.dialects = dialects if dialects is not None else default_registry()
+        self.dialects: dict[str, DialectAdapter] = {
+            "sim-pbs": SimPbsAdapter(), "sim-slurm": SimSlurmAdapter()}
         self.poll_interval_s = poll_interval_s
         self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}
@@ -184,11 +187,11 @@ class LrmMiddleware:
         for per_resource in (self._active, self._job_ids, self._credentials, self._observed):
             per_resource.setdefault(resource.name, {})
 
-    def register_dialect(self, name: str, adapter) -> None:
-        self.dialects.register(name, adapter)
-
-    def acquire_session(self, resource: str, credential: str):
-        return self.transport.acquire_session(resource, credential)
+    def _adapter(self, resource: ResourceDescriptor) -> DialectAdapter:
+        adapter = self.dialects.get(resource.dialect)
+        if adapter is None:
+            raise UnknownDialectError(f"no dialect adapter registered for {resource.dialect!r}")
+        return adapter
 
     @property
     def active_pollers(self) -> int:
@@ -214,7 +217,7 @@ class LrmMiddleware:
             raise ValidationError(
                 f"job wants {spec.node_count} nodes, {spec.resource!r} has {resource.node_count}"
             )
-        adapter = self.dialects.get(resource.dialect)
+        adapter = self._adapter(resource)
 
         self._counter += 1
         job_id = f"j{self._counter:06d}"
@@ -266,7 +269,7 @@ class LrmMiddleware:
         if record.state in TERMINAL_STATES:
             return CancelAck(job_id=record.job_id, noop=True)
         resource = self.resources[record.spec.resource]
-        adapter = self.dialects.get(resource.dialect)
+        adapter = self._adapter(resource)
         self.transport.call(
             record.spec.resource, record.spec.credential, "cancel",
             adapter.format_cancel(record.native_id),
@@ -306,7 +309,7 @@ class LrmMiddleware:
             active.clear()
             active.update(entries)
         resource = self.resources[resource_name]
-        adapter = self.dialects.get(resource.dialect)
+        adapter = self._adapter(resource)
         credential = min(self._credentials[resource_name])
         command = adapter.format_status(list(active.values()))
         try:

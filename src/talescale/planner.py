@@ -78,13 +78,6 @@ class WorkloadRequirements:
 
 
 @dataclass(frozen=True)
-class ModelFeasibility:
-    model: ExecutionModel
-    feasible: bool
-    reason: str
-
-
-@dataclass(frozen=True)
 class PlacementPlan:
     model: ExecutionModel
     frontend_resource: str
@@ -210,12 +203,9 @@ def placement_candidates(req: WorkloadRequirements,
 
 
 def enumerate_feasible_models(req: WorkloadRequirements,
-                              inventory: list[ResourceDescriptor]) -> list[ModelFeasibility]:
+                              inventory: list[ResourceDescriptor]) -> list[ModelCandidates]:
     """Feasibility of all six models, in model order, with reasons."""
-    return [
-        ModelFeasibility(model=c.model, feasible=c.feasible, reason=c.reason)
-        for c in placement_candidates(req, inventory)
-    ]
+    return placement_candidates(req, inventory)
 
 
 def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,

@@ -8,7 +8,6 @@ job starts (no job starts inside a window).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -59,15 +58,6 @@ class QueueModel:
         if self.distribution == "uniform":
             return (self.params["low"] + self.params["high"]) / 2.0
         return float(self.params["mean"])
-
-    def analytic_median(self) -> float:
-        if self.reservation:
-            return 0.0
-        if self.distribution == "fixed":
-            return float(self.params["value"])
-        if self.distribution == "uniform":
-            return (self.params["low"] + self.params["high"]) / 2.0
-        return float(self.params["mean"]) * math.log(2.0)
 
     def sample(self, rng: random.Random) -> float:
         if self.reservation:

@@ -42,7 +42,8 @@ _ACTIONS = {
 }
 
 # Each scenario op's numeric keys: their lower bounds, and whether they are integers.
-_NUMBERS = {"count": (0, True), "job_index": (0, True), "node_count": (1, True), "spacing": (0, False)}
+_NUMBERS = {"count": (0, True), "job_index": (0, True), "node_count": (1, True), "spacing": (0, False),
+            "t": (0, False)}
 
 
 @dataclass(frozen=True)
@@ -158,14 +159,6 @@ def _check_action(action, resources, known_uris) -> None:
             check_list(f"{section} {key}", action[key], str)
     if "command" in action:
         runtime_of_command(action["command"], 0.0)
-    try:
-        t = float(action.get("t", 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"scenario op {op!r} has a non-numeric time {action['t']!r}") from None
-    if not math.isfinite(t):
-        raise ConfigError(f"scenario op {op!r} has a non-finite time {action['t']!r}")
-    if t < 0:
-        raise ConfigError(f"scenario action {op!r} has negative time")
     if "resource" in action and action["resource"] not in resources:
         raise ConfigError(f"scenario op {op!r} references unknown resource {action['resource']!r}")
     for uri in [action["uri"]] if "uri" in action else action.get("uris", []):

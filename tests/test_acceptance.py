@@ -104,7 +104,7 @@ def test_criterion_02_session_frugality():
     world2.start()
     ops = 20
     for _ in range(ops):
-        world2.middleware.acquire_session("hpc-1", "user")
+        world2.transport.acquire_session("hpc-1", "user")
         world2.clock.advance(15.0)
     spaced = world2.transport.handshake_count
 

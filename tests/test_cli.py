@@ -320,7 +320,7 @@ class TestSimCommand:
         ({"handshake_s": "x"}, "handshake_s must be a finite number"),
         ({"transport_rtt_s": -1}, "transport_rtt_s must be a finite number at least 0"),
         ({"actions": [{"op": "submit_jobs", "t": float("nan"), "resource": "r"}]},
-         "non-finite time"),
+         "t must be a finite number at least 0, got nan"),
     ], ids=["credentials_string", "poll_interval_string", "poll_interval_nan",
             "handshake_string", "negative_rtt", "action_time_nan"])
     def test_malformed_scenario_exits_one(self, tmp_path, capsys, scenario, message):

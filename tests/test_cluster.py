@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from talescale.clock import SimClock
 from talescale.cluster import SimulatedLrm, _argv
-from talescale.dialects import SimPbsAdapter, SimSlurmAdapter
+from talescale.dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter
 from talescale.errors import TransportError
 from talescale.queues import QueueModel
 from talescale.resources import ResourceDescriptor
@@ -78,13 +78,77 @@ class TestSlurmStatusParse:
             assert (_outcome(self.adapter.parse_status, output)
                     == _outcome(_plain_sacct_parse, output))
 
-    def test_memo_stays_bounded(self):
-        adapter = SimSlurmAdapter()
-        held = "\n".join(f"{i}|PENDING|0:0" for i in range(100))
-        for i in range(5000):
-            assert adapter.parse_status(held + f"\n{1000 + i}|COMPLETED|0:0")[str(1000 + i)] == (
-                "completed", 0)
-            assert len(adapter._lines) <= 2 * 101 + 1024 + 101
+
+def _plain_qstat_parse(output):
+    """SimPbsAdapter.parse_status, one line at a time, without its memo."""
+    states = {}
+    current = None
+    for line in output.split("\n"):
+        if line.startswith("Job Id:"):
+            current = line[7:].lstrip(" \t") or None
+            continue
+        if current is None:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key == "job_state":
+            letter = value.strip()
+            if letter == "Q":
+                states[current] = ("queued", None)
+            elif letter == "R":
+                states[current] = ("running", None)
+        elif key == "exit_status":
+            code = int(value)
+            if code == PBS_KILL_EXIT:
+                states[current] = ("canceled", None)
+            elif code == 0:
+                states[current] = ("completed", 0)
+            else:
+                states[current] = ("failed", code)
+    return states
+
+
+# Lines of qstat -f output: "Job Id:" lines with empty, padded, repeated or
+# odd ids; job_state with known and unknown letters; exit_status with good
+# and malformed codes; and free text, so some text comes before any Job Id.
+_QSTAT_LINE = st.one_of(
+    st.builds("Job Id:{}".format, st.sampled_from(["", " ", "\t", " 1.a", "2.a", " 1.a\r",
+                                                   "3.b\x0b4", " \xa0"])),
+    st.builds("    job_state = {}".format, st.sampled_from(["Q", "R", "C", "E", "", "Q\r"])),
+    st.builds("    exit_status = {}".format, st.sampled_from(["0", "3", "271", "-1", "x", "",
+                                                               " 7\r"])),
+    st.text(alphabet=st.sampled_from("Job Id:=\r \t12QR_state")),
+)
+
+
+class TestPbsStatusParse:
+    # one adapter for every example, so later examples meet a warm memo
+    adapter = SimPbsAdapter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_QSTAT_LINE, max_size=10), st.sampled_from(["\n", "\r\n"]))
+    @example(["Job Id:", "    exit_status = x", "Job Id: 1.a", "    job_state = R"], "\n")
+    @example(["junk", "    exit_status = 3", "Job Id: 1.a", "    exit_status = 0"], "\n")
+    @example(["Job Id: 1.a", "    job_state = R", "Job Id: 2.a", "    job_state = Q",
+              "Job Id: 1.a", "    job_state = Z"], "\n")
+    @example(["Job Id: 1.a", "    exit_status = 1.5"], "\r\n")
+    def test_same_states_as_a_plain_parse_or_same_error(self, lines, newline):
+        output = newline.join(lines)
+        for _ in range(2):  # a cold, then a warm memo
+            assert (_outcome(self.adapter.parse_status, output)
+                    == _outcome(_plain_qstat_parse, output))
+
+
+@pytest.mark.parametrize("adapter, held, line", [
+    (SimSlurmAdapter(), "\n".join(f"{i}|PENDING|0:0" for i in range(100)),
+     "\n{}|COMPLETED|0:0".format),
+    (SimPbsAdapter(), "\n".join(f"Job Id: {i}\n    job_state = Q" for i in range(100)),
+     "\nJob Id: {}\n    exit_status = 0".format),
+], ids=["slurm", "pbs"])
+def test_memo_stays_bounded(adapter, held, line):
+    for i in range(5000):
+        assert adapter.parse_status(held + line(1000 + i))[str(1000 + i)] == ("completed", 0)
+        assert len(adapter._units) <= 2 * 101 + 1024 + 101
 
 
 def _lrm(name, adapter):

@@ -12,7 +12,6 @@ from talescale.dms import (
     ExternalDataRef,
     StagingKind,
     TransferSource,
-    register_dataset,
     resolve_local,
 )
 from talescale.errors import CapacityError, ChecksumMismatchError, DuplicateError, ValidationError
@@ -190,17 +189,17 @@ class TestEvict:
 class TestCatalog:
     def test_register_then_open(self):
         clock, cache = make_cache([])
-        r = register_dataset(cache.catalog, "doi:new", 10, digest_bytes(b"doi:new"))
+        r = cache.catalog.register(ExternalDataRef("doi:new", 10, digest_bytes(b"doi:new")))
         assert cache.open(r).ready
 
     def test_duplicate_uri_rejected(self):
         catalog = DatasetCatalog([ref("doi:a")])
         with pytest.raises(DuplicateError):
-            register_dataset(catalog, "doi:a", 1, digest_bytes(b"x"))
+            catalog.register(ExternalDataRef("doi:a", 1, digest_bytes(b"x")))
 
     def test_zero_size_valid(self):
         catalog = DatasetCatalog()
-        r = register_dataset(catalog, "doi:z", 0, digest_bytes(b"z"))
+        r = catalog.register(ExternalDataRef("doi:z", 0, digest_bytes(b"z")))
         assert r.size_bytes == 0
 
 

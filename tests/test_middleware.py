@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from talescale.cluster import SimulatedLrm
-from talescale.dialects import SimSlurmAdapter
 from talescale.digest import short_digest
 from talescale.errors import (
     SessionError,
@@ -607,7 +606,7 @@ class TestSessions:
         world = batch_world(scenario={"idle_ttl_s": 10.0})
         ops = 6
         for _ in range(ops):
-            world.middleware.acquire_session("hpc-1", "user")
+            world.transport.acquire_session("hpc-1", "user")
             world.clock.advance(15.0)
         assert world.transport.handshake_count == ops
 
@@ -622,18 +621,18 @@ class TestSessions:
 
     def test_distinct_credentials_distinct_sessions(self):
         world = batch_world(scenario={"credentials": ["alice", "bob"]})
-        world.middleware.acquire_session("hpc-1", "alice")
-        world.middleware.acquire_session("hpc-1", "bob")
+        world.transport.acquire_session("hpc-1", "alice")
+        world.transport.acquire_session("hpc-1", "bob")
         assert world.transport.handshake_count == 2
         assert world.transport.live_sessions() == 2
 
     def test_a_session_idle_past_its_ttl_is_not_live(self):
         world = batch_world(scenario={"idle_ttl_s": 10.0})
-        world.middleware.acquire_session("hpc-1", "user")
+        world.transport.acquire_session("hpc-1", "user")
         assert world.transport.live_sessions() == 1
         world.clock.run_until(100.0)
         assert world.transport.live_sessions() == 0
-        world.middleware.acquire_session("hpc-1", "user")  # the next call re-handshakes
+        world.transport.acquire_session("hpc-1", "user")  # the next call re-handshakes
         assert world.transport.live_sessions() == 1
         assert world.transport.handshake_count == 2
 
@@ -645,9 +644,9 @@ class TestSessions:
         assert status.state == JobState.FAILED
         assert "handshake" in status.cause
         with pytest.raises(SessionError, match="backoff"):
-            world.middleware.acquire_session("hpc-1", "user")
+            world.transport.acquire_session("hpc-1", "user")
         world.clock.advance(31.0)  # backoff over
-        world.middleware.acquire_session("hpc-1", "user")
+        world.transport.acquire_session("hpc-1", "user")
 
     def test_pending_handshake_failure_does_not_hold_back_a_transport_failure(self):
         world = batch_world(queue={"distribution": "fixed", "params": {"value": 1000.0}})
@@ -661,7 +660,7 @@ class TestSessions:
         # handshake takes the pending handshake failure
         world.clock.run_until(2000.0)
         with pytest.raises(SessionError, match="handshake"):
-            world.middleware.acquire_session("hpc-1", "user")
+            world.transport.acquire_session("hpc-1", "user")
 
     def test_negative_failure_count_rejected(self):
         world = batch_world()
@@ -707,12 +706,6 @@ class TestDialects:
         ])
         with pytest.raises(UnknownDialectError, match="sim-lsf"):
             world.middleware.submit(spec(resource="odd-1"))
-
-    def test_duplicate_dialect_registration_rejected(self):
-        from talescale.errors import DuplicateError
-        world = batch_world()
-        with pytest.raises(DuplicateError):
-            world.middleware.register_dialect("sim-slurm", SimSlurmAdapter())
 
 
 class TestStateMachine:

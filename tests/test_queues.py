@@ -11,7 +11,6 @@ def test_fixed_wait():
     rng = random.Random(1)
     assert qm.sample(rng) == 600.0
     assert qm.expected_wait() == 600.0
-    assert qm.analytic_median() == 600.0
 
 
 def test_uniform_bounds_and_mean():

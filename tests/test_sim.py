@@ -10,7 +10,7 @@ from talescale.cluster import SimulatedLrm
 from talescale.digest import digest_bytes
 from talescale.errors import ConfigError, TalescaleError, ValidationError
 from talescale.measure import launch_frontend
-from talescale.metrics import ReportRow, ReportTable, emit_report, parse_report
+from talescale.metrics import ReportRow, ReportTable, emit_report
 from talescale.middleware import JobSpec, JobState
 from talescale.pilots import PilotPool
 from talescale.planner import ExecutionModel, WorkloadRequirements
@@ -90,9 +90,12 @@ class TestLoadConfig:
         ({"op": "open_dataset"}, "missing \\['uri'\\]"),
         ({"op": "submit_jobs", "resource": "hpc-1", "cout": 5}, "unknown keys \\['cout'\\]"),
         ({"op": "cancel", "job_index": 0, "resource": "hpc-1"}, "unknown keys \\['resource'\\]"),
-        ({"op": "prefetch", "t": "soon"}, "non-numeric time"),
-        ({"op": "prefetch", "t": float("nan")}, "non-finite time"),
-        ({"op": "prefetch", "t": "inf"}, "non-finite time"),
+        ({"op": "prefetch", "t": "soon"}, "t must be a finite number at least 0, got 'soon'"),
+        ({"op": "prefetch", "t": float("nan")}, "t must be a finite number at least 0, got nan"),
+        ({"op": "prefetch", "t": "inf"}, "t must be a finite number at least 0, got 'inf'"),
+        ({"op": "prefetch", "t": "5"}, "t must be a finite number at least 0, got '5'"),
+        ({"op": "prefetch", "t": True}, "t must be a finite number at least 0, got True"),
+        ({"op": "prefetch", "t": -1}, "t must be a finite number at least 0, got -1"),
         ("submit_jobs", "must be an object"),
     ])
     def test_malformed_action_rejected(self, action, message):
@@ -386,7 +389,7 @@ class TestEmitReport:
 
     def test_json_round_trips(self):
         table = self.table()
-        assert parse_report(emit_report(table, "json")) == table
+        assert [ReportRow(**row) for row in json.loads(emit_report(table, "json"))] == table.rows
 
     def test_table_format_contains_all_cells(self):
         out = emit_report(self.table(), "table").decode()
