@@ -26,6 +26,7 @@ from .middleware import (
 from .pilots import PilotPool, PoolPolicy, SlotState
 from .planner import (
     ExecutionModel,
+    Inventory,
     PlacementPlan,
     WorkloadRequirements,
     enumerate_feasible_models,

@@ -28,12 +28,17 @@ Command lines are tokenized with ``shlex.split`` semantics, always.
 ``_argv`` takes ``str.split`` as a fast path only for payloads on which
 the two cannot differ: no quote, no backslash, and no whitespace other
 than the space, tab, CR and LF that shlex splits on. ``str.split`` also
-splits on vertical tab, form feed, no-break space and other Unicode
-spaces, which shlex keeps inside a word, and PBS ids embed resource
-names, which may hold any of them. A payload whose only quoting is
-balanced single quotes (as every ``sbatch --wrap`` carries) is split by
-one regex instead: a word runs to the next space, tab, CR or LF outside
-quotes, and shlex would only drop its quote characters.
+splits on vertical tab, form feed, the separators U+001C to U+001F,
+no-break space and other Unicode spaces, which shlex keeps inside a word,
+and PBS ids embed resource names, which may hold any of them. The test
+runs in C over kilobyte status payloads: ``in`` for the quotes and the
+backslash, and, since ``isascii`` answers in O(1), ``in`` for the six
+ASCII characters of that kind; only a payload that is not ASCII is
+searched with a regex. A payload whose only quoting is balanced single
+quotes (as every ``sbatch --wrap`` carries), or that holds such a
+character, is split by one regex instead: a word runs to the next space,
+tab, CR or LF outside quotes, and shlex would only drop its quote
+characters.
 """
 
 from __future__ import annotations
@@ -54,20 +59,30 @@ FRONTEND_RUNTIME_S = 10.0 ** 9
 
 _SACCT_STATE = {neutral: native for native, neutral in SimSlurmAdapter._STATE_MAP.items()}
 
-# A quote, a backslash, or whitespace that shlex does not split on.
-_NEEDS_SHLEX = re.compile(r"[\"'\\]|[^\S \t\r\n]")
+# The ASCII characters str.split splits on and shlex keeps inside a word.
+_ASCII_WORD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
+# Any character str.split splits on and shlex keeps inside a word.
+_WORD_SPACE = re.compile(r"[^\S \t\r\n]")
 # One shlex word when the only quotes are single ones: unquoted characters
 # other than shlex's whitespace, and whole '...' runs.
 _SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
 
 
+def _has_word_space(payload: str) -> bool:
+    """Whether ``payload`` holds a character str.split splits on and shlex
+    keeps inside a word; ``isascii`` takes O(1)."""
+    if payload.isascii():
+        return any(map(payload.__contains__, _ASCII_WORD_SPACES))
+    return _WORD_SPACE.search(payload) is not None
+
+
 def _argv(payload: str) -> list[str]:
     """``shlex.split(payload)``, without shlex where it cannot differ."""
-    if _NEEDS_SHLEX.search(payload) is None:
-        return payload.split()
-    if '"' not in payload and "\\" not in payload and payload.count("'") % 2 == 0:
+    if '"' in payload or "\\" in payload or payload.count("'") % 2:
+        return shlex.split(payload)
+    if "'" in payload or _has_word_space(payload):
         return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(payload)]
-    return shlex.split(payload)
+    return payload.split()
 
 
 def _runtime(word) -> float:

@@ -144,3 +144,9 @@ class SimSlurmAdapter(DialectAdapter):
 
     def format_cancel(self, native_id):
         return f"scancel {native_id}"
+
+
+# Every dialect name a resource may carry, with its adapter class; resource
+# descriptors check their dialect against it, and the middleware holds one
+# adapter per name.
+ADAPTERS = {adapter.name: adapter for adapter in (SimPbsAdapter, SimSlurmAdapter)}

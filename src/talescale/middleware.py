@@ -17,8 +17,9 @@ Design constraints, each of which is load-bearing for scale:
   cycle whose output repeats the one last applied parses nothing;
 * sessions are reused across operations per (resource, credential) pair.
 
-The dialect adapters live in a plain dict, ``dialects``, keyed by the
-dialect name a resource descriptor carries.
+The dialect adapters live in a plain dict, ``dialects``, one per name in
+``talescale.dialects.ADAPTERS``, keyed by the dialect name a resource
+descriptor carries.
 
 Client job states move only along the legal edges
 Created -> Submitted -> Queued -> Running -> {Completed, Failed, Canceled},
@@ -37,7 +38,7 @@ from typing import Callable
 
 from .clock import grid_after
 from .cluster import runtime_of_command
-from .dialects import DialectAdapter, SimPbsAdapter, SimSlurmAdapter
+from .dialects import ADAPTERS, DialectAdapter
 from .errors import (
     SessionError,
     TransportError,
@@ -160,7 +161,7 @@ class LrmMiddleware:
         self.transport = transport
         self.trace = trace
         self.dialects: dict[str, DialectAdapter] = {
-            "sim-pbs": SimPbsAdapter(), "sim-slurm": SimSlurmAdapter()}
+            name: adapter() for name, adapter in ADAPTERS.items()}
         self.poll_interval_s = poll_interval_s
         self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}

@@ -6,11 +6,20 @@ placement minimizing either expected time to a usable frontend or wide-
 area data movement. Selection is deterministic: ties break by model order
 (M1 first), then inventory order.
 
-A candidate's wide-area bytes are the sizes of the requested refs that are
-not local to its consumer; the consumer is the workload resource, else the
-frontend. These are exactly the refs ``resolve_local`` sends through the
-cache, so scoring builds no staging actions: ``resolve_local`` runs once
-per dataset, for the chosen consumer's staging tuple.
+Plans read an ``Inventory``, an immutable snapshot of the resources
+(``plan_placement`` wraps a plain list in one of its own). For each
+requirement shape ``(needs_hpc, needs_mpi, min_nodes)`` a snapshot builds
+on first use, and keeps, the candidate rule's output, the six reasons and,
+per group, the candidate with the least static key (model rank, frontend
+index, workload index). A group is what an objective's score depends on:
+the consumer (the workload resource, else the frontend) for wide-area
+bytes, the (model, frontend) pair for time to frontend, which reads the
+warm pool and queue model and so is priced on every plan. Static keys are
+unique, so the least (score, static key) over the groups is the least over
+every candidate. A consumer's wide-area bytes are the requested total less
+the sizes of the requested refs local to it, exactly the refs
+``resolve_local`` does not send through the cache; it runs once per
+dataset, for the chosen consumer's staging tuple.
 
 Model rules, fixed as this artifact's policy:
 
@@ -262,6 +271,72 @@ def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
     return image_load_s + wait
 
 
+def _least_keys(candidates, index: dict[str, int], group) -> dict:
+    """Per group of candidates, the (static key, candidate) with the least
+    static key: (model rank, frontend index, workload index)."""
+    least = {}
+    for candidate in candidates:
+        model, frontend, workload = candidate
+        key = (_MODEL_RANK[model], index[frontend.name],
+               index[workload.name] if workload is not None else -1)
+        at = group(candidate)
+        if at not in least or key < least[at][0]:
+            least[at] = (key, candidate)
+    return least
+
+
+def _consumer(candidate) -> ResourceDescriptor:
+    _, frontend, workload = candidate
+    return workload if workload is not None else frontend
+
+
+# What each objective's primary score depends on, besides the call's inputs:
+# wide-area bytes on the consumer alone, time to frontend on the model and
+# the frontend alone.
+_GROUPS = {
+    "min_time_to_frontend": lambda c: (c[0], c[1].name),
+    "min_data_movement": lambda c: _consumer(c).name,
+}
+
+
+class _ShapeTables:
+    """One requirement shape's placement tables over one inventory."""
+
+    __slots__ = ("rules", "reasons", "least")
+
+    def __init__(self, req: WorkloadRequirements, inventory: "Inventory"):
+        self.rules = placement_candidates(req, inventory)
+        self.reasons = tuple(
+            f"{c.model.value}: {'feasible' if c.feasible else 'infeasible'} - {c.reason}"
+            for c in self.rules
+        )
+        candidates = [(c.model, frontend, workload)
+                      for c in self.rules for frontend, workload in c.pairs]
+        self.least = {objective: _least_keys(candidates, inventory._index, group)
+                      for objective, group in _GROUPS.items()}
+
+
+class Inventory(tuple):
+    """An immutable snapshot of a resource inventory, in order, with unique
+    names; it keeps the placement tables of each requirement shape planned
+    against it."""
+
+    def __new__(cls, resources):
+        self = super().__new__(cls, resources)
+        self._index = {r.name: i for i, r in enumerate(self)}
+        if len(self._index) < len(self):
+            raise ValidationError("inventory resource names must be unique")
+        self._shapes = {}
+        return self
+
+    def _tables(self, req: WorkloadRequirements) -> _ShapeTables:
+        shape = (req.needs_hpc, req.needs_mpi, req.min_nodes)
+        tables = self._shapes.get(shape)
+        if tables is None:
+            tables = self._shapes[shape] = _ShapeTables(req, self)
+        return tables
+
+
 def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor],
                    objective: str = "min_time_to_frontend", *,
                    catalog: DatasetCatalog | None = None,
@@ -271,32 +346,33 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
                    dispatch_overhead_s: float = 0.2) -> PlacementPlan:
     """Deterministically choose the best feasible placement.
 
+    ``inventory`` is an ``Inventory``, whose tables later plans reuse, or
+    any sequence of resources, read through a snapshot of its own.
     ``frontend_override`` names the user-supplied frontend resource and
     restricts planning to the decoupled model (recorded as an override).
     """
     if objective not in OBJECTIVES:
         raise ValidationError(f"unknown objective {objective!r}; use one of {OBJECTIVES}")
-    rules = placement_candidates(req, inventory)
-    reasons = tuple(
-        f"{c.model.value}: {'feasible' if c.feasible else 'infeasible'} - {c.reason}"
-        for c in rules
-    )
-    index = {r.name: i for i, r in enumerate(inventory)}
+    if not isinstance(inventory, Inventory):
+        inventory = Inventory(inventory)
+    tables = inventory._tables(req)
+    reasons = tables.reasons
 
     override = None
     if frontend_override is None:
-        candidates = [(c.model, frontend, workload)
-                      for c in rules for frontend, workload in c.pairs]
+        least = tables.least[objective]
     else:
-        override = {r.name: r for r in inventory}.get(frontend_override)
-        if override is None:
+        if frontend_override not in inventory._index:
             raise ValidationError(f"frontend override {frontend_override!r} is not in the inventory")
-        decoupled = rules[_MODEL_RANK[ExecutionModel.M6_DECOUPLED_REMOTE_LRM]]
+        override = inventory[inventory._index[frontend_override]]
+        decoupled = tables.rules[_MODEL_RANK[ExecutionModel.M6_DECOUPLED_REMOTE_LRM]]
         if not decoupled.feasible:
             raise InfeasiblePlanError(list(reasons))
-        candidates = [(decoupled.model, override, workload) for _, workload in decoupled.pairs]
+        least = _least_keys([(decoupled.model, override, workload)
+                             for _, workload in decoupled.pairs],
+                            inventory._index, _GROUPS[objective])
 
-    if not candidates:
+    if not least:
         raise InfeasiblePlanError(list(reasons))
 
     def ref_for(uri: str) -> ExternalDataRef:
@@ -305,34 +381,24 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
         return ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
 
     refs = [ref_for(uri) for uri in sorted(req.dataset_uris)]
-    # many candidates share a consumer (the workload resource, else the
-    # frontend), and the sum depends on the consumer alone
-    wide_area: dict[str, int] = {}
+    if objective == "min_time_to_frontend":
+        def primary(candidate):
+            model, frontend, _ = candidate
+            return _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
+    else:
+        # the requested bytes less those already local to the consumer
+        sizes = {ref.uri: ref.size_bytes for ref in refs}
+        total = sum(sizes.values())
 
-    def wide_area_bytes(frontend, workload) -> int:
-        consumer = workload if workload is not None else frontend
-        if consumer.name not in wide_area:
-            wide_area[consumer.name] = sum(
-                ref.size_bytes for ref in refs if ref.uri not in consumer.local_datasets)
-        return wide_area[consumer.name]
+        def primary(candidate):
+            local = req.dataset_uris & _consumer(candidate).local_datasets
+            return total - sum(map(sizes.__getitem__, local))
 
-    def score(candidate):
-        model, frontend, workload = candidate
-        if objective == "min_time_to_frontend":
-            primary = _time_to_frontend(
-                model, frontend, image_load_s, pool_state, dispatch_overhead_s)
-        else:
-            primary = wide_area_bytes(frontend, workload)
-        return (
-            primary,
-            _MODEL_RANK[model],
-            index[frontend.name],
-            index[workload.name] if workload is not None else -1,
-        )
-
-    model, frontend, workload = min(candidates, key=score)
-    consumer = workload if workload is not None else frontend
-    staging = tuple(resolve_local(ref, consumer) for ref in refs)
+    # static keys are unique, so this is the least (primary, static key)
+    # over every candidate
+    _, best = min(least.values(), key=lambda entry: (primary(entry[1]), entry[0]))
+    model, frontend, workload = best
+    staging = tuple(resolve_local(ref, _consumer(best)) for ref in refs)
     estimate = _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
     notes = list(reasons)
     notes.append(f"selected {model.value} minimizing {objective}")

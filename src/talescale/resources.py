@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .dialects import ADAPTERS
 from .errors import ConfigError, ValidationError, check_choice, check_keys, check_list, check_number
 from .queues import QueueModel
 
@@ -53,6 +54,8 @@ class ResourceDescriptor:
             raise ValidationError("wt_cluster must have lrm=none and allow incoming connections")
         if self.lrm == "batch" and self.dialect is None:
             object.__setattr__(self, "dialect", "sim-pbs")
+        if self.dialect is not None:
+            check_choice(section, "dialect", self.dialect, ADAPTERS)
         if self.dialect == "sim-pbs" and (_PBS_UNSAFE.search(self.name) or self.name != self.name.rstrip()):
             raise ConfigError(f"{section} name cannot be carried in sim-pbs job ids: it holds a space, tab, "
                               "CR, LF, quote or backslash, or ends with whitespace")

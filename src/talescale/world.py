@@ -23,6 +23,7 @@ from .errors import ConfigError, ValidationError, check_keys, check_list, check_
 from .metrics import ScenarioMetrics
 from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
+from .planner import Inventory
 from .proxy import ProxyRegistry, SimulatedNetwork
 from .queues import QueueModel, queues_by_name
 from .resources import ResourceDescriptor, resources_by_name
@@ -85,8 +86,10 @@ class WorldConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
     @property
-    def inventory(self) -> list[ResourceDescriptor]:
-        return list(self.resources.values())
+    def inventory(self) -> Inventory:
+        """A new snapshot of the resources, in order; plan every launch
+        against one snapshot to reuse its placement tables."""
+        return Inventory(self.resources.values())
 
 
 def read_json(path):

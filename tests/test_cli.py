@@ -313,6 +313,21 @@ class TestSimCommand:
         assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
         assert "integer count" in capsys.readouterr().err
 
+    def test_unknown_dialect_exits_one_before_the_run(self, tmp_path, capsys):
+        # the submit at 50 s is past the horizon: the config alone is refused
+        config = {
+            "resources": [{"name": "r", "kind": "hpc_cluster", "lrm": "batch", "dialect": "sim-lsf",
+                           "allows_incoming_connections": False, "queue": "q"}],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "scenario": {"actions": [{"op": "submit_jobs", "t": 50.0, "resource": "r"}]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["sim", "run", "--config", str(path), "--horizon", "40"]) == 1
+        captured = capsys.readouterr()
+        assert "resource 'r' dialect must be one of ['sim-pbs', 'sim-slurm'], got 'sim-lsf'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("scenario, message", [
         ({"credentials": "alice"}, "credentials must be a list of strings"),
         ({"poll_interval_s": "5"}, "poll_interval_s must be a finite number"),

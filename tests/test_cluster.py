@@ -17,6 +17,10 @@ from talescale.trace import TraceLog
 # the escape character, and plain word characters.
 _TRICKY = (" \t\r\n" "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
            "'\"\\" "ab1.-=,|#")
+# shlex's 4 spaces, the 6 other ASCII characters str.split splits on, 3
+# non-ASCII spaces, the quotes, the escape, '#', and word characters
+_PAYLOAD_ALPHABET = (" \t\r\n" "\x0b\x0c\x1c\x1d\x1e\x1f" "\x85\xa0\u2003"
+                     "'\"\\#" "abcxyz0189,=-")
 
 
 def _outcome(parse, text):
@@ -37,6 +41,17 @@ class TestTokenizer:
     @example("''")
     def test_same_argv_as_shlex_or_same_error(self, text):
         assert _outcome(_argv, text) == _outcome(shlex.split, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.text(alphabet=st.sampled_from("abc0189,=- "), min_size=1, max_size=20),
+           tail=st.text(alphabet=st.sampled_from(_PAYLOAD_ALPHABET), max_size=40),
+           repeats=st.integers(0, 200), at_start=st.booleans())
+    def test_long_payloads_same_argv_as_shlex_or_same_error(self, head, tail, repeats, at_start):
+        # status payloads run to kilobytes of plain ids; the one character
+        # that decides the split may sit at either end of them
+        body = head * (1025 // len(head) + repeats)
+        payload = tail + body if at_start else body + tail
+        assert _outcome(_argv, payload) == _outcome(shlex.split, payload)
 
     def test_vertical_tab_stays_inside_a_word(self):
         # str.split() would give four tokens here

@@ -10,6 +10,7 @@ from talescale.planner import (
     MODEL_ORDER,
     OBJECTIVES,
     ExecutionModel,
+    Inventory,
     LaunchPath,
     WorkloadRequirements,
     enumerate_feasible_models,
@@ -404,6 +405,47 @@ class TestPlanMatchesBruteForce:
                 compared += isinstance(expected, dict)
         assert compared > 1000  # most draws plan; the rest compare their errors
 
+    def test_reused_snapshot_matches_every_request(self):
+        # One snapshot serves requests of mixed shapes, objectives, overrides,
+        # warm pools and catalogs; its kept tables must give each request the
+        # plan a fresh list gives, and never see resources added to the source
+        # list after the snapshot was taken.
+        rng = random.Random(20202)
+        uris = [f"doi:10.5072/d{j}" for j in range(6)]
+        compared = 0
+        for _ in range(200):
+            original = random_inventory(rng, uris)
+            source = list(original)
+            snapshot = Inventory(source)
+            source.append(make_resource(name="late", nodes=16, mpi=True, datasets=uris,
+                                        queue=fixed_queue(0)))
+            for _ in range(6):
+                needs_mpi = rng.random() < 0.2
+                req = WorkloadRequirements(
+                    needs_hpc=needs_mpi or rng.random() < 0.5, needs_mpi=needs_mpi,
+                    min_nodes=rng.choice((1, 1, 2, 8)),
+                    dataset_uris=rng.sample(uris, rng.randint(0, len(uris))))
+                catalog = rng.choice((None, DatasetCatalog(
+                    ExternalDataRef(uri=u, size_bytes=rng.choice((0, 5, 70, 10 ** 12)),
+                                    checksum=digest_bytes(u.encode()))
+                    for u in uris if rng.random() < 0.7)))
+                override = rng.choice((None, None, "ghost", "late",
+                                       *(r.name for r in original[:3])))
+                pool_state = rng.choice((None, {r.name: True for r in source
+                                                if rng.random() < 0.5}))
+                for objective in OBJECTIVES:
+                    kwargs = dict(catalog=catalog, frontend_override=override,
+                                  pool_state=pool_state)
+                    expected = outcome(brute_force_plan, req, original, objective, **kwargs)
+                    assert outcome(plan_placement, req, original, objective, **kwargs) == expected
+                    assert outcome(plan_placement, req, snapshot, objective, **kwargs) == expected
+                    compared += isinstance(expected, dict)
+        assert compared > 1000
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValidationError, match="unique"):
+            plan_placement(WorkloadRequirements(), [wt_resource(), wt_resource()])
+
 
 def tale_launch_inventory(resources, seed=3):
     """A deployment cluster, 9 direct nodes, and batch clusters with local
@@ -443,3 +485,24 @@ class TestScoringWork:
             calls.clear()
             plan = plan_placement(req, inventory, "min_data_movement", catalog=catalog)
             assert len(calls) == len(req.dataset_uris) == len(plan.staging_actions)
+
+    @pytest.mark.parametrize("resources", [50, 1000])
+    def test_candidate_rule_runs_once_per_shape(self, monkeypatch, resources):
+        inventory, catalog, rng, uris = tale_launch_inventory(resources)
+        calls = []
+
+        def counting(req, resources):
+            calls.append((req.needs_hpc, req.needs_mpi, req.min_nodes))
+            return placement_candidates(req, resources)
+
+        monkeypatch.setattr("talescale.planner.placement_candidates", counting)
+        snapshot = Inventory(inventory)
+        shapes = ((False, False, 1), (True, False, 1), (True, True, 16))
+        for _ in range(4):
+            for needs_hpc, needs_mpi, min_nodes in shapes:
+                req = WorkloadRequirements(needs_hpc=needs_hpc, needs_mpi=needs_mpi,
+                                           min_nodes=min_nodes,
+                                           dataset_uris=rng.sample(uris[:200], 8))
+                for objective in OBJECTIVES:
+                    plan_placement(req, snapshot, objective, catalog=catalog)
+        assert calls == list(shapes)

@@ -59,6 +59,14 @@ class TestLoadConfig:
                  "allows_incoming_connections": False},
             ]})
 
+    def test_unknown_dialect_rejected(self):
+        with pytest.raises(ConfigError, match="dialect must be one of \\['sim-pbs', 'sim-slurm'\\], "
+                                             "got 'sim-lsf'"):
+            load_config({"resources": [
+                {"name": "h", "kind": "hpc_cluster", "lrm": "batch", "dialect": "sim-lsf",
+                 "allows_incoming_connections": False, "queue": "q"},
+            ], "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}}})
+
     def test_resource_referencing_unknown_queue(self):
         with pytest.raises(ConfigError, match="unknown queue"):
             load_config({"resources": [
