@@ -43,16 +43,11 @@ def grid_after(now: float, interval: float) -> float:
 class EventHandle:
     """One scheduled callback; pending while ``_fn`` is set."""
 
-    __slots__ = ("_time", "_fn", "_canceled")
+    __slots__ = ("_fn", "_canceled")
 
-    def __init__(self, time: float, fn: Callable[[], None]):
-        self._time = time
+    def __init__(self, fn: Callable[[], None]):
         self._fn: Callable[[], None] | None = fn
         self._canceled = False
-
-    @property
-    def time(self) -> float:
-        return self._time
 
     @property
     def canceled(self) -> bool:
@@ -79,7 +74,7 @@ class SimClock:
         """
         if not time >= self._now:
             raise ValueError(f"cannot schedule event at {time} before now={self._now}")
-        handle = EventHandle(time, fn)
+        handle = EventHandle(fn)
         heapq.heappush(self._heap, (time, next(self._seq), handle))
         self._live += 1
         return handle

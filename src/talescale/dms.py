@@ -106,7 +106,6 @@ class TransferRecord:
 class CacheEntry:
     ref: ExternalDataRef
     state: CacheState = CacheState.ABSENT
-    local_path: str | None = None
     last_access: float = 0.0
     pin_count: int = 0
 
@@ -114,12 +113,11 @@ class CacheEntry:
 class OpenHandle:
     """Result of an open: ready once the backing transfer completes."""
 
-    __slots__ = ("uri", "ready", "local_path", "error")
+    __slots__ = ("uri", "ready", "error")
 
     def __init__(self, uri: str):
         self.uri = uri
         self.ready = False
-        self.local_path: str | None = None
         self.error: Exception | None = None
 
 
@@ -146,9 +144,6 @@ class DatasetCatalog:
 
     def __iter__(self):
         return iter(self._refs.values())
-
-    def __len__(self) -> int:
-        return len(self._refs)
 
 
 def resolve_local(ref: ExternalDataRef, resource: ResourceDescriptor) -> StagingAction:
@@ -269,7 +264,6 @@ class DmsCache:
             if entry.last_access != self.clock.now:
                 self._touch(entry)
             handle.ready = True
-            handle.local_path = entry.local_path
             self.trace.emit("cache_hit", uri=ref.uri)
             return handle
 
@@ -335,7 +329,6 @@ class DmsCache:
                         f"{self.capacity_bytes - self._used_bytes} free, no evictable entries"
                     )
                 victim.state = CacheState.EVICTED
-                victim.local_path = None
                 self._used_bytes -= victim.ref.size_bytes
                 self._resident -= 1
                 evicted.append(victim.ref.uri)
@@ -402,14 +395,12 @@ class DmsCache:
                 handle.error = error
             return
         entry.state = CacheState.RESIDENT
-        entry.local_path = f"cache://{ref.uri}"
         self._resident += 1
         self._touch(entry)
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
                         source=TransferSource.REMOTE_REPO.value)
         for handle in pending.handles:
             handle.ready = True
-            handle.local_path = entry.local_path
 
     def stage_in(self, ref: ExternalDataRef, resource: ResourceDescriptor) -> TransferRecord:
         """Local stage-in on a resource holding a non-POSIX copy.

@@ -10,14 +10,15 @@ Plans read an ``Inventory``, an immutable snapshot of the resources
 (``plan_placement`` wraps a plain list in one of its own). For each
 requirement shape ``(needs_hpc, needs_mpi, min_nodes)`` a snapshot builds
 on first use, and keeps, the candidate rule's output, the six reasons and,
-per group, the candidate with the least static key (model rank, frontend
-index, workload index). A group is what an objective's score depends on:
-the consumer (the workload resource, else the frontend) for wide-area
-bytes, the (model, frontend) pair for time to frontend, which reads the
-warm pool and queue model and so is priced on every plan. Static keys are
-unique, so the least (score, static key) over the groups is the least over
-every candidate. A consumer's wide-area bytes are the requested total less
-the sizes of the requested refs local to it, exactly the refs
+per group, the group's first candidate in rule order. A group is what an
+objective's score depends on: the consumer (the workload resource, else
+the frontend) for wide-area bytes, the (model, frontend) pair for time to
+frontend, which reads the warm pool and queue model and so is priced on
+every plan. The rule yields candidates in model order, then inventory
+order, and the groups keep the order of their first candidates, so the
+first least-scoring group is the one the tie-break picks. A consumer's
+wide-area bytes are the requested total less the sizes of the requested
+refs local to it, exactly the refs
 ``resolve_local`` does not send through the cache; it runs once per
 dataset, for the chosen consumer's staging tuple.
 
@@ -61,7 +62,6 @@ class ExecutionModel(str, enum.Enum):
 
 
 MODEL_ORDER = tuple(ExecutionModel)
-_MODEL_RANK = {model: i for i, model in enumerate(MODEL_ORDER)}
 
 OBJECTIVES = ("min_time_to_frontend", "min_data_movement")
 
@@ -229,7 +229,7 @@ def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescripto
     frontend on.
     """
     model = ExecutionModel(model)
-    rule = placement_candidates(WorkloadRequirements(), [resource])[_MODEL_RANK[model]]
+    rule = placement_candidates(WorkloadRequirements(), [resource])[MODEL_ORDER.index(model)]
     if not rule.frontends:
         raise ValidationError(f"{model.value} cannot place a frontend on {resource.name!r}")
     return _time_to_frontend(model, resource, image_load_s, pool_state, dispatch_overhead_s)
@@ -271,18 +271,12 @@ def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
     return image_load_s + wait
 
 
-def _least_keys(candidates, index: dict[str, int], group) -> dict:
-    """Per group of candidates, the (static key, candidate) with the least
-    static key: (model rank, frontend index, workload index)."""
-    least = {}
+def _firsts(candidates, group) -> dict:
+    """Each group's first candidate, groups in the order they first appear."""
+    firsts = {}
     for candidate in candidates:
-        model, frontend, workload = candidate
-        key = (_MODEL_RANK[model], index[frontend.name],
-               index[workload.name] if workload is not None else -1)
-        at = group(candidate)
-        if at not in least or key < least[at][0]:
-            least[at] = (key, candidate)
-    return least
+        firsts.setdefault(group(candidate), candidate)
+    return firsts
 
 
 def _consumer(candidate) -> ResourceDescriptor:
@@ -302,7 +296,7 @@ _GROUPS = {
 class _ShapeTables:
     """One requirement shape's placement tables over one inventory."""
 
-    __slots__ = ("rules", "reasons", "least")
+    __slots__ = ("rules", "reasons", "firsts")
 
     def __init__(self, req: WorkloadRequirements, inventory: "Inventory"):
         self.rules = placement_candidates(req, inventory)
@@ -312,8 +306,8 @@ class _ShapeTables:
         )
         candidates = [(c.model, frontend, workload)
                       for c in self.rules for frontend, workload in c.pairs]
-        self.least = {objective: _least_keys(candidates, inventory._index, group)
-                      for objective, group in _GROUPS.items()}
+        self.firsts = {objective: _firsts(candidates, group)
+                       for objective, group in _GROUPS.items()}
 
 
 class Inventory(tuple):
@@ -360,19 +354,18 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
 
     override = None
     if frontend_override is None:
-        least = tables.least[objective]
+        firsts = tables.firsts[objective]
     else:
         if frontend_override not in inventory._index:
             raise ValidationError(f"frontend override {frontend_override!r} is not in the inventory")
         override = inventory[inventory._index[frontend_override]]
-        decoupled = tables.rules[_MODEL_RANK[ExecutionModel.M6_DECOUPLED_REMOTE_LRM]]
+        decoupled = tables.rules[MODEL_ORDER.index(ExecutionModel.M6_DECOUPLED_REMOTE_LRM)]
         if not decoupled.feasible:
             raise InfeasiblePlanError(list(reasons))
-        least = _least_keys([(decoupled.model, override, workload)
-                             for _, workload in decoupled.pairs],
-                            inventory._index, _GROUPS[objective])
+        firsts = _firsts([(decoupled.model, override, workload)
+                          for _, workload in decoupled.pairs], _GROUPS[objective])
 
-    if not least:
+    if not firsts:
         raise InfeasiblePlanError(list(reasons))
 
     def ref_for(uri: str) -> ExternalDataRef:
@@ -394,9 +387,8 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
             local = req.dataset_uris & _consumer(candidate).local_datasets
             return total - sum(map(sizes.__getitem__, local))
 
-    # static keys are unique, so this is the least (primary, static key)
-    # over every candidate
-    _, best = min(least.values(), key=lambda entry: (primary(entry[1]), entry[0]))
+    # min keeps the first of equal scores: ties go to model, then inventory order
+    best = min(firsts.values(), key=primary)
     model, frontend, workload = best
     staging = tuple(resolve_local(ref, _consumer(best)) for ref in refs)
     estimate = _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)

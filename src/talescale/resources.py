@@ -84,21 +84,6 @@ class ResourceDescriptor:
             qm = queues[queue_name]
         return cls(queue_model=qm, **raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lrm": self.lrm,
-            "allows_incoming_connections": self.allows_incoming_connections,
-            "mpi_capable": self.mpi_capable,
-            "can_compile": self.can_compile,
-            "node_count": self.node_count,
-            "local_datasets": sorted(self.local_datasets),
-            "dataset_interface": self.dataset_interface,
-            "no_proxy": self.no_proxy,
-            "dialect": self.dialect,
-        }
-
 
 def resources_by_name(entries, queues: dict[str, QueueModel]) -> dict[str, ResourceDescriptor]:
     """Parse an inventory's resource list, in order; names must be unique.

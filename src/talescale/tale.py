@@ -87,6 +87,13 @@ def _each(section: str, items, cls) -> tuple:
                  for item in check_list(section, items))
 
 
+def _lacks_source(artifacts) -> bool:
+    """The source rule, broken: ``artifacts`` hold compiled artifacts
+    (executables or libraries) but no source to ship beside them."""
+    kinds = {a.kind for a in artifacts}
+    return bool(kinds) and ArtifactKind.SOURCE not in kinds
+
+
 def _directories(paths) -> set[str]:
     """Every ancestor directory of the normalized ``paths``."""
     dirs: set[str] = set()
@@ -181,10 +188,8 @@ class PackagingManifest:
         paths = [e.path for e in self.entries]
         if len(paths) != len(set(paths)):
             raise ValidationError("manifest entries contain duplicate paths")
-        has_executable = any(e.kind == ArtifactKind.PREBUILT_EXECUTABLE for e in self.entries)
-        has_source = any(e.kind == ArtifactKind.SOURCE for e in self.entries)
-        if has_executable and not has_source:
-            raise ValidationError("manifest with a prebuilt executable must include source")
+        if _lacks_source(self.entries):
+            raise ValidationError("manifest with compiled artifacts must include source")
         if self.strategy == PackagingStrategy.PER_RESOURCE_STATIC:
             if not any(e.arch_specific for e in self.entries):
                 raise ValidationError("per_resource_static requires arch-tagged entries")
@@ -269,17 +274,12 @@ class Tale:
         uris = [r.uri for r in self.data_refs]
         if len(uris) != len(set(uris)):
             problems.append("duplicate data ref uris")
-        has_compiled = any(
-            a.kind in (ArtifactKind.PREBUILT_EXECUTABLE, ArtifactKind.LIBRARY)
-            for a in self.code_refs
-        )
-        if has_compiled and not any(a.kind == ArtifactKind.SOURCE for a in self.code_refs):
+        if _lacks_source(self.code_refs):
             problems.append("missing source: compiled artifacts require their source to be included")
         if self.packaging is not None:
-            has_exe = any(e.kind == ArtifactKind.PREBUILT_EXECUTABLE for e in self.packaging.entries)
-            has_src = any(a.kind == ArtifactKind.SOURCE for a in self.code_refs)
-            if has_exe and not has_src:
-                problems.append("packaging contains a compiled executable but the tale has no source")
+            foreign = sorted({e.path for e in self.packaging.entries}.difference(paths))
+            if foreign:
+                problems.append(f"packaging names artifacts the tale does not hold: {foreign}")
         # Strictly increasing, not necessarily contiguous: archives elide
         # import bookkeeping events, which may leave gaps.
         last = 0
@@ -405,16 +405,13 @@ def build_manifest(tale: Tale, strategy: PackagingStrategy,
     sources = [a for a in tale.code_refs if a.kind == ArtifactKind.SOURCE]
     executables = [a for a in tale.code_refs if a.kind == ArtifactKind.PREBUILT_EXECUTABLE]
     libraries = [a for a in tale.code_refs if a.kind == ArtifactKind.LIBRARY]
-    if (executables or libraries) and not sources:
+    if _lacks_source(tale.code_refs):
         raise ValidationError("tale has compiled artifacts but no source; source is mandatory")
 
     entries: list[CodeArtifact] = list(sources)
     if strategy == PackagingStrategy.GENERIC_STATIC:
         entries += [a for a in executables + libraries if not a.arch_specific]
     elif strategy == PackagingStrategy.PER_RESOURCE_STATIC:
-        tagged = [a for a in executables + libraries if a.arch_specific]
-        if not tagged:
-            raise ValidationError("per_resource_static needs per-target arch-tagged artifacts")
         entries += executables + libraries
     elif strategy == PackagingStrategy.SOURCE_PLUS_GENERIC_LIBS:
         entries += [a for a in libraries if not a.arch_specific]

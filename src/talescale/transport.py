@@ -1,11 +1,13 @@
 """Transport layer: sessions, calls, and the transport log.
 
 Secure-connection setup is expensive, so operations aggregate under
-sessions that stay alive between calls: at most one live session per
-(resource, credential) pair, re-handshaking only after the idle TTL
-lapses. Every handshake and every completed call is a trace event, and
-the trace is the only record kept of them: ``log_text`` renders the
-``transport_call`` events as the transport log, one line per call::
+sessions that stay alive between calls. A session is its (resource,
+credential) pair's last-use time: the pair re-handshakes only once it has
+idled longer than the TTL, and a failed handshake holds the pair in
+backoff for ``HANDSHAKE_BACKOFF_S``. Every handshake and every completed
+call is a trace event, and the trace is the only record kept of them:
+``log_text`` renders the ``transport_call`` events as the transport log,
+one line per call::
 
     time | resource | credential | verb | payload-digest
 
@@ -16,31 +18,25 @@ from driver context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .digest import short_digest
 from .errors import SessionError, TransportError, UnknownCredentialError, UnknownResourceError
 
-
-@dataclass
-class Session:
-    resource: str
-    credential: str
-    last_used: float = 0.0
+HANDSHAKE_BACKOFF_S = 30.0
 
 
 class Transport:
     def __init__(self, clock, trace, rtt_s: float = 0.05, handshake_s: float = 0.5,
-                 idle_ttl_s: float | None = 300.0, handshake_backoff_s: float = 30.0):
+                 idle_ttl_s: float | None = 300.0):
         self.clock = clock
         self.trace = trace
         self.rtt_s = rtt_s
         self.handshake_s = handshake_s
         self.idle_ttl_s = math.inf if idle_ttl_s is None else idle_ttl_s
-        self.handshake_backoff_s = handshake_backoff_s
         self._backends: dict[str, object] = {}
         self._credentials: set[str] = set()
-        self._sessions: dict[tuple[str, str], Session] = {}
+        # (resource, credential) -> last-use time of the pair's session
+        self._sessions: dict[tuple[str, str], float] = {}
         self._unhealthy: dict[tuple[str, str], float] = {}
         # pending injected failures per kind; each kind fires on its own next
         # opportunity, so a waiting handshake failure never blocks a transport one
@@ -73,8 +69,8 @@ class Transport:
 
     # -- sessions ---------------------------------------------------------
 
-    def acquire_session(self, resource: str, credential: str) -> Session:
-        """Return the live session for the pair, handshaking only if needed."""
+    def acquire_session(self, resource: str, credential: str) -> None:
+        """Keep the pair's session live, handshaking only if it idled out."""
         if credential not in self._credentials:
             raise UnknownCredentialError(f"credential {credential!r} is not registered")
         if resource not in self._backends:
@@ -86,28 +82,19 @@ class Transport:
                 raise SessionError(f"{pair} is in handshake backoff until t={until}")
             del self._unhealthy[pair]
 
-        session = self._sessions.get(pair)
-        if session is not None and self._live(session):
-            session.last_used = self.clock.now
-            return session
+        last_used = self._sessions.get(pair)
+        if last_used is not None and self.clock.now - last_used <= self.idle_ttl_s:
+            self._sessions[pair] = self.clock.now
+            return
 
         if self._take_failure("handshake"):
-            self._unhealthy[pair] = self.clock.now + self.handshake_backoff_s
+            self._unhealthy[pair] = self.clock.now + HANDSHAKE_BACKOFF_S
             self.trace.emit("handshake_failed", resource=resource, credential=credential)
             raise SessionError(f"handshake with {pair} failed")
 
         self.clock.consume(self.handshake_s)
-        session = Session(resource=resource, credential=credential, last_used=self.clock.now)
-        self._sessions[pair] = session
+        self._sessions[pair] = self.clock.now
         self.trace.emit("handshake", resource=resource, credential=credential)
-        return session
-
-    def _live(self, session: Session) -> bool:
-        """A session is live until it has idled longer than the TTL."""
-        return self.clock.now - session.last_used <= self.idle_ttl_s
-
-    def live_sessions(self) -> int:
-        return sum(1 for s in self._sessions.values() if self._live(s))
 
     @property
     def handshake_count(self) -> int:
@@ -123,7 +110,7 @@ class Transport:
         with its payload and reused while the payload stays equal, so a
         status query repeated cycle after cycle is hashed once.
         """
-        session = self.acquire_session(resource, credential)
+        self.acquire_session(resource, credential)
         if self._take_failure("transport"):
             self.trace.emit("transport_failed", resource=resource,
                             credential=credential, verb=verb)
@@ -131,7 +118,7 @@ class Transport:
         self.clock.consume(self.rtt_s)
         backend = self._backends[resource]
         output = backend.execute(payload)
-        session.last_used = self.clock.now
+        self._sessions[(resource, credential)] = self.clock.now
         key = (resource, verb)
         last = self._digests.get(key)
         if last is None or last[0] != payload:

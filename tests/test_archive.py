@@ -324,15 +324,62 @@ def test_import_names_the_first_corrupt_entry(workspace, monkeypatch, cpus):
     assert exc.value.entry == bad[0]
 
 
+def _ref(path: str, kind: str = "source") -> dict:
+    """A code ref whose workspace file holds its own path."""
+    return CodeArtifact(path=path, kind=kind, checksum=digest_bytes(path.encode())).to_dict()
+
+
+def _crafted_archive(refs, packaging=None, data_refs=()) -> bytes:
+    """An archive of the code refs ``refs`` with every file in place, written
+    without ``create_tale`` or ``with_packaging`` checking what it holds."""
+    meta = {"id": "c-1", "title": "crafted", "code_refs": refs, "env_spec": {},
+            "packaging": packaging, "format_version": archive.FORMAT_VERSION}
+    entries = {"metadata/tale.json": json.dumps(meta).encode(),
+               "metadata/data-manifest.json": json.dumps(list(data_refs)).encode(),
+               "provenance/events.ndjson": b""}
+    entries.update({"workspace/" + ref["path"]: ref["path"].encode() for ref in refs})
+    return _writestr_archive(entries)
+
+
 def _colliding_archive() -> bytes:
     """An archive whose artifact ``a`` is also the directory of ``a/b``."""
-    refs = [CodeArtifact(path=p, checksum=digest_bytes(p.encode())).to_dict() for p in ("a", "a/b")]
-    meta = {"id": "c-1", "title": "collide", "code_refs": refs, "env_spec": {},
-            "packaging": None, "format_version": archive.FORMAT_VERSION}
-    entries = {"metadata/tale.json": json.dumps(meta).encode(),
-               "metadata/data-manifest.json": b"[]", "provenance/events.ndjson": b"",
-               "workspace/a": b"a", "workspace/a/b": b"a/b"}
-    return _writestr_archive(entries)
+    return _crafted_archive([_ref("a"), _ref("a/b")])
+
+
+def _packaged(*entries) -> dict:
+    return {"workload_class": "mixed", "strategy": "on_demand_compile",
+            "entries": list(entries), "redistribution_ok": True}
+
+
+_DATA_REF = {"uri": "doi:10.5072/twice", "size_bytes": 1, "checksum": digest_bytes(b"twice")}
+
+# Archives of tales that create_tale or with_packaging would have refused,
+# each with the problem import must name.
+CRAFTED_ARCHIVES = {
+    "library_without_source": (
+        lambda: _crafted_archive([_ref("main.c"), _ref("libfoo.so", "library")],
+                                 _packaged(_ref("libfoo.so", "library"))),
+        "manifest with compiled artifacts must include source"),
+    "packaging_names_a_ghost": (
+        lambda: _crafted_archive([_ref("main.c")], _packaged(_ref("main.c"), _ref("ghost.c"))),
+        "packaging names artifacts the tale does not hold: ['ghost.c']"),
+    "duplicate_code_paths": (
+        lambda: _crafted_archive([_ref("main.c"), _ref("main.c")]),
+        "archive reconstructs an invalid tale: duplicate code artifact paths"),
+    "duplicate_data_uris": (
+        lambda: _crafted_archive([_ref("main.c")], data_refs=[_DATA_REF, _DATA_REF]),
+        "archive reconstructs an invalid tale: duplicate data ref uris"),
+}
+
+
+@pytest.mark.parametrize("name", list(CRAFTED_ARCHIVES))
+def test_import_rejects_a_tale_create_would_refuse(workspace, name):
+    make, problem = CRAFTED_ARCHIVES[name]
+    target = workspace / "out"
+    with pytest.raises(ValidationError) as exc:
+        import_tale(make(), workspace_dir=target)
+    assert problem in str(exc.value)
+    assert not target.exists()
 
 
 def test_import_rejects_a_path_that_is_another_ones_directory(workspace):

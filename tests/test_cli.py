@@ -141,6 +141,23 @@ class TestCollidingPaths:
         assert not target.exists()
 
 
+@pytest.mark.parametrize("name", ["library_without_source", "packaging_names_a_ghost",
+                                  "duplicate_code_paths", "duplicate_data_uris"])
+def test_import_of_a_tale_create_would_refuse_exits_one(tmp_path, capsys, name):
+    from test_archive import CRAFTED_ARCHIVES
+
+    make, problem = CRAFTED_ARCHIVES[name]
+    path = tmp_path / "crafted.zip"
+    path.write_bytes(make())
+    target = tmp_path / "x"
+    assert main(["tale", "import", "--in", str(path), "--workspace", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert problem in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+
+
 def _with_checksum(ws, tmp_path, checksum):
     """A tale workspace and an archive of it whose main.c records ``checksum``."""
     import io

@@ -622,18 +622,24 @@ class TestSessions:
     def test_distinct_credentials_distinct_sessions(self):
         world = batch_world(scenario={"credentials": ["alice", "bob"]})
         world.transport.acquire_session("hpc-1", "alice")
+        assert world.transport.handshake_count == 1
         world.transport.acquire_session("hpc-1", "bob")
         assert world.transport.handshake_count == 2
-        assert world.transport.live_sessions() == 2
+        # both sessions are live: neither pair handshakes again
+        world.transport.acquire_session("hpc-1", "alice")
+        world.transport.acquire_session("hpc-1", "bob")
+        assert world.transport.handshake_count == 2
 
     def test_a_session_idle_past_its_ttl_is_not_live(self):
         world = batch_world(scenario={"idle_ttl_s": 10.0})
         world.transport.acquire_session("hpc-1", "user")
-        assert world.transport.live_sessions() == 1
+        assert world.transport.handshake_count == 1
+        world.transport.acquire_session("hpc-1", "user")  # still live: no handshake
+        assert world.transport.handshake_count == 1
         world.clock.run_until(100.0)
-        assert world.transport.live_sessions() == 0
-        world.transport.acquire_session("hpc-1", "user")  # the next call re-handshakes
-        assert world.transport.live_sessions() == 1
+        world.transport.acquire_session("hpc-1", "user")  # idled out: re-handshakes
+        assert world.transport.handshake_count == 2
+        world.transport.acquire_session("hpc-1", "user")  # live again
         assert world.transport.handshake_count == 2
 
     def test_handshake_failure_fails_submit_with_cause_and_backoff(self):

@@ -1,19 +1,24 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from talescale.cluster import SimulatedLrm
 from talescale.digest import digest_bytes
-from talescale.errors import ConfigError, TalescaleError, ValidationError
+from talescale.dms import CacheState, StagingKind, TransferSource
+from talescale.errors import ChecksumMismatchError, ConfigError, TalescaleError, ValidationError
 from talescale.measure import launch_frontend
 from talescale.metrics import ReportRow, ReportTable, emit_report
 from talescale.middleware import JobSpec, JobState
 from talescale.pilots import PilotPool
-from talescale.planner import ExecutionModel, WorkloadRequirements
+from talescale.planner import ExecutionModel, WorkloadRequirements, plan_placement
 from talescale.world import World, load_config, run_scenario
 
 from conftest import batch_world
@@ -235,17 +240,41 @@ POOLED_SOAK = {
 }
 
 
+# (config, seed, horizon, trace size, trace sha256) of each pinned trace
+GOLDEN_TRACES = {
+    "criterion_11": (CRITERION_11_CONFIG, 42, 2000.0, 85_967,
+                     "6540c71552c1cbdc3b28d411f370cd9036b422c7176aaf453f6e64ba756e6f1d"),
+    "pooled_soak": (POOLED_SOAK, 7, 30_000.0, 1_033_878,
+                    "2df910548d69d4120939662ddde4ce590e9bff56af493311e2f4ae3aa37794ae"),
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("config, seed, horizon, size, sha256", [
-        (CRITERION_11_CONFIG, 42, 2000.0, 85_967,
-         "6540c71552c1cbdc3b28d411f370cd9036b422c7176aaf453f6e64ba756e6f1d"),
-        (POOLED_SOAK, 7, 30_000.0, 1_033_878,
-         "2df910548d69d4120939662ddde4ce590e9bff56af493311e2f4ae3aa37794ae"),
-    ], ids=["criterion_11", "pooled_soak"])
-    def test_golden_trace_bytes(self, config, seed, horizon, size, sha256):
+    @pytest.mark.parametrize("name", list(GOLDEN_TRACES))
+    def test_golden_trace_bytes(self, name):
         # Pinned bytes: a change that alters any trace event fails here, even
         # when two runs in one process still agree with each other.
+        config, seed, horizon, size, sha256 = GOLDEN_TRACES[name]
         trace_bytes, _ = run_scenario(load_config(config), seed, horizon)
+        assert len(trace_bytes) == size
+        assert hashlib.sha256(trace_bytes).hexdigest() == sha256
+
+    @pytest.mark.parametrize("hash_seed", ["0", "12345"])
+    @pytest.mark.parametrize("name", list(GOLDEN_TRACES))
+    def test_golden_trace_bytes_under_other_hash_seeds(self, tmp_path, name, hash_seed):
+        # A set of strings iterates in an order PYTHONHASHSEED picks, and a
+        # process cannot change its own seed: the CLI, each run in a fresh
+        # interpreter, must write the pinned bytes under any seed.
+        config, seed, horizon, size, sha256 = GOLDEN_TRACES[name]
+        config_path, trace_path = tmp_path / "config.json", tmp_path / "trace.ndjson"
+        config_path.write_text(json.dumps(config))
+        subprocess.run(
+            [sys.executable, "-m", "talescale.cli", "sim", "run", "--config", str(config_path),
+             "--seed", str(seed), "--horizon", str(horizon), "--trace", str(trace_path)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC)),
+            check=True, capture_output=True)
+        trace_bytes = trace_path.read_bytes()
         assert len(trace_bytes) == size
         assert hashlib.sha256(trace_bytes).hexdigest() == sha256
 
@@ -439,6 +468,50 @@ class TestProvenanceWiring:
         world.attach_tale(simple_tale(tale_id="dup-1"))
         with pytest.raises(DuplicateError):
             world.attach_tale(simple_tale(tale_id="dup-1"))
+
+
+class TestApplyStaging:
+    """A plan's cache-fetch action goes through the world's cache."""
+
+    DATASET = {"uri": "doi:10.5072/remote", "size_bytes": 500, "checksum": digest_bytes(b"remote")}
+
+    def launch(self):
+        world = World(load_config({
+            **MINIMAL,
+            "cache": {"capacity_bytes": 10_000, "bandwidth_bytes_per_s": 100.0,
+                      "datasets": [self.DATASET]},
+        }), 3)
+        world.start()
+        plan = plan_placement(
+            WorkloadRequirements(dataset_uris=frozenset([self.DATASET["uri"]])),
+            world.config.inventory, "min_data_movement", catalog=world.catalog)
+        assert [(a.action, a.resource) for a in plan.staging_actions] == [
+            (StagingKind.CACHE_FETCH, "wt-1")]
+        return world, plan
+
+    def remote_transfers(self, world):
+        return [r for r in world.cache.transfer_log if r.source == TransferSource.REMOTE_REPO]
+
+    def test_a_cache_fetch_transfers_once_and_leaves_the_entry_resident(self):
+        world, plan = self.launch()
+        world.apply_staging(plan)
+        assert [(r.uri, r.bytes) for r in self.remote_transfers(world)] == [(self.DATASET["uri"], 500)]
+        assert world.cache.entry(self.DATASET["uri"]).state == CacheState.RESIDENT
+        assert world.clock.now == 5.0  # 500 bytes at 100 bytes/s
+        world.apply_staging(plan)  # resident: a hit, no second transfer
+        assert len(self.remote_transfers(world)) == 1
+        assert world.trace.count("cache_hit") == 1
+
+    def test_a_corrupt_fetch_raises_and_the_retry_succeeds(self):
+        world, plan = self.launch()
+        world.cache.inject_corruption(self.DATASET["uri"])
+        with pytest.raises(ChecksumMismatchError):
+            world.apply_staging(plan)
+        assert world.cache.entry(self.DATASET["uri"]).state == CacheState.ABSENT
+        assert self.remote_transfers(world) == []
+        world.apply_staging(plan)
+        assert len(self.remote_transfers(world)) == 1
+        assert world.cache.entry(self.DATASET["uri"]).state == CacheState.RESIDENT
 
 
 class TestTransportLogFormat:

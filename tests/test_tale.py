@@ -10,6 +10,7 @@ from talescale.tale import (
     ArtifactKind,
     CodeArtifact,
     EnvironmentSpec,
+    PackagingManifest,
     PackagingStrategy,
     ProvenanceEvent,
     ProvenanceKind,
@@ -217,6 +218,33 @@ class TestBuildManifest:
             has_src = any(e.kind == ArtifactKind.SOURCE for e in manifest.entries)
             assert has_src
             assert not has_exe or has_src
+
+
+class TestSourceRule:
+    """Executables and libraries alike ship only beside source, in a tale and
+    in its manifest, and a manifest names only artifacts its tale holds."""
+
+    @pytest.mark.parametrize("kind", [ArtifactKind.PREBUILT_EXECUTABLE, ArtifactKind.LIBRARY])
+    def test_a_manifest_of_compiled_artifacts_needs_source(self, kind):
+        with pytest.raises(ValidationError, match="must include source"):
+            PackagingManifest(WorkloadClass.MIXED, _S.ON_DEMAND_COMPILE, entries=(art("libfoo.so", kind),))
+        PackagingManifest(WorkloadClass.MIXED, _S.ON_DEMAND_COMPILE,
+                          entries=(art("main.c"), art("libfoo.so", kind)))
+
+    @pytest.mark.parametrize("kind", [ArtifactKind.PREBUILT_EXECUTABLE, ArtifactKind.LIBRARY])
+    def test_a_tale_of_compiled_artifacts_needs_source(self, kind):
+        tale = create_tale("t", [art("libfoo.so", kind)], [], EnvironmentSpec())
+        assert tale.validate() == ["missing source: compiled artifacts require their source to be included"]
+        with pytest.raises(ValidationError, match="source is mandatory"):
+            build_manifest(tale, _S.ON_DEMAND_COMPILE)
+
+    def test_with_packaging_refuses_artifacts_the_tale_does_not_hold(self):
+        tale = simple_tale()
+        ghost = PackagingManifest(WorkloadClass.UNOPTIMIZED, _S.SOURCE_PLUS_GENERIC_LIBS,
+                                  entries=(art("main.c"), art("ghost.c")))
+        with pytest.raises(ValidationError, match=r"does not hold: \['ghost.c'\]"):
+            tale.with_packaging(ghost)
+        assert tale.packaging is None
 
 
 class TestProvenance:
