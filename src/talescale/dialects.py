@@ -9,19 +9,17 @@ story: the internal API never moves.
 Neutral backend states: queued, running, completed, failed, canceled.
 
 A status output splits into one unit per job: a Slurm line, or a PBS
-``Job Id:`` block. A poll reports every held job, and nearly every unit is
-the same as in the poll before, so each adapter memoises a unit's parse
-(``None`` for a unit that reports no state) and parses only the units it
-has not seen, in output order; the memo is cleared once it holds more than
-``2 * widest + 1024`` units, where ``widest`` is the most units one poll
-has reported.
+``Job Id:`` block. ``parse_status`` returns an output's units in output
+order, and ``parse_unit`` reads one unit as ``(native id, (state, exit
+code))``, or ``None`` for a unit that reports no state. A poll reports every
+held job and nearly every unit is the same as in the poll before, so the
+middleware keeps the units it has applied and parses only the others.
 """
 
 from __future__ import annotations
 
 import re
 import shlex
-from itertools import filterfalse
 
 # PBS reports a kill with exit_status 271; adapters map it to "canceled".
 PBS_KILL_EXIT = 271
@@ -29,23 +27,6 @@ PBS_KILL_EXIT = 271
 
 class DialectAdapter:
     name: str = "abstract"
-
-    def __init__(self):
-        self._units: dict[str, tuple[str, tuple[str, int | None]] | None] = {}
-        self._widest = 0
-
-    def _parse_units(self, units: list[str]) -> dict[str, tuple[str, int | None]]:
-        memo = self._units
-        self._widest = max(self._widest, len(units))
-        if len(memo) > 2 * self._widest + 1024:
-            memo.clear()  # forget units no poll reports any more
-        # misses in unit order, so the first malformed unit is the one raised
-        for unit in filterfalse(memo.__contains__, units):
-            memo[unit] = self._parse_unit(unit)
-        return dict(filter(None, map(memo.__getitem__, units)))
-
-    def _parse_unit(self, unit: str) -> tuple[str, tuple[str, int | None]] | None:
-        raise NotImplementedError
 
     def format_submit(self, command: list[str], node_count: int, job_name: str) -> str:
         raise NotImplementedError
@@ -56,7 +37,10 @@ class DialectAdapter:
     def format_status(self, native_ids: list[str]) -> str:
         raise NotImplementedError
 
-    def parse_status(self, output: str) -> dict[str, tuple[str, int | None]]:
+    def parse_status(self, output: str) -> list[str]:
+        raise NotImplementedError
+
+    def parse_unit(self, unit: str) -> tuple[str, tuple[str, int | None]] | None:
         raise NotImplementedError
 
     def format_cancel(self, native_id: str) -> str:
@@ -78,9 +62,9 @@ class SimPbsAdapter(DialectAdapter):
         return "qstat -f " + " ".join(native_ids)
 
     def parse_status(self, output):
-        return self._parse_units(("\n" + output).split("\nJob Id:")[1:])
+        return ("\n" + output).split("\nJob Id:")[1:]
 
-    def _parse_unit(self, block):
+    def parse_unit(self, block):
         # Native ids embed the resource name, which may hold any character
         # but a newline: the id is the rest of its line, and lines end only
         # at "\n" (str.splitlines also breaks at \x0b, \x85 and others).
@@ -130,9 +114,9 @@ class SimSlurmAdapter(DialectAdapter):
         return f"sacct --jobs={joined} --format=JobID,State,ExitCode --noheader --parsable2"
 
     def parse_status(self, output):
-        return self._parse_units(output.splitlines())
+        return output.splitlines()
 
-    def _parse_unit(self, line):
+    def parse_unit(self, line):
         if not line.strip():
             return None
         job_id, state, exitcode = line.split("|")

@@ -10,11 +10,12 @@ Design constraints, each of which is load-bearing for scale:
 * a single per-resource poller issues ONE aggregated status query per
   cycle covering every non-terminal job, however many there are, and only
   while there is something to poll (no per-job control flows);
-* a cycle's Python-level work is proportional to the jobs whose observed
-  state changed since the last successful cycle; the part proportional to
-  every active job (building the payload, diffing the observation) runs
-  inside C-level ``str``, ``dict`` and ``itertools`` operations, and a
-  cycle whose output repeats the one last applied parses nothing;
+* a cycle parses only the status units (one per job) not applied before,
+  so its Python-level work is proportional to the jobs that changed; the
+  part proportional to every active job (building the payload, splitting
+  the output, finding its new units) runs inside C-level ``str``, ``set``
+  and ``itertools`` operations, and an output equal to the last one is not
+  parsed at all;
 * sessions are reused across operations per (resource, credential) pair.
 
 The dialect adapters live in a plain dict, ``dialects``, one per name in
@@ -32,8 +33,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import ne
+from itertools import filterfalse
 from typing import Callable
 
 from .clock import grid_after
@@ -173,10 +173,12 @@ class LrmMiddleware:
         self._job_ids: dict[str, dict[str, str]] = {}
         self._credentials: dict[str, dict[str, int]] = {}
         self._unsorted: set[str] = set()  # resources whose _active is out of order
-        # resource -> the last successful parse_status result, less the
-        # entries not yet applied to their records
-        self._observed: dict[str, dict[str, tuple[str, int | None]]] = {}
-        # resource -> the status output its _observed was fully applied from
+        # Per resource: the status units applied to active records, at most
+        # one per job, with {native id: its kept unit}; the pending list of
+        # the latest cycle that parsed; and the output last fully applied.
+        self._kept: dict[str, set[str]] = {}
+        self._kept_ids: dict[str, dict[str, str]] = {}
+        self._latest: dict[str, list] = {}
         self._applied_output: dict[str, str] = {}
         self._pollers: dict[str, object] = {}   # resource -> scheduled EventHandle
         self._counter = 0
@@ -185,8 +187,9 @@ class LrmMiddleware:
 
     def register_resource(self, resource: ResourceDescriptor) -> None:
         self.resources[resource.name] = resource
-        for per_resource in (self._active, self._job_ids, self._credentials, self._observed):
+        for per_resource in (self._active, self._job_ids, self._credentials, self._kept_ids):
             per_resource.setdefault(resource.name, {})
+        self._kept.setdefault(resource.name, set())
 
     def _adapter(self, resource: ResourceDescriptor) -> DialectAdapter:
         adapter = self.dialects.get(resource.dialect)
@@ -288,17 +291,19 @@ class LrmMiddleware:
 
         Invariant: after a successful cycle, every active record whose job
         the backend reported has the mapped state of its latest observation.
-        So an observation equal to the previous one needs no work, and only
-        the difference between the two is applied, in job-id order.
+        So a unit kept from an earlier cycle needs no work: a cycle parses
+        the output's other units in output order (the first malformed one
+        raises before anything is applied) and applies them in job-id
+        order. Of two units naming one job, the later with a state wins.
 
         The output a cycle parsed is kept once the cycle has applied all of
-        it and its observation is still the resource's latest. An equal
-        output is then answered with ``[]`` unparsed: its difference could
-        only name jobs that are no longer active. A cycle drops the kept
-        output before it applies anything, so a cycle nested in its
-        callbacks never takes that shortcut against a half-applied one.
-        Once a nested cycle has applied a newer observation, the outer one
-        applies nothing more of its own, older one.
+        it and is still the resource's latest. An equal output is then
+        answered with ``[]`` unparsed: its difference could only name jobs
+        that are no longer active. A cycle drops the kept output before it
+        applies anything, and a unit joins the kept ones only once its
+        record is visited, so a cycle nested in its callbacks never skips
+        against a half-applied one. Once a nested cycle has parsed a newer
+        output, the outer one applies nothing more of its own, older one.
         """
         # A job enters _active only once parse_submit has set its native id.
         active = self._active.get(resource_name)
@@ -321,34 +326,40 @@ class LrmMiddleware:
         if output == self._applied_output.get(resource_name):
             return []
         self._applied_output.pop(resource_name, None)
-        observed = adapter.parse_status(output)
-        # observed.items() - last.items(), without building two sets of pairs
-        last = self._observed[resource_name]
-        changed = list(compress(observed.items(),
-                                map(ne, observed.values(), map(last.get, observed))))
-        self._observed[resource_name] = observed
+        units = adapter.parse_status(output)
+        kept, kept_ids = self._kept[resource_name], self._kept_ids[resource_name]
+        fresh = [*filterfalse(kept.__contains__, units)]
+        # native id -> (state and exit code, unit), the last fresh unit winning
+        changed = {parsed[0]: (parsed[1], unit)
+                   for unit in fresh if (parsed := adapter.parse_unit(unit))}
+        for native_id in changed.keys() & kept_ids.keys():
+            # A known job changed: forget its kept unit, unless that comes later and wins.
+            old, unit = kept_ids[native_id], changed[native_id][1]
+            if old in units and units[::-1].index(old) < units[::-1].index(unit):
+                del changed[native_id]
+            else:
+                kept.discard(kept_ids.pop(native_id))
+        if len(units) - len(fresh) != len(kept):  # a kept unit left the output, or repeats
+            kept.intersection_update(units)
         job_ids = self._job_ids[resource_name]
-        pending = []
-        for native_id, state_code in changed:
-            # Unapplied until its record is visited: a cycle nested in this
-            # one's callbacks sees the job as changed and applies it itself.
-            del observed[native_id]
-            job_id = job_ids.get(native_id)
-            if job_id is not None:  # None: no longer active, as a nested cycle finished it
-                pending.append((job_id, native_id, state_code))
-        pending.sort()
+        pending = sorted((job_ids[native_id], native_id, state_code, unit)
+                         for native_id, (state_code, unit) in changed.items()
+                         if native_id in job_ids)  # else no longer active
+        self._latest[resource_name] = pending
         applied: list[tuple[str, JobState, JobState]] = []
-        for job_id, native_id, state_code in pending:
-            if self._observed[resource_name] is not observed:
-                break  # a nested cycle applied a newer observation; ours is stale
+        for job_id, native_id, state_code, unit in pending:
             record = self._records[job_id]
             target = _BACKEND_TO_CLIENT[state_code[0]]
             before = record.state
             if target is not before:
                 self._advance_to(record, target, exit_code=state_code[1])
                 applied.append((job_id, before, record.state))
-            observed[native_id] = state_code
-        if self._observed[resource_name] is observed:  # no nested cycle parsed since
+            if self._latest[resource_name] is not pending:
+                break  # a nested cycle parsed a newer output; ours is stale
+            if native_id in job_ids:
+                kept.add(unit)
+                kept_ids[native_id] = unit
+        if self._latest[resource_name] is pending:
             self._applied_output[resource_name] = output
         return applied
 

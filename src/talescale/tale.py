@@ -277,7 +277,12 @@ class Tale:
         if _lacks_source(self.code_refs):
             problems.append("missing source: compiled artifacts require their source to be included")
         if self.packaging is not None:
-            foreign = sorted({e.path for e in self.packaging.entries}.difference(paths))
+            # Entries name artifacts by value; an entry without a checksum names
+            # any bytes, as export records checksums on the code refs only.
+            held = {(a.path, a.kind, a.target_arch, a.proprietary_toolchain, checksum)
+                    for a in self.code_refs for checksum in (a.checksum, None)}
+            foreign = sorted(e.path for e in self.packaging.entries if (
+                e.path, e.kind, e.target_arch, e.proprietary_toolchain, e.checksum) not in held)
             if foreign:
                 problems.append(f"packaging names artifacts the tale does not hold: {foreign}")
         # Strictly increasing, not necessarily contiguous: archives elide

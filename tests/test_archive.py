@@ -363,6 +363,12 @@ CRAFTED_ARCHIVES = {
     "packaging_names_a_ghost": (
         lambda: _crafted_archive([_ref("main.c")], _packaged(_ref("main.c"), _ref("ghost.c"))),
         "packaging names artifacts the tale does not hold: ['ghost.c']"),
+    "packaging_misnames_an_artifact": (
+        lambda: _crafted_archive(
+            [_ref("main.c"), _ref("solver", "prebuilt_executable")],
+            _packaged(_ref("main.c"), {"path": "solver", "kind": "source", "target_arch": "x86_64",
+                                       "checksum": "sha256:" + "0" * 64})),
+        "packaging names artifacts the tale does not hold: ['solver']"),
     "duplicate_code_paths": (
         lambda: _crafted_archive([_ref("main.c"), _ref("main.c")]),
         "archive reconstructs an invalid tale: duplicate code artifact paths"),

@@ -142,7 +142,8 @@ class TestCollidingPaths:
 
 
 @pytest.mark.parametrize("name", ["library_without_source", "packaging_names_a_ghost",
-                                  "duplicate_code_paths", "duplicate_data_uris"])
+                                  "packaging_misnames_an_artifact", "duplicate_code_paths",
+                                  "duplicate_data_uris"])
 def test_import_of_a_tale_create_would_refuse_exits_one(tmp_path, capsys, name):
     from test_archive import CRAFTED_ARCHIVES
 

@@ -58,8 +58,15 @@ class TestTokenizer:
         assert _argv("qstat -f 1.a\x0b2.a") == ["qstat", "-f", "1.a\x0b2.a"]
 
 
+def _states(adapter, output):
+    """Every state an output reports: each of its units parsed, in output
+    order, the later unit naming a job winning."""
+    return dict(filter(None, map(adapter.parse_unit, adapter.parse_status(output))))
+
+
 def _plain_sacct_parse(output):
-    """SimSlurmAdapter.parse_status, one line at a time, without its memo."""
+    """What SimSlurmAdapter reads from a whole sacct output, one line at a
+    time, with no units."""
     states = {}
     for line in output.splitlines():
         if not line.strip():
@@ -80,7 +87,6 @@ _SACCT_LINE = st.one_of(
 
 
 class TestSlurmStatusParse:
-    # one adapter for every example, so later examples meet a warm memo
     adapter = SimSlurmAdapter()
 
     @settings(max_examples=400, deadline=None)
@@ -89,13 +95,13 @@ class TestSlurmStatusParse:
     @example(["1|PENDING|0:0", "2|RUNNING"], "\n")
     def test_same_states_as_a_plain_parse_or_same_error(self, lines, newline):
         output = newline.join(lines)
-        for _ in range(2):  # a cold, then a warm memo
-            assert (_outcome(self.adapter.parse_status, output)
-                    == _outcome(_plain_sacct_parse, output))
+        assert (_outcome(lambda text: _states(self.adapter, text), output)
+                == _outcome(_plain_sacct_parse, output))
 
 
 def _plain_qstat_parse(output):
-    """SimPbsAdapter.parse_status, one line at a time, without its memo."""
+    """What SimPbsAdapter reads from a whole qstat output, one line at a
+    time, with no units."""
     states = {}
     current = None
     for line in output.split("\n"):
@@ -137,7 +143,6 @@ _QSTAT_LINE = st.one_of(
 
 
 class TestPbsStatusParse:
-    # one adapter for every example, so later examples meet a warm memo
     adapter = SimPbsAdapter()
 
     @settings(max_examples=400, deadline=None)
@@ -149,21 +154,8 @@ class TestPbsStatusParse:
     @example(["Job Id: 1.a", "    exit_status = 1.5"], "\r\n")
     def test_same_states_as_a_plain_parse_or_same_error(self, lines, newline):
         output = newline.join(lines)
-        for _ in range(2):  # a cold, then a warm memo
-            assert (_outcome(self.adapter.parse_status, output)
-                    == _outcome(_plain_qstat_parse, output))
-
-
-@pytest.mark.parametrize("adapter, held, line", [
-    (SimSlurmAdapter(), "\n".join(f"{i}|PENDING|0:0" for i in range(100)),
-     "\n{}|COMPLETED|0:0".format),
-    (SimPbsAdapter(), "\n".join(f"Job Id: {i}\n    job_state = Q" for i in range(100)),
-     "\nJob Id: {}\n    exit_status = 0".format),
-], ids=["slurm", "pbs"])
-def test_memo_stays_bounded(adapter, held, line):
-    for i in range(5000):
-        assert adapter.parse_status(held + line(1000 + i))[str(1000 + i)] == ("completed", 0)
-        assert len(adapter._units) <= 2 * 101 + 1024 + 101
+        assert (_outcome(lambda text: _states(self.adapter, text), output)
+                == _outcome(_plain_qstat_parse, output))
 
 
 def _lrm(name, adapter):
@@ -196,7 +188,7 @@ def test_status_round_trip(adapter, name):
     if adapter.name == "sim-pbs":
         assert all(native_id.endswith("." + name) for native_id in ids)
 
-    observed = adapter.parse_status(lrm.execute(adapter.format_status(ids)))
+    observed = _states(adapter, lrm.execute(adapter.format_status(ids)))
     assert observed == {
         done: ("completed", 0),
         failed: ("failed", 3),

@@ -3,6 +3,7 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from talescale.cluster import SimulatedLrm
 from talescale.digest import short_digest
@@ -273,15 +274,18 @@ def _slurm_world(queue):
     )
 
 
-def _scripted_status_world():
-    """A PBS world with two queued jobs whose status queries are answered
-    from the returned list, first entry first."""
-    world = batch_world(scenario={"transport_rtt_s": 0.0})
-    for _ in range(2):
+def _scripted_status_world(dialect="sim-pbs", jobs=2):
+    """A world with ``jobs`` queued jobs on one ``dialect`` resource, whose
+    status queries are answered from the returned list, first entry first."""
+    world = batch_world(resources=[{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                                    "allows_incoming_connections": False, "queue": "q",
+                                    "dialect": dialect}],
+                        scenario={"transport_rtt_s": 0.0})
+    for _ in range(jobs):
         world.middleware.submit(spec())
     lrm, answers = world.clusters["hpc-1"], []
     execute = lrm.execute
-    lrm.execute = lambda payload: (answers.pop(0) if payload.startswith("qstat")
+    lrm.execute = lambda payload: (answers.pop(0) if payload.startswith(("qstat", "sacct"))
                                    else execute(payload))
     return world, answers
 
@@ -357,9 +361,11 @@ class TestIncrementalPoll:
             poll_cycle, results, depth = mw.poll_cycle, [], [0]
             work = Counter()
             for adapter in map(mw.dialects.get, ("sim-pbs", "sim-slurm")):
-                parse = adapter.parse_status
+                parse, parse_unit = adapter.parse_status, adapter.parse_unit
                 adapter.parse_status = lambda output, parse=parse: (
                     work.update(["parse"]) or parse(output))
+                adapter.parse_unit = lambda unit, parse_unit=parse_unit: (
+                    work.update(["unit"]) or parse_unit(unit))
             for lrm in world.clusters.values():
                 for tool in ("_qstat", "_sacct"):
                     render = getattr(lrm, tool)
@@ -397,16 +403,23 @@ class TestIncrementalPoll:
             SimulatedLrm.execute, lambda lrm: setattr(lrm, "_last_status", None)))
         monkeypatch.setattr(Transport, "call", forgetting(
             Transport.call, lambda transport: transport._digests.clear()))
+        def forget_outputs_and_units(mw):
+            mw._applied_output.clear()
+            for kept in (*mw._kept.values(), *mw._kept_ids.values()):
+                kept.clear()
+
         monkeypatch.setattr(LrmMiddleware, "poll_cycle", forgetting(
-            LrmMiddleware.poll_cycle, lambda mw: mw._applied_output.clear()))
+            LrmMiddleware.poll_cycle, forget_outputs_and_units))
         plain = run()
 
         assert kept[0] == plain[0]
         assert kept[1] == plain[1]
         assert kept[2]["nested"] == plain[2]["nested"] > 10
-        # the shortcuts were taken: fewer parses and renders than cycles
+        # the shortcuts were taken: fewer parses and renders than cycles, and
+        # fewer units parsed than a run that parses every unit of each output
         assert kept[2]["parse"] < plain[2]["parse"] * 0.75
         assert kept[2]["render"] < plain[2]["render"] * 0.75
+        assert kept[2]["unit"] < plain[2]["unit"] * 0.5
 
     def test_a_stale_answer_is_refused_even_when_it_repeats_a_kept_one(self):
         # The simulated LRM never answers back in time, so only a scripted
@@ -517,6 +530,217 @@ class TestIncrementalPoll:
         natives = [mw._records[j].native_id for j in active]
         assert payloads[-1].split()[1] == "--jobs=" + ",".join(natives)
         assert list(mw._active["hpc-1"]) == [j for j in active if not mw.status(j).terminal]
+
+
+def _held_world(dialect):
+    """One ``dialect`` resource whose jobs all wait in a maintenance window,
+    with calls that take no simulated time."""
+    return batch_world(
+        queue={"distribution": "fixed", "params": {"value": 10.0},
+               "maintenance_windows": [[0.0, 1e9]]},
+        resources=[{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                    "allows_incoming_connections": False, "node_count": 8,
+                    "queue": "q", "dialect": dialect}],
+        scenario={"transport_rtt_s": 0.0},
+    )
+
+
+def _counting(adapter):
+    """Record each output ``adapter`` splits and each unit it parses."""
+    outputs, units = [], []
+    parse_status, parse_unit = adapter.parse_status, adapter.parse_unit
+    adapter.parse_status = lambda output: outputs.append(output) or parse_status(output)
+    adapter.parse_unit = lambda unit: units.append(unit) or parse_unit(unit)
+    return outputs, units
+
+
+class TestUnitWork:
+    """A cycle parses only the status units it has not applied before."""
+
+    @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
+    def test_a_cycle_parses_the_changed_units_not_every_held_job(self, dialect):
+        world = _held_world(dialect)
+        mw = world.middleware
+        outputs, units = _counting(mw.dialects[dialect])
+        handles = [mw.submit(spec()) for _ in range(500)]
+        assert len(mw.poll_cycle("hpc-1")) == 500 and len(units) == 500
+        for k in (1, 7, 40):
+            units.clear()
+            handles += [mw.submit(spec()) for _ in range(k)]
+            assert mw.poll_cycle("hpc-1") == [(h.job_id, JobState.SUBMITTED, JobState.QUEUED)
+                                              for h in handles[-k:]]
+            assert len(units) == k  # not 500 + k
+        mw.cancel(handles[3])
+        units.clear()
+        assert mw.poll_cycle("hpc-1") == [(handles[3].job_id, JobState.QUEUED, JobState.CANCELED)]
+        assert len(units) == 1
+        # the next poll no longer names the job: a new output, and no unit to parse
+        units.clear()
+        parsed = len(outputs)
+        assert mw.poll_cycle("hpc-1") == []
+        assert len(outputs) == parsed + 1 and units == []
+        assert len(mw._kept["hpc-1"]) == len(handles) - 1
+
+    @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
+    def test_kept_units_stay_within_the_last_applied_output(self, dialect):
+        # 100 held jobs, and one job that ends at each of 2,000 polls
+        world = _held_world(dialect)
+        mw = world.middleware
+        adapter = mw.dialects[dialect]
+        outputs, _ = _counting(adapter)
+        for _ in range(100):
+            mw.submit(spec())
+        mw.poll_cycle("hpc-1")
+        for _ in range(2000):
+            job = mw.submit(spec())
+            mw.cancel(job)
+            assert mw.poll_cycle("hpc-1") == [(job.job_id, JobState.SUBMITTED, JobState.CANCELED)]
+            kept = mw._kept["hpc-1"]
+            assert kept <= set(adapter.parse_status(outputs[-1])) and len(kept) == 100
+            assert set(mw._kept_ids["hpc-1"]) <= set(mw._job_ids["hpc-1"])
+
+    def test_of_two_units_naming_one_job_the_later_with_a_state_wins(self):
+        world, answers = _scripted_status_world()
+        mw = world.middleware
+        (q1, r1), (q2, r2) = ([f"Job Id: {i}.hpc-1\n    job_state = {x}" for x in "QR"]
+                              for i in (1, 2))
+        answers.append("\n".join([q1, q2]))
+        assert len(mw.poll_cycle("hpc-1")) == 2
+        # a fresh unit before the kept one, or before its last copy, loses to it
+        answers.append("\n".join([r1, q1, q2]))
+        assert mw.poll_cycle("hpc-1") == []
+        answers.append("\n".join([q1, r1, q1, q2]))
+        assert mw.poll_cycle("hpc-1") == []
+        # after it, the fresh unit wins, and the kept one is forgotten
+        answers.append("\n".join([q1, r1, q2]))
+        assert mw.poll_cycle("hpc-1") == [("j000001", JobState.QUEUED, JobState.RUNNING)]
+        answers.append("\n".join([q1, q2]))
+        with pytest.raises(ValidationError, match="no legal path"):
+            mw.poll_cycle("hpc-1")
+        # a later unit that reports no state does not count
+        answers.append("\n".join([r1, r2, "Job Id: 2.hpc-1\n    job_state = Z"]))
+        assert mw.poll_cycle("hpc-1") == [("j000002", JobState.QUEUED, JobState.RUNNING)]
+
+
+def _full_parse_poll(mw, observed, resource_name):
+    """``poll_cycle`` as it was before cycles kept units, the reference for
+    the test below: parse every unit of the output, then diff the whole
+    observation with the last one, kept per resource in ``observed``.
+    (The payload re-sort past j999999 and the transport-failure branch are
+    left out: the test meets neither.)"""
+    active = mw._active.get(resource_name)
+    if not active:
+        return []
+    adapter = mw._adapter(mw.resources[resource_name])
+    command = adapter.format_status(list(active.values()))
+    output = mw.transport.call(resource_name, min(mw._credentials[resource_name]),
+                               "batch_status", command)
+    if output == mw._applied_output.get(resource_name):
+        return []
+    mw._applied_output.pop(resource_name, None)
+    now = dict(filter(None, map(adapter.parse_unit, adapter.parse_status(output))))
+    last = observed.get(resource_name, {})
+    changed = [(native_id, state) for native_id, state in now.items()
+               if last.get(native_id) != state]
+    observed[resource_name] = now
+    job_ids = mw._job_ids[resource_name]
+    pending = []
+    for native_id, state_code in changed:
+        del now[native_id]
+        if native_id in job_ids:
+            pending.append((job_ids[native_id], native_id, state_code))
+    pending.sort()
+    applied = []
+    for job_id, native_id, state_code in pending:
+        if observed[resource_name] is not now:
+            break
+        record = mw._records[job_id]
+        target = _BACKEND_TO_CLIENT[state_code[0]]
+        before = record.state
+        if target is not before:
+            mw._advance_to(record, target, exit_code=state_code[1])
+            applied.append((job_id, before, record.state))
+        now[native_id] = state_code
+    if observed[resource_name] is now:
+        mw._applied_output[resource_name] = output
+    return applied
+
+
+# Status units for three scripted jobs (native ids 1 to 3) and one unknown
+# job (9): ones that report a state, ones that report none, and
+# malformed ones.
+_IDS = st.sampled_from("1239")
+_STATUS_UNITS = {
+    "sim-slurm": st.one_of(
+        st.builds("{}|{}|{}:0".format, _IDS,
+                  st.sampled_from(["PENDING", "RUNNING", "COMPLETED", "FAILED", "CANCELLED"]),
+                  st.sampled_from("02")),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["1|BOGUS|0:0", "2|RUNNING", "3|FAILED|x:0"]),
+    ),
+    "sim-pbs": st.one_of(
+        st.builds("Job Id: {}.hpc-1\n    {}".format, _IDS,
+                  st.sampled_from(["job_state = Q", "job_state = R", "job_state = F\n    exit_status = 0",
+                                   "job_state = F\n    exit_status = 2",
+                                   "job_state = F\n    exit_status = 271"])),
+        st.sampled_from(["Job Id: 1.hpc-1\n    job_state = Z", "Job Id:\n    job_state = Q",
+                         "Job Id: 2.hpc-1"]),
+        st.sampled_from(["Job Id: 3.hpc-1\n    exit_status = x"]),
+    ),
+}
+
+
+_POLLS = st.sampled_from(sorted(_STATUS_UNITS)).flatmap(lambda dialect: st.tuples(
+    st.just(dialect),
+    st.lists(st.lists(_STATUS_UNITS[dialect], max_size=8).map("\n".join), min_size=1, max_size=8)))
+
+
+class TestKeptUnitsAgainstAFullParse:
+    @settings(max_examples=400, deadline=None)
+    @given(polls=_POLLS, nest=st.booleans())
+    @example(polls=("sim-slurm", ["1|PENDING|0:0", "1|PENDING|0:0\n1|RUNNING|0:0",
+                                  "1|PENDING|0:0"]), nest=False)
+    @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0",
+                                  "1|RUNNING|0:0\n2|PENDING|0:0\n2|PENDING|0:0",
+                                  "1|RUNNING|2:0\n2|RUNNING|0:0"]), nest=True)
+    def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest):
+        dialect, outputs = polls
+        runs = []
+        for full in (False, True):
+            world, answers = _scripted_status_world(dialect, jobs=3)
+            # each job starts running once at most, so at most 3 polls are nested
+            answers += outputs + outputs[-1:] * 3
+            mw = world.middleware
+            if full:
+                observed = {}
+                mw.poll_cycle = lambda resource: _full_parse_poll(mw, observed, resource)
+            parsed, _ = _counting(mw.dialects[dialect])
+            depth, results = [0], []
+
+            def poll_when_running(spec, job_id, previous, state, t):
+                if nest and state is JobState.RUNNING and depth[0] < 2:
+                    depth[0] += 1
+                    try:
+                        results.append(("nested", mw.poll_cycle("hpc-1")))
+                    finally:
+                        depth[0] -= 1
+
+            mw.add_transition_listener(poll_when_running)
+            for _ in outputs:
+                try:
+                    results.append(mw.poll_cycle("hpc-1"))
+                except (ValidationError, ValueError, KeyError) as exc:
+                    results.append((type(exc), str(exc)))
+                else:
+                    if not full:  # at most one kept unit per active job, within the output
+                        kept, kept_ids = mw._kept["hpc-1"], mw._kept_ids["hpc-1"]
+                        assert kept <= set(kept_ids.values())
+                        assert kept_ids.keys() <= mw._job_ids["hpc-1"].keys()
+                        assert len(kept) <= len(mw.dialects[dialect].parse_status(parsed[-1]))
+                results.append([(r.state, r.exit_code, tuple(r.transitions))
+                                for r in mw._records.values()])
+            runs.append((results, world.trace.to_ndjson()))
+        assert runs[0] == runs[1]
 
 
 class TestSubscribe:

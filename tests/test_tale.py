@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -241,10 +242,31 @@ class TestSourceRule:
     def test_with_packaging_refuses_artifacts_the_tale_does_not_hold(self):
         tale = simple_tale()
         ghost = PackagingManifest(WorkloadClass.UNOPTIMIZED, _S.SOURCE_PLUS_GENERIC_LIBS,
-                                  entries=(art("main.c"), art("ghost.c")))
+                                  entries=(tale.code_refs[0], art("ghost.c")))
         with pytest.raises(ValidationError, match=r"does not hold: \['ghost.c'\]"):
             tale.with_packaging(ghost)
         assert tale.packaging is None
+
+    @pytest.mark.parametrize("change", [
+        {"kind": ArtifactKind.PREBUILT_EXECUTABLE}, {"target_arch": "x86_64"},
+        {"checksum": "sha256:" + "0" * 64}, {"proprietary_toolchain": True},
+    ], ids=["kind", "arch", "checksum", "toolchain"])
+    def test_a_manifest_entry_names_the_artifact_at_its_path_by_value(self, change):
+        tale = simple_tale()
+        main, util = tale.code_refs
+        manifest = PackagingManifest(WorkloadClass.MIXED, _S.ON_DEMAND_COMPILE,
+                                     entries=(main, replace(util, **change)))
+        assert replace(tale, packaging=manifest).validate() == [
+            "packaging names artifacts the tale does not hold: ['lib/util.c']"]
+
+    def test_a_manifest_entry_without_a_checksum_names_any_bytes(self):
+        # export records checksums on the tale's code refs, not on its
+        # packaging entries, so an exported tale's entries may carry none
+        tale = simple_tale()
+        main, util = tale.code_refs
+        manifest = PackagingManifest(WorkloadClass.UNOPTIMIZED, _S.SOURCE_PLUS_GENERIC_LIBS,
+                                     entries=(main, replace(util, checksum=None)))
+        assert tale.with_packaging(manifest).packaging is manifest
 
 
 class TestProvenance:
