@@ -72,6 +72,9 @@ LEGAL_TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     JobState.CANCELED: frozenset(),
 }
 
+_FORWARD = {JobState.CREATED: JobState.SUBMITTED, JobState.SUBMITTED: JobState.QUEUED,
+            JobState.QUEUED: JobState.RUNNING}
+
 _BACKEND_TO_CLIENT = {
     "queued": JobState.QUEUED,
     "running": JobState.RUNNING,
@@ -153,6 +156,82 @@ class _JobRecord:
     subscribers: list[Subscription] = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class _ResourceState:
+    """One resource's polling state, over its non-terminal jobs. ``len()``
+    counts the active jobs; perfbench sizes a poll cycle by it.
+
+    Invariants: a job is in ``active`` (job id -> native id) and in its
+    inverse ``job_ids`` once ``parse_submit`` has set its native id. ``kept``,
+    the status units applied to active records, is a subset of
+    ``kept_ids.values()``, and ``kept_ids.keys()`` of the active native ids.
+    ``active`` is in job-id string order (the order of the status payload)
+    unless ``unsorted`` is set.
+    """
+    active: dict[str, str] = field(default_factory=dict)
+    job_ids: dict[str, str] = field(default_factory=dict)
+    credentials: dict[str, int] = field(default_factory=dict)  # credential -> its active jobs
+    unsorted: bool = False
+    kept: set[str] = field(default_factory=set)
+    kept_ids: dict[str, str] = field(default_factory=dict)  # native id -> its kept unit
+    latest: list | None = None  # the pending list of the latest cycle that parsed
+    applied_output: str | None = None  # the output last fully applied
+    poller: object = None  # the scheduled poll tick's EventHandle
+
+    def __len__(self) -> int:
+        return len(self.active)
+
+    def activate(self, record: _JobRecord) -> None:
+        active = self.active
+        # Ids are j%06d, so each new id sorts last up to j999999; past it
+        # string order and submit order part, and the next cycle re-sorts.
+        if active and record.job_id < next(reversed(active)):
+            self.unsorted = True
+        active[record.job_id] = record.native_id
+        self.job_ids[record.native_id] = record.job_id
+        credentials = self.credentials
+        credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
+
+    def deactivate(self, record: _JobRecord) -> None:
+        if self.active.pop(record.job_id, None) is None:
+            return  # never active: its submit failed
+        del self.job_ids[record.native_id]
+        self.kept.discard(self.kept_ids.pop(record.native_id, None))
+        left = self.credentials.pop(record.spec.credential) - 1
+        if left:
+            self.credentials[record.spec.credential] = left
+
+    def native_ids(self) -> list[str]:
+        """The status payload: the active native ids in job-id order."""
+        if self.unsorted:
+            self.unsorted = False
+            self.active = dict(sorted(self.active.items()))
+        return list(self.active.values())
+
+    def pending(self, adapter: DialectAdapter, output: str) -> list:
+        """Sorted ``(job id, native id, (state, exit code), unit)`` for the fresh
+        units of ``output`` naming active jobs; forgets the kept units it outdates."""
+        units = adapter.parse_status(output)
+        kept, kept_ids = self.kept, self.kept_ids
+        fresh = [*filterfalse(kept.__contains__, units)]
+        # native id -> (state and exit code, unit), the last fresh unit winning
+        changed = {parsed[0]: (parsed[1], unit)
+                   for unit in fresh if (parsed := adapter.parse_unit(unit))}
+        for native_id in changed.keys() & kept_ids.keys():
+            # A known job changed: forget its kept unit, unless that comes later and wins.
+            old, unit = kept_ids[native_id], changed[native_id][1]
+            if old in units and units[::-1].index(old) < units[::-1].index(unit):
+                del changed[native_id]
+            else:
+                kept.discard(kept_ids.pop(native_id))
+        if len(units) - len(fresh) != len(kept):  # a kept unit left the output, or repeats
+            kept.intersection_update(units)
+        job_ids = self.job_ids
+        return sorted((job_ids[native_id], native_id, state_code, unit)
+                      for native_id, (state_code, unit) in changed.items()
+                      if native_id in job_ids)  # else no longer active
+
+
 class LrmMiddleware:
     def __init__(self, clock, transport, trace, poll_interval_s: float = 5.0):
         if poll_interval_s <= 0:
@@ -166,30 +245,14 @@ class LrmMiddleware:
         self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}
         self._records: dict[str, _JobRecord] = {}
-        # Per resource, over its non-terminal jobs: {job id: native id} in
-        # job-id string order (the order of the status payload), its inverse,
-        # and how many of them each credential owns.
-        self._active: dict[str, dict[str, str]] = {}
-        self._job_ids: dict[str, dict[str, str]] = {}
-        self._credentials: dict[str, dict[str, int]] = {}
-        self._unsorted: set[str] = set()  # resources whose _active is out of order
-        # Per resource: the status units applied to active records, at most
-        # one per job, with {native id: its kept unit}; the pending list of
-        # the latest cycle that parsed; and the output last fully applied.
-        self._kept: dict[str, set[str]] = {}
-        self._kept_ids: dict[str, dict[str, str]] = {}
-        self._latest: dict[str, list] = {}
-        self._applied_output: dict[str, str] = {}
-        self._pollers: dict[str, object] = {}   # resource -> scheduled EventHandle
+        self._active: dict[str, _ResourceState] = {}
         self._counter = 0
 
     # -- registry -----------------------------------------------------------
 
     def register_resource(self, resource: ResourceDescriptor) -> None:
         self.resources[resource.name] = resource
-        for per_resource in (self._active, self._job_ids, self._credentials, self._kept_ids):
-            per_resource.setdefault(resource.name, {})
-        self._kept.setdefault(resource.name, set())
+        self._active.setdefault(resource.name, _ResourceState())
 
     def _adapter(self, resource: ResourceDescriptor) -> DialectAdapter:
         adapter = self.dialects.get(resource.dialect)
@@ -199,7 +262,7 @@ class LrmMiddleware:
 
     @property
     def active_pollers(self) -> int:
-        return len(self._pollers)
+        return sum(state.poller is not None for state in self._active.values())
 
     @property
     def poll_failures(self) -> int:
@@ -238,7 +301,7 @@ class LrmMiddleware:
         else:
             record.native_id = adapter.parse_submit(output)
             self._apply(record, JobState.SUBMITTED)
-            self._activate(record)
+            self._active[spec.resource].activate(record)
             self._ensure_poller(spec.resource)
         handle = JobHandle(job_id=job_id, resource=spec.resource)
         self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
@@ -305,47 +368,21 @@ class LrmMiddleware:
         against a half-applied one. Once a nested cycle has parsed a newer
         output, the outer one applies nothing more of its own, older one.
         """
-        # A job enters _active only once parse_submit has set its native id.
-        active = self._active.get(resource_name)
-        if not active:
+        state = self._active.get(resource_name)
+        if state is None or not state.active:
             return []
-        if resource_name in self._unsorted:
-            self._unsorted.discard(resource_name)
-            entries = sorted(active.items())
-            active.clear()
-            active.update(entries)
-        resource = self.resources[resource_name]
-        adapter = self._adapter(resource)
-        credential = min(self._credentials[resource_name])
-        command = adapter.format_status(list(active.values()))
+        adapter = self._adapter(self.resources[resource_name])
+        command = adapter.format_status(state.native_ids())
         try:
-            output = self.transport.call(resource_name, credential, "batch_status", command)
+            output = self.transport.call(resource_name, min(state.credentials),
+                                         "batch_status", command)
         except (TransportError, SessionError) as exc:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
-        if output == self._applied_output.get(resource_name):
+        if output == state.applied_output:
             return []
-        self._applied_output.pop(resource_name, None)
-        units = adapter.parse_status(output)
-        kept, kept_ids = self._kept[resource_name], self._kept_ids[resource_name]
-        fresh = [*filterfalse(kept.__contains__, units)]
-        # native id -> (state and exit code, unit), the last fresh unit winning
-        changed = {parsed[0]: (parsed[1], unit)
-                   for unit in fresh if (parsed := adapter.parse_unit(unit))}
-        for native_id in changed.keys() & kept_ids.keys():
-            # A known job changed: forget its kept unit, unless that comes later and wins.
-            old, unit = kept_ids[native_id], changed[native_id][1]
-            if old in units and units[::-1].index(old) < units[::-1].index(unit):
-                del changed[native_id]
-            else:
-                kept.discard(kept_ids.pop(native_id))
-        if len(units) - len(fresh) != len(kept):  # a kept unit left the output, or repeats
-            kept.intersection_update(units)
-        job_ids = self._job_ids[resource_name]
-        pending = sorted((job_ids[native_id], native_id, state_code, unit)
-                         for native_id, (state_code, unit) in changed.items()
-                         if native_id in job_ids)  # else no longer active
-        self._latest[resource_name] = pending
+        state.applied_output = None
+        pending = state.latest = state.pending(adapter, output)
         applied: list[tuple[str, JobState, JobState]] = []
         for job_id, native_id, state_code, unit in pending:
             record = self._records[job_id]
@@ -354,54 +391,29 @@ class LrmMiddleware:
             if target is not before:
                 self._advance_to(record, target, exit_code=state_code[1])
                 applied.append((job_id, before, record.state))
-            if self._latest[resource_name] is not pending:
+            if state.latest is not pending:
                 break  # a nested cycle parsed a newer output; ours is stale
-            if native_id in job_ids:
-                kept.add(unit)
-                kept_ids[native_id] = unit
-        if self._latest[resource_name] is pending:
-            self._applied_output[resource_name] = output
+            if native_id in state.job_ids:
+                state.kept.add(unit)
+                state.kept_ids[native_id] = unit
+        if state.latest is pending:
+            state.applied_output = output
         return applied
 
     def _ensure_poller(self, resource_name: str) -> None:
-        if resource_name in self._pollers or not self._active.get(resource_name):
-            return
-        # Grid-aligned ticks: cycle boundaries land on the interval grid
-        # regardless of when the first job arrived.
-        self._pollers[resource_name] = self.clock.at(
-            grid_after(self.clock.now, self.poll_interval_s),
-            lambda: self._poll_tick(resource_name),
-        )
+        state = self._active[resource_name]
+        if state.poller is None and state.active:
+            # Grid-aligned ticks: cycle boundaries land on the interval grid
+            # regardless of when the first job arrived.
+            state.poller = self.clock.at(
+                grid_after(self.clock.now, self.poll_interval_s),
+                lambda: self._poll_tick(resource_name),
+            )
 
     def _poll_tick(self, resource_name: str) -> None:
-        self._pollers.pop(resource_name, None)
+        self._active[resource_name].poller = None
         self.poll_cycle(resource_name)
-        if self._active.get(resource_name):
-            self._ensure_poller(resource_name)
-
-    # -- active set ------------------------------------------------------------
-
-    def _activate(self, record: _JobRecord) -> None:
-        resource = record.spec.resource
-        active = self._active[resource]
-        # Ids are j%06d, so each new id sorts last up to j999999; past it
-        # string order and submit order part, and the next cycle re-sorts.
-        if active and record.job_id < next(reversed(active)):
-            self._unsorted.add(resource)
-        active[record.job_id] = record.native_id
-        self._job_ids[resource][record.native_id] = record.job_id
-        credentials = self._credentials[resource]
-        credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
-
-    def _deactivate(self, record: _JobRecord) -> None:
-        resource = record.spec.resource
-        if self._active[resource].pop(record.job_id, None) is None:
-            return  # never active: its submit failed
-        del self._job_ids[resource][record.native_id]
-        credentials = self._credentials[resource]
-        left = credentials.pop(record.spec.credential) - 1
-        if left:
-            credentials[record.spec.credential] = left
+        self._ensure_poller(resource_name)
 
     # -- state machine ---------------------------------------------------------
 
@@ -414,23 +426,11 @@ class LrmMiddleware:
 
     def _advance_to(self, record: _JobRecord, target: JobState,
                     exit_code: int | None = None) -> None:
-        while record.state != target:
-            step = self._next_step(record.state, target)
-            final_exit = exit_code if step == target else None
-            self._apply(record, step, exit_code=final_exit)
-
-    @staticmethod
-    def _next_step(current: JobState, target: JobState) -> JobState:
-        if target in LEGAL_TRANSITIONS[current]:
-            return target
-        forward = {
-            JobState.CREATED: JobState.SUBMITTED,
-            JobState.SUBMITTED: JobState.QUEUED,
-            JobState.QUEUED: JobState.RUNNING,
-        }
-        if current in forward:
-            return forward[current]
-        raise ValidationError(f"no legal path from {current} to {target}")
+        while (current := record.state) != target:
+            step = target if target in LEGAL_TRANSITIONS[current] else _FORWARD.get(current)
+            if step is None:
+                raise ValidationError(f"no legal path from {current} to {target}")
+            self._apply(record, step, exit_code=exit_code if step == target else None)
 
     def _apply(self, record: _JobRecord, state: JobState,
                exit_code: int | None = None, cause: str | None = None) -> None:
@@ -444,7 +444,7 @@ class LrmMiddleware:
             record.cause = cause
         record.transitions.append((state, self.clock.now))
         if state in TERMINAL_STATES:
-            self._deactivate(record)
+            self._active[record.spec.resource].deactivate(record)
         self.trace.emit("job_transition", job_id=record.job_id,
                         resource=record.spec.resource,
                         from_state=previous.value, to_state=state.value,

@@ -172,7 +172,7 @@ class TestPolling:
         world.transport.inject_failure("transport", count=1)
         lost = world.middleware.submit(spec())
         kept = world.middleware.submit(spec())
-        active = world.middleware._active["hpc-1"]
+        active = world.middleware._active["hpc-1"].active
         assert lost.job_id not in active and kept.job_id in active
         assert all(world.middleware._records[j].native_id is not None for j in active)
         world.clock.run_until(5.0)
@@ -317,7 +317,7 @@ class TestIncrementalPoll:
             def checked_poll(resource):
                 nonlocal checked, nested
                 polled = [(job_id, mw._records[job_id].native_id)
-                          for job_id in mw._active.get(resource, ())]
+                          for job_id in mw._active[resource].active]
                 failures = world.trace.count("poll_failed")
                 depth[0] += 1
                 try:
@@ -404,9 +404,10 @@ class TestIncrementalPoll:
         monkeypatch.setattr(Transport, "call", forgetting(
             Transport.call, lambda transport: transport._digests.clear()))
         def forget_outputs_and_units(mw):
-            mw._applied_output.clear()
-            for kept in (*mw._kept.values(), *mw._kept_ids.values()):
-                kept.clear()
+            for state in mw._active.values():
+                state.applied_output = None
+                state.kept.clear()
+                state.kept_ids.clear()
 
         monkeypatch.setattr(LrmMiddleware, "poll_cycle", forgetting(
             LrmMiddleware.poll_cycle, forget_outputs_and_units))
@@ -529,7 +530,7 @@ class TestIncrementalPoll:
         mw.poll_cycle("hpc-1")
         natives = [mw._records[j].native_id for j in active]
         assert payloads[-1].split()[1] == "--jobs=" + ",".join(natives)
-        assert list(mw._active["hpc-1"]) == [j for j in active if not mw.status(j).terminal]
+        assert list(mw._active["hpc-1"].active) == [j for j in active if not mw.status(j).terminal]
 
 
 def _held_world(dialect):
@@ -579,7 +580,7 @@ class TestUnitWork:
         parsed = len(outputs)
         assert mw.poll_cycle("hpc-1") == []
         assert len(outputs) == parsed + 1 and units == []
-        assert len(mw._kept["hpc-1"]) == len(handles) - 1
+        assert len(mw._active["hpc-1"].kept) == len(handles) - 1
 
     @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
     def test_kept_units_stay_within_the_last_applied_output(self, dialect):
@@ -595,9 +596,10 @@ class TestUnitWork:
             job = mw.submit(spec())
             mw.cancel(job)
             assert mw.poll_cycle("hpc-1") == [(job.job_id, JobState.SUBMITTED, JobState.CANCELED)]
-            kept = mw._kept["hpc-1"]
+            state = mw._active["hpc-1"]
+            kept = state.kept
             assert kept <= set(adapter.parse_status(outputs[-1])) and len(kept) == 100
-            assert set(mw._kept_ids["hpc-1"]) <= set(mw._job_ids["hpc-1"])
+            assert set(state.kept_ids) <= set(state.job_ids)
 
     def test_of_two_units_naming_one_job_the_later_with_a_state_wins(self):
         world, answers = _scripted_status_world()
@@ -628,22 +630,22 @@ def _full_parse_poll(mw, observed, resource_name):
     observation with the last one, kept per resource in ``observed``.
     (The payload re-sort past j999999 and the transport-failure branch are
     left out: the test meets neither.)"""
-    active = mw._active.get(resource_name)
-    if not active:
+    state = mw._active[resource_name]
+    if not state.active:
         return []
     adapter = mw._adapter(mw.resources[resource_name])
-    command = adapter.format_status(list(active.values()))
-    output = mw.transport.call(resource_name, min(mw._credentials[resource_name]),
+    command = adapter.format_status(list(state.active.values()))
+    output = mw.transport.call(resource_name, min(state.credentials),
                                "batch_status", command)
-    if output == mw._applied_output.get(resource_name):
+    if output == state.applied_output:
         return []
-    mw._applied_output.pop(resource_name, None)
+    state.applied_output = None
     now = dict(filter(None, map(adapter.parse_unit, adapter.parse_status(output))))
     last = observed.get(resource_name, {})
-    changed = [(native_id, state) for native_id, state in now.items()
-               if last.get(native_id) != state]
+    changed = [(native_id, state_code) for native_id, state_code in now.items()
+               if last.get(native_id) != state_code]
     observed[resource_name] = now
-    job_ids = mw._job_ids[resource_name]
+    job_ids = state.job_ids
     pending = []
     for native_id, state_code in changed:
         del now[native_id]
@@ -662,7 +664,7 @@ def _full_parse_poll(mw, observed, resource_name):
             applied.append((job_id, before, record.state))
         now[native_id] = state_code
     if observed[resource_name] is now:
-        mw._applied_output[resource_name] = output
+        state.applied_output = output
     return applied
 
 
@@ -703,6 +705,9 @@ class TestKeptUnitsAgainstAFullParse:
     @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0",
                                   "1|RUNNING|0:0\n2|PENDING|0:0\n2|PENDING|0:0",
                                   "1|RUNNING|2:0\n2|RUNNING|0:0"]), nest=True)
+    # a cycle nested in the Running step applies a unit of a job that then ends
+    @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = F\n    exit_status = 0",
+                                "Job Id: 1.hpc-1\n    job_state = R"]), nest=True)
     def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest):
         dialect, outputs = polls
         runs = []
@@ -733,9 +738,10 @@ class TestKeptUnitsAgainstAFullParse:
                     results.append((type(exc), str(exc)))
                 else:
                     if not full:  # at most one kept unit per active job, within the output
-                        kept, kept_ids = mw._kept["hpc-1"], mw._kept_ids["hpc-1"]
+                        state = mw._active["hpc-1"]
+                        kept, kept_ids = state.kept, state.kept_ids
                         assert kept <= set(kept_ids.values())
-                        assert kept_ids.keys() <= mw._job_ids["hpc-1"].keys()
+                        assert kept_ids.keys() <= state.job_ids.keys()
                         assert len(kept) <= len(mw.dialects[dialect].parse_status(parsed[-1]))
                 results.append([(r.state, r.exit_code, tuple(r.transitions))
                                 for r in mw._records.values()])

@@ -33,9 +33,17 @@ def test_tracer_wraps_every_layer_boundary_and_puts_it_back(monkeypatch):
         tracer_module.install(tracer, modules)
         patched = list(tracer._patched)
         unwrapped = [attr for owner, attr, original in patched if _own(owner, attr) is original]
+        # The size functions read attributes only a traced run reaches,
+        # such as the middleware's per-resource states.
+        world = batch_world(queue={"distribution": "fixed", "params": {"value": 1.0}},
+                            pools=[{"resource": "hpc-1", "min_warm": 1, "max_size": 2}])
+        world.middleware.submit(JobSpec("hpc-1", ("sleep", "1")))
+        world.clock.run_until(20.0)
     finally:
         tracer.uninstall()
     assert patched and unwrapped == []
+    assert tracer.stats["middleware.poll_cycle"].calls > 0
+    assert tracer.stats["pilots.refresh"].calls > 0
     assert [attr for owner, attr, original in patched if _own(owner, attr) is not original] == []
 
 
