@@ -16,16 +16,16 @@ Eviction cost does not grow with the cache's history. A running count
 holds the bytes of resident and transferring entries, so the capacity
 check reads one number. The LRU order rule is: the next victim is the
 resident, unpinned entry with the smallest ``(last_access, uri)``, so
-entries last used at the same simulated time leave in URI order. A heap
-of those keys serves it; a hit pushes a new key and leaves the old one
-behind as stale, and the heap is rebuilt from its current keys whenever
-it grows past twice the resident entries.
+entries last used at the same simulated time leave in URI order. The
+resident entries sit in a dict in access order: an access moves its entry
+to the end. Simulated time never goes back, so access order is
+``last_access`` order, and the victim is found by one forward scan that
+skips pinned entries and breaks a tie on access time by URI.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -108,6 +108,9 @@ class CacheEntry:
     state: CacheState = CacheState.ABSENT
     last_access: float = 0.0
     pin_count: int = 0
+    finish_at: float = 0.0  # while transferring: when the transfer lands
+    waiting: list[OpenHandle] = field(default_factory=list)  # opens riding the transfer
+    corrupt_next: bool = False  # the next transfer arrives with a bad digest
 
 
 class OpenHandle:
@@ -167,14 +170,6 @@ class PrefetchReport:
     failed: dict[str, str] = field(default_factory=dict)
 
 
-class _PendingTransfer:
-    __slots__ = ("handles", "finish_at")
-
-    def __init__(self, finish_at: float):
-        self.handles: list[OpenHandle] = []
-        self.finish_at = finish_at
-
-
 class DmsCache:
     """Shared dataset cache driven by the simulation clock.
 
@@ -195,13 +190,8 @@ class DmsCache:
         self.bandwidth = bandwidth_bytes_per_s
         self.trace = trace
         self.entries: dict[str, CacheEntry] = {}
-        self._pending: dict[str, _PendingTransfer] = {}
-        self._corrupt_next: set[str] = set()
         self._used_bytes = 0  # resident plus transferring
-        self._resident = 0
-        # (last_access, uri) keys; every resident entry's current key is in
-        # here, next to stale keys of older accesses and evicted entries
-        self._lru: list[tuple[float, str]] = []
+        self._lru: dict[str, CacheEntry] = {}  # the resident entries, in access order
 
     # -- diagnostics ------------------------------------------------------
 
@@ -220,12 +210,9 @@ class DmsCache:
         return [TransferRecord(r["uri"], TransferSource(r["source"]), r["bytes"])
                 for r in self.trace.records("transfer_complete")]
 
-    def records_for(self, uri: str) -> list[TransferRecord]:
-        return [r for r in self.transfer_log if r.uri == uri]
-
     def inject_corruption(self, uri: str) -> None:
         """Make the next transfer of ``uri`` arrive with a bad digest."""
-        self._corrupt_next.add(uri)
+        self.entry(uri).corrupt_next = True
 
     # -- pinning ----------------------------------------------------------
 
@@ -247,8 +234,8 @@ class DmsCache:
         Inside event callbacks use :meth:`open_nowait`.
         """
         handle = self.open_nowait(ref)
-        if not handle.ready and ref.uri in self._pending:
-            self.clock.run_until(self._pending[ref.uri].finish_at)
+        if not handle.ready and handle.error is None:
+            self.clock.run_until(self.entries[ref.uri].finish_at)
         if handle.error is not None:
             raise handle.error
         return handle
@@ -269,137 +256,123 @@ class DmsCache:
 
         if entry.state == CacheState.TRANSFERRING:
             # Coalesce: ride the in-flight transfer, never start a second one.
-            self._pending[ref.uri].handles.append(handle)
+            entry.waiting.append(handle)
             return handle
 
-        self._admit(ref)
+        if ref.size_bytes > self.capacity_bytes:
+            raise CapacityError(f"{ref.uri!r} ({ref.size_bytes} B) exceeds cache capacity")
+        self.evict(ref.size_bytes)
         entry.state = CacheState.TRANSFERRING
         self._used_bytes += ref.size_bytes
         duration = ref.size_bytes / self.bandwidth
-        pending = _PendingTransfer(self.clock.now + duration)
-        pending.handles.append(handle)
-        self._pending[ref.uri] = pending
+        entry.finish_at = self.clock.now + duration
+        entry.waiting.append(handle)
         self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes,
                         source=TransferSource.REMOTE_REPO.value)
         if duration == 0:
             self._finish_transfer(ref)
         else:
-            self.clock.at(pending.finish_at, lambda: self._finish_transfer(ref))
+            self.clock.at(entry.finish_at, lambda: self._finish_transfer(ref))
         return handle
 
     def prefetch(self, tale, eager_refs: Iterable[ExternalDataRef] | None = None) -> PrefetchReport:
         """Eagerly transfer every absent ref of a Tale (quasi-locality).
 
-        Partial failures are reported per ref; completed transfers stay.
+        Driver-context only, like :meth:`open`; :meth:`prefetch_nowait` starts
+        the transfers. Partial failures are reported per ref; completed
+        transfers stay. ``transferred`` lists only refs asked for.
         """
-        refs = list(eager_refs) if eager_refs is not None else list(tale.data_refs)
-        report = PrefetchReport()
-        handles: list[tuple[ExternalDataRef, OpenHandle]] = []
-        before = self.trace.count("transfer_complete")
+        refs = dict.fromkeys(eager_refs if eager_refs is not None else tale.data_refs)
+        report, handles = self.prefetch_nowait(refs)
+        waits = [self.entries[h.uri].finish_at for h in handles if not h.ready and h.error is None]
+        if waits:
+            self.clock.run_until(max(waits))
+        for handle in handles:
+            if handle.error is not None:
+                report.failed[handle.uri] = str(handle.error)
+            elif handle.ready:
+                ref = self.entries[handle.uri].ref
+                report.transferred.append(TransferRecord(ref.uri, TransferSource.REMOTE_REPO,
+                                                         ref.size_bytes))
+        return report
+
+    def prefetch_nowait(self, refs: Iterable[ExternalDataRef]
+                        ) -> tuple[PrefetchReport, list[OpenHandle]]:
+        """Start (or join) the transfer of every ref not resident; return at once.
+
+        Best effort: a ref the cache cannot admit keeps its state and is
+        reported as failed. Returns that report and the started or joined
+        transfers' handles.
+        """
+        report, handles = PrefetchReport(), []
         for ref in refs:
-            entry = self.entry(ref.uri)
-            if entry.state == CacheState.RESIDENT:
+            if self.entry(ref.uri).state == CacheState.RESIDENT:
                 report.already_resident.append(ref.uri)
                 continue
             try:
-                handles.append((ref, self.open_nowait(ref)))
-            except (CapacityError, ValidationError) as exc:
+                handles.append(self.open_nowait(ref))
+            except CapacityError as exc:
                 report.failed[ref.uri] = str(exc)
-        finish_times = [self._pending[r.uri].finish_at for r, _ in handles if r.uri in self._pending]
-        if finish_times:
-            self.clock.run_until(max(finish_times))
-        for ref, handle in handles:
-            if handle.error is not None:
-                report.failed[ref.uri] = str(handle.error)
-        report.transferred = self.transfer_log[before:]
-        return report
+        return report, handles
 
     def evict(self, needed_bytes: int) -> list[str]:
         """Evict LRU unpinned resident entries until ``needed_bytes`` fit."""
         if needed_bytes < 0:
             raise ValidationError("needed_bytes must be >= 0")
         evicted: list[str] = []
-        pinned: list[tuple[float, str]] = []  # current keys of pinned entries, set aside
-        try:
-            while self.capacity_bytes - self._used_bytes < needed_bytes:
-                victim = self._pop_lru_victim(pinned)
-                if victim is None:
-                    raise CapacityError(
-                        f"cannot free {needed_bytes} bytes: "
-                        f"{self.capacity_bytes - self._used_bytes} free, no evictable entries"
-                    )
-                victim.state = CacheState.EVICTED
-                self._used_bytes -= victim.ref.size_bytes
-                self._resident -= 1
-                evicted.append(victim.ref.uri)
-                self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
-        finally:
-            for key in pinned:
-                heapq.heappush(self._lru, key)
-            self._compact_if_sparse()
+        while self.capacity_bytes - self._used_bytes < needed_bytes:
+            victim = self._lru_victim()
+            if victim is None:
+                raise CapacityError(
+                    f"cannot free {needed_bytes} bytes: "
+                    f"{self.capacity_bytes - self._used_bytes} free, no evictable entries"
+                )
+            del self._lru[victim.ref.uri]
+            victim.state = CacheState.EVICTED
+            self._used_bytes -= victim.ref.size_bytes
+            evicted.append(victim.ref.uri)
+            self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
         return evicted
 
     # -- internals ---------------------------------------------------------
 
-    def _is_current(self, key: tuple[float, str]) -> bool:
-        entry = self.entries[key[1]]
-        return entry.state == CacheState.RESIDENT and entry.last_access == key[0]
-
-    def _pop_lru_victim(self, pinned: list[tuple[float, str]]) -> CacheEntry | None:
-        """Pop the LRU rule's next victim, dropping stale keys on the way.
-
-        Keys of pinned entries go to ``pinned``; the caller pushes them back.
-        """
-        while self._lru:
-            key = heapq.heappop(self._lru)
-            if self._is_current(key):
-                entry = self.entries[key[1]]
-                if not entry.pin_count:
-                    return entry
-                pinned.append(key)
-        return None
+    def _lru_victim(self) -> CacheEntry | None:
+        """The unpinned resident entry with the least ``(last_access, uri)``."""
+        victim = None
+        for entry in self._lru.values():
+            if entry.pin_count:
+                continue
+            if victim is None:
+                victim = entry
+            elif entry.last_access != victim.last_access:
+                break
+            elif entry.ref.uri < victim.ref.uri:
+                victim = entry
+        return victim
 
     def _touch(self, entry: CacheEntry) -> None:
         """Record an access of a resident entry at the current time."""
         entry.last_access = self.clock.now
-        heapq.heappush(self._lru, (entry.last_access, entry.ref.uri))
-        self._compact_if_sparse()
-
-    def _compact_if_sparse(self) -> None:
-        """Keep the index within twice the resident entries.
-
-        Rebuilding keeps each current key once and drops the stale ones, so
-        the index stays proportional to the resident entries however many
-        hits the run has had; each rebuild drops more keys than it keeps.
-        """
-        if len(self._lru) > 2 * self._resident:
-            self._lru = list(dict.fromkeys(k for k in self._lru if self._is_current(k)))
-            heapq.heapify(self._lru)
-
-    def _admit(self, ref: ExternalDataRef) -> None:
-        if ref.size_bytes > self.capacity_bytes:
-            raise CapacityError(f"{ref.uri!r} ({ref.size_bytes} B) exceeds cache capacity")
-        self.evict(ref.size_bytes)
+        self._lru.pop(entry.ref.uri, None)
+        self._lru[entry.ref.uri] = entry
 
     def _finish_transfer(self, ref: ExternalDataRef) -> None:
         entry = self.entries[ref.uri]
-        pending = self._pending.pop(ref.uri)
-        corrupted = ref.uri in self._corrupt_next
-        self._corrupt_next.discard(ref.uri)
-        if corrupted:
+        waiting, entry.waiting = entry.waiting, []
+        if entry.corrupt_next:
+            entry.corrupt_next = False
             entry.state = CacheState.ABSENT
             self._used_bytes -= ref.size_bytes
             error = ChecksumMismatchError(ref.uri, ref.checksum, "sha256:<corrupted>")
             self.trace.emit("transfer_failed", uri=ref.uri, reason="checksum mismatch")
-            for handle in pending.handles:
+            for handle in waiting:
                 handle.error = error
             return
         entry.state = CacheState.RESIDENT
-        self._resident += 1
         self._touch(entry)
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
                         source=TransferSource.REMOTE_REPO.value)
-        for handle in pending.handles:
+        for handle in waiting:
             handle.ready = True
 
     def stage_in(self, ref: ExternalDataRef, resource: ResourceDescriptor) -> TransferRecord:

@@ -95,16 +95,6 @@ class ReportRow:
 class ReportTable:
     rows: list[ReportRow] = field(default_factory=list)
 
-    def samples(self, model: str) -> list[float]:
-        return [r.time_to_frontend_s for r in self.rows if r.model == model]
-
-    def models(self) -> list[str]:
-        seen = []
-        for r in self.rows:
-            if r.model not in seen:
-                seen.append(r.model)
-        return seen
-
 
 def emit_report(table: ReportTable, fmt: str = "table") -> bytes:
     """Render a report with stable column order; deterministic bytes."""

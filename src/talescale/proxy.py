@@ -78,9 +78,6 @@ class ProxyRegistry:
         if removed is not None:
             self.trace.emit("route_deregistered", tale_id=tale_id)
 
-    def routes(self) -> dict[str, Route]:
-        return dict(self._routes)
-
     def lookup(self, public_path: str) -> Route:
         parts = public_path.split("/")
         if len(parts) < 3 or parts[0] != "" or parts[1] != "tales":

@@ -262,10 +262,7 @@ class World:
             self.cache.open_nowait(self.catalog.get(action["uri"]))
         elif op == "prefetch":
             uris = action.get("uris") or [d.uri for d in self.catalog]
-            for uri in uris:
-                entry = self.cache.entry(uri)
-                if entry.state.value in ("absent", "evicted"):
-                    self.cache.open_nowait(self.catalog.get(uri))
+            self.cache.prefetch_nowait([self.catalog.get(uri) for uri in uris])
         elif op == "cancel":
             index = int(action["job_index"])
             if index < len(self._submitted):

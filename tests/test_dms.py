@@ -31,13 +31,17 @@ def make_cache(refs, capacity=10_000, bandwidth=100.0):
     return clock, cache
 
 
+def records_for(cache, uri):
+    return [r for r in cache.transfer_log if r.uri == uri]
+
+
 class TestOpen:
     def test_second_open_is_a_hit(self):
         r = ref("doi:a")
         clock, cache = make_cache([r])
         cache.open(r)
         cache.open(r)
-        assert len(cache.records_for("doi:a")) == 1
+        assert len(records_for(cache, "doi:a")) == 1
 
     def test_transfer_duration_is_bytes_over_bandwidth(self):
         r = ref("doi:a", size=500)
@@ -52,14 +56,14 @@ class TestOpen:
         handles = [cache.open_nowait(r) for _ in range(10)]
         clock.run_until(100.0)
         assert all(h.ready for h in handles)
-        assert len(cache.records_for("doi:a")) == 1
+        assert len(records_for(cache, "doi:a")) == 1
 
     def test_zero_byte_file_resident_immediately(self):
         r = ref("doi:empty", size=0)
         clock, cache = make_cache([r])
         handle = cache.open_nowait(r)
         assert handle.ready
-        records = cache.records_for("doi:empty")
+        records = records_for(cache, "doi:empty")
         assert len(records) == 1 and records[0].bytes == 0
 
     def test_unregistered_ref_rejected(self):
@@ -67,6 +71,8 @@ class TestOpen:
         clock, cache = make_cache([r])
         with pytest.raises(ValidationError):
             cache.open(ref("doi:unknown"))
+        with pytest.raises(ValidationError):
+            cache.inject_corruption("doi:unknown")
 
     def test_checksum_mismatch_discards_entry_and_raises(self):
         r = ref("doi:a")
@@ -75,7 +81,7 @@ class TestOpen:
         with pytest.raises(ChecksumMismatchError):
             cache.open(r)
         assert cache.entry("doi:a").state == CacheState.ABSENT
-        assert cache.records_for("doi:a") == []
+        assert records_for(cache, "doi:a") == []
         # a later open retries cleanly
         assert cache.open(r).ready
 
@@ -106,8 +112,8 @@ class TestPrefetch:
         # both arrived at t=1; the tie on last access breaks by uri
         assert cache.evict(cache.capacity_bytes - 100) == ["doi:a"]
         cache.open(refs[0])
-        assert len(cache.records_for("doi:a")) == 2
-        assert len(cache.records_for("doi:b")) == 1
+        assert len(records_for(cache, "doi:a")) == 2
+        assert len(records_for(cache, "doi:b")) == 1
 
     def test_partial_failure_reported_per_ref(self):
         refs = [ref("doi:a"), ref("doi:b")]
@@ -116,6 +122,16 @@ class TestPrefetch:
         report = cache.prefetch(None, eager_refs=refs)
         assert [r.uri for r in report.transferred] == ["doi:a"]
         assert "doi:b" in report.failed
+
+    def test_report_lists_only_the_refs_asked_for(self):
+        a, b = ref("doi:a", 30), ref("doi:b", 50)
+        clock, cache = make_cache([a, b], bandwidth=10.0)
+        cache.open_nowait(a)
+        report = cache.prefetch(None, eager_refs=[b])
+        # doi:a lands during the wait, but the prefetch did not ask for it
+        assert [(r.uri, r.bytes) for r in report.transferred] == [("doi:b", 50)]
+        assert [r.uri for r in cache.transfer_log] == ["doi:a", "doi:b"]
+        assert report.failed == {} and report.already_resident == []
 
 
 class TestResolveLocal:
@@ -371,10 +387,10 @@ class TestLruIndexBound:
             if step % 3 == 0:
                 clock.advance(1.0)
             resident = sum(1 for e in cache.entries.values() if e.state == CacheState.RESIDENT)
-            assert len(cache._lru) <= 2 * resident
+            assert len(cache._lru) == resident
             largest = max(largest, len(cache._lru))
         hits = sum(1 for ev in cache.trace if ev.kind == "cache_hit")
-        assert hits > 4500 and largest <= 8
+        assert hits > 4500 and largest <= 4
 
 
 class TestTransferLogInterface:
@@ -403,7 +419,7 @@ class TestTransferLogInterface:
             ("doi:a", "remote_repo", 10), ("doi:b", "hpc_local_stagein", 20),
             ("doi:c", "remote_repo", 30)]
         assert cache.transfer_log[1] == staged
-        assert cache.records_for("doi:b") == [staged]
+        assert records_for(cache, "doi:b") == [staged]
 
 
 class TestInvariants:
@@ -430,4 +446,4 @@ class TestInvariants:
         for uri in accesses:
             cache.open(refs[uri])
         for uri in set(accesses):
-            assert len(cache.records_for(uri)) == 1
+            assert len(records_for(cache, uri)) == 1

@@ -7,7 +7,7 @@ from talescale.measure import launch_frontend, measure_models
 from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.world import load_config
 
-from conftest import batch_world
+from conftest import batch_world, frontend_times
 
 
 def test_wt_only_world_reports_only_m1_rows():
@@ -16,7 +16,7 @@ def test_wt_only_world_reports_only_m1_rows():
                        "allows_incoming_connections": True}],
     })
     table = measure_models(config, WorkloadRequirements(), seeds=range(5))
-    assert table.models() == ["M1_wt_cluster"]
+    assert {row.model for row in table.rows} == {"M1_wt_cluster"}
     assert len(table.rows) == 5
 
 
@@ -32,8 +32,8 @@ def test_m1_exact_and_m2_adds_queue_wait():
         "scenario": {"image_load_s": 8.0},
     })
     table = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=range(20))
-    m1 = table.samples("M1_wt_cluster")
-    m2 = table.samples("M2_hpc_node")
+    m1 = frontend_times(table, "M1_wt_cluster")
+    m2 = frontend_times(table, "M2_hpc_node")
     assert statistics.median(m1) == 8.0
     assert statistics.median(m2) == 608.0
 
@@ -55,8 +55,8 @@ def test_warm_pilot_beats_cold_queue_by_two_orders():
     warm_config["pools"] = [{"resource": "hpc-1", "min_warm": 2, "max_size": 4,
                              "pilot_walltime_s": 100000.0}]
     warm = measure_models(load_config(warm_config), req, seeds, warmup_s=5000.0)
-    cold_median = statistics.median(cold.samples("M3_hpc_node_local_lrm"))
-    warm_median = statistics.median(warm.samples("M3_hpc_node_local_lrm"))
+    cold_median = statistics.median(frontend_times(cold, "M3_hpc_node_local_lrm"))
+    warm_median = statistics.median(frontend_times(warm, "M3_hpc_node_local_lrm"))
     assert cold_median / warm_median > 100.0
 
 
@@ -90,8 +90,8 @@ def test_mpi_frontend_skips_a_cloud_batch_resource_listed_first():
     })
     req = WorkloadRequirements(needs_hpc=True, needs_mpi=True, min_nodes=4)
     table = measure_models(config, req, seeds=range(3))
-    assert table.models() == ["M4_hpc_mpi"]
-    assert min(table.samples("M4_hpc_mpi")) >= 608.0
+    assert {row.model for row in table.rows} == {"M4_hpc_mpi"}
+    assert min(frontend_times(table, "M4_hpc_mpi")) >= 608.0
 
 
 def test_frontend_on_a_warm_pilot_is_not_a_workload_start():

@@ -9,6 +9,11 @@ the class that defines it, breaks the benchmark; these tests fail first.
 import importlib
 from pathlib import Path
 
+import pytest
+
+from talescale.digest import digest_bytes
+from talescale.dms import CacheState, TransferSource
+from talescale.errors import ChecksumMismatchError
 from talescale.middleware import JobSpec, JobState
 from talescale.trace import TraceEvent
 
@@ -57,3 +62,20 @@ def test_names_the_workloads_read_exist():
     assert "job_transition" in {ev.kind for ev in events}
     assert world.transport.handshake_count == 1
     assert world.middleware.poll_failures == 0
+    # tale_launch injects corruption into fetches, pins the latest tales'
+    # datasets and reads the cache's entries, bytes and transfer log.
+    uri = "doi:10.5072/ds00000"
+    world = batch_world(cache={"capacity_bytes": 100, "bandwidth_bytes_per_s": 10.0, "datasets": [
+        {"uri": uri, "size_bytes": 40, "checksum": digest_bytes(uri.encode())}]})
+    cache, ref = world.cache, world.catalog.get(uri)
+    cache.inject_corruption(uri)
+    with pytest.raises(ChecksumMismatchError):
+        cache.open(ref)
+    assert cache.entries.get(uri).state != CacheState.RESIDENT
+    cache.open(ref)
+    assert cache.entries.get(uri).state == CacheState.RESIDENT and len(cache.entries) == 1
+    cache.pin(uri)
+    cache.unpin(uri)
+    assert cache.resident_bytes() == 40 and cache.capacity_bytes == 100
+    assert [(r.uri, r.source, r.bytes) for r in cache.transfer_log] == [
+        (uri, TransferSource.REMOTE_REPO, 40)]

@@ -39,7 +39,7 @@ def test_register_deregister_register_cycle():
     registry.deregister("t1")
     registry.deregister("t1")  # idempotent no-op
     registry.register_endpoint("t1", Endpoint("hpc-1", "n5", 9999))
-    assert registry.routes()["t1"].endpoint.node == "n5"
+    assert registry.lookup("/tales/t1/").endpoint.node == "n5"
 
 
 def test_deregistered_route_is_not_found():
@@ -93,7 +93,9 @@ def test_route_bijection_over_live_routes():
     registry.register_endpoint("t2", Endpoint("hpc-1", "n2", 2))
     registry.deregister("t1")
     registry.register_endpoint("t3", Endpoint("hpc-1", "n3", 3))
-    routes = registry.routes()
+    with pytest.raises(RouteNotFoundError):
+        registry.lookup("/tales/t1/")
+    routes = {tale_id: registry.lookup(f"/tales/{tale_id}/") for tale_id in ("t2", "t3")}
     paths = {r.public_path for r in routes.values()}
     assert len(paths) == len(routes)
     for tale_id, route in routes.items():

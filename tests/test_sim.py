@@ -573,6 +573,22 @@ class TestWorldRun:
                   if ev["kind"] == "job_transition" and ev["to_state"] == "Failed"]
         assert failed  # the job failed, the run did not
 
+    def test_a_prefetch_skips_a_dataset_the_cache_cannot_admit(self):
+        # While doi:a is in flight, a 100-byte cache has no room for doi:b
+        # and nothing to evict: the prefetch is best effort, the run goes on.
+        datasets = [{"uri": uri, "size_bytes": 60, "checksum": digest_bytes(uri.encode())}
+                    for uri in ("doi:a", "doi:b")]
+        world = World(load_config({
+            **MINIMAL,
+            "cache": {"capacity_bytes": 100, "bandwidth_bytes_per_s": 10.0, "datasets": datasets},
+            "scenario": {"actions": [{"op": "prefetch", "t": 1}]},
+        }), 0)
+        trace, _ = world.run(100.0)
+        assert [(ev.kind, ev.fields.get("uri")) for ev in trace] == [
+            ("transfer_start", "doi:a"), ("transfer_complete", "doi:a")]
+        assert world.cache.entry("doi:b").state == CacheState.ABSENT
+        assert world.cache.resident_bytes() == 60
+
 
 FLAT_URIS = [f"doi:10.5072/flat{j:02d}" for j in range(40)]
 FLAT_CACHE_ENTRIES = 8  # capacity in 1 MB datasets
@@ -607,7 +623,7 @@ class TestHistoryFlatness:
             job = world.middleware.submit(JobSpec(
                 resource="hpc-2", command=("sleep", rng.choice(("60", "100000")))))
             clock.after(rng.uniform(100.0, 1500.0), lambda: world.middleware.cancel(job))
-            # hits on a hot set re-key the LRU index; a cold open evicts
+            # hits on a hot set reorder the LRU index; a cold open evicts
             for uri in rng.sample(FLAT_URIS[:4], 2):
                 world.cache.open_nowait(world.catalog.get(uri))
             if rng.random() < 0.25:
@@ -623,8 +639,8 @@ class TestHistoryFlatness:
             }
 
         # set by the config, not the horizon: live events plus as many
-        # tombstones, max_size slots, twice the resident entries
-        bounds = {"clock heap": 64, "pool slots": 4, "dms lru index": 2 * FLAT_CACHE_ENTRIES,
+        # tombstones, max_size slots, the resident entries
+        bounds = {"clock heap": 64, "pool slots": 4, "dms lru index": FLAT_CACHE_ENTRIES,
                   "active jobs": 32}
         clock.after(400.0, arrive)
         clock.run_until(50_000.0)
