@@ -272,12 +272,12 @@ def export_tale(tale: Tale, workspace_root) -> bytes:
     return _frame(entries)
 
 
-def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
+def import_tale(archive: bytes, workspace_dir=None) -> Tale:
     """Reconstruct a Tale from archive bytes, verifying every checksum.
 
     Extracts workspace files under ``workspace_dir`` when given, and
-    appends an ``imported`` provenance event.  A tale that fails validation
-    is rejected before any file is written.
+    appends an ``imported`` provenance event at time 0.  A tale that fails
+    validation is rejected before any file is written.
     """
     try:
         zf = zipfile.ZipFile(io.BytesIO(archive))
@@ -313,7 +313,5 @@ def import_tale(archive: bytes, workspace_dir=None, now: float = 0.0) -> Tale:
                 _write_file(os.path.join(dest, artifact.path), data)
 
     _in_runs(extract, len(refs))
-    tale.provenance.append(tale.next_event(
-        ProvenanceKind.IMPORTED, {"format_version": FORMAT_VERSION}, timestamp=now,
-    ))
+    tale.provenance.append(tale.next_event(ProvenanceKind.IMPORTED, {"format_version": FORMAT_VERSION}))
     return tale

@@ -20,15 +20,18 @@ from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
 from .errors import (ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError,
                      check_choice, check_keys, check_list, check_number)
-from .metrics import ReportRow, ReportTable, emit_report
+from .metrics import REPORT_FORMATS, ReportRow, emit_report
 from .middleware import JobSpec
-from .planner import WorkloadRequirements, plan_placement
+from .planner import OBJECTIVES, WorkloadRequirements, plan_placement
 from .queues import queues_by_name
 from .resources import resources_by_name
 from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, Tale, create_tale, parse_pin
 from .world import World, load_config, read_json
 
 TALE_META = ".tale/tale.json"
+
+# Read commands print text, or JSON for machines.
+_format_opt = click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 
 
 @click.group()
@@ -149,7 +152,7 @@ def tale_import(archive_path, workspace):
 @tale.command("validate")
 @click.option("--workspace", type=click.Path(exists=True, file_okay=False), default=None)
 @click.option("--in", "archive_path", type=click.Path(exists=True), default=None)
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_format_opt
 def tale_validate(workspace, archive_path, fmt):
     """Print invariant violations; exit 1 when any exist."""
     if (workspace is None) == (archive_path is None):
@@ -195,13 +198,12 @@ def tale_validate(workspace, archive_path, fmt):
 @cli.command("plan")
 @click.option("--inventory", required=True, type=click.Path(exists=True))
 @click.option("--requirements", required=True, type=click.Path(exists=True))
-@click.option("--objective", default="min_time_to_frontend",
-              type=click.Choice(["min_time_to_frontend", "min_data_movement"]))
+@click.option("--objective", default=OBJECTIVES[0], type=click.Choice(OBJECTIVES))
 @click.option("--catalog", type=click.Path(exists=True), default=None)
 @click.option("--frontend", "frontend_override", default=None,
               help="Name a frontend resource explicitly (decoupled model).")
 @click.option("--image-load", type=float, default=8.0)
-@click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
+@_format_opt
 def plan_cmd(inventory, requirements, objective, catalog, frontend_override, image_load, fmt):
     """Enumerate feasible execution models and print the chosen placement."""
     queues = {}
@@ -245,8 +247,7 @@ def sim():
               type=click.Path(exists=True))
 @click.option("--seed", type=int, default=0)
 @click.option("--horizon", type=float, default=1000.0)
-@click.option("--report", "report_fmt", default="table",
-              type=click.Choice(["table", "json", "csv"]))
+@click.option("--report", "report_fmt", default=REPORT_FORMATS[0], type=click.Choice(REPORT_FORMATS))
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
 def sim_run(config_path, seed, horizon, report_fmt, trace_path):
     """Run the configured scenario; exits 0 even when simulated jobs fail."""
@@ -261,7 +262,7 @@ def sim_run(config_path, seed, horizon, report_fmt, trace_path):
     rows = [ReportRow.from_metrics(model, seed, value, metrics)
             for model, values in sorted(metrics.time_to_frontend.items())
             for value in values]
-    click.echo(emit_report(ReportTable(rows=rows), report_fmt).decode().rstrip("\n"))
+    click.echo(emit_report(rows, report_fmt).decode().rstrip("\n"))
 
 
 # ---------------------------------------------------------------- job
@@ -313,11 +314,9 @@ def _session_replay(config_path: str, session: dict):
     results = []
     for op in session["ops"]:
         world.clock.run_until(float(op["t"]))
-        if op["kind"] == "submit":
-            results.append(world.middleware.submit(JobSpec(
-                resource=op["resource"], command=tuple(op["command"]),
-                credential=op.get("credential", "user"),
-            )))
+        if op["kind"] == "submit":  # its keys beside "kind" and "t" name JobSpec fields
+            fields = {key: op[key] for key in _SESSION_OPS["submit"][1] if key in op}
+            results.append(world.middleware.submit(JobSpec(**fields)))
         elif op["kind"] == "cancel":
             world.middleware.cancel(op["id"])
             results.append(None)
@@ -330,7 +329,6 @@ _session_opts = [
                  type=click.Path(exists=True)),
     click.option("--session", "session_path", type=click.Path(),
                  default=".talescale-session.json"),
-    click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"])),
 ]
 
 
@@ -342,6 +340,7 @@ def _with_session_opts(fn):
 
 @job.command("submit")
 @_with_session_opts
+@_format_opt
 @click.option("--resource", required=True)
 @click.option("--command", "command_str", default="sleep 30")
 @click.option("--credential", default="user")
@@ -366,6 +365,7 @@ def job_submit(config_path, session_path, fmt, resource, command_str, credential
 
 @job.command("status")
 @_with_session_opts
+@_format_opt
 @click.option("--id", "job_id", required=True)
 def job_status(config_path, session_path, fmt, job_id):
     session = _session_load(Path(session_path))
@@ -384,7 +384,7 @@ def job_status(config_path, session_path, fmt, job_id):
 @job.command("cancel")
 @_with_session_opts
 @click.option("--id", "job_id", required=True)
-def job_cancel(config_path, session_path, fmt, job_id):
+def job_cancel(config_path, session_path, job_id):
     session = _session_load(Path(session_path))
     world, _ = _session_replay(config_path, session)
     ack = world.middleware.cancel(job_id)  # validates the id
@@ -397,7 +397,7 @@ def job_cancel(config_path, session_path, fmt, job_id):
 @job.command("tick")
 @_with_session_opts
 @click.option("--dt", type=float, required=True)
-def job_tick(config_path, session_path, fmt, dt):
+def job_tick(config_path, session_path, dt):
     """Advance the session's simulated time."""
     session = _session_load(Path(session_path))
     session["now"] = float(session["now"]) + dt

@@ -1,8 +1,8 @@
 """Content digests in ``algo:hex`` form.
 
-One configurable algorithm per deployment; sha256 by default. Digests are
-stored alongside every archived entry and every external data reference so
-corruption is detectable on import and after transfer.
+New digests are sha256; a stored one is checked with the algorithm it
+names. Digests sit beside every archived entry and every external data
+reference so corruption is detectable on import and after transfer.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 
 DEFAULT_ALGO = "sha256"
+SHORT_LENGTH = 12  # hex digits in a short digest
 
 
 def digest_bytes(data: bytes, algo: str = DEFAULT_ALGO) -> str:
@@ -18,17 +19,17 @@ def digest_bytes(data: bytes, algo: str = DEFAULT_ALGO) -> str:
     return f"{algo}:{h.hexdigest()}"
 
 
-def digest_file(path, algo: str = DEFAULT_ALGO) -> str:
-    h = hashlib.new(algo)
+def digest_file(path) -> str:
+    h = hashlib.new(DEFAULT_ALGO)
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)
-    return f"{algo}:{h.hexdigest()}"
+    return f"{DEFAULT_ALGO}:{h.hexdigest()}"
 
 
-def short_digest(data: bytes, length: int = 12) -> str:
+def short_digest(data: bytes) -> str:
     """Truncated hex digest used in transport log lines."""
-    return hashlib.sha256(data).hexdigest()[:length]
+    return hashlib.sha256(data).hexdigest()[:SHORT_LENGTH]
 
 
 def parse(checksum: str) -> tuple[str, str]:

@@ -275,15 +275,14 @@ class DmsCache:
             self.clock.at(entry.finish_at, lambda: self._finish_transfer(ref))
         return handle
 
-    def prefetch(self, tale, eager_refs: Iterable[ExternalDataRef] | None = None) -> PrefetchReport:
-        """Eagerly transfer every absent ref of a Tale (quasi-locality).
+    def prefetch(self, refs: Iterable[ExternalDataRef]) -> PrefetchReport:
+        """Eagerly transfer every absent ref, such as a Tale's ``data_refs`` (quasi-locality).
 
         Driver-context only, like :meth:`open`; :meth:`prefetch_nowait` starts
         the transfers. Partial failures are reported per ref; completed
         transfers stay. ``transferred`` lists only refs asked for.
         """
-        refs = dict.fromkeys(eager_refs if eager_refs is not None else tale.data_refs)
-        report, handles = self.prefetch_nowait(refs)
+        report, handles = self.prefetch_nowait(dict.fromkeys(refs))
         waits = [self.entries[h.uri].finish_at for h in handles if not h.ready and h.error is None]
         if waits:
             self.clock.run_until(max(waits))

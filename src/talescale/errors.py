@@ -109,6 +109,13 @@ def check_number(section: str, key: str, value, low=0, *, above=False, integer=F
     return value
 
 
+def check_bool(section: str, key: str, value) -> bool:
+    """The bool rule: ``value`` is true or false, never a string, number or null."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section} {key} must be true or false, got {value!r:.200}")
+    return value
+
+
 def check_list(section: str, value, item=None) -> tuple:
     """A JSON list, or a tuple, whose items are each an ``item`` if given, as a tuple."""
     if not isinstance(value, (list, tuple)) or item and not all(isinstance(v, item) for v in value):

@@ -15,7 +15,7 @@ disagree about where a frontend may go or how it starts.
 from __future__ import annotations
 
 from .errors import TransportError, ValidationError
-from .metrics import ReportRow, ReportTable
+from .metrics import ReportRow
 from .middleware import JobSpec, JobState
 from .planner import (
     ExecutionModel,
@@ -81,7 +81,7 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
 
 
 def measure_models(config: WorldConfig, req: WorkloadRequirements, seeds,
-                   warmup_s: float = 0.0) -> ReportTable:
+                   warmup_s: float = 0.0) -> list[ReportRow]:
     """One report row per (feasible model, seed)."""
     rows: list[ReportRow] = []
     for rule in placement_candidates(req, config.inventory):
@@ -95,4 +95,4 @@ def measure_models(config: WorldConfig, req: WorkloadRequirements, seeds,
                 world.clock.run_until(warmup_s)
             ttf = launch_frontend(world, rule.model, frontend.name, req)
             rows.append(ReportRow.from_metrics(rule.model.value, seed, ttf, world.metrics()))
-    return ReportTable(rows=rows)
+    return rows

@@ -91,26 +91,21 @@ class ReportRow:
         return dict(zip(CSV_HEADER, self.as_tuple()))
 
 
-@dataclass
-class ReportTable:
-    rows: list[ReportRow] = field(default_factory=list)
-
-
-def emit_report(table: ReportTable, fmt: str = "table") -> bytes:
-    """Render a report with stable column order; deterministic bytes."""
+def emit_report(rows: list[ReportRow], fmt: str = "table") -> bytes:
+    """Render report rows with stable column order; deterministic bytes."""
     if fmt not in REPORT_FORMATS:
         raise ValidationError(f"unknown report format {fmt!r}; use one of {REPORT_FORMATS}")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in table.rows:
+        for row in rows:
             writer.writerow(row.as_tuple())
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        return (json.dumps([r.to_dict() for r in table.rows], sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps([r.to_dict() for r in rows], sort_keys=True, indent=2) + "\n").encode()
     # fixed-width text table
-    cells = [list(map(str, CSV_HEADER))] + [list(map(str, r.as_tuple())) for r in table.rows]
+    cells = [list(map(str, CSV_HEADER))] + [list(map(str, r.as_tuple())) for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(CSV_HEADER))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     return ("\n".join(lines) + "\n").encode("utf-8")

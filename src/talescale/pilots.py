@@ -179,7 +179,7 @@ class PilotPool:
         ]
         for slot in expired:
             self._retire(slot, "walltime")
-        if expired:
+        if expired:  # a submit that fails here is retried by the tick's own replenish
             self.replenish()
         return expired
 

@@ -48,7 +48,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .dms import DatasetCatalog, ExternalDataRef, StagingAction, resolve_local
-from .errors import InfeasiblePlanError, ValidationError, check_keys, check_list, check_number
+from .errors import InfeasiblePlanError, ValidationError, check_bool, check_keys, check_list, check_number
 from .resources import ResourceDescriptor
 
 
@@ -74,6 +74,8 @@ class WorkloadRequirements:
     dataset_uris: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        check_bool("requirements", "needs_hpc", self.needs_hpc)
+        check_bool("requirements", "needs_mpi", self.needs_mpi)
         check_number("requirements", "min_nodes", self.min_nodes, 1, integer=True)
         if self.needs_mpi and not self.needs_hpc:
             raise ValidationError("needs_mpi implies needs_hpc")

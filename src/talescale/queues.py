@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, check_choice, check_keys, check_list, check_number
+from .errors import ConfigError, check_bool, check_choice, check_keys, check_list, check_number
 
 # Each distribution's required parameters, and whether each must be above 0 (else at least 0).
 DISTRIBUTIONS = {"fixed": {"value": False}, "uniform": {"low": False, "high": False},
@@ -34,6 +34,7 @@ class QueueModel:
     def __post_init__(self):
         check_choice("queue", "distribution", self.distribution, DISTRIBUTIONS)
         check_choice("queue", "maintenance_policy", self.maintenance_policy, MAINTENANCE_POLICIES)
+        check_bool("queue", "reservation", self.reservation)
         windows = tuple(check_list("queue maintenance window", w)
                         for w in check_list("queue maintenance_windows", self.maintenance_windows))
         for window in windows:

@@ -6,7 +6,8 @@ import re
 from dataclasses import dataclass, field
 
 from .dialects import ADAPTERS
-from .errors import ConfigError, ValidationError, check_choice, check_keys, check_list, check_number
+from .errors import (ConfigError, ValidationError, check_bool, check_choice, check_keys, check_list,
+                     check_number)
 from .queues import QueueModel
 
 RESOURCE_KINDS = ("wt_cluster", "hpc_cluster", "cloud")
@@ -50,6 +51,8 @@ class ResourceDescriptor:
         check_choice(section, "lrm", self.lrm, LRM_KINDS)
         check_choice(section, "dataset_interface", self.dataset_interface, DATASET_INTERFACES)
         check_number(section, "node_count", self.node_count, 1, integer=True)
+        for key in ("allows_incoming_connections", "mpi_capable", "can_compile", "no_proxy"):
+            check_bool(section, key, getattr(self, key))
         if self.kind == "wt_cluster" and (self.lrm != "none" or not self.allows_incoming_connections):
             raise ValidationError("wt_cluster must have lrm=none and allow incoming connections")
         if self.lrm == "batch" and self.dialect is None:

@@ -15,7 +15,8 @@ import uuid
 from dataclasses import dataclass, field, replace
 
 from .dms import ExternalDataRef
-from .errors import ConfigError, ValidationError, check_choice, check_keys, check_list, check_number
+from .errors import (ConfigError, ValidationError, check_bool, check_choice, check_keys, check_list,
+                     check_number)
 from .resources import ResourceDescriptor
 
 GENERIC_ARCH = "generic"
@@ -118,7 +119,7 @@ class CodeArtifact:
     def __post_init__(self):
         object.__setattr__(self, "path", _normalize_path(self.path))
         object.__setattr__(self, "kind", check_choice("code ref", "kind", self.kind, ArtifactKind))
-        object.__setattr__(self, "proprietary_toolchain", bool(self.proprietary_toolchain))
+        check_bool("code ref", "proprietary_toolchain", self.proprietary_toolchain)
 
     @property
     def arch_specific(self) -> bool:
@@ -181,7 +182,7 @@ class PackagingManifest:
         object.__setattr__(self, "strategy", check_choice(
             "packaging", "strategy", self.strategy, PackagingStrategy))
         object.__setattr__(self, "entries", _each("packaging entries", self.entries, CodeArtifact))
-        object.__setattr__(self, "redistribution_ok", bool(self.redistribution_ok))
+        check_bool("packaging", "redistribution_ok", self.redistribution_ok)
         self.validate()
 
     def validate(self) -> None:

@@ -13,25 +13,27 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .clock import SimClock
 from .cluster import SimulatedLrm, runtime_of_command
 from .dms import DatasetCatalog, DmsCache, ExternalDataRef, StagingKind
-from .errors import ConfigError, ValidationError, check_keys, check_list, check_number
+from .errors import ConfigError, ValidationError, check_bool, check_keys, check_list, check_number
 from .metrics import ScenarioMetrics
 from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
 from .planner import Inventory
 from .proxy import ProxyRegistry, SimulatedNetwork
-from .queues import QueueModel, queues_by_name
+from .queues import queues_by_name
 from .resources import ResourceDescriptor, resources_by_name
 from .tale import ProvenanceKind, Tale, record_provenance
 from .trace import TraceLog
 from .transport import Transport
 
-_JOB_KEYS = frozenset({"resource", "command", "credential", "tale_id", "node_count", "mpi"})
+# A job action's keys beside "resource" and "command"; JobSpec holds their defaults.
+_SPEC_KEYS = ("credential", "tale_id", "node_count", "mpi")
+_JOB_KEYS = frozenset({"resource", "command", *_SPEC_KEYS})
 
 # Each scenario op's required keys and every key it accepts, beside "op" and "t".
 _ACTIONS = {
@@ -77,13 +79,14 @@ class ScenarioConfig:
 
 @dataclass
 class WorldConfig:
+    """A validated config; ``load_config``, the one builder, holds the defaults of absent keys."""
+
     resources: dict[str, ResourceDescriptor]
-    queues: dict[str, QueueModel]
-    pools: list[PoolPolicy] = field(default_factory=list)
-    cache_capacity_bytes: int = 10 ** 12
-    cache_bandwidth_bytes_per_s: float = 10 ** 8
-    datasets: list[ExternalDataRef] = field(default_factory=list)
-    scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
+    pools: list[PoolPolicy]
+    cache_capacity_bytes: int
+    cache_bandwidth_bytes_per_s: float
+    datasets: list[ExternalDataRef]
+    scenario: ScenarioConfig
 
     @property
     def inventory(self) -> Inventory:
@@ -139,7 +142,7 @@ def load_config(source) -> WorldConfig:
         _check_action(action, resources, known_uris)
 
     return WorldConfig(
-        resources=resources, queues=queues, pools=pools,
+        resources=resources, pools=pools,
         cache_capacity_bytes=capacity, cache_bandwidth_bytes_per_s=bandwidth,
         datasets=datasets, scenario=scenario,
     )
@@ -157,6 +160,9 @@ def _check_action(action, resources, known_uris) -> None:
     for key, (low, integer) in _NUMBERS.items():
         if key in action:
             check_number(section, key, action[key], low, integer=integer)
+    for key in ("mpi", "via_pool"):
+        if key in action:
+            check_bool(section, key, action[key])
     for key in ("command", "uris"):
         if key in action:
             check_list(f"{section} {key}", action[key], str)
@@ -269,14 +275,9 @@ class World:
                 self.middleware.cancel(self._submitted[index])
 
     def _spec_from(self, action: dict) -> JobSpec:
-        return JobSpec(
-            resource=action["resource"],
-            command=tuple(action.get("command", ("sleep", "30"))),
-            credential=action.get("credential", "user"),
-            tale_id=action.get("tale_id"),
-            node_count=int(action.get("node_count", 1)),
-            mpi=bool(action.get("mpi", False)),
-        )
+        """The action's job; ``_check_action`` has checked each key's type."""
+        return JobSpec(resource=action["resource"], command=action.get("command", ("sleep", "30")),
+                       **{key: action[key] for key in _SPEC_KEYS if key in action})
 
     def _submit(self, spec: JobSpec):
         handle = self.middleware.submit(spec)

@@ -33,9 +33,9 @@ def make_resource(name="hpc-1", kind="hpc_cluster", lrm="batch", incoming=False,
     )
 
 
-def frontend_times(table, model):
-    """A report table's times to frontend for one model, in row order."""
-    return [row.time_to_frontend_s for row in table.rows if row.model == model]
+def frontend_times(rows, model):
+    """Report rows' times to frontend for one model, in row order."""
+    return [row.time_to_frontend_s for row in rows if row.model == model]
 
 
 def wt_resource(name="wt-1", nodes=4):

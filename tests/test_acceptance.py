@@ -191,9 +191,9 @@ def test_criterion_05_frontend_launch_contrast():
         "queues": {"q": {"distribution": "uniform", "params": {"low": 400.0, "high": 800.0}}},
         "scenario": {"image_load_s": 8.0},
     })
-    table = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=range(1000))
-    m1 = statistics.median(conftest.frontend_times(table, "M1_wt_cluster"))
-    m2 = statistics.median(conftest.frontend_times(table, "M2_hpc_node"))
+    rows = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=range(1000))
+    m1 = statistics.median(conftest.frontend_times(rows, "M1_wt_cluster"))
+    m2 = statistics.median(conftest.frontend_times(rows, "M2_hpc_node"))
     expected_m2 = 8.0 + 600.0  # image load + analytic queue-wait median
     rel = abs(m2 - expected_m2) / expected_m2
     ok = m1 == 8.0 and rel < 0.05
@@ -202,7 +202,7 @@ def test_criterion_05_frontend_launch_contrast():
     assert m1 == 8.0
     assert rel < 0.05
     # report emits with the pinned header
-    header = emit_report(table, "csv").decode().splitlines()[0]
+    header = emit_report(rows, "csv").decode().splitlines()[0]
     assert header == "model,seed,time_to_frontend_s,queries,handshakes,transfers"
 
 

@@ -437,6 +437,19 @@ class TestJobCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"] == "Submitted"
 
+    @pytest.mark.parametrize("command", [["cancel", "--id", "j000001"], ["tick", "--dt", "5"]])
+    def test_commands_that_print_only_text_take_no_format(self, sim_config, tmp_path, capsys,
+                                                          command):
+        session = tmp_path / "session.json"
+        args = ["--config", str(sim_config), "--session", str(session)]
+        assert main(["job", "submit", *args, "--resource", "hpc-1"]) == 0
+        before = session.read_text()
+        capsys.readouterr()
+        assert main(["job", command[0], *args, *command[1:], "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert "No such option '--format'" in captured.err and captured.out == ""
+        assert session.read_text() == before
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_one(self, capsys):
@@ -473,6 +486,14 @@ def _dataset(**change):
 
 def _command(*words):
     return lambda c: c["scenario"]["actions"][0].__setitem__("command", list(words))
+
+
+def _resource(key, value):
+    return lambda c: c["resources"][0].__setitem__(key, value)
+
+
+def _action(**change):
+    return lambda c: c["scenario"]["actions"][0].update(change)
 
 
 def _rename(name):
@@ -525,6 +546,16 @@ MALFORMED_CONFIGS = {
                             ["resource 'r'", "integer node_count", "2.5"]),
     "min_warm_fraction": (lambda c: c["pools"][0].__setitem__("min_warm", 1.5),
                           ["pool on 'r'", "integer min_warm", "1.5"]),
+    # ran with the string read as true before the bool rule
+    **{f"{key}_string": (_resource(key, "false"),
+                         ["resource 'r'", f"{key} must be true or false", "'false'"])
+       for key in ("allows_incoming_connections", "mpi_capable", "can_compile", "no_proxy")},
+    "reservation_string": (_queue({"distribution": "fixed", "params": {"value": 1.0},
+                                   "reservation": "false"}),
+                           ["queue reservation must be true or false", "'false'"]),
+    "mpi_string": (_action(mpi="false"), ["scenario op 'submit_jobs' mpi must be true or false"]),
+    "via_pool_string": (_action(op="workload", via_pool="no"),
+                        ["scenario op 'workload' via_pool must be true or false", "'no'"]),
     # exit 2 at run time before the job command rule
     "command_runtime_string": (_command("sleep", "x"), ["job command runtime", "'x'"]),
     "command_exit_code_string": (_command("fail", "1", "x"), ["job command exit code", "'x'"]),
@@ -581,6 +612,24 @@ class TestMalformedInputs:
         inventory = [{"name": "c", "kind": "cloud", "lrm": "none"}]
         assert self.plan(tmp_path, inventory, {"min_nodes": "x"}) == 1
         assert "requirements needs an integer min_nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, section", [
+        ("allows_incoming_connections", "resource 'h'"), ("mpi_capable", "resource 'h'"),
+        ("can_compile", "resource 'h'"), ("no_proxy", "resource 'h'"), ("reservation", "queue"),
+        ("needs_hpc", "requirements"), ("needs_mpi", "requirements")])
+    def test_boolean_string(self, tmp_path, capsys, key, section):
+        inventory = {"queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+                     "resources": [{"name": "h", "kind": "hpc_cluster", "lrm": "batch",
+                                    "allows_incoming_connections": False, "queue": "q"}]}
+        requirements = {"needs_hpc": True}
+        assert self.plan(tmp_path, inventory, requirements) == 0
+        capsys.readouterr()
+        {"resource 'h'": inventory["resources"][0], "queue": inventory["queues"]["q"],
+         "requirements": requirements}[section][key] = "false"
+        assert self.plan(tmp_path, inventory, requirements) == 1
+        captured = capsys.readouterr()
+        assert f"error: {section} {key} must be true or false, got 'false'" in captured.err
+        assert captured.out == ""
 
     def test_inputs_that_are_not_json(self, tmp_path, capsys):
         inv = tmp_path / "inv.json"
@@ -656,6 +705,11 @@ MALFORMED_ARCHIVES = {
                             ["metadata/tale.json", "code ref kind", "'weird'"]),
     "dependency_pin_short": (_meta(lambda m: m["env_spec"].__setitem__("dependency_pins", [["a"]])),
                              ["metadata/tale.json", "env_spec dependency_pins", "[['a']]"]),
+    "proprietary_toolchain_string": (_code_ref("proprietary_toolchain", "false"),
+                                     ["metadata/tale.json", "code ref proprietary_toolchain", "'false'"]),
+    "redistribution_ok_string": (_meta(lambda m: m.__setitem__("packaging", {
+        "workload_class": "unoptimized", "strategy": "on_demand_compile", "redistribution_ok": "false"})),
+                                 ["metadata/tale.json", "packaging redistribution_ok", "'false'"]),
     "events_line_not_json": (("provenance/events.ndjson", lambda data: b"{oops\n"),
                              ["provenance/events.ndjson does not parse"]),
     "events_kind_bogus": (("provenance/events.ndjson",

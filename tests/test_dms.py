@@ -17,7 +17,7 @@ from talescale.dms import (
 from talescale.errors import CapacityError, ChecksumMismatchError, DuplicateError, ValidationError
 from talescale.trace import TraceLog
 
-from conftest import make_resource, simple_tale
+from conftest import make_resource
 
 
 def ref(uri, size=100):
@@ -90,8 +90,7 @@ class TestPrefetch:
     def test_three_absent_refs_three_records_then_hits(self):
         refs = [ref(f"doi:{i}") for i in range(3)]
         clock, cache = make_cache(refs)
-        tale = simple_tale()
-        report = cache.prefetch(tale, eager_refs=refs)
+        report = cache.prefetch(refs)
         assert len(report.transferred) == 3
         for r in refs:
             cache.open(r)
@@ -100,15 +99,15 @@ class TestPrefetch:
     def test_prefetch_idempotent(self):
         refs = [ref("doi:a")]
         clock, cache = make_cache(refs)
-        cache.prefetch(None, eager_refs=refs)
-        report = cache.prefetch(None, eager_refs=refs)
+        cache.prefetch(refs)
+        report = cache.prefetch(refs)
         assert report.transferred == []
         assert report.already_resident == ["doi:a"]
 
     def test_prefetch_evict_open_retransfers_once(self):
         refs = [ref("doi:a"), ref("doi:b")]
         clock, cache = make_cache(refs)
-        cache.prefetch(None, eager_refs=refs)
+        cache.prefetch(refs)
         # both arrived at t=1; the tie on last access breaks by uri
         assert cache.evict(cache.capacity_bytes - 100) == ["doi:a"]
         cache.open(refs[0])
@@ -119,7 +118,7 @@ class TestPrefetch:
         refs = [ref("doi:a"), ref("doi:b")]
         clock, cache = make_cache(refs)
         cache.inject_corruption("doi:b")
-        report = cache.prefetch(None, eager_refs=refs)
+        report = cache.prefetch(refs)
         assert [r.uri for r in report.transferred] == ["doi:a"]
         assert "doi:b" in report.failed
 
@@ -127,7 +126,7 @@ class TestPrefetch:
         a, b = ref("doi:a", 30), ref("doi:b", 50)
         clock, cache = make_cache([a, b], bandwidth=10.0)
         cache.open_nowait(a)
-        report = cache.prefetch(None, eager_refs=[b])
+        report = cache.prefetch([b])
         # doi:a lands during the wait, but the prefetch did not ask for it
         assert [(r.uri, r.bytes) for r in report.transferred] == [("doi:b", 50)]
         assert [r.uri for r in cache.transfer_log] == ["doi:a", "doi:b"]
@@ -242,11 +241,6 @@ def run_cache_sequence(capacity, accesses, sizes):
             for u, s in sizes.items()}
     clock = SimClock()
     cache = DmsCache(clock, DatasetCatalog(refs.values()), capacity, 1e9, TraceLog(clock))
-    evictions = []
-
-    class SpyCache:  # record eviction order without touching internals
-        pass
-
     trace_evicts = []
     original = cache.evict
 
@@ -346,7 +340,7 @@ class TestLruDifferential:
                 elif op < 0.45:
                     cache.open(refs[uri])
                 elif op < 0.55:
-                    cache.prefetch(None, eager_refs=rng.sample(list(refs.values()), 2))
+                    cache.prefetch(rng.sample(list(refs.values()), 2))
                 elif op < 0.65:
                     cache.pin(uri)
                     pins.append(uri)
@@ -410,7 +404,7 @@ class TestTransferLogInterface:
         clock, cache = make_cache([a, b, c])
         cache.open(a)
         staged = cache.stage_in(b, make_resource(datasets={"doi:b"}, posix=False))
-        report = cache.prefetch(None, eager_refs=[a, c])
+        report = cache.prefetch([a, c])
         assert [(r.uri, r.source, r.bytes) for r in report.transferred] == [
             ("doi:c", TransferSource.REMOTE_REPO, 30)]
         events = [(ev.fields["uri"], ev.fields["source"], ev.fields["bytes"])

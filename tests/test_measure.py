@@ -15,9 +15,9 @@ def test_wt_only_world_reports_only_m1_rows():
         "resources": [{"name": "wt-1", "kind": "wt_cluster", "lrm": "none",
                        "allows_incoming_connections": True}],
     })
-    table = measure_models(config, WorkloadRequirements(), seeds=range(5))
-    assert {row.model for row in table.rows} == {"M1_wt_cluster"}
-    assert len(table.rows) == 5
+    rows = measure_models(config, WorkloadRequirements(), seeds=range(5))
+    assert {row.model for row in rows} == {"M1_wt_cluster"}
+    assert len(rows) == 5
 
 
 def test_m1_exact_and_m2_adds_queue_wait():
@@ -31,9 +31,9 @@ def test_m1_exact_and_m2_adds_queue_wait():
         "queues": {"q": {"distribution": "fixed", "params": {"value": 600.0}}},
         "scenario": {"image_load_s": 8.0},
     })
-    table = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=range(20))
-    m1 = frontend_times(table, "M1_wt_cluster")
-    m2 = frontend_times(table, "M2_hpc_node")
+    rows = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=range(20))
+    m1 = frontend_times(rows, "M1_wt_cluster")
+    m2 = frontend_times(rows, "M2_hpc_node")
     assert statistics.median(m1) == 8.0
     assert statistics.median(m2) == 608.0
 
@@ -68,8 +68,8 @@ def test_rows_carry_per_run_counters():
         ],
         "queues": {"q": {"distribution": "fixed", "params": {"value": 20.0}}},
     })
-    table = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=[0])
-    row = table.rows[0]
+    rows = measure_models(config, WorkloadRequirements(needs_hpc=True), seeds=[0])
+    row = rows[0]
     assert row.queries > 0
     assert row.handshakes >= 1
 
@@ -89,9 +89,9 @@ def test_mpi_frontend_skips_a_cloud_batch_resource_listed_first():
         "scenario": {"image_load_s": 8.0},
     })
     req = WorkloadRequirements(needs_hpc=True, needs_mpi=True, min_nodes=4)
-    table = measure_models(config, req, seeds=range(3))
-    assert {row.model for row in table.rows} == {"M4_hpc_mpi"}
-    assert min(frontend_times(table, "M4_hpc_mpi")) >= 608.0
+    rows = measure_models(config, req, seeds=range(3))
+    assert {row.model for row in rows} == {"M4_hpc_mpi"}
+    assert min(frontend_times(rows, "M4_hpc_mpi")) >= 608.0
 
 
 def test_frontend_on_a_warm_pilot_is_not_a_workload_start():

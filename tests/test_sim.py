@@ -15,10 +15,13 @@ from talescale.digest import digest_bytes
 from talescale.dms import CacheState, StagingKind, TransferSource
 from talescale.errors import ChecksumMismatchError, ConfigError, TalescaleError, ValidationError
 from talescale.measure import launch_frontend
-from talescale.metrics import ReportRow, ReportTable, emit_report
+from talescale.metrics import ReportRow, emit_report
 from talescale.middleware import JobSpec, JobState
 from talescale.pilots import PilotPool
 from talescale.planner import ExecutionModel, WorkloadRequirements, plan_placement
+from talescale.queues import QueueModel
+from talescale.resources import ResourceDescriptor
+from talescale.tale import CodeArtifact, PackagingManifest
 from talescale.world import World, load_config, run_scenario
 
 from conftest import batch_world
@@ -227,6 +230,44 @@ def test_unknown_key_anywhere_rejected(path):
         load_config(config)
 
 
+def _with_action(**action):
+    config = copy.deepcopy(FULL_CONFIG)
+    config["scenario"]["actions"] = [dict(action, t=0, resource="hpc-1")]
+    return load_config(config)
+
+
+# Each boolean field: a call that reads its value from JSON, and its section.
+BOOL_FIELDS = {
+    **{key: (lambda v, key=key: ResourceDescriptor.from_dict(
+        {"name": "h", "kind": "hpc_cluster", "allows_incoming_connections": False, key: v}),
+             "resource 'h'")
+       for key in ("allows_incoming_connections", "mpi_capable", "can_compile", "no_proxy")},
+    "reservation": (lambda v: QueueModel.from_dict({"reservation": v}), "queue"),
+    "mpi": (lambda v: _with_action(op="submit_jobs", mpi=v), "scenario op 'submit_jobs'"),
+    "via_pool": (lambda v: _with_action(op="workload", via_pool=v), "scenario op 'workload'"),
+    "needs_hpc": (lambda v: WorkloadRequirements.from_dict({"needs_hpc": v}), "requirements"),
+    "needs_mpi": (lambda v: WorkloadRequirements.from_dict({"needs_hpc": True, "needs_mpi": v}),
+                  "requirements"),
+    "proprietary_toolchain": (
+        lambda v: CodeArtifact.from_dict({"path": "a.c", "proprietary_toolchain": v}), "code ref"),
+    "redistribution_ok": (lambda v: PackagingManifest.from_dict(
+        {"workload_class": "unoptimized", "strategy": "on_demand_compile", "redistribution_ok": v}),
+                          "packaging"),
+}
+
+
+@pytest.mark.parametrize("key", list(BOOL_FIELDS))
+def test_a_boolean_field_is_true_or_false(key):
+    """Before the bool rule a string such as "false" or "no" read as true."""
+    read, section = BOOL_FIELDS[key]
+    read(True)
+    read(False)
+    for value in ("false", "no", "true", 0, 1, None, []):
+        with pytest.raises(ConfigError) as caught:
+            read(value)
+        assert str(caught.value) == f"{section} {key} must be true or false, got {value!r}"
+
+
 # A pooled soak: pilots with a 300 s walltime cycle through an exponential
 # queue while 60 workloads claim them or fall back to the queue.
 POOLED_SOAK = {
@@ -410,34 +451,34 @@ class TestMaintenance:
 
 
 class TestEmitReport:
-    def table(self):
-        return ReportTable(rows=[
+    def rows(self):
+        return [
             ReportRow("M1_wt_cluster", 1, 8.0, 0, 0, 0),
             ReportRow("M3_hpc_node_local_lrm", 1, 608.0, 121, 1, 0),
-        ])
+        ]
 
     def test_csv_header_is_pinned(self):
-        out = emit_report(self.table(), "csv").decode()
+        out = emit_report(self.rows(), "csv").decode()
         assert out.splitlines()[0] == "model,seed,time_to_frontend_s,queries,handshakes,transfers"
 
     def test_empty_metrics_give_header_only_csv(self):
-        out = emit_report(ReportTable(), "csv").decode()
+        out = emit_report([], "csv").decode()
         assert out == "model,seed,time_to_frontend_s,queries,handshakes,transfers\n"
 
     def test_json_round_trips(self):
-        table = self.table()
-        assert [ReportRow(**row) for row in json.loads(emit_report(table, "json"))] == table.rows
+        rows = self.rows()
+        assert [ReportRow(**row) for row in json.loads(emit_report(rows, "json"))] == rows
 
     def test_table_format_contains_all_cells(self):
-        out = emit_report(self.table(), "table").decode()
+        out = emit_report(self.rows(), "table").decode()
         assert "M1_wt_cluster" in out and "608.0" in out
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
-            emit_report(self.table(), "xml")
+            emit_report(self.rows(), "xml")
 
     def test_deterministic_bytes(self):
-        assert emit_report(self.table(), "csv") == emit_report(self.table(), "csv")
+        assert emit_report(self.rows(), "csv") == emit_report(self.rows(), "csv")
 
 
 class TestProvenanceWiring:
