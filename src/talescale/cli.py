@@ -20,7 +20,7 @@ from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
 from .errors import (ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError,
                      check_choice, check_keys, check_list, check_number)
-from .metrics import REPORT_FORMATS, ReportRow, emit_report
+from .metrics import REPORT_FORMATS, emit_report
 from .middleware import JobSpec
 from .planner import OBJECTIVES, WorkloadRequirements, plan_placement
 from .queues import queues_by_name
@@ -259,10 +259,7 @@ def sim_run(config_path, seed, horizon, report_fmt, trace_path):
     if report_fmt == "json":
         click.echo(json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
         return
-    rows = [ReportRow.from_metrics(model, seed, value, metrics)
-            for model, values in sorted(metrics.time_to_frontend.items())
-            for value in values]
-    click.echo(emit_report(rows, report_fmt).decode().rstrip("\n"))
+    click.echo(emit_report(metrics.rows(seed), report_fmt).decode().rstrip("\n"))
 
 
 # ---------------------------------------------------------------- job

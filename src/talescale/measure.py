@@ -14,6 +14,8 @@ disagree about where a frontend may go or how it starts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import TransportError, ValidationError
 from .metrics import ReportRow
 from .middleware import JobSpec, JobState
@@ -34,7 +36,8 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
 
     Called at the world's current time (after any warmup). Batch models go
     through the middleware and wait for the client-observed Running state;
-    a warm pilot slot replaces the queue wait with the dispatch overhead.
+    a warm pilot slot that holds the frontend's nodes replaces the queue
+    wait with the dispatch overhead.
     """
     sc = world.config.scenario
     image = sc.image_load_s
@@ -49,17 +52,13 @@ def launch_frontend(world: World, model: ExecutionModel, resource_name: str,
                                      requested_at)
         ready = wait + image
     elif path == LaunchPath.BATCH_QUEUE:
+        mpi = model == ExecutionModel.M4_HPC_MPI
+        spec = JobSpec(resource=resource_name, command=("frontend",),
+                       node_count=req.min_nodes if mpi else 1, mpi=mpi)
         pool = world.pools.get(resource_name)
-        frontend_job = JobSpec(resource=resource_name, command=("frontend",),
-                               credential="user", tale_id="frontend")
-        if pool is not None and pool.claim(frontend_job) is not None:
+        if pool is not None and pool.claim(replace(spec, tale_id="frontend")) is not None:
             ready = sc.dispatch_overhead_s + image
         else:
-            spec = JobSpec(
-                resource=resource_name, command=("frontend",), credential="user",
-                node_count=req.min_nodes if model == ExecutionModel.M4_HPC_MPI else 1,
-                mpi=model == ExecutionModel.M4_HPC_MPI,
-            )
             handle = world.middleware.submit(spec)
             while world.middleware.status(handle).state in (JobState.SUBMITTED, JobState.QUEUED):
                 if not world.clock.step():
@@ -93,6 +92,6 @@ def measure_models(config: WorldConfig, req: WorkloadRequirements, seeds,
             world.start()
             if warmup_s > 0:
                 world.clock.run_until(warmup_s)
-            ttf = launch_frontend(world, rule.model, frontend.name, req)
-            rows.append(ReportRow.from_metrics(rule.model.value, seed, ttf, world.metrics()))
+            launch_frontend(world, rule.model, frontend.name, req)
+            rows += world.metrics().rows(seed)
     return rows

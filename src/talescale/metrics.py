@@ -54,6 +54,14 @@ class ScenarioMetrics:
             m.time_to_frontend.setdefault(r["model"], []).append(r["time_to_frontend_s"])
         return m
 
+    def rows(self, seed: int) -> list["ReportRow"]:
+        """One row per frontend launch, by model, then in trace order; the
+        counters are the run's totals."""
+        queries = sum(self.backend_queries.values())
+        return [ReportRow(model, seed, value, queries, self.handshakes, self.transfers)
+                for model, values in sorted(self.time_to_frontend.items())
+                for value in values]
+
     def to_dict(self) -> dict:
         return {
             "time_to_frontend": {k: list(v) for k, v in sorted(self.time_to_frontend.items())},
@@ -74,14 +82,6 @@ class ReportRow:
     queries: int
     handshakes: int
     transfers: int
-
-    @classmethod
-    def from_metrics(cls, model: str, seed: int, time_to_frontend_s: float,
-                     metrics: ScenarioMetrics) -> "ReportRow":
-        """One launch's row; the counters are its run's totals."""
-        return cls(model=model, seed=seed, time_to_frontend_s=time_to_frontend_s,
-                   queries=sum(metrics.backend_queries.values()),
-                   handshakes=metrics.handshakes, transfers=metrics.transfers)
 
     def as_tuple(self):
         return (self.model, self.seed, self.time_to_frontend_s,

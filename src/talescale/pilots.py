@@ -186,17 +186,17 @@ class PilotPool:
     def claim(self, workload: JobSpec) -> PilotSlot | None:
         """Hand the oldest warm slot to a workload, or None when cold.
 
-        A slot is claimed by at most one workload, ever; the workload
-        starts after the dispatch overhead with no queue wait.
+        A workload needing more nodes than a pilot holds is cold, and the
+        pool is left as it was. A slot is claimed by at most one workload,
+        ever; the workload starts after the dispatch overhead with no queue
+        wait.
         """
         if workload.resource != self.policy.resource:
             raise ValidationError(
                 f"workload targets {workload.resource!r}, pool holds {self.policy.resource!r}"
             )
         if workload.node_count > self.policy.pilot_nodes:
-            raise ValidationError(
-                f"workload needs {workload.node_count} nodes; a pilot holds {self.policy.pilot_nodes}"
-            )
+            return None
         self.refresh()
         warm = [s for s in self.slots if s.state == SlotState.WARM]
         if not warm:

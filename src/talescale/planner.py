@@ -13,14 +13,13 @@ on first use, and keeps, the candidate rule's output, the six reasons and,
 per group, the group's first candidate in rule order. A group is what an
 objective's score depends on: the consumer (the workload resource, else
 the frontend) for wide-area bytes, the (model, frontend) pair for time to
-frontend, which reads the warm pool and queue model and so is priced on
-every plan. The rule yields candidates in model order, then inventory
-order, and the groups keep the order of their first candidates, so the
-first least-scoring group is the one the tie-break picks. A consumer's
-wide-area bytes are the requested total less the sizes of the requested
-refs local to it, exactly the refs
-``resolve_local`` does not send through the cache; it runs once per
-dataset, for the chosen consumer's staging tuple.
+frontend, which reads the queue model and so is priced on every plan. The
+rule yields candidates in model order, then inventory order, and the
+groups keep the order of their first candidates, so the first
+least-scoring group is the one the tie-break picks. A consumer's wide-area
+bytes are the requested total less the sizes of the requested refs local
+to it, exactly the refs ``resolve_local`` does not send through the cache;
+it runs once per dataset, for the chosen consumer's staging tuple.
 
 Model rules, fixed as this artifact's policy:
 
@@ -34,10 +33,9 @@ Model rules, fixed as this artifact's policy:
 * M6 decoupled: a user-named frontend resource (recorded as an override)
   with workloads on any batch LRM.
 
-``placement_candidates`` states these rules once. Feasibility, placement,
-the frontend pairing check in ``estimate_time_to_frontend`` and the
-per-model measurements in ``talescale.measure`` all derive from it.
-``launch_path`` states once how a placed frontend starts (batch queue,
+``placement_candidates`` states these rules once. Feasibility, placement
+and the per-model measurements in ``talescale.measure`` all derive from
+it. ``launch_path`` states once how a placed frontend starts (batch queue,
 direct-node queue or bare image load); the time estimate here and the
 simulated launch in ``talescale.measure`` both branch on it.
 """
@@ -118,8 +116,6 @@ class PlacementPlan:
 class ModelCandidates:
     """One model's entry in the placement-candidate rule.
 
-    ``frontends`` lists the resources that may host this model's frontend,
-    before the requirement checks; the frontend pairing check reads it.
     ``pairs`` lists the (frontend, workload resource) placements the
     requirements allow, in inventory order; the workload resource is None
     when no HPC workload runs. An infeasible model has no pairs, and
@@ -127,7 +123,6 @@ class ModelCandidates:
     """
 
     model: ExecutionModel
-    frontends: tuple[ResourceDescriptor, ...]
     pairs: tuple[tuple[ResourceDescriptor, ResourceDescriptor | None], ...]
     reason: str
 
@@ -140,8 +135,8 @@ def placement_candidates(req: WorkloadRequirements,
                          inventory: list[ResourceDescriptor]) -> list[ModelCandidates]:
     """The placement-candidate rule: every model's candidates, in model order.
 
-    Feasibility, placement, the frontend pairing check and the per-model
-    measurements all derive from this one rule.
+    Feasibility, placement and the per-model measurements all derive from
+    this one rule.
     """
     if not inventory:
         raise ValidationError("inventory must not be empty")
@@ -171,45 +166,41 @@ def placement_candidates(req: WorkloadRequirements,
         no_batch = f"no batch hpc_cluster with >= {req.min_nodes} nodes"
     else:
         no_batch = "no hpc_cluster with a batch LRM"
-    # (model, frontends, pairs, (blocked, reason) checks in order, feasible reason)
+    # (model, pairs, (blocked, reason) checks in order, feasible reason)
     rules = (
-        (ExecutionModel.M1_WT_CLUSTER, wt, [(f, workload(f)) for f in wt], (
+        (ExecutionModel.M1_WT_CLUSTER, [(f, workload(f)) for f in wt], (
             (not wt, "no wt_cluster in inventory"),
             (req.needs_mpi, "MPI required; wt cluster cannot host MPI workloads"),
             (req.min_nodes > 1, multi_node),
         ), "wt cluster hosts frontend and local jobs"),
-        (ExecutionModel.M2_HPC_NODE, direct, [(f, workload(f)) for f in direct], (
+        (ExecutionModel.M2_HPC_NODE, [(f, workload(f)) for f in direct], (
             (not direct, "no directly reachable hpc_cluster (lrm=none)"),
             (req.needs_mpi, "MPI required; a single node cannot host it"),
             (req.min_nodes > 1, multi_node),
         ), "frontend on a single directly reachable HPC node"),
-        (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, batch, [(f, workload(f)) for f in batch], (
+        (ExecutionModel.M3_HPC_NODE_LOCAL_LRM, [(f, workload(f)) for f in batch], (
             (req.needs_mpi, mpi_only),
             (not batch, no_batch),
         ), "frontend on an HPC node with local LRM access"),
-        (ExecutionModel.M4_HPC_MPI, mpi, [(f, f) for f in mpi], (
+        (ExecutionModel.M4_HPC_MPI, [(f, f) for f in mpi], (
             (not req.needs_mpi, "workload does not require MPI"),
             (not mpi, f"no MPI-capable resource with >= {req.min_nodes} nodes"),
         ), "frontend launched as an MPI allocation"),
-        (ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, wt,
-         [(f, w) for f in wt for w in remote], (
+        (ExecutionModel.M5_WT_FRONTEND_REMOTE_LRM, [(f, w) for f in wt for w in remote], (
             (req.needs_mpi, mpi_only),
             (not wt, "no wt_cluster to host the frontend"),
             (not batch, no_batch),
         ), "frontend on wt cluster, jobs to a remote LRM"),
-        (ExecutionModel.M6_DECOUPLED_REMOTE_LRM, decoupled,
-         [(f, w) for f in decoupled for w in remote], (
+        (ExecutionModel.M6_DECOUPLED_REMOTE_LRM, [(f, w) for f in decoupled for w in remote], (
             (req.needs_mpi, mpi_only),
             (not batch, no_batch),
         ), "decoupled frontend with remote LRM access"),
     )
     out = []
-    for model, frontends, pairs, checks, feasible_reason in rules:
+    for model, pairs, checks, feasible_reason in rules:
         blocked = next((why for hit, why in checks if hit), None)
-        out.append(ModelCandidates(
-            model=model, frontends=tuple(frontends),
-            pairs=() if blocked else tuple(pairs), reason=blocked or feasible_reason,
-        ))
+        out.append(ModelCandidates(model=model, pairs=() if blocked else tuple(pairs),
+                                   reason=blocked or feasible_reason))
     return out
 
 
@@ -217,24 +208,6 @@ def enumerate_feasible_models(req: WorkloadRequirements,
                               inventory: list[ResourceDescriptor]) -> list[ModelCandidates]:
     """Feasibility of all six models, in model order, with reasons."""
     return placement_candidates(req, inventory)
-
-
-def estimate_time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
-                              image_load_s: float, pool_state=None,
-                              dispatch_overhead_s: float = 0.2) -> float:
-    """Expected seconds until a usable frontend on this resource.
-
-    Deployment-cluster and decoupled non-batch frontends cost one image
-    load. Batch-launched frontends add the queue model's analytic mean
-    wait, unless a warm pilot slot turns that into a dispatch overhead.
-    The resource must be one the candidate rule places this model's
-    frontend on.
-    """
-    model = ExecutionModel(model)
-    rule = placement_candidates(WorkloadRequirements(), [resource])[MODEL_ORDER.index(model)]
-    if not rule.frontends:
-        raise ValidationError(f"{model.value} cannot place a frontend on {resource.name!r}")
-    return _time_to_frontend(model, resource, image_load_s, pool_state, dispatch_overhead_s)
 
 
 class LaunchPath(enum.Enum):
@@ -263,12 +236,12 @@ def launch_path(model: ExecutionModel, resource: ResourceDescriptor) -> LaunchPa
 
 
 def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
-                      image_load_s: float, pool_state, dispatch_overhead_s: float) -> float:
-    path = launch_path(model, resource)
-    if path == LaunchPath.IMAGE_LOAD:
+                      image_load_s: float) -> float:
+    """Expected seconds until a usable frontend: one image load, plus the
+    queue model's analytic mean wait unless the frontend is a bare image
+    load."""
+    if launch_path(model, resource) == LaunchPath.IMAGE_LOAD:
         return image_load_s
-    if path == LaunchPath.BATCH_QUEUE and pool_state is not None and pool_state.get(resource.name):
-        return image_load_s + dispatch_overhead_s
     wait = resource.queue_model.expected_wait() if resource.queue_model else 0.0
     return image_load_s + wait
 
@@ -337,9 +310,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
                    objective: str = "min_time_to_frontend", *,
                    catalog: DatasetCatalog | None = None,
                    frontend_override: str | None = None,
-                   image_load_s: float = 8.0,
-                   pool_state=None,
-                   dispatch_overhead_s: float = 0.2) -> PlacementPlan:
+                   image_load_s: float = 8.0) -> PlacementPlan:
     """Deterministically choose the best feasible placement.
 
     ``inventory`` is an ``Inventory``, whose tables later plans reuse, or
@@ -379,7 +350,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     if objective == "min_time_to_frontend":
         def primary(candidate):
             model, frontend, _ = candidate
-            return _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
+            return _time_to_frontend(model, frontend, image_load_s)
     else:
         # the requested bytes less those already local to the consumer
         sizes = {ref.uri: ref.size_bytes for ref in refs}
@@ -393,7 +364,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     best = min(firsts.values(), key=primary)
     model, frontend, workload = best
     staging = tuple(resolve_local(ref, _consumer(best)) for ref in refs)
-    estimate = _time_to_frontend(model, frontend, image_load_s, pool_state, dispatch_overhead_s)
+    estimate = _time_to_frontend(model, frontend, image_load_s)
     notes = list(reasons)
     notes.append(f"selected {model.value} minimizing {objective}")
     if override is not None:

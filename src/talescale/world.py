@@ -19,7 +19,8 @@ from pathlib import Path
 from .clock import SimClock
 from .cluster import SimulatedLrm, runtime_of_command
 from .dms import DatasetCatalog, DmsCache, ExternalDataRef, StagingKind
-from .errors import ConfigError, ValidationError, check_bool, check_keys, check_list, check_number
+from .errors import (CapacityError, ConfigError, ValidationError, check_bool, check_keys, check_list,
+                     check_number)
 from .metrics import ScenarioMetrics
 from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
@@ -265,7 +266,10 @@ class World:
         elif op == "workload":
             self.submit_workload(self._spec_from(action), via_pool=action.get("via_pool", True))
         elif op == "open_dataset":
-            self.cache.open_nowait(self.catalog.get(action["uri"]))
+            try:  # best effort, like prefetch: a dataset the cache cannot admit keeps its state
+                self.cache.open_nowait(self.catalog.get(action["uri"]))
+            except CapacityError:
+                pass
         elif op == "prefetch":
             uris = action.get("uris") or [d.uri for d in self.catalog]
             self.cache.prefetch_nowait([self.catalog.get(uri) for uri in uris])
@@ -287,7 +291,8 @@ class World:
     # -- workloads ---------------------------------------------------------
 
     def submit_workload(self, spec: JobSpec, via_pool: bool = True):
-        """Claim a warm pilot slot when available, else direct submit.
+        """Claim a warm pilot slot that holds the workload's nodes when
+        available, else direct submit.
 
         Either path records the workload start latency in the metrics and
         the trace.

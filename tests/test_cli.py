@@ -110,6 +110,23 @@ class TestTaleCommands:
         assert main(["tale", "validate", "--workspace", str(ws)]) == 1
         assert capsys.readouterr().out == "checksum mismatch: main.c\n"
 
+    def test_validate_reports_a_deleted_artifact(self, ws, capsys):
+        main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
+        (ws / "lib" / "helper.py").unlink()
+        capsys.readouterr()
+        assert main(["tale", "validate", "--workspace", str(ws)]) == 1
+        assert capsys.readouterr().out == "missing workspace file: lib/helper.py\n"
+
+    def test_create_scans_shared_static_and_dylib_files_as_libraries(self, ws):
+        for name in ("libm.so", "libm.a", "libm.dylib"):
+            (ws / "lib" / name).write_bytes(b"\x7fELF")
+        main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
+        meta = json.loads((ws / ".tale" / "tale.json").read_text())
+        kinds = {ref["path"]: ref["kind"] for ref in meta["code_refs"]}
+        assert kinds == {"lib/helper.py": "source", "lib/libm.a": "library",
+                         "lib/libm.dylib": "library", "lib/libm.so": "library",
+                         "main.c": "source"}
+
     def test_validate_json_output(self, ws, capsys):
         main(["tale", "create", "--workspace", str(ws), "--title", "demo"])
         capsys.readouterr()
@@ -457,6 +474,14 @@ class TestExitCodes:
 
     def test_unknown_command_is_exit_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_unexpected_exception_is_exit_two(self, sim_config, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("talescale.cli.load_config", broken)
+        assert main(["sim", "run", "--config", str(sim_config)]) == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
 
 # One batch resource with a fixed queue, one pool and one dataset, and one

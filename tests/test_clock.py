@@ -107,6 +107,12 @@ def test_step_processes_single_event():
     assert clock.step()
     assert fired == [1, 2]
     assert not clock.step()
+    # a canceled head event is skipped: the step runs the next live one
+    clock.cancel(clock.at(3.0, lambda: fired.append(3)))
+    clock.at(4.0, lambda: fired.append(4))
+    assert clock.step()
+    assert fired == [1, 2, 4]
+    assert clock.now == 4.0
 
 
 def _live(clock):

@@ -114,3 +114,28 @@ def test_cold_frontend_submit_transport_failure_is_a_transport_error():
         launch_frontend(world, ExecutionModel.M3_HPC_NODE_LOCAL_LRM, "hpc-1",
                         WorkloadRequirements(needs_hpc=True))
     assert not any(ev.kind == "frontend_ready" for ev in world.trace)
+
+
+@pytest.mark.parametrize("pilot_nodes,ttf", [(1, 613.0), (4, 8.2)])
+def test_an_mpi_frontend_claims_a_pilot_only_when_it_holds_the_nodes(pilot_nodes, ttf):
+    # A 4-node M4 frontend after a 2000 s warmup: a warm 1-node pilot cannot
+    # host it, so it waits out the 600 s queue; a 4-node pilot can.
+    config = load_config({
+        "resources": [{"name": "mpi-1", "kind": "hpc_cluster", "lrm": "batch",
+                       "mpi_capable": True, "allows_incoming_connections": False,
+                       "node_count": 8, "queue": "q"}],
+        "queues": {"q": {"distribution": "fixed", "params": {"value": 600.0}}},
+        "pools": [{"resource": "mpi-1", "min_warm": 1, "max_size": 2,
+                   "pilot_walltime_s": 50_000.0, "pilot_nodes": pilot_nodes}],
+    })
+    req = WorkloadRequirements(needs_hpc=True, needs_mpi=True, min_nodes=4)
+    rows = measure_models(config, req, seeds=[0], warmup_s=2000.0)
+    assert frontend_times(rows, "M4_hpc_mpi") == [ttf]
+
+
+def test_a_cold_frontend_submit_carries_no_tale_id():
+    world = batch_world(pools=[{"resource": "hpc-1", "min_warm": 0, "max_size": 2}])
+    launch_frontend(world, ExecutionModel.M3_HPC_NODE_LOCAL_LRM, "hpc-1",
+                    WorkloadRequirements(needs_hpc=True))
+    submitted = [ev.fields for ev in world.trace if ev.kind == "job_submitted"]
+    assert [(f["job_id"], f["tale_id"]) for f in submitted] == [("j000001", None)]

@@ -102,11 +102,21 @@ class TestClaim:
             world.pools["hpc-1"].claim(JobSpec(resource="elsewhere", command=("sleep", "1")))
 
     def test_oversized_workload_rejected(self):
+        # a pilot holds one node: a 4-node workload is cold, and the pool is left as it was
         world = pool_world()
         world.clock.run_until(700.0)
-        with pytest.raises(ValidationError, match="nodes"):
-            world.pools["hpc-1"].claim(JobSpec(resource="hpc-1", command=("sleep", "1"),
-                                               node_count=4))
+        pool = world.pools["hpc-1"]
+        before = pool.counts()
+        assert pool.claim(JobSpec(resource="hpc-1", command=("sleep", "1"), node_count=4)) is None
+        assert pool.counts() == before
+
+    def test_a_scenario_workload_wider_than_a_pilot_goes_to_the_lrm(self):
+        world = pool_world(scenario={"actions": [
+            {"op": "workload", "t": 100, "resource": "hpc-1", "node_count": 4}]})
+        world.clock.run_until(1000.0)
+        started = events(world, "workload_started")
+        assert [(ev.fields["via"], ev.fields["latency"]) for ev in started] == [("lrm", 600.0)]
+        assert world.pools["hpc-1"].counts()[SlotState.CLAIMED] == 0
 
     def test_slot_claimed_at_most_once(self):
         world = pool_world()

@@ -14,7 +14,6 @@ from talescale.planner import (
     LaunchPath,
     WorkloadRequirements,
     enumerate_feasible_models,
-    estimate_time_to_frontend,
     launch_path,
     placement_candidates,
     plan_placement,
@@ -113,7 +112,7 @@ class TestEnumerate:
                     want = {m for m in ExecutionModel if oracle_feasible(m, req, inventory)}
                     assert got == want, f"{combo} {req}"
 
-    def test_candidates_decide_feasibility_and_pass_the_pairing_check(self):
+    def test_candidates_decide_feasibility_and_pair_each_placement_once(self):
         names = list(ARCHETYPES)
         for r in range(1, len(names) + 1):
             for combo in itertools.permutations(names, r):
@@ -124,9 +123,6 @@ class TestEnumerate:
                     for c in rules:
                         named = [(f.name, w and w.name) for f, w in c.pairs]
                         assert len(set(named)) == len(named), (combo, req, c.model)
-                        if c.pairs:
-                            frontend, _ = c.pairs[0]
-                            estimate_time_to_frontend(c.model, frontend, 8.0)
 
     def test_monotonicity_adding_resources(self):
         rng = random.Random(99)
@@ -161,27 +157,20 @@ class TestLaunchPath:
 
 class TestEstimate:
     def test_wt_frontend_is_one_image_load(self):
-        assert estimate_time_to_frontend(M.M1_WT_CLUSTER, ARCHETYPES["wt"], 8.0) == 8.0
+        plan = plan_placement(WorkloadRequirements(), [ARCHETYPES["wt"]], image_load_s=8.0)
+        assert plan.model == M.M1_WT_CLUSTER
+        assert plan.estimated_time_to_frontend == 8.0
 
     def test_batch_frontend_adds_expected_wait(self):
         hpc = make_resource(queue=QueueModel(distribution="exponential", params={"mean": 600.0}))
-        estimate = estimate_time_to_frontend(M.M3_HPC_NODE_LOCAL_LRM, hpc, 8.0)
+        plan = plan_placement(WorkloadRequirements(needs_hpc=True), [hpc], image_load_s=8.0)
+        assert plan.model == M.M3_HPC_NODE_LOCAL_LRM
+        estimate = plan.estimated_time_to_frontend
         # sampling oracle: the analytic mean matches the empirical mean
         rng = random.Random(5)
         empirical = sum(hpc.queue_model.sample(rng) for _ in range(20_000)) / 20_000
         assert estimate == 8.0 + 600.0
         assert abs(estimate - (8.0 + empirical)) / estimate < 0.05
-
-    def test_warm_pilot_replaces_wait_with_dispatch(self):
-        hpc = make_resource(queue=fixed_queue(600))
-        estimate = estimate_time_to_frontend(
-            M.M3_HPC_NODE_LOCAL_LRM, hpc, 8.0,
-            pool_state={hpc.name: True}, dispatch_overhead_s=0.2)
-        assert estimate == 8.2
-
-    def test_infeasible_pairing_rejected(self):
-        with pytest.raises(ValidationError):
-            estimate_time_to_frontend(M.M1_WT_CLUSTER, ARCHETYPES["hpc_batch"], 8.0)
 
 
 def witness_cases():
@@ -273,14 +262,6 @@ class TestPlan:
         with pytest.raises(ValidationError):
             plan_placement(WorkloadRequirements(), [wt_resource()], "min_cost")
 
-    def test_warm_pool_lowers_the_plan_estimate(self):
-        hpc = make_resource(queue=fixed_queue(600))
-        req = WorkloadRequirements(needs_hpc=True)
-        cold = plan_placement(req, [hpc])
-        warm = plan_placement(req, [hpc], pool_state={hpc.name: True})
-        assert cold.estimated_time_to_frontend == 608.0
-        assert warm.estimated_time_to_frontend == pytest.approx(8.2)
-
 
 class TestRequirements:
     def test_mpi_implies_hpc(self):
@@ -293,13 +274,15 @@ class TestRequirements:
 
 
 def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_override=None,
-                     image_load_s=8.0, pool_state=None, dispatch_overhead_s=0.2):
+                     image_load_s=8.0):
     """The placement rule restated the slow way.
 
-    Every scored candidate resolves every requested dataset on its consumer
-    (the workload resource, else the frontend) and sums the sizes of the
-    cache fetches; the plan is the min over (primary, model index, frontend
-    index, workload index).
+    A frontend on the deployment cluster (M1, M5), or on a resource with no
+    queue model, costs one image load; any other adds its queue model's
+    mean wait. Every scored candidate resolves every requested dataset on
+    its consumer (the workload resource, else the frontend) and sums the
+    sizes of the cache fetches; the plan is the min over (primary, model
+    index, frontend index, workload index).
     """
     rules = placement_candidates(req, inventory)
     reasons = [f"{c.model.value}: {'feasible' if c.feasible else 'infeasible'} - {c.reason}"
@@ -321,8 +304,9 @@ def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_overri
             for uri in sorted(req.dataset_uris)]
 
     def estimate(model, frontend):
-        return estimate_time_to_frontend(model, frontend, image_load_s, pool_state,
-                                         dispatch_overhead_s)
+        if model in (M.M1_WT_CLUSTER, M.M5_WT_FRONTEND_REMOTE_LRM) or frontend.queue_model is None:
+            return image_load_s
+        return image_load_s + frontend.queue_model.expected_wait()
 
     def key(candidate):
         model, frontend, workload = candidate
@@ -395,21 +379,18 @@ class TestPlanMatchesBruteForce:
                 min_nodes=rng.choice((1, 1, 1, 2, 8)),
                 dataset_uris=rng.sample(uris, rng.randint(0, len(uris))))
             override = rng.choice((None, None, None, "ghost", *(r.name for r in inventory[:3])))
-            pool_state = rng.choice((None, {r.name: True for r in inventory
-                                            if rng.random() < 0.5}))
             for objective in OBJECTIVES:
-                kwargs = dict(catalog=catalog, frontend_override=override,
-                              pool_state=pool_state)
+                kwargs = dict(catalog=catalog, frontend_override=override)
                 expected = outcome(brute_force_plan, req, inventory, objective, **kwargs)
                 assert outcome(plan_placement, req, inventory, objective, **kwargs) == expected
                 compared += isinstance(expected, dict)
         assert compared > 1000  # most draws plan; the rest compare their errors
 
     def test_reused_snapshot_matches_every_request(self):
-        # One snapshot serves requests of mixed shapes, objectives, overrides,
-        # warm pools and catalogs; its kept tables must give each request the
-        # plan a fresh list gives, and never see resources added to the source
-        # list after the snapshot was taken.
+        # One snapshot serves requests of mixed shapes, objectives, overrides
+        # and catalogs; its kept tables must give each request the plan a
+        # fresh list gives, and never see resources added to the source list
+        # after the snapshot was taken.
         rng = random.Random(20202)
         uris = [f"doi:10.5072/d{j}" for j in range(6)]
         compared = 0
@@ -431,11 +412,8 @@ class TestPlanMatchesBruteForce:
                     for u in uris if rng.random() < 0.7)))
                 override = rng.choice((None, None, "ghost", "late",
                                        *(r.name for r in original[:3])))
-                pool_state = rng.choice((None, {r.name: True for r in source
-                                                if rng.random() < 0.5}))
                 for objective in OBJECTIVES:
-                    kwargs = dict(catalog=catalog, frontend_override=override,
-                                  pool_state=pool_state)
+                    kwargs = dict(catalog=catalog, frontend_override=override)
                     expected = outcome(brute_force_plan, req, original, objective, **kwargs)
                     assert outcome(plan_placement, req, original, objective, **kwargs) == expected
                     assert outcome(plan_placement, req, snapshot, objective, **kwargs) == expected

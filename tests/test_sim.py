@@ -614,15 +614,20 @@ class TestWorldRun:
                   if ev["kind"] == "job_transition" and ev["to_state"] == "Failed"]
         assert failed  # the job failed, the run did not
 
-    def test_a_prefetch_skips_a_dataset_the_cache_cannot_admit(self):
+    @pytest.mark.parametrize("actions", [
+        [{"op": "prefetch", "t": 1}],
+        [{"op": "open_dataset", "t": 1, "uri": "doi:a"},
+         {"op": "open_dataset", "t": 1, "uri": "doi:b"}],
+    ], ids=["prefetch", "open_dataset"])
+    def test_a_prefetch_skips_a_dataset_the_cache_cannot_admit(self, actions):
         # While doi:a is in flight, a 100-byte cache has no room for doi:b
-        # and nothing to evict: the prefetch is best effort, the run goes on.
+        # and nothing to evict: either op is best effort, the run goes on.
         datasets = [{"uri": uri, "size_bytes": 60, "checksum": digest_bytes(uri.encode())}
                     for uri in ("doi:a", "doi:b")]
         world = World(load_config({
             **MINIMAL,
             "cache": {"capacity_bytes": 100, "bandwidth_bytes_per_s": 10.0, "datasets": datasets},
-            "scenario": {"actions": [{"op": "prefetch", "t": 1}]},
+            "scenario": {"actions": actions},
         }), 0)
         trace, _ = world.run(100.0)
         assert [(ev.kind, ev.fields.get("uri")) for ev in trace] == [

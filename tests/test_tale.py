@@ -1,4 +1,5 @@
 import ast
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -258,6 +259,15 @@ class TestSourceRule:
                                      entries=(main, replace(util, **change)))
         assert replace(tale, packaging=manifest).validate() == [
             "packaging names artifacts the tale does not hold: ['lib/util.c']"]
+
+    def test_no_redistribution_forbids_proprietary_executables(self):
+        entries = (art("main.c"),
+                   art("bin/solver", ArtifactKind.PREBUILT_EXECUTABLE, proprietary=True))
+        with pytest.raises(ValidationError, match=re.escape(
+                "redistribution_ok=false forbids proprietary executables: ['bin/solver']")):
+            PackagingManifest(WorkloadClass.MIXED, _S.ON_DEMAND_COMPILE, entries=entries,
+                              redistribution_ok=False)
+        PackagingManifest(WorkloadClass.MIXED, _S.ON_DEMAND_COMPILE, entries=entries)
 
     def test_a_manifest_entry_without_a_checksum_names_any_bytes(self):
         # export records checksums on the tale's code refs, not on its
