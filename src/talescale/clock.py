@@ -21,6 +21,16 @@ Two calling contexts exist:
 * event context (callbacks fired by the clock): may schedule further
   events but must never advance time; ``consume`` is a no-op there, since
   a scheduled callback is instantaneous by construction.
+
+Grid events, scheduled with a ``grid`` tag, are the poll and pool ticks
+that re-arm themselves on one interval grid. After an instant that fired
+grid events only, ``run_until`` calls ``on_quiet``, whose owner may
+``run_ahead``: move the grid events forward past points at which they
+would only repeat themselves. Where every backend changes only through a
+clock event or a transport write, that holds up to the next other event;
+``World._run_ahead`` states the rule, and the tags say what the events
+do. The clock keeps the order: the group is queued again in firing order,
+after the events already pending at its new time, as a re-arm would be.
 """
 
 from __future__ import annotations
@@ -41,13 +51,15 @@ def grid_after(now: float, interval: float) -> float:
 
 
 class EventHandle:
-    """One scheduled callback; pending while ``_fn`` is set."""
+    """One scheduled callback; pending while ``_fn`` is set. ``grid`` is a
+    grid event's tag, None for any other event."""
 
-    __slots__ = ("_fn", "_canceled")
+    __slots__ = ("_fn", "_canceled", "grid")
 
-    def __init__(self, fn: Callable[[], None]):
+    def __init__(self, fn: Callable[[], None], grid=None):
         self._fn: Callable[[], None] | None = fn
         self._canceled = False
+        self.grid = grid
 
     @property
     def canceled(self) -> bool:
@@ -61,20 +73,24 @@ class SimClock:
         self._live = 0  # heap entries still pending; the rest are tombstones
         self._seq = itertools.count()
         self._dispatching = False
+        # Called with run_until's horizon after an instant that fired grid
+        # events only; see run_ahead.
+        self.on_quiet: Callable[[float], None] | None = None
 
     @property
     def now(self) -> float:
         return self._now
 
-    def at(self, time: float, fn: Callable[[], None]) -> EventHandle:
+    def at(self, time: float, fn: Callable[[], None], grid=None) -> EventHandle:
         """Schedule ``fn`` at absolute simulated time; never in the past.
+        A ``grid`` tag makes it a grid event (see ``run_ahead``).
 
         A NaN time is refused too: it compares false with every key, so
         on the heap it would stop the events behind it from firing.
         """
         if not time >= self._now:
             raise ValueError(f"cannot schedule event at {time} before now={self._now}")
-        handle = EventHandle(fn)
+        handle = EventHandle(fn, grid)
         heapq.heappush(self._heap, (time, next(self._seq), handle))
         self._live += 1
         return handle
@@ -103,6 +119,7 @@ class SimClock:
 
     def run_until(self, horizon: float) -> None:
         """Fire every event with time <= horizon, then set now = horizon.
+        After an instant that fired grid events only, call ``on_quiet``.
 
         Time never decreases: a horizon in the past is a no-op.
         """
@@ -110,7 +127,8 @@ class SimClock:
             raise RuntimeError("clock cannot be advanced from inside an event callback")
         if horizon < self._now:
             return
-        heap = self._heap
+        heap, on_quiet = self._heap, self.on_quiet
+        loud = None  # the last instant that fired an event other than a grid one
         while heap and heap[0][0] <= horizon:
             time, _, handle = heapq.heappop(heap)
             fn = handle._fn
@@ -124,8 +142,57 @@ class SimClock:
                 fn()
             finally:
                 self._dispatching = False
+            if handle.grid is None:
+                loud = time
+            elif loud != time and on_quiet is not None and heap and heap[0][0] > time:
+                on_quiet(horizon)
         self._now = max(self._now, horizon)
         self._compact()
+
+    def run_ahead(self, stop: float, interval: float, plan) -> None:
+        """Move the group of grid events at the head of the heap forward
+        along the ``interval`` grid, past the points ``plan`` lets it skip.
+
+        The group is the pending grid events at the earliest pending time,
+        in firing order; another event at that time leaves it empty.
+        ``plan(tags)`` gets the group's tags and returns None to leave it
+        where it is, or ``(until, step)``. ``step`` gets the grid points
+        from the group's time on that lie before ``stop``, ``until`` and the
+        next event outside the group, and returns how many of them, from
+        the first, it stood in for. Those are skipped: ``now`` ends at the
+        last of them, and the group is queued again, in its firing order,
+        at the first point not skipped.
+        """
+        heap, group = self._heap, []
+        while heap:
+            time, _, handle = heap[0]
+            if handle._fn is not None:  # else a tombstone, dropped here
+                if handle.grid is None or (group and time != group[0][0]):
+                    break
+                group.append(heap[0])
+            heapq.heappop(heap)
+        if not group:
+            return
+        start = point = group[0][0]
+        limit = min(stop, heap[0][0]) if heap else stop
+        answer = plan([handle.grid for _, _, handle in group]) if start < limit else None
+        if answer is not None:
+            until, step = answer
+            limit, points = min(limit, until), []
+            while point < limit:
+                points.append(point)
+                point = grid_after(point, interval)
+            made = step(points)
+            if made:
+                self._now = points[made - 1]
+            if made < len(points):
+                point = points[made]
+        if point == start:
+            for entry in group:
+                heapq.heappush(heap, entry)
+        else:
+            for _, _, handle in group:
+                heapq.heappush(heap, (point, next(self._seq), handle))
 
     def advance(self, dt: float) -> None:
         self.run_until(self._now + dt)

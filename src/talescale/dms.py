@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .digest import parse as parse_checksum
 from .errors import (CapacityError, ChecksumMismatchError, DuplicateError, ValidationError,
@@ -111,6 +112,9 @@ class CacheEntry:
     finish_at: float = 0.0  # while transferring: when the transfer lands
     waiting: list[OpenHandle] = field(default_factory=list)  # opens riding the transfer
     corrupt_next: bool = False  # the next transfer arrives with a bad digest
+
+
+_URI = attrgetter("ref.uri")
 
 
 class OpenHandle:
@@ -315,39 +319,50 @@ class DmsCache:
         return report, handles
 
     def evict(self, needed_bytes: int) -> list[str]:
-        """Evict LRU unpinned resident entries until ``needed_bytes`` fit."""
+        """Evict LRU unpinned resident entries until ``needed_bytes`` fit.
+
+        The victims are chosen first; if they cannot free enough, nothing
+        is evicted and ``CapacityError`` is raised.
+        """
         if needed_bytes < 0:
             raise ValidationError("needed_bytes must be >= 0")
-        evicted: list[str] = []
-        while self.capacity_bytes - self._used_bytes < needed_bytes:
-            victim = self._lru_victim()
-            if victim is None:
-                raise CapacityError(
-                    f"cannot free {needed_bytes} bytes: "
-                    f"{self.capacity_bytes - self._used_bytes} free, no evictable entries"
-                )
+        free = self.capacity_bytes - self._used_bytes
+        victims: list[CacheEntry] = []
+        if free < needed_bytes:
+            for victim in self._lru_order():
+                victims.append(victim)
+                free += victim.ref.size_bytes
+                if free >= needed_bytes:
+                    break
+            else:
+                raise CapacityError(f"cannot free {needed_bytes} bytes: evicting every "
+                                    f"unpinned entry would leave {free} free")
+        for victim in victims:
             del self._lru[victim.ref.uri]
             victim.state = CacheState.EVICTED
             self._used_bytes -= victim.ref.size_bytes
-            evicted.append(victim.ref.uri)
             self.trace.emit("cache_evict", uri=victim.ref.uri, bytes=victim.ref.size_bytes)
-        return evicted
+        return [victim.ref.uri for victim in victims]
 
     # -- internals ---------------------------------------------------------
 
-    def _lru_victim(self) -> CacheEntry | None:
-        """The unpinned resident entry with the least ``(last_access, uri)``."""
-        victim = None
+    def _lru_order(self) -> Iterator[CacheEntry]:
+        """The unpinned resident entries by least ``(last_access, uri)``.
+
+        ``_lru`` is in access order, so its entries of one ``last_access``
+        are adjacent; it is read only as far as the entries are taken.
+        """
+        ties: list[CacheEntry] = []  # unpinned entries of one last_access
         for entry in self._lru.values():
             if entry.pin_count:
                 continue
-            if victim is None:
-                victim = entry
-            elif entry.last_access != victim.last_access:
-                break
-            elif entry.ref.uri < victim.ref.uri:
-                victim = entry
-        return victim
+            if ties and entry.last_access != ties[0].last_access:
+                ties.sort(key=_URI)
+                yield from ties
+                ties = []
+            ties.append(entry)
+        ties.sort(key=_URI)
+        yield from ties
 
     def _touch(self, entry: CacheEntry) -> None:
         """Record an access of a resident entry at the current time."""

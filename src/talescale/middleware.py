@@ -18,6 +18,12 @@ Design constraints, each of which is load-bearing for scale:
   parsed at all;
 * sessions are reused across operations per (resource, credential) pair.
 
+A poller's tick is a grid event; its tag answers a run-ahead
+(``World._run_ahead``): a poll that repeated the output before it repeats
+it, with the same payload and credential, until the backend is written
+to. When that is, the middleware cannot tell against a real LRM; the
+World knows it of its simulated ones.
+
 The dialect adapters live in a plain dict, ``dialects``, one per name in
 ``talescale.dialects.ADAPTERS``, keyed by the dialect name a resource
 descriptor carries.
@@ -31,6 +37,7 @@ later backend state replays the intermediate transitions in order.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import filterfalse
@@ -176,6 +183,7 @@ class _ResourceState:
     kept_ids: dict[str, str] = field(default_factory=dict)  # native id -> its kept unit
     latest: list | None = None  # the pending list of the latest cycle that parsed
     applied_output: str | None = None  # the output last fully applied
+    repeated: bool = False  # the last cycle's output was the applied one
     poller: object = None  # the scheduled poll tick's EventHandle
 
     def __len__(self) -> int:
@@ -373,6 +381,7 @@ class LrmMiddleware:
             return []
         adapter = self._adapter(self.resources[resource_name])
         command = adapter.format_status(state.native_ids())
+        state.repeated = False
         try:
             output = self.transport.call(resource_name, min(state.credentials),
                                          "batch_status", command)
@@ -380,6 +389,7 @@ class LrmMiddleware:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
         if output == state.applied_output:
+            state.repeated = True
             return []
         state.applied_output = None
         pending = state.latest = state.pending(adapter, output)
@@ -408,12 +418,23 @@ class LrmMiddleware:
             state.poller = self.clock.at(
                 grid_after(self.clock.now, self.poll_interval_s),
                 lambda: self._poll_tick(resource_name),
+                grid=lambda: self._quiet_poll(resource_name),
             )
 
     def _poll_tick(self, resource_name: str) -> None:
         self._active[resource_name].poller = None
         self.poll_cycle(resource_name)
         self._ensure_poller(resource_name)
+
+    def _quiet_poll(self, resource_name: str):
+        """The poller's answer to a run-ahead: None unless its last poll
+        repeated the output before it; else no deadline of its own, and the
+        one call each next poll makes again while nothing writes to the
+        backend."""
+        state = self._active[resource_name]
+        if not state.repeated:
+            return None
+        return math.inf, ((resource_name, min(state.credentials), "batch_status"),)
 
     # -- state machine ---------------------------------------------------------
 

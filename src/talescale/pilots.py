@@ -20,6 +20,11 @@ neither the pool's history nor the time since the last one; an idle tick
 only schedules the next. The tick event is scheduled just as when every
 tick worked, so it keeps its place among equal-time events and traces
 are the same.
+
+The tick is a grid event on the clock. Its tag answers a run-ahead
+(``World._run_ahead``) from the pool's side: after an idle tick, and with
+nothing woken since, every tick before the walltime deadline is idle too,
+as long as no pilot starts or ends, which only a backend event can cause.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class PilotPool:
         # slot id -> live slot whose pilot started or ended since refresh
         self._touched: dict[int, PilotSlot] = {}
         self._woken = False  # the next grid tick has work, the deadline aside
+        self._idle = False  # the last grid tick did no work
         self._expires_at = math.inf  # no warm slot is past its walltime before this
         self._slot_ids = itertools.count()
         middleware.transport.register_credential(policy.credential)
@@ -262,12 +268,21 @@ class PilotPool:
     def _schedule_tick(self) -> None:
         # Same grid as the middleware poller, same clock.
         self.clock.at(grid_after(self.clock.now, self.middleware.poll_interval_s),
-                      self._on_grid)
+                      self._on_grid, grid=self._quiet)
 
     def _on_grid(self) -> None:
-        if self._woken or self.clock.now >= self._expires_at:
+        self._idle = not self._woken and self.clock.now < self._expires_at
+        if not self._idle:
             self._tick()
         self._schedule_tick()
+
+    def _quiet(self):
+        """The pool's answer to a run-ahead: None unless its last tick was
+        idle and nothing woke it since; else its walltime deadline, before
+        which its ticks stay idle, and no calls to make again."""
+        if self._woken or not self._idle:
+            return None
+        return self._expires_at, ()
 
     def _tick(self) -> None:
         self._woken = False

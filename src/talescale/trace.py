@@ -125,6 +125,17 @@ class TraceLog:
         self._records.append(fields)
         self._by_kind[kind].append(fields)
 
+    def emit_each(self, times, kind: str, events: list[dict[str, Any]]) -> None:
+        """At each of ``times`` in turn, emit one ``kind`` event with each of
+        ``events``' fields, in order: the records ``emit`` would make if
+        called so with the clock at each time."""
+        records, same_kind = self._records, self._by_kind[kind]
+        for t in times:
+            for fields in events:
+                record = {**fields, "t": t, "seq": len(records), "kind": kind}
+                records.append(record)
+                same_kind.append(record)
+
     def count(self, kind: str) -> int:
         """Events of ``kind`` emitted so far."""
         return len(self._by_kind.get(kind, ()))

@@ -13,11 +13,15 @@ one line per call::
 
 Synchronous costs (handshake, round trip) advance the clock when called
 from driver context.
+
+A run-ahead (``World._run_ahead``) repeats calls through ``repeater``,
+which uses their sessions and traces them as ``call`` would.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from .digest import short_digest
 from .errors import SessionError, TransportError, UnknownCredentialError, UnknownResourceError
@@ -126,6 +130,36 @@ class Transport:
         self.trace.emit("transport_call", resource=resource, credential=credential,
                         verb=verb, payload_digest=last[1])
         return output
+
+    def repeater(self, calls) -> Callable[[list[float]], int] | None:
+        """A function that repeats each of ``calls``, (resource, credential,
+        verb) triples, at each of a list of later times, with the payload
+        digest of its verb's last call to its resource, and returns how many
+        times it did. It stops before a time at which a session would have
+        idled past the TTL, where a call would handshake first. None when a
+        transport failure is armed or a pair is in handshake backoff.
+        """
+        if self._fail_next["transport"]:
+            return None
+        pairs = [(resource, credential) for resource, credential, _ in calls]
+        if any(pair in self._unhealthy for pair in pairs):
+            return None
+        events = [{"resource": resource, "credential": credential, "verb": verb,
+                   "payload_digest": self._digests[(resource, verb)][1]}
+                  for resource, credential, verb in calls]
+        sessions, ttl, trace = self._sessions, self.idle_ttl_s, self.trace
+
+        def repeat(times: list[float]) -> int:
+            made, last = 0, min(map(sessions.__getitem__, pairs), default=math.inf)
+            for now in times:  # the stalest session lapses first; later, all were used last time
+                if now - last > ttl:
+                    break
+                made, last = made + 1, now
+            if made:
+                sessions.update(dict.fromkeys(pairs, last))
+                trace.emit_each(times[:made], "transport_call", events)
+            return made
+        return repeat
 
     # -- log ----------------------------------------------------------------
 

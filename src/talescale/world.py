@@ -6,6 +6,11 @@ script). A World is one seeded instantiation of it: shared clock, trace,
 transport with per-resource simulated LRMs, middleware, pilot pools,
 dataset cache, and proxy. Running the same config with the same seed and
 horizon yields a byte-identical trace.
+
+A World runs the quiet stretches of its poll grid ahead, since each of
+its backends changes only through a clock event or a transport write:
+``World._run_ahead`` states the rule. It is always on and changes no
+trace byte, job state or session.
 """
 
 from __future__ import annotations
@@ -171,6 +176,13 @@ def _check_action(action, resources, known_uris) -> None:
         runtime_of_command(action["command"], 0.0)
     if "resource" in action and action["resource"] not in resources:
         raise ConfigError(f"scenario op {op!r} references unknown resource {action['resource']!r}")
+    if op in ("submit_jobs", "workload"):  # the shape LrmMiddleware.submit refuses
+        rd = resources[action["resource"]]
+        if action.get("mpi") and not rd.mpi_capable:
+            raise ConfigError(f"{section} mpi is true, but resource {rd.name!r} is not MPI capable")
+        if action.get("node_count", 1) > rd.node_count:
+            raise ConfigError(f"{section} node_count {action['node_count']} exceeds "
+                              f"the {rd.node_count} nodes of resource {rd.name!r}")
     for uri in [action["uri"]] if "uri" in action else action.get("uris", []):
         if uri not in known_uris:
             raise ConfigError(f"scenario op {op!r} references unknown dataset {uri!r}")
@@ -192,6 +204,7 @@ class World:
         self.middleware = LrmMiddleware(self.clock, self.transport, self.trace,
                                         poll_interval_s=sc.poll_interval_s)
         self.middleware.add_transition_listener(self._on_transition)
+        self.clock.on_quiet = self._run_ahead
         self.clusters: dict[str, SimulatedLrm] = {}
         for rd in config.resources.values():
             self.middleware.register_resource(rd)
@@ -250,6 +263,42 @@ class World:
         self.start()
         self.clock.run_until(horizon)
         return self.trace, self.metrics()
+
+    def _run_ahead(self, horizon: float) -> None:
+        """Run the grid ahead through a quiet stretch.
+
+        The rule rests on one property of this world: every backend is a
+        ``SimulatedLrm`` on this clock, and its answers change only through
+        a clock event or a transport write. Grid events (poll ticks and pool
+        ticks) make no write when idle: a poll whose output repeated the
+        one before, or a pool tick that did no work. So once every event at
+        the current grid instant was an idle grid event, every grid event
+        up to the next other event repeats itself, and none draws from an
+        RNG.
+
+        The clock calls this after such an instant. The stretch ends before
+        the earliest of the next event that is not a grid event, the
+        horizon, and a pool's walltime deadline. It does not start while a
+        transport failure is armed, a polled (resource, credential) pair is
+        in handshake backoff, or a pool is woken, and it ends before the
+        first poll whose session would have idled past the TTL. At each
+        grid point in the stretch the polls' ``transport_call`` records are
+        appended, in firing order, and their pairs' sessions used then;
+        nothing is dispatched or re-armed. The grid events are then queued
+        again, once, in their firing order.
+        """
+        def stretch(tags):  # each tag answers None, or its deadline and its calls
+            until, calls = math.inf, []
+            for quiet in tags:
+                answer = quiet()
+                if answer is None:
+                    return None
+                until = min(until, answer[0])
+                calls.extend(answer[1])
+            step = self.transport.repeater(calls)
+            return None if step is None else (until, step)
+
+        self.clock.run_ahead(horizon, self.middleware.poll_interval_s, stretch)
 
     # -- scenario actions ------------------------------------------------------
 

@@ -348,6 +348,28 @@ class TestSimCommand:
         assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
         assert "integer count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action, message", [
+        ({"op": "workload", "t": 0.0, "resource": "hpc-1", "mpi": True},
+         "scenario op 'workload' mpi is true, but resource 'hpc-1' is not MPI capable"),
+        ({"op": "submit_jobs", "t": 50.0, "resource": "hpc-1", "node_count": 16},
+         "scenario op 'submit_jobs' node_count 16 exceeds the 8 nodes of resource 'hpc-1'"),
+    ], ids=["mpi", "node_count"])
+    def test_job_the_middleware_refuses_exits_one_before_the_run(self, tmp_path, capsys,
+                                                                action, message):
+        config = {
+            "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "node_count": 8,
+                           "allows_incoming_connections": False, "queue": "q"}],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "pools": [{"resource": "hpc-1", "min_warm": 1, "max_size": 2}],
+            "scenario": {"actions": [action]},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert main(["sim", "run", "--config", str(path), "--horizon", "100"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_unknown_dialect_exits_one_before_the_run(self, tmp_path, capsys):
         # the submit at 50 s is past the horizon: the config alone is refused
         config = {

@@ -355,6 +355,9 @@ class TestIncrementalPoll:
         # and the middleware's last applied output are each reused only when
         # the answer cannot differ. The same run with all three dropped before
         # every call must give the same trace bytes and cycle results.
+        # Dropping the applied output also stops every run-ahead, which makes
+        # repeated polls without calling poll_cycle, so both twins run with
+        # run-ahead off; a third run, with it on, gives the same trace bytes.
         def run():
             world = _mixed_world(seed)
             mw, nest = world.middleware, random.Random(seed + 100)
@@ -391,6 +394,8 @@ class TestIncrementalPoll:
             _drive(world, seed)
             return world.trace.to_ndjson(), results, work
 
+        ahead = run()
+        monkeypatch.setattr(World, "_run_ahead", lambda world, horizon: None)
         kept = run()
 
         def forgetting(method, forget):
@@ -413,7 +418,8 @@ class TestIncrementalPoll:
             LrmMiddleware.poll_cycle, forget_outputs_and_units))
         plain = run()
 
-        assert kept[0] == plain[0]
+        assert ahead[0] == kept[0] == plain[0]
+        assert len(ahead[1]) < len(kept[1])  # the run-ahead made some polls
         assert kept[1] == plain[1]
         assert kept[2]["nested"] == plain[2]["nested"] > 10
         # the shortcuts were taken: fewer parses and renders than cycles, and

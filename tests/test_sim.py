@@ -113,6 +113,10 @@ class TestLoadConfig:
         ({"op": "prefetch", "t": True}, "t must be a finite number at least 0, got True"),
         ({"op": "prefetch", "t": -1}, "t must be a finite number at least 0, got -1"),
         ("submit_jobs", "must be an object"),
+        ({"op": "workload", "resource": "hpc-1", "mpi": True},
+         "scenario op 'workload' mpi is true, but resource 'hpc-1' is not MPI capable"),
+        ({"op": "submit_jobs", "t": 50, "resource": "hpc-1", "node_count": 16},
+         "scenario op 'submit_jobs' node_count 16 exceeds the 8 nodes of resource 'hpc-1'"),
     ])
     def test_malformed_action_rejected(self, action, message):
         bad = {**SCENARIO, "scenario": {"actions": [action]}}
