@@ -2,8 +2,9 @@
 
 The event trace is the one record of a run. ScenarioMetrics is reduced
 from it by ``ScenarioMetrics.from_trace``, which reads only the kinds it
-counts (``TraceLog.records``) and never scans the rest; no component keeps
-a counter of its own beside it.
+counts (``TraceLog.records`` and ``TraceLog.tally``) and never scans the
+rest or expands a run of repeated polls; no component keeps a counter of
+its own beside it.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class ScenarioMetrics:
         """
         m = cls(backend_queries=dict.fromkeys(batch_resources, 0),
                 workload_start_latencies=list(workload_start_latencies))
-        for r in trace.records("transport_call"):
+        for r, times in trace.tally("transport_call"):
             if r["verb"] == "batch_status":
-                m.backend_queries[r["resource"]] += 1
+                m.backend_queries[r["resource"]] += times
         m.handshakes = trace.count("handshake")
         transfers = trace.records("transfer_complete")
         m.transfers = len(transfers)

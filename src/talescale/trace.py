@@ -6,14 +6,20 @@ Serialized as ndjson, one ``{"t": ..., "seq": ..., "kind": ..., ...}``
 object per line, with sorted keys so identical runs produce identical
 bytes.
 
-What is stored is one plain record per event: the keyword dict ``emit``
-was called with, with ``t``, ``seq`` and ``kind`` set on it. Each record
-sits in the log and in its kind's list, so ``count(kind)`` is a length and
-a reader that needs some kinds (``ScenarioMetrics.from_trace``,
-``Transport.log_text``, ``DmsCache.transfer_log``) reads them with
-``records(kind)`` and never scans the rest. Nothing is encoded at emit:
-``to_ndjson`` encodes every record once, when the trace is written.
-Iterating the log yields ``TraceEvent`` views, built on demand.
+Two things are stored, in emit order. ``emit`` stores a plain record: the
+keyword dict it was called with, with ``t``, ``seq`` and ``kind`` set on
+it. ``emit_each`` stores a run: the records of a repeated call as one
+object (its kind, its fields dicts, its times and its first ``seq``), which
+builds no dict per record. Every record has one slot in the log and one in
+its kind's list: a plain record's holds the record, a run's first holds
+the run and its others hold None. So a record's ``seq`` is its slot,
+``count(kind)`` is a length, and a reader that needs some kinds
+(``ScenarioMetrics.from_trace``, ``Transport.log_text``,
+``DmsCache.transfer_log``) reads them with ``records(kind)`` or
+``tally(kind)`` and never scans the rest. Nothing is
+encoded at emit: ``to_ndjson`` encodes each plain record once, and renders
+each run's lines from one template per fields dict, when the trace is
+written. Iterating the log yields ``TraceEvent`` views, built on demand.
 
 Every kind is declared once in ``KINDS``, with the layer that emits it and
 its field names; ``emit`` does not check them, the tests do.
@@ -24,8 +30,9 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 # One encoder for every event: json.dumps with these options would build a
 # new, identically configured JSONEncoder per call.
@@ -112,11 +119,59 @@ class TraceEvent:
     fields: dict[str, Any] = field(default_factory=dict)
 
 
+class _Run:
+    """``emit_each``'s record of one call: the ``kind`` records with each of
+    ``events``' fields at each of ``times`` in turn, numbered from ``seq``.
+    ``events`` may be shared with the caller; nothing here changes it."""
+
+    __slots__ = ("kind", "events", "times", "seq")
+
+    def __init__(self, kind: str, events: list[dict[str, Any]], times, seq: int):
+        self.kind, self.events, self.times, self.seq = kind, events, times, seq
+
+    def __len__(self) -> int:
+        return len(self.times) * len(self.events)
+
+    def expand(self) -> Iterator[tuple[float, int, dict[str, Any]]]:
+        """Each record's time, ``seq`` and fields, in emit order."""
+        seq = self.seq
+        for t in self.times:
+            for fields in self.events:
+                yield t, seq, fields
+                seq += 1
+
+    def lines(self) -> list[str]:
+        """The run's ndjson lines, as the encoder would write its records.
+
+        Each fields dict gives one template, the encoded record cut around
+        its ``seq`` and ``t`` values; the keys between ``"seq"`` and
+        ``"t"`` (``slot``, ``state``, ...) make the cut three parts, and it
+        is made on the encoder's output for the header keys, never on text a
+        value could hold. A line then costs one ``seq`` and one time repr:
+        a run's times are finite clock readings, whose repr is their JSON.
+        """
+        step, end = len(self.events), self.seq + len(self)
+        out: list[str] = [""] * len(self)
+        for i, fields in enumerate(self.events):
+            parts: tuple[dict, dict, dict] = ({"kind": self.kind}, {}, {})
+            for key, value in fields.items():
+                parts[(key > "seq") + (key > "t")][key] = value
+            before, between, after = (_encode(part)[1:-1] for part in parts)
+            head = "{" + before + ',"seq":'
+            middle = ("," + between if between else "") + ',"t":'
+            tail = ("," + after if after else "") + "}"
+            out[i::step] = [f"{head}{seq}{middle}{t!r}{tail}"
+                            for seq, t in zip(range(self.seq + i, end, step), self.times)]
+        return out
+
+
 class TraceLog:
     def __init__(self, clock):
         self._clock = clock
-        self._records: list[dict[str, Any]] = []
-        self._by_kind: defaultdict[str, list[dict[str, Any]]] = defaultdict(list)
+        # one slot per record, at its seq; a run's slots after its first hold None
+        self._records: list[dict[str, Any] | _Run | None] = []
+        self._by_kind: defaultdict[str, list[dict[str, Any] | _Run | None]] = defaultdict(list)
+        self._run_at: list[int] = []  # each run's seq
 
     def emit(self, kind: str, **fields: Any) -> None:
         fields["t"] = self._clock.now
@@ -128,13 +183,15 @@ class TraceLog:
     def emit_each(self, times, kind: str, events: list[dict[str, Any]]) -> None:
         """At each of ``times`` in turn, emit one ``kind`` event with each of
         ``events``' fields, in order: the records ``emit`` would make if
-        called so with the clock at each time."""
-        records, same_kind = self._records, self._by_kind[kind]
-        for t in times:
-            for fields in events:
-                record = {**fields, "t": t, "seq": len(records), "kind": kind}
-                records.append(record)
-                same_kind.append(record)
+        called so with the clock at each time. They are stored as one run,
+        which keeps ``times`` and ``events`` as they are; the caller must
+        not change them after."""
+        run = _Run(kind, events, times, len(self._records))
+        if run:
+            self._run_at.append(run.seq)
+            slots = [run] + [None] * (len(run) - 1)
+            self._records += slots
+            self._by_kind[kind] += slots
 
     def count(self, kind: str) -> int:
         """Events of ``kind`` emitted so far."""
@@ -142,14 +199,39 @@ class TraceLog:
 
     def records(self, kind: str) -> list[dict[str, Any]]:
         """The records of ``kind``, in emit order: ``t``, ``seq`` and
-        ``kind`` beside the event's fields. The dicts are the log's own;
-        a reader must not change them."""
-        return list(self._by_kind.get(kind, ()))
+        ``kind`` beside the event's fields. A plain record is the log's own
+        dict, which a reader must not change; a run's records are built
+        fresh, so a reader that only counts should use ``tally``."""
+        out = []
+        for entry in filter(None, self._by_kind.get(kind, ())):  # drops a run's None slots
+            if type(entry) is dict:
+                out.append(entry)
+            else:
+                out += ({**fields, "t": t, "seq": seq, "kind": kind}
+                        for t, seq, fields in entry.expand())
+        return out
+
+    def tally(self, kind: str) -> Iterator[tuple[dict[str, Any], int]]:
+        """The records of ``kind`` as (fields, repeats) pairs, for a reader
+        that counts fields: each plain record once, and each of a run's
+        fields dicts (without ``t``, ``seq`` and ``kind``) with its run's
+        number of times. No run is expanded; no dict may be changed."""
+        for entry in filter(None, self._by_kind.get(kind, ())):
+            if type(entry) is dict:
+                yield entry, 1
+            else:
+                times = len(entry.times)
+                for fields in entry.events:
+                    yield fields, times
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for record in self._records:
-            yield TraceEvent(record["t"], record["seq"], record["kind"],
-                             {k: v for k, v in record.items() if k not in _HEADER})
+        for entry in filter(None, self._records):
+            if type(entry) is dict:
+                yield TraceEvent(entry["t"], entry["seq"], entry["kind"],
+                                 {k: v for k, v in entry.items() if k not in _HEADER})
+            else:
+                for t, seq, fields in entry.expand():
+                    yield TraceEvent(t, seq, entry.kind, dict(fields))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -157,7 +239,21 @@ class TraceLog:
     def to_ndjson(self) -> bytes:
         if not self._records:
             return b""
-        return ("\n".join(map(_encode, self._records)) + "\n").encode("utf-8")
+        # Joined from a generator, so no list of lines outlives the join.
+        return "\n".join(chain.from_iterable(self._line_groups())).encode("utf-8")
+
+    def _line_groups(self) -> Iterator[Iterable[str]]:
+        """The trace's lines, grouped: stretches of plain records, encoded
+        one by one, between the runs' rendered lines; then one empty line,
+        for the final newline."""
+        records, start = self._records, 0
+        for at in self._run_at:
+            yield map(_encode, records[start:at])
+            run = records[at]
+            yield run.lines()
+            start = at + len(run)
+        yield map(_encode, records[start:])
+        yield ("",)
 
     def write(self, path) -> None:
         with open(path, "wb") as f:

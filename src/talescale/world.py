@@ -145,7 +145,7 @@ def load_config(source) -> WorldConfig:
     scenario = ScenarioConfig.from_dict(raw.get("scenario", {}))
     known_uris = {d.uri for d in datasets}
     for action in scenario.actions:
-        _check_action(action, resources, known_uris)
+        _check_action(action, resources, known_uris, scenario.credentials)
 
     return WorldConfig(
         resources=resources, pools=pools,
@@ -154,7 +154,7 @@ def load_config(source) -> WorldConfig:
     )
 
 
-def _check_action(action, resources, known_uris) -> None:
+def _check_action(action, resources, known_uris, credentials) -> None:
     """Reject a scenario action that ``World._run_action`` could not run."""
     op = check_keys("scenario action", action, action, strings=("op",)).get("op")
     if op not in _ACTIONS:
@@ -178,6 +178,13 @@ def _check_action(action, resources, known_uris) -> None:
         raise ConfigError(f"scenario op {op!r} references unknown resource {action['resource']!r}")
     if op in ("submit_jobs", "workload"):  # the shape LrmMiddleware.submit refuses
         rd = resources[action["resource"]]
+        if not rd.is_batch:
+            raise ConfigError(f"{section} resource {rd.name!r} has no batch LRM")
+        credential = action.get("credential", JobSpec.credential)
+        if credential not in credentials:
+            given = "" if "credential" in action else " (the default)"
+            raise ConfigError(f"{section} credential {credential!r}{given} is not in "
+                              f"scenario credentials {list(credentials)}")
         if action.get("mpi") and not rd.mpi_capable:
             raise ConfigError(f"{section} mpi is true, but resource {rd.name!r} is not MPI capable")
         if action.get("node_count", 1) > rd.node_count:
@@ -305,8 +312,8 @@ class World:
     def _run_action(self, action: dict) -> None:
         op = action["op"]
         if op == "submit_jobs":
-            spacing = float(action.get("spacing", 0.0))
-            for i in range(int(action.get("count", 1))):
+            spacing = action.get("spacing", 0)
+            for i in range(action.get("count", 1)):
                 spec = self._spec_from(action)
                 if spacing and i:
                     self.clock.after(spacing * i, lambda s=spec: self._submit(s))
@@ -323,7 +330,7 @@ class World:
             uris = action.get("uris") or [d.uri for d in self.catalog]
             self.cache.prefetch_nowait([self.catalog.get(uri) for uri in uris])
         elif op == "cancel":
-            index = int(action["job_index"])
+            index = action["job_index"]
             if index < len(self._submitted):
                 self.middleware.cancel(self._submitted[index])
 

@@ -8,6 +8,8 @@ from talescale.planner import WorkloadRequirements, plan_placement
 from talescale.resources import ResourceDescriptor
 from talescale.queues import QueueModel
 
+from test_sim import UNRUNNABLE_JOB_OPS
+
 
 @pytest.fixture
 def ws(tmp_path):
@@ -369,6 +371,18 @@ class TestSimCommand:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("name", sorted(UNRUNNABLE_JOB_OPS))
+    def test_job_op_the_run_cannot_fire_exits_one_before_the_run(self, tmp_path, capsys, name):
+        config, message = UNRUNNABLE_JOB_OPS[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        trace = tmp_path / "trace.ndjson"
+        assert main(["sim", "run", "--config", str(path), "--horizon", "100",
+                     "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not trace.exists()
 
     def test_unknown_dialect_exits_one_before_the_run(self, tmp_path, capsys):
         # the submit at 50 s is past the horizon: the config alone is refused

@@ -48,6 +48,27 @@ SCENARIO = {
 }
 
 
+# Job ops the run could not fire: each loaded, then raised from World.run
+# when its op fired at 10 s. Each must be refused at load instead.
+UNRUNNABLE_JOB_OPS = {
+    "no_batch_lrm": (
+        {"resources": [{"name": "wt-1", "kind": "wt_cluster", "lrm": "none",
+                        "allows_incoming_connections": True}],
+         "scenario": {"actions": [{"op": "workload", "t": 10.0, "resource": "wt-1"}]}},
+        "scenario op 'workload' resource 'wt-1' has no batch LRM"),
+    "unknown_credential": (
+        {**SCENARIO, "scenario": {"credentials": ["alice", "bob"], "actions": [
+            {"op": "submit_jobs", "t": 10.0, "resource": "hpc-1", "credential": "carol"}]}},
+        "scenario op 'submit_jobs' credential 'carol' is not in scenario credentials "
+        "['alice', 'bob']"),
+    "default_credential": (
+        {**SCENARIO, "scenario": {"credentials": ["alice"], "actions": [
+            {"op": "submit_jobs", "t": 10.0, "resource": "hpc-1"}]}},
+        "scenario op 'submit_jobs' credential 'user' (the default) is not in scenario "
+        "credentials ['alice']"),
+}
+
+
 class TestLoadConfig:
     def test_minimal_config_is_a_valid_world(self):
         config = load_config(MINIMAL)
@@ -122,6 +143,18 @@ class TestLoadConfig:
         bad = {**SCENARIO, "scenario": {"actions": [action]}}
         with pytest.raises(ConfigError, match=message):
             load_config(bad)
+
+    @pytest.mark.parametrize("name", sorted(UNRUNNABLE_JOB_OPS))
+    def test_job_op_the_run_cannot_fire_rejected(self, name):
+        config, message = UNRUNNABLE_JOB_OPS[name]
+        with pytest.raises(ConfigError) as caught:
+            load_config(config)
+        assert str(caught.value) == message
+
+    def test_job_ops_on_their_credentials_load(self):
+        load_config({**SCENARIO, "scenario": {"credentials": ["alice", "user"], "actions": [
+            {"op": "submit_jobs", "resource": "hpc-1"},
+            {"op": "workload", "resource": "hpc-1", "credential": "alice"}]}})
 
     @pytest.mark.parametrize("scenario, message", [
         ({"credentials": ["alice", 7]}, "credentials must be a list of strings"),

@@ -14,6 +14,7 @@ from talescale.measure import launch_frontend
 from talescale.middleware import JobSpec
 from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.proxy import Endpoint
+from talescale import trace as trace_module
 from talescale.trace import KINDS, TraceLog
 from talescale.world import World, load_config
 
@@ -154,43 +155,64 @@ class _Clock:
     now = 0.0
 
 
+# The text of a line's header, which a template must not cut on.
+_HEADER_TEXT = '"seq":1,"t":2'
 _ATOM = st.one_of(
     st.none(), st.booleans(),
     st.integers(min_value=-2 ** 80, max_value=2 ** 80),
     st.floats(allow_nan=False), st.just(-0.0),
     st.text(), st.text(alphabet=st.characters(max_codepoint=0x1f)),
+    st.sampled_from([_HEADER_TEXT, f'","{_HEADER_TEXT},"', "{" + _HEADER_TEXT + "}"]),
 )
-_FIELDS = st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("t", "seq", "kind")),
-                          _ATOM, max_size=5)
-_EVENTS = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e9),
-                             st.one_of(st.sampled_from(["a", "b", "transport_call"]),
-                                       st.text(max_size=4)),
-                             _FIELDS), max_size=30)
+# Keys on both sides of "kind", "seq" and "t", some between "seq" and "t".
+_KEY = st.one_of(st.text(max_size=6),
+                 st.sampled_from(["slot", "source", "state", "seq0", "sz", "s", "t0", "u", "a"]))
+_FIELDS = st.dictionaries(_KEY.filter(lambda k: k not in ("t", "seq", "kind")), _ATOM, max_size=5)
+_TIME = st.one_of(st.floats(min_value=0.0, max_value=1e9), st.integers(min_value=0, max_value=10 ** 9))
+_KIND = st.one_of(st.sampled_from(["a", "b", "transport_call"]), st.text(max_size=4))
+# Each step is a plain emit, (t, kind, fields), or an emit_each,
+# (times, kind, fields list): runs of 0, 1 and many times, of 0, 1 and
+# several fields dicts.
+_STEPS = st.lists(st.one_of(
+    st.tuples(_TIME, _KIND, _FIELDS),
+    st.tuples(st.lists(_TIME, max_size=6), _KIND, st.lists(_FIELDS, max_size=3)),
+), max_size=20)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_EVENTS)
-def test_record_store_matches_a_per_line_reference(events):
+@settings(max_examples=400, deadline=None)
+@given(_STEPS)
+def test_record_store_matches_a_per_line_reference(steps):
     clock = _Clock()
     log = TraceLog(clock)
-    for t, kind, fields in events:
-        clock.now = t
-        assert log.emit(kind, **fields) is None
+    expected = []  # (t, kind, fields) per record, in emit order
+    for when, kind, fields in steps:
+        if isinstance(fields, dict):
+            clock.now = when
+            assert log.emit(kind, **fields) is None
+            expected.append((when, kind, fields))
+        else:
+            before = repr(fields)
+            assert log.emit_each(when, kind, fields) is None
+            assert repr(fields) == before  # a run's fields are the caller's, unchanged
+            expected += [(t, kind, one) for t in when for one in fields]
 
     reference = [json.dumps({"t": t, "seq": seq, "kind": kind, **fields},
                             sort_keys=True, separators=(",", ":"))
-                 for seq, (t, kind, fields) in enumerate(events)]
+                 for seq, (t, kind, fields) in enumerate(expected)]
     assert log.to_ndjson() == ("\n".join(reference) + "\n" if reference else "").encode("utf-8")
 
     views = list(log)
     assert repr([(ev.t, ev.seq, ev.kind, ev.fields) for ev in views]) == repr(
-        [(t, seq, kind, fields) for seq, (t, kind, fields) in enumerate(events)])
-    assert len(log) == len(events)
-    for kind in {kind for _, kind, _ in events} | {"never_emitted"}:
+        [(t, seq, kind, fields) for seq, (t, kind, fields) in enumerate(expected)])
+    assert len(log) == len(expected)
+    for kind in {kind for _, kind, _ in steps} | {"never_emitted"}:
         mine = [ev for ev in views if ev.kind == kind]
         assert log.count(kind) == len(mine)
         assert log.records(kind) == [{"t": ev.t, "seq": ev.seq, "kind": ev.kind, **ev.fields}
                                      for ev in mine]
+        tallied = [repr({k: v for k, v in fields.items() if k not in ("t", "seq", "kind")})
+                   for fields, times in log.tally(kind) for _ in range(times)]
+        assert sorted(tallied) == sorted(repr(ev.fields) for ev in mine)
 
 
 # -- readers read by kind -----------------------------------------------------------
@@ -223,3 +245,15 @@ def test_readers_never_iterate_the_trace(name, monkeypatch):
     assert len(log.splitlines()) == calls
     assert hashlib.sha256(log.encode()).hexdigest() == log_sha
     assert [(r.uri, r.source, r.bytes) for r in world.cache.transfer_log] == transfers
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_metrics_never_expand_a_run(name, monkeypatch):
+    def no_expansion(self):
+        raise AssertionError("a run of repeated polls was expanded")
+
+    monkeypatch.setattr(trace_module._Run, "expand", no_expansion)
+    world = _golden_world(name)
+    assert any(isinstance(entry, trace_module._Run) for entry in world.trace._records)
+    metrics = json.dumps(world.metrics().to_dict(), sort_keys=True)
+    assert hashlib.sha256(metrics.encode()).hexdigest() == READER_RESULTS[name][0]
