@@ -26,7 +26,7 @@ from .planner import OBJECTIVES, WorkloadRequirements, plan_placement
 from .queues import queues_by_name
 from .resources import resources_by_name
 from .tale import ArtifactKind, CodeArtifact, EnvironmentSpec, Tale, create_tale, parse_pin
-from .world import World, load_config, read_json
+from .world import DEFAULT_COMMAND, ScenarioConfig, World, load_config, read_json
 
 TALE_META = ".tale/tale.json"
 
@@ -202,7 +202,7 @@ def tale_validate(workspace, archive_path, fmt):
 @click.option("--catalog", type=click.Path(exists=True), default=None)
 @click.option("--frontend", "frontend_override", default=None,
               help="Name a frontend resource explicitly (decoupled model).")
-@click.option("--image-load", type=float, default=8.0)
+@click.option("--image-load", type=float, default=ScenarioConfig.image_load_s)
 @_format_opt
 def plan_cmd(inventory, requirements, objective, catalog, frontend_override, image_load, fmt):
     """Enumerate feasible execution models and print the chosen placement."""
@@ -339,7 +339,7 @@ def _with_session_opts(fn):
 @_with_session_opts
 @_format_opt
 @click.option("--resource", required=True)
-@click.option("--command", "command_str", default="sleep 30")
+@click.option("--command", "command_str", default=shlex.join(DEFAULT_COMMAND))
 @click.option("--credential", default="user")
 def job_submit(config_path, session_path, fmt, resource, command_str, credential):
     session = _session_load(Path(session_path))

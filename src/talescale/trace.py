@@ -16,10 +16,17 @@ the run and its others hold None. So a record's ``seq`` is its slot,
 ``count(kind)`` is a length, and a reader that needs some kinds
 (``ScenarioMetrics.from_trace``, ``Transport.log_text``,
 ``DmsCache.transfer_log``) reads them with ``records(kind)`` or
-``tally(kind)`` and never scans the rest. Nothing is
-encoded at emit: ``to_ndjson`` encodes each plain record once, and renders
-each run's lines from one template per fields dict, when the trace is
-written. Iterating the log yields ``TraceEvent`` views, built on demand.
+``tally(kind)`` and never scans the rest. Iterating the log yields
+``TraceEvent`` views, built on demand.
+
+Nothing is encoded at emit. ``to_ndjson`` writes every line from the
+template of its record's shape: its key tuple, in insertion order, compiled
+once per process. The sorted key text is literal; an exact ``str``,
+``int``, ``float``, ``bool`` or ``None`` value is written by ``json``'s
+rules, and any other value by the ``json`` encoder. A run's shape has its
+values written once per fields dict, leaving ``seq`` and ``t`` open. The
+text of a time is made once per instant: records of one instant share the
+clock's ``now`` object.
 
 Every kind is declared once in ``KINDS``, with the layer that emits it and
 its field names; ``emit`` does not check them, the tests do.
@@ -34,8 +41,8 @@ from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
-# One encoder for every event: json.dumps with these options would build a
-# new, identically configured JSONEncoder per call.
+# The encoder for values the templates do not write: json.dumps with these
+# options would build a new, identically configured JSONEncoder per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 if c_make_encoder is None:
@@ -51,8 +58,106 @@ else:
         _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
         _ENCODER.skipkeys, _ENCODER.allow_nan)
 
-    def _encode(record: dict) -> str:
-        return "".join(_c_encoder(record, 0))
+    def _encode(value: Any) -> str:
+        return "".join(_c_encoder(value, 0))
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float, float_repr=float.__repr__, word=_FLOAT_WORDS.get) -> str:
+    text = float_repr(value)
+    return word(text, text)
+
+
+# The JSON text of a value of each exact atom type, by json's rules.
+_ATOM_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+              bool: {False: "false", True: "true"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _text(value: Any, atom=_ATOM_TEXT.get) -> str:
+    """``value``'s JSON text as the encoder writes it inside a record: an
+    atom of an exact type by ``json``'s rules, anything else (a ``str`` or
+    ``int`` subclass, a container) by the encoder itself."""
+    return atom(type(value), _encode)(value)
+
+
+class _Shape:
+    """The line template of one key tuple, in the record's insertion order.
+
+    ``keys`` are the sorted keys and ``literals`` the text around their
+    values: ``{"a":``, ``,"b":``, ..., ``}``. ``render(record, t_text)``
+    writes a record of this shape given its time's text. It is generated
+    code whose names are positions only: the literals come in as arguments,
+    as ``dataclasses`` and ``namedtuple`` build theirs, so no key or value
+    text is ever source. It inlines ``_text``'s two commonest cases, an
+    exact ``str`` and an exact ``int``, and writes ``seq`` directly.
+    """
+
+    __slots__ = ("keys", "literals", "render")
+
+    def __init__(self, keys: tuple[str, ...]):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.keys = [keys[i] for i in order]
+        self.literals = [("," if n else "{") + encode_basestring_ascii(key) + ":"
+                         for n, key in enumerate(self.keys)] + ["}"]
+        holes = [f"v{i}" if keys[i] == "seq" else "t_text" if keys[i] == "t" else
+                 f"e(v{i}) if type(v{i}) is str else v{i} if type(v{i}) is int else x(v{i})"
+                 for i in order]
+        names = [f"p{n}" for n in range(len(self.literals))]
+        line = "".join(f"{{{p}}}{{{hole}}}" for p, hole in zip(names, holes)) + f"{{{names[-1]}}}"
+        source = (f"def make(e, x, {', '.join(names)}):\n"
+                  f" def render(record, t_text):\n"
+                  f"  {''.join(f'v{i}, ' for i in range(len(keys)))}= record.values()\n"
+                  f"  return f'{line}'\n"
+                  f" return render\n")
+        namespace: dict[str, Any] = {}
+        exec(source, {}, namespace)
+        self.render = namespace["make"](encode_basestring_ascii, _text, *self.literals)
+
+    def bind(self, record: dict[str, Any]) -> tuple[str, str, str]:
+        """This shape's text with ``record``'s values written in, but for
+        ``seq`` and ``t``: the text before ``seq``, between it and ``t``,
+        and after ``t``."""
+        parts, text = [], ""
+        for key, literal in zip(self.keys, self.literals):
+            text += literal
+            if key == "seq" or key == "t":
+                parts.append(text)
+                text = ""
+            else:
+                text += _text(record[key])
+        head, middle = parts
+        return head, middle, text + "}"
+
+
+class _Shapes(dict):
+    """Each key tuple's ``_Shape``, compiled on first use and kept for the
+    process: compiling one takes 0.25-0.5 ms, and a shape depends on its
+    keys alone, so logs that share it write the same text. Declared kinds
+    give a few dozen; the bound only keeps arbitrary keys from growing it."""
+
+    def __missing__(self, keys: tuple[str, ...]) -> _Shape:
+        if len(self) >= 4096:
+            self.clear()
+        shape = self[keys] = _Shape(keys)
+        return shape
+
+
+_SHAPES = _Shapes()
+
+
+def _record_lines(records: list[dict[str, Any]]) -> Iterator[str]:
+    """Each plain record's line, from its shape's template. The time's text
+    is made once per instant, while ``t`` is the previous record's object:
+    records of one instant share the clock's ``now``. Never ``==``: ``0.0
+    == -0.0`` and ``5 == 5.0``, but their text differs."""
+    shapes, last, t_text = _SHAPES, object(), ""
+    for record in records:
+        t = record["t"]
+        if t is not last:
+            last, t_text = t, _text(t)
+        yield shapes[tuple(record)].render(record, t_text)
 
 
 # Keys every record carries beside its fields.
@@ -141,27 +246,17 @@ class _Run:
                 seq += 1
 
     def lines(self) -> list[str]:
-        """The run's ndjson lines, as the encoder would write its records.
-
-        Each fields dict gives one template, the encoded record cut around
-        its ``seq`` and ``t`` values; the keys between ``"seq"`` and
-        ``"t"`` (``slot``, ``state``, ...) make the cut three parts, and it
-        is made on the encoder's output for the header keys, never on text a
-        value could hold. A line then costs one ``seq`` and one time repr:
-        a run's times are finite clock readings, whose repr is their JSON.
-        """
+        """The run's ndjson lines, as ``to_ndjson`` writes plain records:
+        each fields dict's shape, with its values bound once, leaves only
+        ``seq`` and ``t`` open, and each time's text is made once."""
+        times = list(map(_text, self.times))
         step, end = len(self.events), self.seq + len(self)
         out: list[str] = [""] * len(self)
         for i, fields in enumerate(self.events):
-            parts: tuple[dict, dict, dict] = ({"kind": self.kind}, {}, {})
-            for key, value in fields.items():
-                parts[(key > "seq") + (key > "t")][key] = value
-            before, between, after = (_encode(part)[1:-1] for part in parts)
-            head = "{" + before + ',"seq":'
-            middle = ("," + between if between else "") + ',"t":'
-            tail = ("," + after if after else "") + "}"
-            out[i::step] = [f"{head}{seq}{middle}{t!r}{tail}"
-                            for seq, t in zip(range(self.seq + i, end, step), self.times)]
+            record = {**fields, "t": None, "seq": None, "kind": self.kind}
+            head, middle, tail = _SHAPES[tuple(record)].bind(record)
+            out[i::step] = [f"{head}{seq}{middle}{t}{tail}"
+                            for seq, t in zip(range(self.seq + i, end, step), times)]
         return out
 
 
@@ -237,22 +332,24 @@ class TraceLog:
         return len(self._records)
 
     def to_ndjson(self) -> bytes:
+        """The trace as ndjson: each record's line, as ``json.dumps(record,
+        sort_keys=True, separators=(",", ":"))`` would write it, from its
+        shape's template (see the module docstring), and a final newline."""
         if not self._records:
             return b""
         # Joined from a generator, so no list of lines outlives the join.
         return "\n".join(chain.from_iterable(self._line_groups())).encode("utf-8")
 
     def _line_groups(self) -> Iterator[Iterable[str]]:
-        """The trace's lines, grouped: stretches of plain records, encoded
-        one by one, between the runs' rendered lines; then one empty line,
-        for the final newline."""
+        """The trace's lines, grouped: stretches of plain records between
+        the runs' lines; then one empty line, for the final newline."""
         records, start = self._records, 0
         for at in self._run_at:
-            yield map(_encode, records[start:at])
+            yield _record_lines(records[start:at])
             run = records[at]
             yield run.lines()
             start = at + len(run)
-        yield map(_encode, records[start:])
+        yield _record_lines(records[start:])
         yield ("",)
 
     def write(self, path) -> None:

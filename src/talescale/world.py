@@ -37,6 +37,9 @@ from .tale import ProvenanceKind, Tale, record_provenance
 from .trace import TraceLog
 from .transport import Transport
 
+# The command of a job that names none: a scenario job action's, or the CLI's.
+DEFAULT_COMMAND = ("sleep", "30")
+
 # A job action's keys beside "resource" and "command"; JobSpec holds their defaults.
 _SPEC_KEYS = ("credential", "tale_id", "node_count", "mpi")
 _JOB_KEYS = frozenset({"resource", "command", *_SPEC_KEYS})
@@ -320,7 +323,8 @@ class World:
                 else:
                     self._submit(spec)
         elif op == "workload":
-            self.submit_workload(self._spec_from(action), via_pool=action.get("via_pool", True))
+            options = {"via_pool": action["via_pool"]} if "via_pool" in action else {}
+            self.submit_workload(self._spec_from(action), **options)
         elif op == "open_dataset":
             try:  # best effort, like prefetch: a dataset the cache cannot admit keeps its state
                 self.cache.open_nowait(self.catalog.get(action["uri"]))
@@ -336,7 +340,7 @@ class World:
 
     def _spec_from(self, action: dict) -> JobSpec:
         """The action's job; ``_check_action`` has checked each key's type."""
-        return JobSpec(resource=action["resource"], command=action.get("command", ("sleep", "30")),
+        return JobSpec(resource=action["resource"], command=action.get("command", DEFAULT_COMMAND),
                        **{key: action[key] for key in _SPEC_KEYS if key in action})
 
     def _submit(self, spec: JobSpec):

@@ -1,5 +1,6 @@
 """The trace's record store and its declared kinds."""
 
+import enum
 import hashlib
 import json
 import re
@@ -7,20 +8,20 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from talescale.dms import StagingAction, StagingKind, TransferSource
 from talescale.measure import launch_frontend
-from talescale.middleware import JobSpec
+from talescale.middleware import JobSpec, JobState
 from talescale.planner import ExecutionModel, WorkloadRequirements
 from talescale.proxy import Endpoint
 from talescale import trace as trace_module
 from talescale.trace import KINDS, TraceLog
-from talescale.world import World, load_config
+from talescale.world import World, load_config, run_scenario
 
 from conftest import batch_world
 from test_acceptance import CRITERION_11_CONFIG
-from test_sim import POOLED_SOAK
+from test_sim import GOLDEN_TRACES, POOLED_SOAK
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "talescale"
 
@@ -155,32 +156,66 @@ class _Clock:
     now = 0.0
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Seconds(float):
+    pass
+
+
 # The text of a line's header, which a template must not cut on.
 _HEADER_TEXT = '"seq":1,"t":2'
+# Atoms of exact types, NaN and the infinities among the floats, and atoms
+# of str, int and float subclasses, which the encoder writes.
 _ATOM = st.one_of(
     st.none(), st.booleans(),
     st.integers(min_value=-2 ** 80, max_value=2 ** 80),
-    st.floats(allow_nan=False), st.just(-0.0),
+    st.floats(), st.just(-0.0),
     st.text(), st.text(alphabet=st.characters(max_codepoint=0x1f)),
     st.sampled_from([_HEADER_TEXT, f'","{_HEADER_TEXT},"', "{" + _HEADER_TEXT + "}"]),
+    st.sampled_from(JobState), st.sampled_from(_Level), st.floats().map(_Seconds),
 )
+# Containers too, whose dict keys are drawn in no particular order.
+_VALUE = st.one_of(_ATOM, st.lists(_ATOM, max_size=3),
+                   st.dictionaries(st.sampled_from(["b", "a", "c", "t"]), _ATOM, max_size=3))
 # Keys on both sides of "kind", "seq" and "t", some between "seq" and "t".
 _KEY = st.one_of(st.text(max_size=6),
                  st.sampled_from(["slot", "source", "state", "seq0", "sz", "s", "t0", "u", "a"]))
-_FIELDS = st.dictionaries(_KEY.filter(lambda k: k not in ("t", "seq", "kind")), _ATOM, max_size=5)
-_TIME = st.one_of(st.floats(min_value=0.0, max_value=1e9), st.integers(min_value=0, max_value=10 ** 9))
+_FIELDS = st.dictionaries(_KEY.filter(lambda k: k not in ("t", "seq", "kind")), _VALUE, max_size=5)
+# Equal times whose text differs (0.0 and -0.0, 5 and 5.0) come up side by side.
+_TIME = st.one_of(st.floats(min_value=0.0, max_value=1e9), st.integers(min_value=0, max_value=10 ** 9),
+                  st.sampled_from([0.0, -0.0, 5, 5.0]))
 _KIND = st.one_of(st.sampled_from(["a", "b", "transport_call"]), st.text(max_size=4))
+
+
+def _reordered(fields):
+    """The fields dict and the same keys in another insertion order."""
+    return st.permutations(list(fields.items())).map(lambda items: [fields, dict(items)])
+
+
 # Each step is a plain emit, (t, kind, fields), or an emit_each,
 # (times, kind, fields list): runs of 0, 1 and many times, of 0, 1 and
-# several fields dicts.
+# several fields dicts. One key set is sometimes emitted in two orders.
 _STEPS = st.lists(st.one_of(
-    st.tuples(_TIME, _KIND, _FIELDS),
-    st.tuples(st.lists(_TIME, max_size=6), _KIND, st.lists(_FIELDS, max_size=3)),
-), max_size=20)
+    st.tuples(_TIME, _KIND, _FIELDS).map(lambda step: [step]),
+    st.tuples(st.lists(_TIME, max_size=6), _KIND, st.lists(_FIELDS, max_size=3)).map(
+        lambda step: [step]),
+    st.tuples(_TIME, _KIND, _FIELDS.flatmap(_reordered)).map(
+        lambda step: [(step[0], step[1], fields) for fields in step[2]]),
+), max_size=20).map(lambda groups: [step for group in groups for step in group])
 
 
 @settings(max_examples=400, deadline=None)
 @given(_STEPS)
+@example([
+    (0.0, "a", {"x": float("nan"), "s": JobState.RUNNING, "n": _Level.HIGH, "f": _Seconds(0.5)}),
+    (-0.0, "a", {"f": _Seconds(0.5), "n": _Level.HIGH, "s": JobState.RUNNING, "x": float("nan")}),
+    (5, "b", {"v": [2, {"b": 1, "a": None}], "d": {"t": 0, "c": True, "a": -0.0}}),
+    (5.0, "b", {"inf": float("-inf"), "bool": False}),
+    ([0.0, -0.0, 5, 5.0, float("nan")], "c", [{"x": float("inf")}, {"d": {"b": 1, "a": 0}}]),
+])
 def test_record_store_matches_a_per_line_reference(steps):
     clock = _Clock()
     log = TraceLog(clock)
@@ -257,3 +292,15 @@ def test_metrics_never_expand_a_run(name, monkeypatch):
     assert any(isinstance(entry, trace_module._Run) for entry in world.trace._records)
     metrics = json.dumps(world.metrics().to_dict(), sort_keys=True)
     assert hashlib.sha256(metrics.encode()).hexdigest() == READER_RESULTS[name][0]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_traces_never_take_the_encoder_fallback(name, monkeypatch):
+    def no_encoder(value):
+        raise AssertionError("a golden trace value fell back to the encoder")
+
+    monkeypatch.setattr(trace_module, "_encode", no_encoder)
+    config, seed, horizon, size, sha256 = GOLDEN_TRACES[name]
+    trace_bytes, _ = run_scenario(load_config(config), seed, horizon)
+    assert len(trace_bytes) == size
+    assert hashlib.sha256(trace_bytes).hexdigest() == sha256
