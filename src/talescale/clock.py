@@ -45,9 +45,36 @@ def grid_after(now: float, interval: float) -> float:
     """The first point of the ``interval`` grid strictly after ``now``.
 
     The one grid rule: middleware pollers and pilot-pool ticks both land on
-    these points, so events of the two meet at bit-identical times.
+    these points, so events of the two meet at bit-identical times. When
+    ``now / interval`` rounds down (0.6 / 0.1 gives 5.999...), the formula's
+    point can be ``now`` itself; then the point one cell later is taken.
     """
-    return math.floor(now / interval) * interval + interval
+    cell = math.floor(now / interval)
+    point = cell * interval + interval
+    return point if point > now else (cell + 1) * interval + interval
+
+
+def _grid_points(start: float, interval: float, limit: float) -> tuple[list[float], float]:
+    """The points of the ``interval`` grid from ``start``, one of them, on
+    that lie before ``limit``, and the first point that does not.
+
+    Each point is ``grid_after`` of the one before. A grid point is
+    ``cell * interval + interval`` for an integer cell, and while cells stay
+    below 2**49 (any grid a run can walk) ``grid_after`` of it is the next
+    cell's point: ``point / interval`` is within rounding of ``cell + 1``,
+    so the formula gives that point, or the point itself and then the next.
+    So the walk adds one to the cell instead of calling ``grid_after``, and
+    ``round`` finds the cell of the first point it gets from ``grid_after``.
+    """
+    if start >= limit:
+        return [], start
+    points, point = [start], grid_after(start, interval)
+    cell, append = round(point / interval), points.append
+    while point < limit:
+        append(point)
+        point = cell * interval + interval
+        cell += 1
+    return points, point
 
 
 class EventHandle:
@@ -178,10 +205,7 @@ class SimClock:
         answer = plan([handle.grid for _, _, handle in group]) if start < limit else None
         if answer is not None:
             until, step = answer
-            limit, points = min(limit, until), []
-            while point < limit:
-                points.append(point)
-                point = grid_after(point, interval)
+            points, point = _grid_points(start, interval, min(limit, until))
             made = step(points)
             if made:
                 self._now = points[made - 1]

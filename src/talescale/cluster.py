@@ -18,11 +18,14 @@ Anything else runs for the queue model's default runtime.
 Each native job carries the text ``sacct`` and ``qstat`` report for it,
 re-rendered at each write of its state, so a status query joins stored
 lines at C level instead of formatting every held job again. The LRM
-also keeps its last status command line and the output it gave. Every
-write to the job table (a job enqueued, started or finished, which a
-cancel goes through) drops them, so a status command equal to the last
-one with no write in between returns the stored output, without
-tokenizing or rendering anything.
+also keeps its last status answer: the command line, the output, and
+whether every id it named was a job. A job start or finish (which a
+cancel goes through) drops it, and so does an enqueue unless every named
+id was a job already. While it is kept, a status command equal to the
+last one returns the stored output without tokenizing or rendering
+anything, and one that only appends ids to the last one's id list
+returns the stored output and the lines of the appended ids, so a poll
+that adds k jobs to the last costs k lookups, not one per held job.
 
 Command lines are tokenized with ``shlex.split`` semantics, always.
 ``_argv`` takes ``str.split`` as a fast path only for payloads on which
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import re
 import shlex
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import attrgetter, methodcaller
@@ -59,8 +63,6 @@ FRONTEND_RUNTIME_S = 10.0 ** 9
 
 _SACCT_STATE = {neutral: native for native, neutral in SimSlurmAdapter._STATE_MAP.items()}
 
-# The ASCII characters str.split splits on and shlex keeps inside a word.
-_ASCII_WORD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f"
 # Any character str.split splits on and shlex keeps inside a word.
 _WORD_SPACE = re.compile(r"[^\S \t\r\n]")
 # One shlex word when the only quotes are single ones: unquoted characters
@@ -70,17 +72,19 @@ _SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
 
 def _has_word_space(payload: str) -> bool:
     """Whether ``payload`` holds a character str.split splits on and shlex
-    keeps inside a word; ``isascii`` takes O(1)."""
+    keeps inside a word; ``isascii`` takes O(1), and each ``in`` one memchr."""
     if payload.isascii():
-        return any(map(payload.__contains__, _ASCII_WORD_SPACES))
+        return ("\x0b" in payload or "\x0c" in payload or "\x1c" in payload
+                or "\x1d" in payload or "\x1e" in payload or "\x1f" in payload)
     return _WORD_SPACE.search(payload) is not None
 
 
 def _argv(payload: str) -> list[str]:
     """``shlex.split(payload)``, without shlex where it cannot differ."""
-    if '"' in payload or "\\" in payload or payload.count("'") % 2:
+    quotes = payload.count("'")
+    if quotes % 2 or '"' in payload or "\\" in payload:
         return shlex.split(payload)
-    if "'" in payload or _has_word_space(payload):
+    if quotes or _has_word_space(payload):
         return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(payload)]
     return payload.split()
 
@@ -155,6 +159,43 @@ class NativeJob:
 _SACCT_LINE = attrgetter("sacct_line")
 _QSTAT_BLOCK = attrgetter("qstat_block")
 _IS_OPTION = methodcaller("startswith", "-")
+# The characters that end a shlex word outside quotes.
+_SHLEX_SPACES = " \t\r\n"
+# Per status tool: what separates appended ids, and the line of one job.
+_ID_SEPARATOR = {"qstat": " ", "sacct": ","}
+_STATUS_LINE = {"qstat": _QSTAT_BLOCK, "sacct": _SACCT_LINE}
+
+
+def _has_quote(text: str) -> bool:
+    """Whether ``text`` holds a quote or a backslash."""
+    return "'" in text or '"' in text or "\\" in text
+
+
+def _added_ids(tool: str, last: str, payload: str) -> list[str] | None:
+    """The ids ``payload`` appends to the id list of ``last``, a ``tool``
+    command: ``payload`` is ``last`` with the tool's id separator and more
+    ids inserted where its id list ends (the payload's end for qstat, the
+    end of the last ``--jobs=`` word for sacct). None when it is not, or
+    when quotes or backslashes may hide where words end."""
+    cut = len(last) if tool == "qstat" else _jobs_word_end(last)
+    if (cut is None or payload[cut] != _ID_SEPARATOR[tool] or _has_quote(payload)
+            or not payload.startswith(last[:cut]) or not payload.endswith(last[cut:])):
+        return None
+    added = payload[cut + 1:len(payload) - len(last) + cut]
+    if tool == "qstat":  # the appended words, split as _argv would; qstat skips options
+        return None if _has_word_space(added) else [*filterfalse(_IS_OPTION, added.split())]
+    # more of the --jobs= word: no whitespace may end it
+    return None if any(map(added.__contains__, _SHLEX_SPACES)) else added.split(",")
+
+
+def _jobs_word_end(payload: str) -> int | None:
+    """Where the last ``--jobs=`` word of a sacct payload ends; None when
+    there is no such word."""
+    start = payload.rfind("--jobs=")
+    if start < 1 or payload[start - 1] not in _SHLEX_SPACES:  # none, or inside a word
+        return None
+    ends = [end for space in _SHLEX_SPACES if (end := payload.find(space, start)) >= 0]
+    return min(ends, default=len(payload))
 
 
 class SimulatedLrm:
@@ -170,16 +211,22 @@ class SimulatedLrm:
         self.trace = trace
         self.jobs: dict[str, NativeJob] = {}
         self._counter = 0
-        # (payload, output) of the last qstat or sacct since the last job write
-        self._last_status: tuple[str, str] | None = None
+        # The last qstat or sacct answer, while no job write can have changed
+        # it: (payload, tool, output, whether every id it named was a job).
+        self._answer: tuple[str, str, str, bool] | None = None
 
     # -- shell ---------------------------------------------------------------
 
     def execute(self, payload: str) -> str:
         """Run one LRM command line; both PBS and Slurm tools are installed."""
-        last = self._last_status
-        if last is not None and last[0] == payload:
-            return last[1]
+        answer = self._answer
+        if answer is not None:
+            if answer[0] == payload:
+                return answer[2]
+            if len(payload) > len(answer[0]) and payload.startswith(answer[1]):
+                added = _added_ids(answer[1], answer[0], payload)
+                if added is not None:
+                    return self._status(payload, answer[1], added, answer)
         argv = _argv(payload)
         if not argv:
             raise TransportError("empty command")
@@ -191,12 +238,23 @@ class SimulatedLrm:
         if tool in ("qdel", "scancel"):
             return self._cancel_cmd(argv[1:])
         if tool == "qstat":
-            output = self._qstat(argv[1:])
-        elif tool == "sacct":
-            output = self._sacct(argv[1:])
-        else:
-            raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
-        self._last_status = (payload, output)
+            return self._status(payload, tool, self._qstat(argv[1:]))
+        if tool == "sacct":
+            return self._status(payload, tool, self._sacct(argv[1:]))
+        raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
+
+    def _status(self, payload: str, tool: str, ids: Iterable[str],
+                base: tuple | None = None) -> str:
+        """Answer a status command naming ``ids``, after the ids of the answer
+        ``base`` when it extends that, and keep the answer."""
+        jobs = [*map(self.jobs.get, ids)]
+        output = "\n".join(map(_STATUS_LINE[tool], filter(None, jobs)))
+        known = all(jobs)
+        if base is not None:
+            before = base[2]
+            known = known and base[3]
+            output = f"{before}\n{output}" if before and output else before or output
+        self._answer = (payload, tool, output, known)
         return output
 
     def _qsub(self, args: list[str]) -> str:
@@ -233,16 +291,17 @@ class SimulatedLrm:
         self._enqueue(native_id, name, command, nodes)
         return f"Submitted batch job {native_id}"
 
-    def _qstat(self, args: list[str]) -> str:
-        jobs = filter(None, map(self.jobs.get, filterfalse(_IS_OPTION, args)))
-        return "\n".join(map(_QSTAT_BLOCK, jobs))
+    def _qstat(self, args: list[str]) -> Iterator[str]:
+        """The ids a qstat command names."""
+        return filterfalse(_IS_OPTION, args)
 
-    def _sacct(self, args: list[str]) -> str:
+    def _sacct(self, args: list[str]) -> list[str]:
+        """The ids a sacct command names."""
         ids: list[str] = []
         for arg in args:
             if arg.startswith("--jobs="):
                 ids = arg.split("=", 1)[1].split(",")
-        return "\n".join(map(_SACCT_LINE, filter(None, map(self.jobs.get, ids))))
+        return ids
 
     def _cancel_cmd(self, args: list[str]) -> str:
         for native_id in args:
@@ -253,7 +312,8 @@ class SimulatedLrm:
     # -- lifecycle -------------------------------------------------------------
 
     def _enqueue(self, native_id: str, name: str, command: list[str], nodes: int) -> None:
-        self._last_status = None
+        if self._answer is not None and not self._answer[3]:
+            self._answer = None  # it may name the new job
         job = NativeJob(native_id=native_id, name=name, command=tuple(command), node_count=nodes)
         self.jobs[native_id] = job
         wait, held = self._wait_for(self.clock.now)
@@ -277,7 +337,7 @@ class SimulatedLrm:
         runtime, exit_code = runtime_of_command(job.command, self.queue_model.default_runtime_s)
         final = "completed" if exit_code == 0 else "failed"
         job.exit_code = exit_code
-        self._last_status = None
+        self._answer = None
         job.set_state("running")
         self.trace.emit("backend_job_started", resource=self.resource.name,
                         native_id=native_id, name=job.name, nodes=job.node_count)
@@ -289,7 +349,7 @@ class SimulatedLrm:
             return
         if state == "canceled":
             job.exit_code = None
-        self._last_status = None
+        self._answer = None
         job.set_state(state)
         self.trace.emit("backend_job_finished", resource=self.resource.name,
                         native_id=native_id, name=job.name, state=state,

@@ -14,6 +14,10 @@ order, and ``parse_unit`` reads one unit as ``(native id, (state, exit
 code))``, or ``None`` for a unit that reports no state. A poll reports every
 held job and nearly every unit is the same as in the poll before, so the
 middleware keeps the units it has applied and parses only the others.
+``unit_start`` is the text at which a unit after the first starts, a line
+break and what follows it. An output that extends another at this text
+splits, after that line break, into the units it adds to the other's; in
+Slurm they may differ by an empty line, a unit that reports no state.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ PBS_KILL_EXIT = 271
 
 class DialectAdapter:
     name: str = "abstract"
+    unit_start: str
 
     def format_submit(self, command: list[str], node_count: int, job_name: str) -> str:
         raise NotImplementedError
@@ -49,6 +54,7 @@ class DialectAdapter:
 
 class SimPbsAdapter(DialectAdapter):
     name = "sim-pbs"
+    unit_start = "\nJob Id:"
 
     _LETTERS = {"Q": ("queued", None), "R": ("running", None)}
 
@@ -90,6 +96,7 @@ class SimPbsAdapter(DialectAdapter):
 
 class SimSlurmAdapter(DialectAdapter):
     name = "sim-slurm"
+    unit_start = "\n"
 
     _STATE_MAP = {
         "PENDING": "queued",

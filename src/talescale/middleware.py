@@ -14,8 +14,10 @@ Design constraints, each of which is load-bearing for scale:
   so its Python-level work is proportional to the jobs that changed; the
   part proportional to every active job (building the payload, splitting
   the output, finding its new units) runs inside C-level ``str``, ``set``
-  and ``itertools`` operations, and an output equal to the last one is not
-  parsed at all;
+  and ``itertools`` operations. An output equal to the last one applied is
+  not parsed at all, and one that extends it at a unit boundary is split
+  from the extension alone, so a poll that only adds jobs costs the added
+  ones;
 * sessions are reused across operations per (resource, credential) pair.
 
 A poller's tick is a grid event; its tag answers a run-ahead
@@ -40,7 +42,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import count, filterfalse
 from typing import Callable
 
 from .clock import grid_after
@@ -173,12 +175,14 @@ class _ResourceState:
     the status units applied to active records, is a subset of
     ``kept_ids.values()``, and ``kept_ids.keys()`` of the active native ids.
     ``active`` is in job-id string order (the order of the status payload)
-    unless ``unsorted`` is set.
+    unless ``unsorted`` is set. ``arrivals`` holds the native ids activated
+    since the last cycle that parsed an output.
     """
     active: dict[str, str] = field(default_factory=dict)
     job_ids: dict[str, str] = field(default_factory=dict)
     credentials: dict[str, int] = field(default_factory=dict)  # credential -> its active jobs
     unsorted: bool = False
+    arrivals: list[str] = field(default_factory=list)
     kept: set[str] = field(default_factory=set)
     kept_ids: dict[str, str] = field(default_factory=dict)  # native id -> its kept unit
     latest: list | None = None  # the pending list of the latest cycle that parsed
@@ -197,6 +201,7 @@ class _ResourceState:
             self.unsorted = True
         active[record.job_id] = record.native_id
         self.job_ids[record.native_id] = record.job_id
+        self.arrivals.append(record.native_id)
         credentials = self.credentials
         credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
 
@@ -216,28 +221,64 @@ class _ResourceState:
             self.active = dict(sorted(self.active.items()))
         return list(self.active.values())
 
-    def pending(self, adapter: DialectAdapter, output: str) -> list:
+    def pending(self, adapter: DialectAdapter, output: str, applied: str | None) -> list:
         """Sorted ``(job id, native id, (state, exit code), unit)`` for the fresh
-        units of ``output`` naming active jobs; forgets the kept units it outdates."""
-        units = adapter.parse_status(output)
-        kept, kept_ids = self.kept, self.kept_ids
-        fresh = [*filterfalse(kept.__contains__, units)]
-        # native id -> (state and exit code, unit), the last fresh unit winning
-        changed = {parsed[0]: (parsed[1], unit)
-                   for unit in fresh if (parsed := adapter.parse_unit(unit))}
-        for native_id in changed.keys() & kept_ids.keys():
-            # A known job changed: forget its kept unit, unless that comes later and wins.
+        units of ``output`` naming active jobs; forgets the kept units it outdates.
+
+        ``applied`` is the output last fully applied, or None. When jobs were
+        activated since the last parse and ``output`` extends ``applied`` at
+        a unit boundary, only the extension is parsed: its prefix's units
+        are applied already, unless they name a job activated since. A full
+        parse applies such a unit, so one is made when a job activated since
+        has no unit with a state in the extension and its native id occurs
+        in the prefix. Without such jobs the poll names no job the last one
+        did not, and a full parse is made.
+        """
+        kept, kept_ids, job_ids = self.kept, self.kept_ids, self.job_ids
+        text, arrivals = output, self.arrivals
+        if arrivals:
+            self.arrivals = []
+            if (applied is not None and output.startswith(adapter.unit_start, len(applied))
+                    and output.startswith(applied)):
+                text = output[len(applied) + 1:]
+        while True:  # the extension, then all of output if a unit in its prefix would apply
+            units = adapter.parse_status(text)
+            fresh = [*filterfalse(kept.__contains__, units)]
+            # native id -> (state and exit code, unit), the last fresh unit winning
+            changed = {parsed[0]: (parsed[1], unit)
+                       for unit in fresh if (parsed := adapter.parse_unit(unit))}
+            if text is output or not any(
+                    native_id not in changed and native_id in job_ids and native_id in applied
+                    for native_id in arrivals):
+                break
+            text = output
+        # A known job changed: forget its kept unit, unless that comes later and
+        # wins. A few such jobs each scan the units for it; past that, one map
+        # of last positions costs less than their scans.
+        outdated = changed.keys() & kept_ids.keys()
+        last = dict(zip(units, count())) if len(outdated) > _SCANS_PER_MAP else None
+        for native_id in outdated:
             old, unit = kept_ids[native_id], changed[native_id][1]
-            if old in units and units[::-1].index(old) < units[::-1].index(unit):
+            if last is None:
+                later = old in units and units[::-1].index(old) < units[::-1].index(unit)
+            else:
+                later = last.get(old, -1) > last[unit]
+            if later:
                 del changed[native_id]
             else:
                 kept.discard(kept_ids.pop(native_id))
-        if len(units) - len(fresh) != len(kept):  # a kept unit left the output, or repeats
+        # A kept unit left the whole output, or repeats; an extension leaves the prefix's.
+        if text is output and len(units) - len(fresh) != len(kept):
             kept.intersection_update(units)
-        job_ids = self.job_ids
         return sorted((job_ids[native_id], native_id, state_code, unit)
                       for native_id, (state_code, unit) in changed.items()
                       if native_id in job_ids)  # else no longer active
+
+
+# A map of last positions costs about as much as this many scans of the
+# units (2,100 units on a 2-CPU VM: 165 us, against 21 us a scan). A map on
+# every cycle where a known job changes cost job_storm 4% of its ops per second.
+_SCANS_PER_MAP = 8
 
 
 class LrmMiddleware:
@@ -370,8 +411,10 @@ class LrmMiddleware:
         The output a cycle parsed is kept once the cycle has applied all of
         it and is still the resource's latest. An equal output is then
         answered with ``[]`` unparsed: its difference could only name jobs
-        that are no longer active. A cycle drops the kept output before it
-        applies anything, and a unit joins the kept ones only once its
+        that are no longer active. One that extends it at a unit boundary
+        after jobs were added is parsed from the extension
+        (``_ResourceState.pending``). A cycle drops the kept output before
+        it applies anything, and a unit joins the kept ones only once its
         record is visited, so a cycle nested in its callbacks never skips
         against a half-applied one. Once a nested cycle has parsed a newer
         output, the outer one applies nothing more of its own, older one.
@@ -388,11 +431,12 @@ class LrmMiddleware:
         except (TransportError, SessionError) as exc:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []
-        if output == state.applied_output:
+        applied_output = state.applied_output
+        if output == applied_output:
             state.repeated = True
             return []
         state.applied_output = None
-        pending = state.latest = state.pending(adapter, output)
+        pending = state.latest = state.pending(adapter, output, applied_output)
         applied: list[tuple[str, JobState, JobState]] = []
         for job_id, native_id, state_code, unit in pending:
             record = self._records[job_id]

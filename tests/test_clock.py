@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import math
 
-from talescale.clock import SimClock, grid_after
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from talescale.clock import SimClock, _grid_points, grid_after
 from talescale.middleware import JobSpec
 
 from conftest import batch_world
@@ -193,3 +195,50 @@ def test_grid_after_is_strictly_after():
     assert grid_after(0.0, 5.0) == 5.0
     assert grid_after(5.0, 5.0) == 10.0
     assert grid_after(7.3, 5.0) == 10.0
+    assert 0.7 <= grid_after(0.6, 0.1) < 0.7 + 1e-12
+
+
+def _cell_formula(now, interval):
+    """The grid rule's formula on its own, which may give ``now`` itself."""
+    return math.floor(now / interval) * interval + interval
+
+
+@settings(max_examples=2000, deadline=None)
+@given(now=st.floats(0.0, 1e9), interval=st.floats(1e-6, 1e6))
+@example(now=0.6, interval=0.1)  # 0.6 / 0.1 is 5.999...
+def test_grid_after_is_after_now_and_keeps_every_point_the_formula_gets_right(now, interval):
+    point = grid_after(now, interval)
+    assert point > now
+    if _cell_formula(now, interval) > now:
+        assert point == _cell_formula(now, interval)
+
+
+@pytest.mark.parametrize("interval", [0.1, 0.3, 0.7, 1.1, 2.9, 0.05, 5.0])
+def test_grid_points_walk_forward_from_zero(interval):
+    point, points = 0.0, []
+    for _ in range(2000):
+        point = grid_after(point, interval)
+        points.append(point)
+    assert all(a < b for a, b in zip(points, points[1:]))
+    assert points[-1] == pytest.approx(2000 * interval)
+
+
+def _walked(start, interval, limit):
+    """The grid points from ``start`` on that lie before ``limit``, each
+    ``grid_after`` of the one before, and the first that does not."""
+    points, point = [], start
+    while point < limit:
+        points.append(point)
+        point = grid_after(point, interval)
+    return points, point
+
+
+@settings(max_examples=1000, deadline=None)
+@given(now=st.floats(0.0, 1e7), interval=st.floats(1e-3, 1e3), steps=st.floats(0.0, 300.0))
+@example(now=0.6, interval=0.1, steps=40.0)  # the formula gives back 0.6 itself
+@example(now=0.0, interval=0.3, steps=2000.0)
+@example(now=5.0, interval=5.0, steps=0.0)  # nothing before the limit
+def test_a_run_ahead_walks_the_points_grid_after_gives(now, interval, steps):
+    start = grid_after(now, interval)
+    limit = start + steps * interval
+    assert _grid_points(start, interval, limit) == _walked(start, interval, limit)

@@ -1,5 +1,6 @@
 import random
 import shlex
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -285,3 +286,92 @@ def test_a_failed_command_keeps_the_last_status_answer(adapter):
     assert lrm.execute(adapter.format_cancel("99")) == ""
     assert lrm.execute(query) is before
     assert len(renders) == 1
+
+
+def test_a_status_command_whose_words_after_the_id_list_change_is_answered_afresh():
+    # the ids go on, but a later --jobs= word of the same length replaces them
+    adapter = SimSlurmAdapter()
+    clock, lrm = _lrm("c", adapter)
+    for _ in range(2):
+        lrm.execute(adapter.format_submit(["sleep", "5"], 1, "j"))
+    assert lrm.execute("sacct --jobs=1 --noheader") == "1|PENDING|0:0"
+    assert lrm.execute("sacct --jobs=1,2 --jobs=345") == ""
+
+
+# Forms of a job's id a status query may name that tokenize otherwise: with
+# characters that quote, escape, end or split a word, as an option qstat
+# skips, and inside another word.
+_ODD_FORMS = ["'{}'", '"{}"', "'{} {}'", "{}\\ x", "{} {}", "{},{}", "-{}", "{}\x0b", "x{}", ""]
+
+_LRM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(["1", "5", "30"])),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 5.0, 10.0, 40.0])),
+    st.tuples(st.just("cancel"), st.integers(0, 15)),
+    st.tuples(st.sampled_from(["again", "append", "append", "ahead", "odd", "drop", "all",
+                               "trailer", "raw"]),
+              st.integers(1, 3), st.sampled_from(_ODD_FORMS)),
+), max_size=40)
+
+
+def _q(how, n=1, form=""):
+    return (how, n, form)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ops=_LRM_OPS, pbs=st.booleans())
+# an unknown id, then a known one appended, and then the unknown one enqueued
+@example(ops=[("submit", "5"), _q("all"), _q("ahead"), _q("append"), ("submit", "5"), _q("again")],
+         pbs=False)
+# a quote, or a quoted space, in the appended ids or before them
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="'{}'")], pbs=False)
+@example(ops=[("submit", "5"), _q("odd", form="'{} {}'"), _q("append")], pbs=False)
+# an id appended to a trailing word that holds "--jobs=", quoted or not, or after a space
+@example(ops=[("submit", "5"), _q("all"), _q("trailer"), _q("raw")], pbs=False)
+@example(ops=[("submit", "5"), _q("all"), _q("trailer", n=2), _q("raw")], pbs=False)
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{} {}")], pbs=False)
+# an appended id that str.split would end at a character shlex keeps in it
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{}\x0b")], pbs=True)
+def test_kept_status_answers_match_a_plain_render(ops, pbs):
+    # Queries repeat, extend or drop the ids of the one before, across job
+    # starts, finishes and cancels, and name ids before they are enqueued.
+    # A "trailer" query ends in an option that holds "--jobs=", and a "raw" one
+    # appends an id to the last payload's text. Each answer must be the one
+    # the LRM renders with no answer kept.
+    adapter = SimPbsAdapter() if pbs else SimSlurmAdapter()
+    line = attrgetter("qstat_block" if pbs else "sacct_line")
+    clock, lrm = _lrm("c", adapter)
+    named, payload = [], None
+    for op, *args in ops:
+        if op == "submit":
+            lrm.execute(adapter.format_submit(["sleep", args[0]], 1, "j"))
+            continue
+        if op == "advance":
+            clock.advance(args[0])
+            continue
+        known = list(lrm.jobs)
+        some = known[args[0] % len(known)] if known else "1"
+        if op == "cancel":
+            lrm.execute(adapter.format_cancel(some))
+            continue
+        n, form = args
+        if op == "append":
+            named += known[-n:]
+        elif op == "ahead":  # ids the next submits get
+            named += [f"{lrm._counter + i}{'.c' if pbs else ''}" for i in range(1, n + 1)]
+        elif op == "odd":
+            named.append(form.format(some, some))
+        elif op == "drop":
+            named = named[n:]
+        elif op == "all":
+            named = known
+        if op == "raw" and payload is not None:
+            payload += (" " if pbs else ",") + some
+        else:
+            trailer = (" -x--jobs={}", " '-x --jobs={}'")[n % 2].format(some)
+            payload = adapter.format_status(named) + (trailer if op == "trailer" else "")
+        kept, lrm._answer = lrm._answer, None
+        plain = _outcome(lrm.execute, payload)
+        lrm._answer = kept
+        assert _outcome(lrm.execute, payload) == plain
+        if op != "raw" and all(i in known or i.rstrip(".c").isdigit() for i in named):
+            assert plain == "\n".join(line(lrm.jobs[i]) for i in named if i in lrm.jobs)

@@ -351,10 +351,11 @@ class TestIncrementalPoll:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kept_status_answers_change_no_trace_byte_or_cycle_result(self, seed, monkeypatch):
-        # The LRM's last status output, the transport's last payload digest
-        # and the middleware's last applied output are each reused only when
-        # the answer cannot differ. The same run with all three dropped before
-        # every call must give the same trace bytes and cycle results.
+        # The LRM's last status answer, the transport's last payload digest
+        # and the middleware's last applied output are each reused, whole or
+        # extended, only when the answer cannot differ. The same run with all
+        # three dropped before every call must give the same trace bytes and
+        # cycle results.
         # Dropping the applied output also stops every run-ahead, which makes
         # repeated polls without calling poll_cycle, so both twins run with
         # run-ahead off; a third run, with it on, gives the same trace bytes.
@@ -405,7 +406,7 @@ class TestIncrementalPoll:
             return call
 
         monkeypatch.setattr(SimulatedLrm, "execute", forgetting(
-            SimulatedLrm.execute, lambda lrm: setattr(lrm, "_last_status", None)))
+            SimulatedLrm.execute, lambda lrm: setattr(lrm, "_answer", None)))
         monkeypatch.setattr(Transport, "call", forgetting(
             Transport.call, lambda transport: transport._digests.clear()))
         def forget_outputs_and_units(mw):
@@ -552,6 +553,20 @@ def _held_world(dialect):
     )
 
 
+def _status_outputs(world):
+    """Record the whole output of each status call through ``world``'s transport."""
+    outputs, call = [], world.transport.call
+
+    def recording_call(resource, credential, verb, payload):
+        output = call(resource, credential, verb, payload)
+        if verb == "batch_status":
+            outputs.append(output)
+        return output
+
+    world.transport.call = recording_call
+    return outputs
+
+
 def _counting(adapter):
     """Record each output ``adapter`` splits and each unit it parses."""
     outputs, units = [], []
@@ -594,7 +609,7 @@ class TestUnitWork:
         world = _held_world(dialect)
         mw = world.middleware
         adapter = mw.dialects[dialect]
-        outputs, _ = _counting(adapter)
+        outputs = _status_outputs(world)
         for _ in range(100):
             mw.submit(spec())
         mw.poll_cycle("hpc-1")
@@ -606,6 +621,59 @@ class TestUnitWork:
             kept = state.kept
             assert kept <= set(adapter.parse_status(outputs[-1])) and len(kept) == 100
             assert set(state.kept_ids) <= set(state.job_ids)
+
+    @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
+    def test_a_poll_that_adds_k_jobs_to_2000_held_ones_costs_k_lookups_and_k_units(self, dialect):
+        world = _held_world(dialect)
+        mw, lrm = world.middleware, world.clusters["hpc-1"]
+        adapter = mw.dialects[dialect]
+        split, parse_status = [], adapter.parse_status
+        adapter.parse_status = lambda output: split.append(parse_status(output)) or split[-1]
+        _, units = _counting(adapter)
+        handles = [mw.submit(spec()) for _ in range(2000)]
+        mw.poll_cycle("hpc-1")
+        lrm.jobs = CountingDict(lrm.jobs)
+        for k in (1, 12, 40):
+            handles += [mw.submit(spec()) for _ in range(k)]
+            lrm.jobs.reads, split[:], units[:] = 0, [], []
+            assert mw.poll_cycle("hpc-1") == [(h.job_id, JobState.SUBMITTED, JobState.QUEUED)
+                                              for h in handles[-k:]]
+            assert lrm.jobs.reads == k  # not 2000 + k
+            assert [len(parsed) for parsed in split] == [k] and len(units) == k
+
+    def test_a_cycle_where_1000_kept_jobs_change_scans_the_units_a_few_times(self):
+        world = batch_world(
+            queue={"distribution": "fixed", "params": {"value": 10.0},
+                   "maintenance_windows": [[0.0, 100.0]]},
+            resources=[{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                        "allows_incoming_connections": False, "node_count": 8,
+                        "queue": "q", "dialect": "sim-slurm"}],
+            scenario={"transport_rtt_s": 0.0, "poll_interval_s": 10_000.0})
+        mw = world.middleware
+        handles = [mw.submit(spec(command=("sleep", "1000"))) for _ in range(1000)]
+        assert len(mw.poll_cycle("hpc-1")) == 1000
+        world.clock.run_until(200.0)  # the window ends, and every held job starts
+
+        class ScanCounting(list):
+            scans = 0
+
+            def _scan(name):
+                def scan(self, *args):
+                    ScanCounting.scans += 1
+                    return getattr(list, name)(self, *args)
+                return scan
+
+            __iter__, __reversed__, __contains__, __getitem__, index, count = map(
+                _scan, ("__iter__", "__reversed__", "__contains__", "__getitem__", "index",
+                        "count"))
+            del _scan
+
+        adapter = mw.dialects["sim-slurm"]
+        parse_status = adapter.parse_status
+        adapter.parse_status = lambda output: ScanCounting(parse_status(output))
+        assert mw.poll_cycle("hpc-1") == [(h.job_id, JobState.QUEUED, JobState.RUNNING)
+                                          for h in handles]
+        assert ScanCounting.scans <= 4  # not one or more per changed job
 
     def test_of_two_units_naming_one_job_the_later_with_a_state_wins(self):
         world, answers = _scripted_status_world()
@@ -628,6 +696,18 @@ class TestUnitWork:
         # a later unit that reports no state does not count
         answers.append("\n".join([r1, r2, "Job Id: 2.hpc-1\n    job_state = Z"]))
         assert mw.poll_cycle("hpc-1") == [("j000002", JobState.QUEUED, JobState.RUNNING)]
+
+    def test_past_eight_changed_known_jobs_the_later_unit_still_wins(self):
+        # more than eight known jobs change in one cycle: one position map decides
+        world, answers = _scripted_status_world(jobs=12)
+        mw = world.middleware
+        q, r = ([f"Job Id: {i}.hpc-1\n    job_state = {x}" for i in range(1, 13)] for x in "QR")
+        answers.append("\n".join(q))
+        assert len(mw.poll_cycle("hpc-1")) == 12
+        answers.append("\n".join(r + q))  # each fresh unit comes before the kept one
+        assert mw.poll_cycle("hpc-1") == []
+        answers.append("\n".join(r[1:] + q + r[:1]))  # but job 1's now comes after it
+        assert mw.poll_cycle("hpc-1") == [("j000001", JobState.QUEUED, JobState.RUNNING)]
 
 
 def _full_parse_poll(mw, observed, resource_name):
@@ -674,19 +754,26 @@ def _full_parse_poll(mw, observed, resource_name):
     return applied
 
 
+def _units(stateful, stateless, malformed):
+    """A unit that reports a state four times in six, else one that reports
+    none or a malformed one: a malformed unit fails its whole cycle."""
+    return st.integers(0, 5).flatmap(
+        lambda i: stateful if i > 1 else stateless if i else malformed)
+
+
 # Status units for three scripted jobs (native ids 1 to 3) and one unknown
 # job (9): ones that report a state, ones that report none, and
 # malformed ones.
 _IDS = st.sampled_from("1239")
 _STATUS_UNITS = {
-    "sim-slurm": st.one_of(
+    "sim-slurm": _units(
         st.builds("{}|{}|{}:0".format, _IDS,
                   st.sampled_from(["PENDING", "RUNNING", "COMPLETED", "FAILED", "CANCELLED"]),
                   st.sampled_from("02")),
         st.sampled_from(["", " ", "\t"]),
         st.sampled_from(["1|BOGUS|0:0", "2|RUNNING", "3|FAILED|x:0"]),
     ),
-    "sim-pbs": st.one_of(
+    "sim-pbs": _units(
         st.builds("Job Id: {}.hpc-1\n    {}".format, _IDS,
                   st.sampled_from(["job_state = Q", "job_state = R", "job_state = F\n    exit_status = 0",
                                    "job_state = F\n    exit_status = 2",
@@ -698,34 +785,67 @@ _STATUS_UNITS = {
 }
 
 
-_POLLS = st.sampled_from(sorted(_STATUS_UNITS)).flatmap(lambda dialect: st.tuples(
-    st.just(dialect),
-    st.lists(st.lists(_STATUS_UNITS[dialect], max_size=8).map("\n".join), min_size=1, max_size=8)))
+@st.composite
+def _polls(draw):
+    """A dialect and the outputs of successive polls. Most outputs after the
+    first extend the one before: by more units after a line break, or, in
+    PBS, by lines that go on its last block. A Slurm output may end in a CR
+    or a blank line, so that an extension does not start a new line."""
+    dialect = draw(st.sampled_from(sorted(_STATUS_UNITS)))
+    units = st.lists(_STATUS_UNITS[dialect], max_size=8).map("\n".join)
+    outputs = []
+    for _ in range(draw(st.integers(1, 8))):
+        added = draw(units)
+        if outputs and draw(st.integers(0, 3)):
+            if dialect == "sim-pbs" and not draw(st.integers(0, 4)):  # no new Job Id: block
+                added = "\n".join(filter(None, ["    job_state = R", added]))
+            added = outputs[-1] + "\n" + added
+        if dialect == "sim-slurm":
+            added += draw(st.sampled_from(["", "", "", "\r", "\n", "\r\n"]))
+        outputs.append(added)
+    return dialect, outputs
 
 
 class TestKeptUnitsAgainstAFullParse:
-    @settings(max_examples=400, deadline=None)
-    @given(polls=_POLLS, nest=st.booleans())
+    @settings(max_examples=600, deadline=None)
+    @given(polls=_polls(), nest=st.booleans(), arrivals=st.lists(st.integers(0, 7), max_size=2))
     @example(polls=("sim-slurm", ["1|PENDING|0:0", "1|PENDING|0:0\n1|RUNNING|0:0",
-                                  "1|PENDING|0:0"]), nest=False)
+                                  "1|PENDING|0:0"]), nest=False, arrivals=[])
     @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0",
                                   "1|RUNNING|0:0\n2|PENDING|0:0\n2|PENDING|0:0",
-                                  "1|RUNNING|2:0\n2|RUNNING|0:0"]), nest=True)
+                                  "1|RUNNING|2:0\n2|RUNNING|0:0"]), nest=True, arrivals=[])
     # a cycle nested in the Running step applies a unit of a job that then ends
     @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = F\n    exit_status = 0",
-                                "Job Id: 1.hpc-1\n    job_state = R"]), nest=True)
-    def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest):
+                                "Job Id: 1.hpc-1\n    job_state = R"]), nest=True, arrivals=[])
+    # job 3 is named before it is submitted, and the extension names it no more
+    @example(polls=("sim-slurm", ["1|PENDING|0:0\n3|RUNNING|0:0",
+                                  "1|PENDING|0:0\n3|RUNNING|0:0\n2|PENDING|0:0"]),
+             nest=False, arrivals=[1])
+    # after job 3 is submitted, the extension repeats a unit of the prefix,
+    # then moves another job on
+    @example(polls=("sim-pbs", ["Job Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = Q",
+                                "Job Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = Q"
+                                "\nJob Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = R"]),
+             nest=False, arrivals=[1])
+    # after job 3 is submitted, job 1's block goes on with an exit status:
+    # the output extends the one before, but not at the start of a unit
+    @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = R",
+                                "Job Id: 1.hpc-1\n    job_state = R\n    exit_status = 0"]),
+             nest=False, arrivals=[1])
+    def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest, arrivals):
+        # ``arrivals`` submits one more job before each poll it names; the
+        # jobs submitted before the first poll make three in all
         dialect, outputs = polls
         runs = []
         for full in (False, True):
-            world, answers = _scripted_status_world(dialect, jobs=3)
+            world, answers = _scripted_status_world(dialect, jobs=3 - len(arrivals))
             # each job starts running once at most, so at most 3 polls are nested
             answers += outputs + outputs[-1:] * 3
             mw = world.middleware
             if full:
                 observed = {}
                 mw.poll_cycle = lambda resource: _full_parse_poll(mw, observed, resource)
-            parsed, _ = _counting(mw.dialects[dialect])
+            returned = _status_outputs(world)
             depth, results = [0], []
 
             def poll_when_running(spec, job_id, previous, state, t):
@@ -737,7 +857,9 @@ class TestKeptUnitsAgainstAFullParse:
                         depth[0] -= 1
 
             mw.add_transition_listener(poll_when_running)
-            for _ in outputs:
+            for i, _ in enumerate(outputs):
+                for _ in range(arrivals.count(i)):
+                    mw.submit(spec())
                 try:
                     results.append(mw.poll_cycle("hpc-1"))
                 except (ValidationError, ValueError, KeyError) as exc:
@@ -748,7 +870,7 @@ class TestKeptUnitsAgainstAFullParse:
                         kept, kept_ids = state.kept, state.kept_ids
                         assert kept <= set(kept_ids.values())
                         assert kept_ids.keys() <= state.job_ids.keys()
-                        assert len(kept) <= len(mw.dialects[dialect].parse_status(parsed[-1]))
+                        assert len(kept) <= len(mw.dialects[dialect].parse_status(returned[-1]))
                 results.append([(r.state, r.exit_code, tuple(r.transitions))
                                 for r in mw._records.values()])
             runs.append((results, world.trace.to_ndjson()))

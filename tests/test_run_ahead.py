@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from talescale.cli import main
 from talescale.digest import digest_bytes
 from talescale.errors import SessionError, TransportError
-from talescale.middleware import JobSpec
+from talescale.middleware import JobSpec, JobState
 from talescale.world import World, load_config
 
 
@@ -160,6 +160,38 @@ def test_run_ahead_changes_no_trace_byte_job_state_or_session(k):
         plain = outcome(k)
     assert ahead[0] == plain[0]
     assert ahead[1:] == plain[1:]
+
+
+@pytest.mark.parametrize("interval", [0.1, 0.3])
+def test_a_poll_interval_whose_quotients_round_down_runs_to_its_horizon(interval):
+    # 0.6 / 0.1 gives 5.999..., where the grid formula alone gives back 0.6
+    # itself: a run-ahead stepping along the grid from 0.6 never got past it.
+    def run():
+        world = World(load_config({
+            "resources": [{"name": name, "kind": "hpc_cluster", "lrm": "batch", "queue": "q",
+                           "dialect": dialect, "node_count": 4,
+                           "allows_incoming_connections": False}
+                          for name, dialect in (("slurm-1", "sim-slurm"), ("pbs-1", "sim-pbs"))],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "pools": [{"resource": "pbs-1", "min_warm": 1, "max_size": 2,
+                       "pilot_walltime_s": 20.0}],
+            "scenario": {"poll_interval_s": interval, "actions": [
+                {"op": "submit_jobs", "t": 0.2, "resource": "slurm-1", "count": 3,
+                 "spacing": 0.7, "command": ["sleep", "5"]},
+                {"op": "workload", "t": 3.0, "resource": "pbs-1", "command": ["sleep", "2"],
+                 "tale_id": "w1"}]},
+        }), 0)
+        world.run(60.0)
+        return world
+
+    ahead = run()
+    assert ahead.clock.now == 60.0
+    records = ahead.middleware._records.values()
+    assert [r.state for r in records if r.spec.resource == "slurm-1"] == [JobState.COMPLETED] * 3
+    assert ahead.trace.count("workload_started") == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(World, "_run_ahead", no_run_ahead)
+        assert run().trace.to_ndjson() == ahead.trace.to_ndjson()
 
 
 def soak_world(seed):
