@@ -23,14 +23,9 @@ Two calling contexts exist:
   a scheduled callback is instantaneous by construction.
 
 Grid events, scheduled with a ``grid`` tag, are the poll and pool ticks
-that re-arm themselves on one interval grid. After an instant that fired
-grid events only, ``run_until`` calls ``on_quiet``, whose owner may
-``run_ahead``: move the grid events forward past points at which they
-would only repeat themselves. Where every backend changes only through a
-clock event or a transport write, that holds up to the next other event;
-``World._run_ahead`` states the rule, and the tags say what the events
-do. The clock keeps the order: the group is queued again in firing order,
-after the events already pending at its new time, as a re-arm would be.
+on one interval grid; after an instant that fired only them, ``on_quiet``
+may ``run_ahead`` them past points where they would only repeat
+(``World._run_ahead`` states the rule).
 """
 
 from __future__ import annotations
@@ -188,7 +183,8 @@ class SimClock:
         next event outside the group, and returns how many of them, from
         the first, it stood in for. Those are skipped: ``now`` ends at the
         last of them, and the group is queued again, in its firing order,
-        at the first point not skipped.
+        at the first point not skipped, after the events already pending at
+        that time, as a re-arm would be.
         """
         heap, group = self._heap, []
         while heap:

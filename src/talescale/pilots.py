@@ -21,10 +21,8 @@ only schedules the next. The tick event is scheduled just as when every
 tick worked, so it keeps its place among equal-time events and traces
 are the same.
 
-The tick is a grid event on the clock. Its tag answers a run-ahead
-(``World._run_ahead``) from the pool's side: after an idle tick, and with
-nothing woken since, every tick before the walltime deadline is idle too,
-as long as no pilot starts or ends, which only a backend event can cause.
+The tick is a grid event; its tag answers a run-ahead (``World._run_ahead``)
+with the walltime deadline before which an idle tick stays idle.
 """
 
 from __future__ import annotations

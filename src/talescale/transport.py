@@ -14,8 +14,7 @@ one line per call::
 Synchronous costs (handshake, round trip) advance the clock when called
 from driver context.
 
-A run-ahead (``World._run_ahead``) repeats calls through ``repeater``,
-which uses their sessions and traces them as ``call`` would.
+``repeater`` answers a run-ahead (``World._run_ahead``) by making calls again as ``call`` would.
 """
 
 from __future__ import annotations

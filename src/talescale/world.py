@@ -24,8 +24,8 @@ from pathlib import Path
 from .clock import SimClock
 from .cluster import SimulatedLrm, runtime_of_command
 from .dms import DatasetCatalog, DmsCache, ExternalDataRef, StagingKind
-from .errors import (CapacityError, ConfigError, ValidationError, check_bool, check_keys, check_list,
-                     check_number)
+from .errors import (CapacityError, ConfigError, SessionError, TransportError, ValidationError,
+                     check_bool, check_keys, check_list, check_number)
 from .metrics import ScenarioMetrics
 from .middleware import JobSpec, JobState, LrmMiddleware
 from .pilots import PilotPool, PoolPolicy
@@ -336,7 +336,10 @@ class World:
         elif op == "cancel":
             index = action["job_index"]
             if index < len(self._submitted):
-                self.middleware.cancel(self._submitted[index])
+                try:  # a cancel lost in transit is traced, and the job runs on
+                    self.middleware.cancel(self._submitted[index])
+                except (TransportError, SessionError):
+                    pass
 
     def _spec_from(self, action: dict) -> JobSpec:
         """The action's job; ``_check_action`` has checked each key's type."""

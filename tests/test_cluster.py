@@ -1,11 +1,11 @@
 import random
 import shlex
-from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from talescale.clock import SimClock
+from talescale import cluster
 from talescale.cluster import SimulatedLrm, _argv
 from talescale.dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter
 from talescale.errors import TransportError
@@ -269,8 +269,35 @@ def test_a_job_write_between_equal_status_queries_renders_again(adapter, write):
     after = lrm.execute(query)
     assert after != before and len(renders) == 2
     assert after == "\n".join(
-        (job.qstat_block if adapter.name == "sim-pbs" else job.sacct_line)
-        for job in lrm.jobs.values())
+        map(cluster._STATUS_LINE["qstat" if adapter.name == "sim-pbs" else "sacct"],
+            lrm.jobs.values()))
+
+
+@pytest.mark.parametrize("write", ["start", "finish", "cancel_queued", "cancel_running"])
+@pytest.mark.parametrize("adapter", [SimPbsAdapter(), SimSlurmAdapter()], ids=["pbs", "slurm"])
+def test_a_job_write_swaps_its_line_in_a_large_kept_answer(adapter, write):
+    # past _PATCH_MIN_CHARS of output, a written job's line is swapped, and a
+    # query that then leaves the ended job out has its line cut: no render
+    clock, lrm, renders, submit = _counted_lrm(adapter)
+    ids = [submit("sleep", "5") for _ in range(200)]
+    line = cluster._STATUS_LINE["qstat" if adapter.name == "sim-pbs" else "sacct"]
+    if write in ("finish", "cancel_running"):
+        clock.run_until(10.0)
+    before = lrm.execute(adapter.format_status(ids))
+    assert len(before) >= cluster._PATCH_MIN_CHARS and len(renders) == 1
+    if write == "start":
+        clock.run_until(10.0)
+    elif write == "finish":
+        clock.run_until(15.0)
+    else:
+        lrm.execute(adapter.format_cancel(ids[50]))
+    after = lrm.execute(adapter.format_status(ids))
+    assert after != before and after == "\n".join(line(lrm.jobs[i]) for i in ids)
+    ended = [i for i in ids if lrm.jobs[i].state in ("completed", "canceled")]
+    assert bool(ended) == (write != "start") and len(renders) == 1
+    left = [i for i in ids if i not in ended]
+    assert lrm.execute(adapter.format_status(left)) == "\n".join(line(lrm.jobs[i]) for i in left)
+    assert len(renders) == 1
 
 
 @pytest.mark.parametrize("adapter", [SimPbsAdapter(), SimSlurmAdapter()], ids=["pbs", "slurm"])
@@ -307,9 +334,11 @@ _LRM_OPS = st.lists(st.one_of(
     st.tuples(st.just("submit"), st.sampled_from(["1", "5", "30"])),
     st.tuples(st.just("advance"), st.sampled_from([0.5, 5.0, 10.0, 40.0])),
     st.tuples(st.just("cancel"), st.integers(0, 15)),
-    st.tuples(st.sampled_from(["again", "append", "append", "ahead", "odd", "drop", "all",
-                               "trailer", "raw"]),
+    st.tuples(st.sampled_from(["again", "again", "again", "append", "append", "ahead", "odd",
+                               "drop", "all", "only", "trailer", "raw", "ended", "ended",
+                               "ended"]),
               st.integers(1, 3), st.sampled_from(_ODD_FORMS)),
+    st.tuples(st.sampled_from(["again", "ended"]), st.just(1), st.just("")),
 ), max_size=40)
 
 
@@ -317,29 +346,54 @@ def _q(how, n=1, form=""):
     return (how, n, form)
 
 
-@settings(max_examples=400, deadline=None)
-@given(ops=_LRM_OPS, pbs=st.booleans())
+def _own(pbs):
+    """A pinned example's LRM dialect, its own status tool, and every answer patched."""
+    return {"pbs": pbs, "qstat": pbs, "patch_min": 0}
+
+
+@settings(max_examples=500, deadline=None)
+@given(ops=_LRM_OPS, pbs=st.booleans(), qstat=st.booleans(),
+       patch_min=st.sampled_from([0, 0, cluster._PATCH_MIN_CHARS]))
 # an unknown id, then a known one appended, and then the unknown one enqueued
 @example(ops=[("submit", "5"), _q("all"), _q("ahead"), _q("append"), ("submit", "5"), _q("again")],
-         pbs=False)
+         **_own(False))
 # a quote, or a quoted space, in the appended ids or before them
-@example(ops=[("submit", "5"), _q("all"), _q("odd", form="'{}'")], pbs=False)
-@example(ops=[("submit", "5"), _q("odd", form="'{} {}'"), _q("append")], pbs=False)
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="'{}'")], **_own(False))
+@example(ops=[("submit", "5"), _q("odd", form="'{} {}'"), _q("append")], **_own(False))
 # an id appended to a trailing word that holds "--jobs=", quoted or not, or after a space
-@example(ops=[("submit", "5"), _q("all"), _q("trailer"), _q("raw")], pbs=False)
-@example(ops=[("submit", "5"), _q("all"), _q("trailer", n=2), _q("raw")], pbs=False)
-@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{} {}")], pbs=False)
+@example(ops=[("submit", "5"), _q("all"), _q("trailer"), _q("raw")], **_own(False))
+@example(ops=[("submit", "5"), _q("all"), _q("trailer", n=2), _q("raw")], **_own(False))
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{} {}")], **_own(False))
 # an appended id that str.split would end at a character shlex keeps in it
-@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{}\x0b")], pbs=True)
-def test_kept_status_answers_match_a_plain_render(ops, pbs):
+@example(ops=[("submit", "5"), _q("all"), _q("odd", form="{}\x0b")], **_own(True))
+# a written job named twice: its line occurs twice in the kept answer
+@example(ops=[("submit", "30"), _q("odd", form="{},{}"), ("advance", 10.0), _q("again")],
+         **_own(False))
+# job 1 starts while the kept answer names job 11 only, whose line holds job 1's
+@example(ops=[("submit", "30"), ("advance", 5.0), *[("submit", "30")] * 10, _q("only"),
+              ("advance", 5.0), _q("again")], **_own(False))
+# a PBS block of two lines becomes one of three, then leaves the query, which
+# goes on with an id appended
+@example(ops=[("submit", "30"), ("submit", "30"), _q("all"), ("cancel", 0), _q("again"),
+              ("submit", "30"), _q("ended", n=2)], **_own(True))
+def test_kept_status_answers_match_a_plain_render(ops, pbs, qstat, patch_min):
     # Queries repeat, extend or drop the ids of the one before, across job
     # starts, finishes and cancels, and name ids before they are enqueued.
+    # An "ended" query leaves out the ids of jobs that ended, as a poll does.
     # A "trailer" query ends in an option that holds "--jobs=", and a "raw" one
-    # appends an id to the last payload's text. Each answer must be the one
-    # the LRM renders with no answer kept.
-    adapter = SimPbsAdapter() if pbs else SimSlurmAdapter()
-    line = attrgetter("qstat_block" if pbs else "sacct_line")
-    clock, lrm = _lrm("c", adapter)
+    # appends an id to the last payload's text. The status tool is drawn apart
+    # from the LRM's dialect. Each answer must be the one the LRM renders with
+    # no answer kept. With ``patch_min`` 0, every kept answer is patched on a
+    # write, however short.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cluster, "_PATCH_MIN_CHARS", patch_min)
+        _check_kept_answers(ops, pbs, qstat)
+
+
+def _check_kept_answers(ops, pbs, qstat):
+    adapter = SimPbsAdapter() if qstat else SimSlurmAdapter()
+    line = cluster._STATUS_LINE["qstat" if qstat else "sacct"]
+    clock, lrm = _lrm("c", SimPbsAdapter() if pbs else SimSlurmAdapter())
     named, payload = [], None
     for op, *args in ops:
         if op == "submit":
@@ -364,14 +418,21 @@ def test_kept_status_answers_match_a_plain_render(ops, pbs):
             named = named[n:]
         elif op == "all":
             named = known
+        elif op == "only":
+            named = known[-n:]
+        elif op == "ended":  # every id of a job that ended, or (n = 3) the first one
+            ended = [i for i in named if i in lrm.jobs and lrm.jobs[i].state in (
+                "completed", "failed", "canceled")][:1 if n == 3 else None]
+            named = [i for i in named if i not in ended] + known[-1:] * (n == 2)
         if op == "raw" and payload is not None:
-            payload += (" " if pbs else ",") + some
+            payload += (" " if qstat else ",") + some
         else:
             trailer = (" -x--jobs={}", " '-x --jobs={}'")[n % 2].format(some)
             payload = adapter.format_status(named) + (trailer if op == "trailer" else "")
-        kept, lrm._answer = lrm._answer, None
+        kept = lrm._answer, lrm._notes
+        lrm._answer, lrm._notes = None, {}
         plain = _outcome(lrm.execute, payload)
-        lrm._answer = kept
+        lrm._answer, lrm._notes = kept
         assert _outcome(lrm.execute, payload) == plain
         if op != "raw" and all(i in known or i.rstrip(".c").isdigit() for i in named):
             assert plain == "\n".join(line(lrm.jobs[i]) for i in named if i in lrm.jobs)

@@ -1,11 +1,14 @@
 import random
+import re
 import statistics
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from talescale import cluster, middleware
 from talescale.cluster import SimulatedLrm
+from talescale.dialects import ADAPTERS
 from talescale.digest import short_digest
 from talescale.errors import (
     SessionError,
@@ -395,6 +398,10 @@ class TestIncrementalPoll:
             _drive(world, seed)
             return world.trace.to_ndjson(), results, work
 
+        # every kept answer is patched on a write, and every edit read as one,
+        # however short the output
+        monkeypatch.setattr(cluster, "_PATCH_MIN_CHARS", 0)
+        monkeypatch.setattr(middleware, "_EDIT_MIN_CHARS", 0)
         ahead = run()
         monkeypatch.setattr(World, "_run_ahead", lambda world, horizon: None)
         kept = run()
@@ -405,15 +412,22 @@ class TestIncrementalPoll:
                 return method(self, *args)
             return call
 
-        monkeypatch.setattr(SimulatedLrm, "execute", forgetting(
-            SimulatedLrm.execute, lambda lrm: setattr(lrm, "_answer", None)))
+        def forget_answer(lrm):
+            lrm._answer = None
+            lrm._notes.clear()
+
+        monkeypatch.setattr(SimulatedLrm, "execute",
+                            forgetting(SimulatedLrm.execute, forget_answer))
         monkeypatch.setattr(Transport, "call", forgetting(
             Transport.call, lambda transport: transport._digests.clear()))
+
         def forget_outputs_and_units(mw):
             for state in mw._active.values():
                 state.applied_output = None
                 state.kept.clear()
                 state.kept_ids.clear()
+                state.departed.clear()
+                state.canceled.clear()
 
         monkeypatch.setattr(LrmMiddleware, "poll_cycle", forgetting(
             LrmMiddleware.poll_cycle, forget_outputs_and_units))
@@ -641,6 +655,48 @@ class TestUnitWork:
             assert lrm.jobs.reads == k  # not 2000 + k
             assert [len(parsed) for parsed in split] == [k] and len(units) == k
 
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 12), (3, 1), (3, 12)])
+    @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
+    def test_the_two_polls_after_c_of_2000_held_jobs_are_canceled_cost_the_changed_jobs(
+            self, dialect, c, k):
+        world = _held_world(dialect)
+        mw, lrm = world.middleware, world.clusters["hpc-1"]
+        adapter = mw.dialects[dialect]
+        texts, units = _counting(adapter)
+        payloads, call = [], world.transport.call
+
+        def recording_call(resource, credential, verb, payload):
+            if verb == "batch_status":
+                payloads.append(payload)
+            return call(resource, credential, verb, payload)
+
+        world.transport.call = recording_call
+        handles = [mw.submit(spec()) for _ in range(2000)]
+        mw.poll_cycle("hpc-1")
+        canceled = handles[100::700][:c]  # from the middle of the output
+        natives = [mw._records[h.job_id].native_id for h in canceled]
+        line = cluster._STATUS_LINE["qstat" if dialect == "sim-pbs" else "sacct"]
+        lines = [line(lrm.jobs[native_id]) for native_id in natives]
+        for handle in canceled:
+            mw.cancel(handle)
+        lines += [line(lrm.jobs[native_id]) for native_id in natives]
+        lrm.jobs = CountingDict(lrm.jobs)
+        for poll in range(2):
+            handles += [mw.submit(spec()) for _ in range(k)]
+            lrm.jobs.reads, units[:], texts[:] = 0, [], []
+            expected = [(h.job_id, JobState.SUBMITTED, JobState.QUEUED) for h in handles[-k:]]
+            if poll == 0:
+                expected = sorted(expected + [(h.job_id, JobState.QUEUED, JobState.CANCELED)
+                                              for h in canceled])
+            assert mw.poll_cycle("hpc-1") == expected
+            # not 2000 + k reads and units
+            assert lrm.jobs.reads <= (c + k if poll == 0 else k)
+            assert len(units) == (c + k if poll == 0 else k)
+        # the second poll names neither the canceled jobs nor their units
+        assert not set(natives) & set(payloads[-1].replace("=", " ").replace(",", " ").split())
+        assert not any(line in text for line in lines for text in texts)
+        assert all(mw.status(h).state is JobState.CANCELED for h in canceled)
+
     def test_a_cycle_where_1000_kept_jobs_change_scans_the_units_a_few_times(self):
         world = batch_world(
             queue={"distribution": "fixed", "params": {"value": 10.0},
@@ -789,52 +845,120 @@ _STATUS_UNITS = {
 def _polls(draw):
     """A dialect and the outputs of successive polls. Most outputs after the
     first extend the one before: by more units after a line break, or, in
-    PBS, by lines that go on its last block. A Slurm output may end in a CR
-    or a blank line, so that an extension does not start a new line."""
+    PBS, by lines that go on its last block. Others replace or cut one of its
+    units or lines, as an LRM answers after a cancel or once a job left the
+    poll, with more units after it or none. A Slurm output may end in a CR or
+    a blank line, so that an extension does not start a new line."""
     dialect = draw(st.sampled_from(sorted(_STATUS_UNITS)))
     units = st.lists(_STATUS_UNITS[dialect], max_size=8).map("\n".join)
-    outputs = []
+    outputs, pieces = [], []
     for _ in range(draw(st.integers(1, 8))):
         added = draw(units)
-        if outputs and draw(st.integers(0, 3)):
+        how = draw(st.integers(0, 7)) if outputs else 0
+        if how >= 4 and pieces:  # replace or cut one piece of the one before
+            i = draw(st.integers(0, len(pieces) - 1))
+            pieces[i:i + 1] = [] if how >= 6 else [draw(_STATUS_UNITS[dialect]) if how == 4 else
+                                                  draw(_restated(dialect, pieces[i]))]
+            tail = draw(st.sampled_from(["", added]))
+            added = "\n".join(filter(None, ["\n".join(pieces), tail]))
+        elif how:
             if dialect == "sim-pbs" and not draw(st.integers(0, 4)):  # no new Job Id: block
                 added = "\n".join(filter(None, ["    job_state = R", added]))
             added = outputs[-1] + "\n" + added
         if dialect == "sim-slurm":
             added += draw(st.sampled_from(["", "", "", "\r", "\n", "\r\n"]))
         outputs.append(added)
+        pieces = re.split("\n(?=Job Id:)" if dialect == "sim-pbs" else "\n", added)
     return dialect, outputs
 
 
+def _restated(dialect, piece):
+    """A unit naming the job ``piece`` names, with a drawn state."""
+    if dialect == "sim-slurm":
+        return st.builds("{}|{}|{}:0".format, st.just(piece.split("|")[0]),
+                         st.sampled_from(["PENDING", "RUNNING", "COMPLETED", "CANCELLED"]),
+                         st.sampled_from("02"))
+    return st.builds("{}\n    {}".format, st.just(piece.split("\n")[0]),
+                     st.sampled_from(["job_state = R", "job_state = F\n    exit_status = 271"]))
+
+
+def _vanished(dialect, before, after):
+    """The native ids of the units ``before`` holds more often than ``after``."""
+    adapter = ADAPTERS[dialect]()
+    gone = Counter(adapter.parse_status(before)) - Counter(adapter.parse_status(after))
+    return sorted({(unit.split("|") if dialect == "sim-slurm" else unit.split("\n"))[0].strip()
+                   for unit in gone} - {""})
+
+
 class TestKeptUnitsAgainstAFullParse:
-    @settings(max_examples=600, deadline=None)
-    @given(polls=_polls(), nest=st.booleans(), arrivals=st.lists(st.integers(0, 7), max_size=2))
+    @settings(max_examples=800, deadline=None)
+    @given(polls=_polls(), nest=st.booleans(), arrivals=st.lists(st.integers(0, 7), max_size=2),
+           cancels=st.sampled_from([True, True, False]))
     @example(polls=("sim-slurm", ["1|PENDING|0:0", "1|PENDING|0:0\n1|RUNNING|0:0",
-                                  "1|PENDING|0:0"]), nest=False, arrivals=[])
+                                  "1|PENDING|0:0"]), nest=False, arrivals=[], cancels=False)
     @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0",
                                   "1|RUNNING|0:0\n2|PENDING|0:0\n2|PENDING|0:0",
-                                  "1|RUNNING|2:0\n2|RUNNING|0:0"]), nest=True, arrivals=[])
+                                  "1|RUNNING|2:0\n2|RUNNING|0:0"]),
+             nest=True, arrivals=[], cancels=False)
     # a cycle nested in the Running step applies a unit of a job that then ends
     @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = F\n    exit_status = 0",
-                                "Job Id: 1.hpc-1\n    job_state = R"]), nest=True, arrivals=[])
+                                "Job Id: 1.hpc-1\n    job_state = R"]),
+             nest=True, arrivals=[], cancels=False)
     # job 3 is named before it is submitted, and the extension names it no more
     @example(polls=("sim-slurm", ["1|PENDING|0:0\n3|RUNNING|0:0",
                                   "1|PENDING|0:0\n3|RUNNING|0:0\n2|PENDING|0:0"]),
-             nest=False, arrivals=[1])
+             nest=False, arrivals=[1], cancels=False)
     # after job 3 is submitted, the extension repeats a unit of the prefix,
     # then moves another job on
     @example(polls=("sim-pbs", ["Job Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = Q",
                                 "Job Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = Q"
                                 "\nJob Id: 2.hpc-1\n    job_state = R\nJob Id: 1.hpc-1\n    job_state = R"]),
-             nest=False, arrivals=[1])
+             nest=False, arrivals=[1], cancels=False)
     # after job 3 is submitted, job 1's block goes on with an exit status:
     # the output extends the one before, but not at the start of a unit
     @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = R",
                                 "Job Id: 1.hpc-1\n    job_state = R\n    exit_status = 0"]),
-             nest=False, arrivals=[1])
-    def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest, arrivals):
+             nest=False, arrivals=[1], cancels=False)
+    # job 1 is named twice, and a cancel replaces the copy a later one outdates
+    @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0\n1|PENDING|0:0",
+                                  "1|CANCELLED|0:0\n2|PENDING|0:0\n1|PENDING|0:0"]),
+             nest=False, arrivals=[], cancels=True)
+    # job 1's kept unit is a substring of job 11's in the output a cancel of job 1 edits
+    @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0",
+                                  "11|PENDING|0:0\n2|PENDING|0:0",
+                                  "11|CANCELLED|0:0\n2|RUNNING|0:0"]),
+             nest=False, arrivals=[], cancels=True)
+    # the unit in canceled job 1's place names job 2, whose kept unit comes later and wins
+    @example(polls=("sim-slurm", ["1|PENDING|0:0\n2|PENDING|0:0", "2|RUNNING|0:0\n2|PENDING|0:0"]),
+             nest=False, arrivals=[], cancels=True)
+    # in PBS blocks: a cancel replaces job 2's, job 1's leaves, and job 3's follows
+    @example(polls=("sim-pbs", ["Job Id: 2.hpc-1\n    job_state = Q\nJob Id: 1.hpc-1"
+                                "\n    job_state = F\n    exit_status = 0"
+                                "\nJob Id: 3.hpc-1\n    job_state = Q",
+                                "Job Id: 2.hpc-1\n    job_state = F\n    exit_status = 271"
+                                "\nJob Id: 3.hpc-1\n    job_state = Q"
+                                "\nJob Id: 3.hpc-1\n    job_state = R"]),
+             nest=False, arrivals=[], cancels=True)
+    # a cancel replaces job 1's kept block with one that gives no state, so
+    # job 1's first block, which the kept one outdated, applies again
+    @example(polls=("sim-pbs", ["Job Id: 1.hpc-1\n    job_state = Q\nJob Id: 1.hpc-1\n    job_state = Z",
+                                "Job Id: 1.hpc-1\n    job_state = Q\nJob Id: 1.hpc-1\n    job_state = Z"
+                                "\n    job_state = R",
+                                "Job Id: 1.hpc-1\n    job_state = Q\nJob Id: 1.hpc-1\n    job_state = Z"]),
+             nest=False, arrivals=[], cancels=True)
+    def test_same_cycle_results_and_errors_as_parsing_every_unit(self, polls, nest, arrivals,
+                                                                 cancels):
         # ``arrivals`` submits one more job before each poll it names; the
-        # jobs submitted before the first poll make three in all
+        # jobs submitted before the first poll make three in all. With
+        # ``cancels``, each job whose unit the next output leaves out or
+        # replaces is canceled before that poll. Every edit is read as one,
+        # however short the output.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(middleware, "_EDIT_MIN_CHARS", 0)
+            self._check(polls, nest, arrivals, cancels)
+
+    @staticmethod
+    def _check(polls, nest, arrivals, cancels):
         dialect, outputs = polls
         runs = []
         for full in (False, True):
@@ -860,6 +984,10 @@ class TestKeptUnitsAgainstAFullParse:
             for i, _ in enumerate(outputs):
                 for _ in range(arrivals.count(i)):
                     mw.submit(spec())
+                for native_id in _vanished(dialect, *outputs[i - 1:i + 1]) if cancels and i else ():
+                    for record in mw._records.values():
+                        if record.native_id == native_id and record.state not in TERMINAL_STATES:
+                            mw.cancel(record.job_id)
                 try:
                     results.append(mw.poll_cycle("hpc-1"))
                 except (ValidationError, ValueError, KeyError) as exc:

@@ -11,8 +11,9 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from talescale import cluster, middleware
 from talescale.cli import main
 from talescale.digest import digest_bytes
 from talescale.errors import SessionError, TransportError
@@ -40,6 +41,9 @@ def knobs(draw):
         "cancels": draw(st.integers(0, 3)),
         "datasets": draw(st.integers(0, 4)),
         "drive": draw(st.sampled_from(("run", "advance", "step"))),
+        # 0: every kept status answer is patched on a write, and every edit
+        # read as one, however short the output; None: the sizes they pay from
+        "edit_min": draw(st.sampled_from((0, None))),
     }
 
 
@@ -139,20 +143,26 @@ def drive(k, world, horizon, rng):
 
 
 def outcome(k):
-    world, horizon, rng = build(k)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if k["edit_min"] is not None:
+            mp.setattr(cluster, "_PATCH_MIN_CHARS", k["edit_min"])
+            mp.setattr(middleware, "_EDIT_MIN_CHARS", k["edit_min"])
+        world, horizon, rng = build(k)
         drive(k, world, horizon, rng)
-        error = None
-    except (TransportError, SessionError) as exc:  # a scenario cancel lost in transit ends the run
-        error = repr(exc)
     mw = world.middleware
     jobs = [record["job_id"] for record in world.trace.records("job_submitted")]
     return (world.trace.to_ndjson(), {job: mw.status(job) for job in jobs},
-            dict(world.transport._sessions), world.clock.now, error)
+            dict(world.transport._sessions), world.clock.now)
 
 
 @settings(max_examples=60, deadline=None)
 @given(knobs())
+# A job held in a "hold" window is canceled at 293.7 s: the LRM patches its
+# kept answer, the middleware reads the next output as that edit, and quiet
+# stretches of repeated polls follow.
+@example({"seed": 1, "interval": 5.0, "ttl": None, "dialects": ["sim-slurm"], "pool": False,
+          "maintenance": "hold", "failures": 0, "cancels": 3, "datasets": 0, "drive": "run",
+          "edit_min": 0})
 def test_run_ahead_changes_no_trace_byte_job_state_or_session(k):
     ahead = outcome(k)
     with pytest.MonkeyPatch.context() as mp:

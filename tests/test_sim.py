@@ -672,6 +672,27 @@ class TestWorldRun:
         assert world.cache.entry("doi:b").state == CacheState.ABSENT
         assert world.cache.resident_bytes() == 60
 
+    @pytest.mark.parametrize("kind, traced", [("transport", "transport_failed"),
+                                              ("handshake", "handshake_failed")])
+    def test_a_scenario_cancel_lost_in_transit_leaves_the_job_running(self, kind, traced):
+        # the cancel's call fails: the failure is in the trace, and the run goes on
+        world = World(load_config({
+            "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "node_count": 4,
+                           "allows_incoming_connections": False, "queue": "q",
+                           "dialect": "sim-slurm"}],
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "scenario": {"idle_ttl_s": 2.0, "actions": [
+                {"op": "submit_jobs", "t": 0.0, "resource": "hpc-1", "command": ["sleep", "100"]},
+                {"op": "cancel", "t": 20.0, "job_index": 0}]},
+        }), 0)
+        world.clock.at(19.9, lambda: world.transport.inject_failure(kind, 1))
+        trace, _ = world.run(200.0)
+        assert [ev.t for ev in trace if ev.kind == traced] == [20.0]
+        # the cancel was the call that failed: no cancel call is traced
+        assert not [ev for ev in trace if ev.kind == "transport_call"
+                    and ev.fields["verb"] == "cancel"]
+        assert world.middleware.status("j000001").state is JobState.COMPLETED
+
 
 FLAT_URIS = [f"doi:10.5072/flat{j:02d}" for j in range(40)]
 FLAT_CACHE_ENTRIES = 8  # capacity in 1 MB datasets
