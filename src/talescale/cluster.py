@@ -2,9 +2,10 @@
 
 Each batch resource gets one SimulatedLrm, a queue of native jobs driven
 by the shared clock. The shell entry point accepts the same command
-strings a real cluster would (qsub/qstat/qdel and sbatch/sacct/scancel),
-so the dialect adapters are exercised end to end: what they format is
-what gets parsed here, and what this emits is what they parse back.
+strings a real cluster of the resource's dialect would (qsub/qstat/qdel on
+a PBS one, sbatch/sacct/scancel on a Slurm one), so the dialect adapters
+are exercised end to end: what they format is what gets parsed here, and
+what this emits is what they parse back.
 
 Job runtimes come from a tiny command convention::
 
@@ -15,27 +16,14 @@ Job runtimes come from a tiny command convention::
 
 Anything else runs for the queue model's default runtime.
 
-Each native job carries the text its LRM's own status tool reports for
-it (``sacct`` for a Slurm resource, ``qstat`` for a PBS one),
+Each native job carries the line its LRM's status tool reports for it,
 re-rendered at each write of its state, so a status query joins stored
-lines at C level instead of formatting every held job again; the other
-tool's text is rendered when a query asks for it. The LRM also keeps its
-last status answer: the command line, the output, whether every id it
-named was a job, and the ids whose lines it reports ended. An enqueue
-drops it unless every named id was a job already, and so does any write
-while it is the other tool's. The write rule: a job start or finish
-(which a cancel goes through) keeps an own-tool answer and notes the job
-with the line it had; it drops an answer shorter than
-``_PATCH_MIN_CHARS``, which costs less to render afresh. While an answer
-is kept, a status command equal to the last one, or one that only
-appends ids to its id list, is answered from the stored output with each
-noted job's line swapped for its new one and the appended ids' lines
-added; the cut rule: one that also leaves out every id whose line the
-kept answer reports ended is answered by cutting their lines. So a poll
-costs the jobs that were added, written or left out, not one lookup per
-held job. A noted line that occurs more than once at a line boundary
-takes the full path; one that does not occur there is a job's that the
-kept answer does not name, so nothing in it is swapped.
+lines at C level instead of formatting every held job again. The LRM keeps
+its last status answer, and answers a query whose id list ``read_edit``
+reads as the kept one's with ids appended and ended ids cut by editing that
+answer with ``splice``: written jobs' lines replaced, ended ones cut,
+appended ones added. So a poll costs the jobs that were added, written or
+left out, not one lookup per held job.
 
 Command lines are tokenized with ``shlex.split`` semantics, always.
 ``_argv`` takes ``str.split`` as a fast path only for payloads on which
@@ -64,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import attrgetter, methodcaller
 
-from .dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter
+from .dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter, read_edit, splice
 from .errors import TransportError, ValidationError
 from .queues import QueueModel, adjust_for_maintenance
 from .resources import ResourceDescriptor
@@ -172,11 +160,6 @@ _IS_OPTION = methodcaller("startswith", "-")
 _LINE = attrgetter("line")
 # The characters that end a shlex word outside quotes.
 _SHLEX_SPACES = " \t\r\n"
-# Per status tool: what separates appended ids, and the line of one job.
-_ID_SEPARATOR = {"qstat": " ", "sacct": ","}
-_STATUS_LINE = {"qstat": _qstat_block, "sacct": _sacct_line}
-# Each dialect's own status tool.
-_TOOL = {SimPbsAdapter.name: "qstat", SimSlurmAdapter.name: "sacct"}
 _ENDED = frozenset({"completed", "failed", "canceled"})  # the states a job ends in
 # Below this many characters of output, rendering a status answer afresh
 # costs less than patching the kept one (2-CPU VM: about 27 against 26 us for
@@ -188,85 +171,6 @@ _PATCH_MIN_CHARS = 1500
 def _has_quote(text: str) -> bool:
     """Whether ``text`` holds a quote or a backslash."""
     return "'" in text or '"' in text or "\\" in text
-
-
-def _added_ids(tool: str, last: str, payload: str) -> list[str] | None:
-    """The ids ``payload`` appends to the id list of ``last``, a ``tool``
-    command: ``payload`` is ``last`` with the tool's id separator and more
-    ids inserted where its id list ends (the payload's end for qstat, the
-    end of the last ``--jobs=`` word for sacct). None when it is not, or
-    when quotes or backslashes may hide where words end."""
-    cut = len(last) if tool == "qstat" else _jobs_word_end(last)
-    if (cut is None or payload[cut] != _ID_SEPARATOR[tool] or _has_quote(payload)
-            or not payload.startswith(last[:cut]) or not payload.endswith(last[cut:])):
-        return None
-    added = payload[cut + 1:len(payload) - len(last) + cut]
-    if tool == "qstat":  # the appended words, split as _argv would; qstat skips options
-        return None if _has_word_space(added) else [*filterfalse(_IS_OPTION, added.split())]
-    # more of the --jobs= word: no whitespace may end it
-    return None if any(map(added.__contains__, _SHLEX_SPACES)) else added.split(",")
-
-
-def _jobs_word_end(payload: str) -> int | None:
-    """Where the last ``--jobs=`` word of a sacct payload ends; None when
-    there is no such word."""
-    start = payload.rfind("--jobs=")
-    if start < 1 or payload[start - 1] not in _SHLEX_SPACES:  # none, or inside a word
-        return None
-    ends = [end for space in _SHLEX_SPACES if (end := payload.find(space, start)) >= 0]
-    return min(ends, default=len(payload))
-
-
-def _ids_after(tool: str, last: str, payload: str) -> list[str] | None:
-    """The ids ``payload`` appends to ``last``'s: none when the two are
-    equal, None when it is not ``last`` with ids appended."""
-    if payload == last:
-        return []
-    return _added_ids(tool, last, payload) if len(payload) > len(last) else None
-
-
-def _without_ids(tool: str, last: str, ids) -> str | None:
-    """``last``, a ``tool`` command, with each of ``ids`` taken out of its id
-    list (the words after qstat, the last ``--jobs=`` word of sacct). None
-    when one is not there exactly once as a whole id, or when quotes or
-    backslashes may hide where words end."""
-    if _has_quote(last):
-        return None
-    if tool == "qstat":
-        start, end = 0, len(last)
-    else:
-        end = _jobs_word_end(last)
-        if end is None:
-            return None
-        start = last.rfind("--jobs=", 0, end) + len("--jobs=")
-    sep = _ID_SEPARATOR[tool]
-    kept = _splice(f"{sep}{last[start:end]}{sep}", sep, [(native_id, "") for native_id in ids])
-    return None if kept is None else f"{last[:start]}{kept[1:-1]}{last[end:]}"
-
-
-def _splice(text: str, sep: str, edits) -> str | None:
-    """``text`` with each ``(old, new)`` edit made: where ``sep + old + sep``
-    occurs, ``sep + old`` becomes ``new``. An edit whose ``new`` is empty
-    (a cut) must occur exactly once; any other, at most once, and nothing is
-    done for it when it does not occur. None when an edit fails that."""
-    spots = []
-    for old, new in edits:
-        needle = f"{sep}{old}{sep}"
-        at = text.find(needle)
-        if at < 0 and new:
-            continue
-        if at < 0 or text.find(needle, at + 1) >= 0:
-            return None
-        spots.append((at, at + len(sep) + len(old), new))
-    spots.sort()
-    pieces, pos = [], 0
-    for at, end, new in spots:
-        if at < pos:
-            return None  # one text edited twice
-        pieces += text[pos:at], new
-        pos = end
-    pieces.append(text[pos:])
-    return "".join(pieces)
 
 
 class SimulatedLrm:
@@ -282,27 +186,30 @@ class SimulatedLrm:
         self.trace = trace
         self.jobs: dict[str, NativeJob] = {}
         self._counter = 0
-        self._tool = _TOOL[resource.dialect]
-        self._render = _STATUS_LINE[self._tool]
-        self._renders = {**_STATUS_LINE, self._tool: _LINE}  # tool -> what renders a job's line
-        # The last qstat or sacct answer, while no job write but a noted one
-        # can have changed it: (payload, tool, output, whether every id it
-        # named was a job, {native id: line} for the lines in it that report
-        # an end, where it was patched or extended).
-        self._answer: tuple[str, str, str, bool, dict[str, str]] | None = None
+        pbs = resource.dialect == SimPbsAdapter.name
+        self._tools = ("qsub", "qstat", "qdel") if pbs else ("sbatch", "sacct", "scancel")
+        self._render = _qstat_block if pbs else _sacct_line  # a job's status line
+        # The last status answer, while no job write but a noted one can have
+        # changed it: (payload, output, whether every id it named was a job,
+        # {native id: line} for the lines in it that report an end, where it
+        # was patched or extended).
+        self._answer: tuple[str, str, bool, dict[str, str]] | None = None
         # native id -> its line in the kept answer, for each job written since
         self._notes: dict[str, str] = {}
 
     # -- shell ---------------------------------------------------------------
 
     def execute(self, payload: str) -> str:
-        """Run one LRM command line; both PBS and Slurm tools are installed."""
+        """Run one command line of this LRM's dialect: its submit, status or
+        cancel tool. Any other is an unknown command."""
         answer = self._answer
         if answer is not None:
             if answer[0] == payload and not self._notes:
-                return answer[2]
-            # a shorter payload can only leave out ended ids
-            if payload.startswith(answer[1]) and (len(payload) >= len(answer[0]) or answer[4]):
+                return answer[1]
+            # the same payload with notes, or one that appends ids (a longer one) or
+            # leaves out ended ones
+            if payload.startswith(self._tools[1]) and (
+                    len(payload) > len(answer[0]) or answer[3] or answer[0] == payload):
                 output = self._from_kept(payload, answer)
                 if output is not None:
                     return output
@@ -310,62 +217,83 @@ class SimulatedLrm:
         if not argv:
             raise TransportError("empty command")
         tool = argv[0]
-        if tool == "qsub":
-            return self._qsub(argv[1:])
-        if tool == "sbatch":
-            return self._sbatch(argv[1:])
-        if tool in ("qdel", "scancel"):
+        submit, status, cancel = self._tools
+        # each tool's method is looked up at the call, where a wrapper may stand
+        if tool == status:
+            return self._status(payload, getattr(self, "_" + tool)(argv[1:]))
+        if tool == submit:
+            return getattr(self, "_" + tool)(argv[1:])
+        if tool == cancel:
             return self._cancel_cmd(argv[1:])
-        if tool == "qstat":
-            return self._status(payload, tool, self._qstat(argv[1:]))
-        if tool == "sacct":
-            return self._status(payload, tool, self._sacct(argv[1:]))
         raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
 
+    def _id_list(self, payload: str) -> tuple[str, int, int] | None:
+        """The separator and the bounds of a status payload's id list: all of
+        a qstat payload, or the last ``--jobs=`` word's ids in a sacct one.
+        None when quotes or backslashes may hide where words end, or a sacct
+        payload has no such word."""
+        if _has_quote(payload):
+            return None
+        if self._tools[1] == "qstat":
+            return " ", 0, len(payload)
+        start = payload.rfind("--jobs=")
+        if start < 1 or payload[start - 1] not in _SHLEX_SPACES:  # none, or inside a word
+            return None
+        ends = [end for space in _SHLEX_SPACES if (end := payload.find(space, start)) >= 0]
+        return ",", start + len("--jobs="), min(ends, default=len(payload))
+
     def _from_kept(self, payload: str, answer: tuple) -> str | None:
-        """The answer to a status command from the kept ``answer``, by the
-        write and cut rules; None when they do not give it."""
-        last, tool, output, known, ended = answer
-        added, cut = _ids_after(tool, last, payload), {}
-        if added is None:
-            if not ended or len(output) < _PATCH_MIN_CHARS:
-                return None
-            last = _without_ids(tool, last, ended)
-            if last is None:
-                return None
-            cut, ended = ended, {}
-            added = _ids_after(tool, last, payload)
-            if added is None:
-                return None
+        """The answer to a status command from the kept ``answer``: its id
+        list read as the kept one's with ids appended, or, past
+        ``_PATCH_MIN_CHARS``, with every id the answer reports ended cut too;
+        None when it is neither."""
+        last, output, known, ended = answer
+        found = self._id_list(last)
+        if found is None:
+            return None
+        sep, start, end = found
+        stop = len(payload) - len(last) + end  # where an edited id list ends in payload
+        if stop < start or not payload.startswith(last[:start]) or not payload.endswith(last[end:]):
+            return None
+        kept, ids = sep + last[start:end], sep + payload[start:stop]
+        read, cut = read_edit(sep, ids, kept, ()), {}
+        if read is None and ended and len(output) >= _PATCH_MIN_CHARS:
+            read, cut, ended = read_edit(sep, ids, kept, [(i, None) for i in ended]), ended, {}
+        if read is None:
+            return None
+        added = read[1]
+        if sep == " ":  # qstat's appended words but options; after a space, shlex splits them alone
+            added = [*filterfalse(_IS_OPTION, _argv(added))]
+        elif _has_quote(added) or any(map(added.__contains__, _SHLEX_SPACES)):
+            return None
+        else:
+            added = added.split(",")[1:]
         notes = self._notes
         if notes or cut:
             written = {native_id: self.jobs[native_id] for native_id in notes}
-            edits = [(old, "\n" + written[native_id].line) for native_id, old in notes.items()]
-            edits += [(line, "") for line in cut.values()]
-            output = _splice(f"\n{output}\n", "\n", edits)
+            edits = [(old, written[native_id].line) for native_id, old in notes.items()]
+            edits += [(line, None) for line in cut.values()]
+            output = splice(output, "\n", edits)
             if output is None:
                 return None
-            output = output[1:-1]
             ended = ended | {native_id: job.line for native_id, job in written.items()
                              if job.state in _ENDED}
-        return self._status(payload, tool, added, (output, known, ended))
+        return self._status(payload, added, (output, known, ended))
 
-    def _status(self, payload: str, tool: str, ids: Iterable[str],
-                base: tuple | None = None) -> str:
+    def _status(self, payload: str, ids: Iterable[str], base: tuple | None = None) -> str:
         """Answer a status command naming ``ids``, after the lines of ``base``,
         (output, known, ended) of a kept answer it extends, and keep the answer."""
         jobs = [*map(self.jobs.get, ids)]
-        output = "\n".join(map(self._renders[tool], filter(None, jobs)))
+        output = "\n".join(map(_LINE, filter(None, jobs)))
         if base is None:
-            self._answer = (payload, tool, output, all(jobs), {})
+            self._answer = (payload, output, all(jobs), {})
         else:
             before, known, ended = base
             output = f"{before}\n{output}" if before and output else before or output
             if len(output) >= _PATCH_MIN_CHARS:  # else no cut is made
-                render = self._renders[tool]
-                ended = ended | {job.native_id: render(job) for job in jobs
+                ended = ended | {job.native_id: job.line for job in jobs
                                  if job and job.state in _ENDED}
-            self._answer = (payload, tool, output, known and all(jobs), ended)
+            self._answer = (payload, output, known and all(jobs), ended)
         if self._notes:
             self._notes.clear()
         return output
@@ -425,7 +353,7 @@ class SimulatedLrm:
     # -- lifecycle -------------------------------------------------------------
 
     def _enqueue(self, native_id: str, name: str, command: list[str], nodes: int) -> None:
-        if self._answer is not None and not self._answer[3]:
+        if self._answer is not None and not self._answer[2]:
             self._answer = None  # it may name the new job
             self._notes.clear()
         job = NativeJob(native_id=native_id, name=name, command=tuple(command), node_count=nodes)
@@ -441,12 +369,11 @@ class SimulatedLrm:
         job._handle = self.clock.at(self.clock.now + wait, lambda: self._start(native_id))
 
     def _write(self, job: NativeJob, state: str) -> None:
-        """Move ``job`` to ``state`` and render its line again. A kept answer
-        of this LRM's own tool stays, with the job's line in it noted; one
-        of the other tool is dropped."""
+        """Move ``job`` to ``state`` and render its line again, noting its
+        old line while an answer is kept."""
         answer = self._answer
         if answer is not None:
-            if answer[1] == self._tool and len(answer[2]) >= _PATCH_MIN_CHARS:
+            if len(answer[1]) >= _PATCH_MIN_CHARS:
                 self._notes.setdefault(job.native_id, job.line)
             else:
                 self._answer = None  # no notes are kept for it

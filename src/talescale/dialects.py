@@ -18,12 +18,24 @@ middleware keeps the units it has applied and parses only the others.
 break and what follows it. An output that extends another at this text
 splits, after that line break, into the units it adds to the other's; in
 Slurm they may differ by an empty line, a unit that reports no state.
+
+The edit rule, which both sides of the wire use to answer or read a poll
+from the one before (``splice`` writes an edited text, ``read_edit`` reads
+a text as one). A text is framed by a line break before it and a separator
+``sep`` after it, and a unit is what lies between two separators in the
+frame: a line for a line break, a PBS block for ``unit_start`` (the frame's
+line break starts the first one's), an id of a status command's id list
+when the list is given after one separator. An edit names a unit and
+replaces it with one unit or cuts it. A unit to replace must occur at most
+once and is left alone when absent; a unit to cut must occur exactly once;
+no two edits may touch one unit. Units may be added after the last.
 """
 
 from __future__ import annotations
 
 import re
 import shlex
+from operator import itemgetter
 
 # PBS reports a kill with exit_status 271; adapters map it to "canceled".
 PBS_KILL_EXIT = 271
@@ -141,3 +153,73 @@ class SimSlurmAdapter(DialectAdapter):
 # descriptors check their dialect against it, and the middleware holds one
 # adapter per name.
 ADAPTERS = {adapter.name: adapter for adapter in (SimPbsAdapter, SimSlurmAdapter)}
+
+
+def _spots(framed: str, sep: str, edits) -> list[tuple[int, int, object]] | None:
+    """Where each ``(unit, new)`` edit falls in ``framed`` by the edit rule,
+    in text order: the start and end of ``sep + unit``, and ``new`` (None
+    for a cut). None when the rule refuses the edits."""
+    if not edits:
+        return []
+    spots = []
+    for unit, new in edits:
+        needle = f"{sep}{unit}{sep}"
+        at = framed.find(needle)
+        if at < 0 and new is not None:
+            continue
+        if at < 0 or framed.find(needle, at + 1) >= 0:
+            return None
+        spots.append((at, at + len(sep) + len(unit), new))
+    spots.sort(key=itemgetter(0))
+    pos = 0
+    for at, end, _ in spots:
+        if at < pos:
+            return None
+        pos = end
+    return spots
+
+
+def splice(text: str, sep: str, edits) -> str | None:
+    """``text`` with each ``(unit, new)`` edit made: the unit replaced with
+    ``new``, or cut when ``new`` is None. None when the edit rule refuses
+    the edits."""
+    framed = f"\n{text}{sep}"
+    spots = _spots(framed, sep, edits)
+    if spots is None:
+        return None
+    pieces, pos = [], 0
+    for at, end, new in spots:
+        pieces += framed[pos:at], "" if new is None else sep + new
+        pos = end
+    pieces.append(framed[pos:])
+    return "".join(pieces)[1:-len(sep)]
+
+
+def read_edit(sep: str, new: str, old: str, edits) -> tuple[list, str] | None:
+    """Read ``new`` as ``old`` with ``edits`` made and units added.
+
+    Each edit is ``(unit, tag)``: a unit of ``old`` that ``new`` replaces
+    with one unit, or cuts when ``tag`` is None. Every untouched piece of
+    ``old`` is compared with ``new`` at C level. Returns each replacing
+    unit with its edit's tag, in text order, and the added text: the added
+    units, each after ``sep``. None when ``new`` is not read so.
+    """
+    framed, seen = f"\n{old}{sep}", f"\n{new}{sep}"
+    spots = _spots(framed, sep, edits)
+    if spots is None:
+        return None
+    replaced, pos, cur = [], 0, 0
+    for at, end, tag in spots:
+        if not seen.startswith(framed[pos:at], cur):
+            return None
+        cur, pos = cur + at - pos, end
+        if tag is not None:  # the replacing unit runs to the next separator
+            if not seen.startswith(sep, cur):
+                return None
+            after = seen.find(sep, cur + len(sep))
+            replaced.append((seen[cur + len(sep):after], tag))
+            cur = after
+    if not seen.startswith(framed[pos:], cur):
+        return None
+    cur += len(framed) - pos - len(sep)
+    return replaced, seen[cur:-len(sep)]

@@ -15,15 +15,10 @@ Design constraints, each of which is load-bearing for scale:
   part proportional to every active job (building the payload, splitting
   the output, finding its new units) runs inside C-level ``str``, ``set``
   and ``itertools`` operations. An output equal to the last one applied is
-  not parsed at all, and one that extends it at a unit boundary is split
-  from the extension alone, so a poll that only adds jobs costs the added
-  ones. The write rule: after a cancel, the next output may replace the
-  canceled job's kept unit in place. The cut rule: once a job has left the
-  poll, the next output may leave its unit out. An output that is the
-  applied one with such edits, and maybe an extension, is parsed from the
-  replacing units and the extension alone, so a poll after a cancel costs
-  the canceled jobs (``_ResourceState.pending``). Below ``_EDIT_MIN_CHARS``
-  of applied output, where a full parse costs less, one is made;
+  not parsed at all, and one read as it with units added, canceled jobs'
+  units replaced and departed jobs' units cut (``dialects.read_edit``; the
+  edits only past ``_EDIT_MIN_CHARS`` of applied output) is parsed from the
+  added and replacing units alone (``_ResourceState.pending``);
 * sessions are reused across operations per (resource, credential) pair.
 
 A poller's tick is a grid event; its tag answers a run-ahead
@@ -50,7 +45,7 @@ from typing import Callable
 
 from .clock import grid_after
 from .cluster import runtime_of_command
-from .dialects import ADAPTERS, DialectAdapter
+from .dialects import ADAPTERS, DialectAdapter, read_edit
 from .errors import (
     SessionError,
     TransportError,
@@ -181,9 +176,7 @@ class _ResourceState:
     unless ``unsorted`` is set. Since the last cycle that parsed an output,
     ``arrivals`` holds the native ids activated, and ``departed`` the ones
     that left ``active``, each with the unit it last applied. ``canceled``
-    holds the active native ids a cancel was sent for. The write rule: the
-    next output may replace a canceled job's kept unit. The cut rule: it may
-    leave out a departed job's unit.
+    holds the active native ids a cancel was sent for.
     """
     active: dict[str, str] = field(default_factory=dict)
     job_ids: dict[str, str] = field(default_factory=dict)
@@ -235,10 +228,9 @@ class _ResourceState:
         """Sorted ``(job id, native id, (state, exit code), unit)`` for the fresh
         units of ``output`` naming active jobs; forgets the kept units it outdates.
 
-        ``applied`` is the output last fully applied, or None. When ``output``
-        is ``applied`` with edits only where the write and cut rules allow,
-        plus an extension at a unit boundary, only the replacing units and
-        the extension are parsed (``_edited``): the rest is applied already,
+        ``applied`` is the output last fully applied, or None. When
+        ``read_edit`` reads ``output`` as ``applied`` edited, only the
+        replacing and added units are parsed: the rest is applied already,
         unless it names a job activated since. A full parse applies such a
         unit, so one is made when a job activated since has no unit with a
         state in the parsed text and its native id occurs in ``applied``. One
@@ -259,9 +251,10 @@ class _ResourceState:
                      if (unit := kept_ids.get(native_id)) is not None]
             edits += [(unit, None) for unit in departed.values()]
         if applied is not None and (edits or arrivals):
-            found = _edited(adapter.unit_start, output, applied, edits)
-            if found is not None:
-                text, replaced = found
+            found = read_edit(adapter.unit_start, output, applied, edits)
+            if found is not None:  # parse the replacing units, then the added ones
+                replaced, added = found
+                text = ("".join([adapter.unit_start + unit for unit, _ in replaced]) + added)[1:]
         while True:  # the edits and extension, then all of output if they cannot stand alone
             units = adapter.parse_status(text)
             fresh = [*filterfalse(kept.__contains__, units)]
@@ -296,48 +289,6 @@ class _ResourceState:
         return sorted((job_ids[native_id], native_id, state_code, unit)
                       for native_id, (state_code, unit) in changed.items()
                       if native_id in job_ids)  # else no longer active
-
-
-def _edited(start: str, output: str, applied: str, edits) -> tuple[str, list] | None:
-    """Read ``output`` as ``applied`` with ``edits`` made and units added.
-
-    Each edit is ``(unit, native id)``: a unit of ``applied`` that ``output``
-    replaces with one unit when the native id is set, or cuts when it is
-    None. An edited unit must occur exactly once at a unit boundary of
-    ``applied`` (``start``, the adapter's ``unit_start``, on both sides); a
-    unit to replace that does not occur is left alone. Added units follow
-    at ``start``. Every untouched piece of ``applied`` is compared with
-    ``output`` at C level. Returns the replacing units and the added ones as
-    one text for ``parse_status``, and the replacing units, each with its
-    native id; None when ``output`` is not read so.
-    """
-    framed, seen = f"\n{applied}{start}", f"\n{output}{start}"
-    spots = []
-    for unit, native_id in edits:
-        needle = f"{start}{unit}{start}"
-        at = framed.find(needle)
-        if at >= 0 and framed.find(needle, at + 1) < 0:
-            spots.append((at, at + len(start) + len(unit), native_id))
-        elif at >= 0 or native_id is None:
-            return None
-    spots.sort()
-    pieces, replaced, pos, cur = [], [], 0, 0
-    for at, end, native_id in spots:
-        if at < pos or not seen.startswith(framed[pos:at], cur):
-            return None
-        cur, pos = cur + at - pos, end
-        if native_id is not None:  # the replacing unit runs to the next boundary
-            if not seen.startswith(start, cur):
-                return None
-            after = seen.find(start, cur + len(start))
-            replaced.append((seen[cur + len(start):after], native_id))
-            pieces.append(seen[cur:after])
-            cur = after
-    if not seen.startswith(framed[pos:], cur):
-        return None
-    cur += len(framed) - pos
-    pieces.append(seen[cur - len(start):len(seen) - len(start)])  # the added units
-    return "".join(pieces)[1:], replaced
 
 
 def _in_place(replaced: list, units: list, changed: dict, kept_ids: dict) -> bool:

@@ -82,66 +82,44 @@ def _text(value: Any, atom=_ATOM_TEXT.get) -> str:
     return atom(type(value), _encode)(value)
 
 
-class _Shape:
-    """The line template of one key tuple, in the record's insertion order.
-
-    ``keys`` are the sorted keys and ``literals`` the text around their
-    values: ``{"a":``, ``,"b":``, ..., ``}``. ``render(record, t_text)``
-    writes a record of this shape given its time's text. It is generated
-    code whose names are positions only: the literals come in as arguments,
-    as ``dataclasses`` and ``namedtuple`` build theirs, so no key or value
-    text is ever source. It inlines ``_text``'s two commonest cases, an
-    exact ``str`` and an exact ``int``, and writes ``seq`` directly.
-    """
-
-    __slots__ = ("keys", "literals", "render")
-
-    def __init__(self, keys: tuple[str, ...]):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.keys = [keys[i] for i in order]
-        self.literals = [("," if n else "{") + encode_basestring_ascii(key) + ":"
-                         for n, key in enumerate(self.keys)] + ["}"]
-        holes = [f"v{i}" if keys[i] == "seq" else "t_text" if keys[i] == "t" else
-                 f"e(v{i}) if type(v{i}) is str else v{i} if type(v{i}) is int else x(v{i})"
-                 for i in order]
-        names = [f"p{n}" for n in range(len(self.literals))]
-        line = "".join(f"{{{p}}}{{{hole}}}" for p, hole in zip(names, holes)) + f"{{{names[-1]}}}"
-        source = (f"def make(e, x, {', '.join(names)}):\n"
-                  f" def render(record, t_text):\n"
-                  f"  {''.join(f'v{i}, ' for i in range(len(keys)))}= record.values()\n"
-                  f"  return f'{line}'\n"
-                  f" return render\n")
-        namespace: dict[str, Any] = {}
-        exec(source, {}, namespace)
-        self.render = namespace["make"](encode_basestring_ascii, _text, *self.literals)
-
-    def bind(self, record: dict[str, Any]) -> tuple[str, str, str]:
-        """This shape's text with ``record``'s values written in, but for
-        ``seq`` and ``t``: the text before ``seq``, between it and ``t``,
-        and after ``t``."""
-        parts, text = [], ""
-        for key, literal in zip(self.keys, self.literals):
-            text += literal
-            if key == "seq" or key == "t":
-                parts.append(text)
-                text = ""
-            else:
-                text += _text(record[key])
-        head, middle = parts
-        return head, middle, text + "}"
+def _template(keys: tuple[str, ...]):
+    """The line template of one key tuple, in the record's insertion order:
+    ``render(record, t_text)`` writes a record of this shape given its
+    time's text. It is generated code whose names are positions only: the
+    text around the values (``{"a":``, ``,"b":``, ..., ``}``) comes in as
+    arguments, as ``dataclasses`` and ``namedtuple`` build theirs, so no key
+    or value text is ever source. It inlines ``_text``'s two commonest
+    cases, an exact ``str`` and an exact ``int``, and writes ``seq``
+    directly."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    literals = [("," if n else "{") + encode_basestring_ascii(keys[i]) + ":"
+                for n, i in enumerate(order)] + ["}"]
+    holes = [f"v{i}" if keys[i] == "seq" else "t_text" if keys[i] == "t" else
+             f"e(v{i}) if type(v{i}) is str else v{i} if type(v{i}) is int else x(v{i})"
+             for i in order]
+    names = [f"p{n}" for n in range(len(literals))]
+    line = "".join(f"{{{p}}}{{{hole}}}" for p, hole in zip(names, holes)) + f"{{{names[-1]}}}"
+    source = (f"def make(e, x, {', '.join(names)}):\n"
+              f" def render(record, t_text):\n"
+              f"  {''.join(f'v{i}, ' for i in range(len(keys)))}= record.values()\n"
+              f"  return f'{line}'\n"
+              f" return render\n")
+    namespace: dict[str, Any] = {}
+    exec(source, {}, namespace)
+    return namespace["make"](encode_basestring_ascii, _text, *literals)
 
 
 class _Shapes(dict):
-    """Each key tuple's ``_Shape``, compiled on first use and kept for the
-    process: compiling one takes 0.25-0.5 ms, and a shape depends on its
+    """Each key tuple's template, compiled on first use and kept for the
+    process: compiling one takes 0.25-0.5 ms, and a template depends on its
     keys alone, so logs that share it write the same text. Declared kinds
     give a few dozen; the bound only keeps arbitrary keys from growing it."""
 
-    def __missing__(self, keys: tuple[str, ...]) -> _Shape:
+    def __missing__(self, keys: tuple[str, ...]):
         if len(self) >= 4096:
             self.clear()
-        shape = self[keys] = _Shape(keys)
-        return shape
+        render = self[keys] = _template(keys)
+        return render
 
 
 _SHAPES = _Shapes()
@@ -157,7 +135,7 @@ def _record_lines(records: list[dict[str, Any]]) -> Iterator[str]:
         t = record["t"]
         if t is not last:
             last, t_text = t, _text(t)
-        yield shapes[tuple(record)].render(record, t_text)
+        yield shapes[tuple(record)](record, t_text)
 
 
 # Keys every record carries beside its fields.
@@ -247,14 +225,15 @@ class _Run:
 
     def lines(self) -> list[str]:
         """The run's ndjson lines, as ``to_ndjson`` writes plain records:
-        each fields dict's shape, with its values bound once, leaves only
-        ``seq`` and ``t`` open, and each time's text is made once."""
+        each fields dict's line is rendered once with a NUL for ``seq`` and
+        for ``t`` and split there (JSON text escapes every NUL it holds), and
+        each time's text is made once."""
         times = list(map(_text, self.times))
         step, end = len(self.events), self.seq + len(self)
         out: list[str] = [""] * len(self)
         for i, fields in enumerate(self.events):
-            record = {**fields, "t": None, "seq": None, "kind": self.kind}
-            head, middle, tail = _SHAPES[tuple(record)].bind(record)
+            record = {**fields, "t": None, "seq": "\0", "kind": self.kind}
+            head, middle, tail = _SHAPES[tuple(record)](record, "\0").split("\0")
             out[i::step] = [f"{head}{seq}{middle}{t}{tail}"
                             for seq, t in zip(range(self.seq + i, end, step), times)]
         return out

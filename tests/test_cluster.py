@@ -201,10 +201,10 @@ def test_status_round_trip(adapter, name):
 
 
 def _held_lrm(policy):
-    """An LRM whose every submission lands in a maintenance window."""
+    """A Slurm LRM whose every submission lands in a maintenance window."""
     resource = ResourceDescriptor(
         name="maint", kind="hpc_cluster", lrm="batch", allows_incoming_connections=False,
-        queue_model=QueueModel("fixed", {"value": 10.0}, maintenance_windows=((0.0, 1000.0),),
+        dialect="sim-slurm", queue_model=QueueModel("fixed", {"value": 10.0}, maintenance_windows=((0.0, 1000.0),),
                                maintenance_policy=policy),
     )
     clock = SimClock()
@@ -229,6 +229,11 @@ def test_cancel_drops_the_jobs_one_pending_event(setup):
     clock.run_until(5000.0)  # nothing left to fire for the job
     assert lrm.trace.count("backend_job_finished") == 1
     assert lrm.trace.count("backend_job_started") == (setup == "running")
+
+
+def _line(adapter):
+    """What renders a job's status line in ``adapter``'s dialect."""
+    return cluster._qstat_block if adapter.name == "sim-pbs" else cluster._sacct_line
 
 
 def _counted_lrm(adapter):
@@ -268,9 +273,7 @@ def test_a_job_write_between_equal_status_queries_renders_again(adapter, write):
         lrm.execute(adapter.format_cancel(first))
     after = lrm.execute(query)
     assert after != before and len(renders) == 2
-    assert after == "\n".join(
-        map(cluster._STATUS_LINE["qstat" if adapter.name == "sim-pbs" else "sacct"],
-            lrm.jobs.values()))
+    assert after == "\n".join(map(_line(adapter), lrm.jobs.values()))
 
 
 @pytest.mark.parametrize("write", ["start", "finish", "cancel_queued", "cancel_running"])
@@ -280,7 +283,7 @@ def test_a_job_write_swaps_its_line_in_a_large_kept_answer(adapter, write):
     # query that then leaves the ended job out has its line cut: no render
     clock, lrm, renders, submit = _counted_lrm(adapter)
     ids = [submit("sleep", "5") for _ in range(200)]
-    line = cluster._STATUS_LINE["qstat" if adapter.name == "sim-pbs" else "sacct"]
+    line = _line(adapter)
     if write in ("finish", "cancel_running"):
         clock.run_until(10.0)
     before = lrm.execute(adapter.format_status(ids))
@@ -303,9 +306,14 @@ def test_a_job_write_swaps_its_line_in_a_large_kept_answer(adapter, write):
 @pytest.mark.parametrize("adapter", [SimPbsAdapter(), SimSlurmAdapter()], ids=["pbs", "slurm"])
 def test_a_failed_command_keeps_the_last_status_answer(adapter):
     clock, lrm, renders, submit = _counted_lrm(adapter)
-    query = adapter.format_status([submit("sleep", "5"), submit("sleep", "5")])
+    ids = [submit("sleep", "5"), submit("sleep", "5")]
+    query = adapter.format_status(ids)
     before = lrm.execute(query)
-    for payload in ("", " \t", "frobnicate 1"):
+    # the other dialect's tools are unknown commands here, as any other is
+    other = SimSlurmAdapter() if adapter.name == "sim-pbs" else SimPbsAdapter()
+    foreign = [other.format_status(ids), other.format_submit(["sleep", "5"], 1, "j"),
+               other.format_cancel(ids[0])]
+    for payload in ("", " \t", "frobnicate 1", *foreign):
         with pytest.raises(TransportError):
             lrm.execute(payload)
     assert lrm.execute(query) is before
@@ -347,12 +355,12 @@ def _q(how, n=1, form=""):
 
 
 def _own(pbs):
-    """A pinned example's LRM dialect, its own status tool, and every answer patched."""
-    return {"pbs": pbs, "qstat": pbs, "patch_min": 0}
+    """A pinned example's LRM dialect, and every answer patched."""
+    return {"pbs": pbs, "patch_min": 0}
 
 
 @settings(max_examples=500, deadline=None)
-@given(ops=_LRM_OPS, pbs=st.booleans(), qstat=st.booleans(),
+@given(ops=_LRM_OPS, pbs=st.booleans(),
        patch_min=st.sampled_from([0, 0, cluster._PATCH_MIN_CHARS]))
 # an unknown id, then a known one appended, and then the unknown one enqueued
 @example(ops=[("submit", "5"), _q("all"), _q("ahead"), _q("append"), ("submit", "5"), _q("again")],
@@ -376,24 +384,23 @@ def _own(pbs):
 # goes on with an id appended
 @example(ops=[("submit", "30"), ("submit", "30"), _q("all"), ("cancel", 0), _q("again"),
               ("submit", "30"), _q("ended", n=2)], **_own(True))
-def test_kept_status_answers_match_a_plain_render(ops, pbs, qstat, patch_min):
+def test_kept_status_answers_match_a_plain_render(ops, pbs, patch_min):
     # Queries repeat, extend or drop the ids of the one before, across job
     # starts, finishes and cancels, and name ids before they are enqueued.
     # An "ended" query leaves out the ids of jobs that ended, as a poll does.
     # A "trailer" query ends in an option that holds "--jobs=", and a "raw" one
-    # appends an id to the last payload's text. The status tool is drawn apart
-    # from the LRM's dialect. Each answer must be the one the LRM renders with
-    # no answer kept. With ``patch_min`` 0, every kept answer is patched on a
+    # appends an id to the last payload's text. Each answer must be the one the
+    # LRM renders with no answer kept. With ``patch_min`` 0, every kept answer is patched on a
     # write, however short.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cluster, "_PATCH_MIN_CHARS", patch_min)
-        _check_kept_answers(ops, pbs, qstat)
+        _check_kept_answers(ops, pbs)
 
 
-def _check_kept_answers(ops, pbs, qstat):
-    adapter = SimPbsAdapter() if qstat else SimSlurmAdapter()
-    line = cluster._STATUS_LINE["qstat" if qstat else "sacct"]
-    clock, lrm = _lrm("c", SimPbsAdapter() if pbs else SimSlurmAdapter())
+def _check_kept_answers(ops, pbs):
+    adapter = SimPbsAdapter() if pbs else SimSlurmAdapter()
+    line = _line(adapter)
+    clock, lrm = _lrm("c", adapter)
     named, payload = [], None
     for op, *args in ops:
         if op == "submit":
@@ -425,7 +432,7 @@ def _check_kept_answers(ops, pbs, qstat):
                 "completed", "failed", "canceled")][:1 if n == 3 else None]
             named = [i for i in named if i not in ended] + known[-1:] * (n == 2)
         if op == "raw" and payload is not None:
-            payload += (" " if qstat else ",") + some
+            payload += (" " if pbs else ",") + some
         else:
             trailer = (" -x--jobs={}", " '-x --jobs={}'")[n % 2].format(some)
             payload = adapter.format_status(named) + (trailer if op == "trailer" else "")

@@ -675,7 +675,7 @@ class TestUnitWork:
         mw.poll_cycle("hpc-1")
         canceled = handles[100::700][:c]  # from the middle of the output
         natives = [mw._records[h.job_id].native_id for h in canceled]
-        line = cluster._STATUS_LINE["qstat" if dialect == "sim-pbs" else "sacct"]
+        line = cluster._qstat_block if dialect == "sim-pbs" else cluster._sacct_line
         lines = [line(lrm.jobs[native_id]) for native_id in natives]
         for handle in canceled:
             mw.cancel(handle)

@@ -31,6 +31,12 @@ def test_tracer_wraps_every_layer_boundary_and_puts_it_back(monkeypatch):
     run = importlib.import_module("run")
     tracer_module = importlib.import_module("tracer")
     modules = run.load_program()
+    # One LRM of each dialect, built before the install: it must still reach
+    # the wrapper of each tool it runs, so it may not bind them ahead of a call.
+    lrm_worlds = [batch_world(queue={"distribution": "fixed", "params": {"value": 1.0}}, resources=[
+        {"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "dialect": dialect,
+         "allows_incoming_connections": False, "node_count": 8, "queue": "q"}])
+        for dialect in ("sim-pbs", "sim-slurm")]
     tracer = tracer_module.Tracer()
     try:
         # A missing name raises here, and so does a method that is only
@@ -44,11 +50,20 @@ def test_tracer_wraps_every_layer_boundary_and_puts_it_back(monkeypatch):
                             pools=[{"resource": "hpc-1", "min_warm": 1, "max_size": 2}])
         world.middleware.submit(JobSpec("hpc-1", ("sleep", "1")))
         world.clock.run_until(20.0)
+        for lrm_world in lrm_worlds:
+            handle = lrm_world.middleware.submit(JobSpec("hpc-1", ("sleep", "100")))
+            lrm_world.clock.run_until(20.0)
+            lrm_world.middleware.cancel(handle)
+            lrm_world.clock.run_until(40.0)
+            assert lrm_world.middleware.status(handle).state == JobState.CANCELED
     finally:
         tracer.uninstall()
     assert patched and unwrapped == []
     assert tracer.stats["middleware.poll_cycle"].calls > 0
     assert tracer.stats["pilots.refresh"].calls > 0
+    tools = {tool: tracer.stats[f"cluster.execute.{tool}"].calls
+             for tool in ("qsub", "qstat", "sbatch", "sacct", "cancel")}
+    assert all(tools.values()), tools
     assert [attr for owner, attr, original in patched if _own(owner, attr) is not original] == []
 
 
