@@ -25,7 +25,8 @@ Two calling contexts exist:
 Grid events, scheduled with a ``grid`` tag, are the poll and pool ticks
 on one interval grid; after an instant that fired only them, ``on_quiet``
 may ``run_ahead`` them past points where they would only repeat
-(``World._run_ahead`` states the rule).
+(``World._run_ahead`` states the rule). A stretch costs O(1) in its length:
+its points are a lazy ``_Grid``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from typing import Callable
 
 
@@ -49,27 +51,67 @@ def grid_after(now: float, interval: float) -> float:
     return point if point > now else (cell + 1) * interval + interval
 
 
-def _grid_points(start: float, interval: float, limit: float) -> tuple[list[float], float]:
+class _Grid:
+    """Points of one ``interval`` grid, in order: ``start``, then the point
+    ``cell * interval + interval`` of each cell in ``cells``. A read-only
+    sequence that stores none of them: its length, its items (``-1``
+    too), its heads (``grid[:n]``) and its iteration compute the floats on
+    use, so a stretch of any length costs O(1) until it is iterated. The
+    iteration runs at C level: one ``map`` multiplies, one adds (the
+    ``operator`` functions cost less per call than bound ``float``
+    methods)."""
+
+    __slots__ = ("start", "cells", "interval")
+
+    def __init__(self, start: float, cells: range, interval: float):
+        self.start, self.cells, self.interval = start, cells, interval
+
+    def __len__(self) -> int:
+        return len(self.cells) + 1
+
+    def __getitem__(self, index):
+        if type(index) is slice:  # only heads are taken
+            head = range(len(self.cells) + 1)[index]
+            if head.start or head.step != 1:
+                raise ValueError("a grid gives only its heads")
+            return _Grid(self.start, self.cells[:len(head) - 1], self.interval) if head else ()
+        if index < 0:
+            index += len(self.cells) + 1
+            if index < 0:
+                raise IndexError("grid index out of range")
+        # past the end, the cells raise IndexError
+        return self.cells[index - 1] * self.interval + self.interval if index else self.start
+
+    def __iter__(self):
+        interval = itertools.repeat(self.interval)
+        return itertools.chain((self.start,), map(
+            operator.add, map(operator.mul, self.cells, interval), interval))
+
+
+def _grid_points(start: float, interval: float, limit: float) -> tuple[_Grid | tuple, float]:
     """The points of the ``interval`` grid from ``start``, one of them, on
-    that lie before ``limit``, and the first point that does not.
+    that lie before ``limit`` (a ``_Grid``, or ``()`` when none does), and
+    the first point that does not.
 
     Each point is ``grid_after`` of the one before. A grid point is
     ``cell * interval + interval`` for an integer cell, and while cells stay
     below 2**49 (any grid a run can walk) ``grid_after`` of it is the next
     cell's point: ``point / interval`` is within rounding of ``cell + 1``,
     so the formula gives that point, or the point itself and then the next.
-    So the walk adds one to the cell instead of calling ``grid_after``, and
-    ``round`` finds the cell of the first point it gets from ``grid_after``.
+    So the points after ``start`` are those of consecutive cells, from the
+    one ``round`` finds for ``grid_after(start)``. Points grow with their
+    cell, so the first cell whose point is not before ``limit`` is found
+    from ``limit / interval`` and corrected by at most a step or two.
     """
     if start >= limit:
-        return [], start
-    points, point = [start], grid_after(start, interval)
-    cell, append = round(point / interval), points.append
-    while point < limit:
-        append(point)
-        point = cell * interval + interval
-        cell += 1
-    return points, point
+        return (), start
+    first = round(grid_after(start, interval) / interval) - 1
+    end = max(first, math.ceil(limit / interval) - 1)
+    while end > first and (end - 1) * interval + interval >= limit:
+        end -= 1
+    while end * interval + interval < limit:
+        end += 1
+    return _Grid(start, range(first, end), interval), end * interval + interval
 
 
 class EventHandle:
@@ -180,8 +222,9 @@ class SimClock:
         ``plan(tags)`` gets the group's tags and returns None to leave it
         where it is, or ``(until, step)``. ``step`` gets the grid points
         from the group's time on that lie before ``stop``, ``until`` and the
-        next event outside the group, and returns how many of them, from
-        the first, it stood in for. Those are skipped: ``now`` ends at the
+        next event outside the group, as a lazy ``_Grid`` (``()`` when there
+        are none) that it may keep, and returns how many of them, from the
+        first, it stood in for. Those are skipped: ``now`` ends at the
         last of them, and the group is queued again, in its firing order,
         at the first point not skipped, after the events already pending at
         that time, as a re-arm would be.

@@ -22,7 +22,7 @@ Design constraints, each of which is load-bearing for scale:
 * sessions are reused across operations per (resource, credential) pair.
 
 A poller's tick is a grid event; its tag answers a run-ahead
-(``World._run_ahead``) with the call a poll that repeated makes again.
+(``World._run_ahead``) with the call a poll that would repeat makes again.
 
 The dialect adapters live in a plain dict, ``dialects``, one per name in
 ``talescale.dialects.ADAPTERS``, keyed by the dialect name a resource
@@ -189,7 +189,10 @@ class _ResourceState:
     kept_ids: dict[str, str] = field(default_factory=dict)  # native id -> its kept unit
     latest: list | None = None  # the pending list of the latest cycle that parsed
     applied_output: str | None = None  # the output last fully applied
-    repeated: bool = False  # the last cycle's output was the applied one
+    # The next poll repeats the applied output while nothing writes: the last
+    # cycle applied all of its output, and no job arrived, left or was
+    # canceled during it or since.
+    repeated: bool = False
     poller: object = None  # the scheduled poll tick's EventHandle
 
     def __len__(self) -> int:
@@ -204,6 +207,7 @@ class _ResourceState:
         active[record.job_id] = record.native_id
         self.job_ids[record.native_id] = record.job_id
         self.arrivals.append(record.native_id)
+        self.repeated = False
         credentials = self.credentials
         credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
 
@@ -213,6 +217,7 @@ class _ResourceState:
         del self.job_ids[record.native_id]
         self.kept.discard(self.kept_ids.pop(record.native_id, None))
         self.canceled.discard(record.native_id)
+        self.repeated = False
         left = self.credentials.pop(record.spec.credential) - 1
         if left:
             self.credentials[record.spec.credential] = left
@@ -422,7 +427,9 @@ class LrmMiddleware:
             record.spec.resource, record.spec.credential, "cancel",
             adapter.format_cancel(record.native_id),
         )
-        self._active[record.spec.resource].canceled.add(record.native_id)
+        state = self._active[record.spec.resource]
+        state.canceled.add(record.native_id)
+        state.repeated = False
         # State flips to Canceled at the next poll confirmation.
         return CancelAck(job_id=record.job_id, noop=False)
 
@@ -470,6 +477,7 @@ class LrmMiddleware:
             return []
         state.applied_output = None
         pending = state.latest = state.pending(adapter, output, applied_output)
+        state.repeated = True  # until a job arrives, leaves or is canceled
         applied: list[tuple[str, JobState, JobState]] = []
         for job_id, native_id, state_code, unit in pending:
             record = self._records[job_id]
@@ -487,6 +495,8 @@ class LrmMiddleware:
                 state.departed[native_id] = unit
         if state.latest is pending:
             state.applied_output = output
+        else:
+            state.repeated = False
         return applied
 
     def _ensure_poller(self, resource_name: str) -> None:
@@ -506,10 +516,10 @@ class LrmMiddleware:
         self._ensure_poller(resource_name)
 
     def _quiet_poll(self, resource_name: str):
-        """The poller's answer to a run-ahead: None unless its last poll
-        repeated the output before it; else no deadline of its own, and the
-        one call each next poll makes again while nothing writes to the
-        backend."""
+        """The poller's answer to a run-ahead: None unless its next poll
+        repeats the applied output (``_ResourceState.repeated``); else no
+        deadline of its own, and the one call each next poll makes again
+        while nothing writes to the backend."""
         state = self._active[resource_name]
         if not state.repeated:
             return None

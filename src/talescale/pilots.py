@@ -98,7 +98,6 @@ class PilotPool:
         # slot id -> live slot whose pilot started or ended since refresh
         self._touched: dict[int, PilotSlot] = {}
         self._woken = False  # the next grid tick has work, the deadline aside
-        self._idle = False  # the last grid tick did no work
         self._expires_at = math.inf  # no warm slot is past its walltime before this
         self._slot_ids = itertools.count()
         middleware.transport.register_credential(policy.credential)
@@ -269,16 +268,16 @@ class PilotPool:
                       self._on_grid, grid=self._quiet)
 
     def _on_grid(self) -> None:
-        self._idle = not self._woken and self.clock.now < self._expires_at
-        if not self._idle:
+        if self._woken or self.clock.now >= self._expires_at:
             self._tick()
         self._schedule_tick()
 
     def _quiet(self):
-        """The pool's answer to a run-ahead: None unless its last tick was
-        idle and nothing woke it since; else its walltime deadline, before
-        which its ticks stay idle, and no calls to make again."""
-        if self._woken or not self._idle:
+        """The pool's answer to a run-ahead: None when woken; else its
+        walltime deadline, before which its ticks stay idle, and no calls to
+        make again. Only a tick clears ``_woken``, so an unwoken pool's next
+        tick is idle whether its last one worked or not."""
+        if self._woken:
             return None
         return self._expires_at, ()
 

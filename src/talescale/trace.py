@@ -205,7 +205,10 @@ class TraceEvent:
 class _Run:
     """``emit_each``'s record of one call: the ``kind`` records with each of
     ``events``' fields at each of ``times`` in turn, numbered from ``seq``.
-    ``events`` may be shared with the caller; nothing here changes it."""
+    ``times`` is a sized, iterable sequence, kept as it is: a list, or a
+    run-ahead's lazy grid, whose floats are made only when the run is read
+    or written. ``events`` may be shared with the caller; nothing here
+    changes it."""
 
     __slots__ = ("kind", "events", "times", "seq")
 
@@ -227,8 +230,14 @@ class _Run:
         """The run's ndjson lines, as ``to_ndjson`` writes plain records:
         each fields dict's line is rendered once with a NUL for ``seq`` and
         for ``t`` and split there (JSON text escapes every NUL it holds), and
-        each time's text is made once."""
-        times = list(map(_text, self.times))
+        each time's text is made once, at C level when every time is a
+        finite float: ``float.__repr__`` is json's rule for those."""
+        try:
+            times = list(map(float.__repr__, self.times))
+        except TypeError:  # a time that is not a float
+            times = None
+        if times is None or not _FLOAT_WORDS.keys().isdisjoint(times):
+            times = list(map(_text, self.times))
         step, end = len(self.events), self.seq + len(self)
         out: list[str] = [""] * len(self)
         for i, fields in enumerate(self.events):
@@ -261,9 +270,10 @@ class TraceLog:
         which keeps ``times`` and ``events`` as they are; the caller must
         not change them after."""
         run = _Run(kind, events, times, len(self._records))
-        if run:
+        size = len(run)
+        if size:
             self._run_at.append(run.seq)
-            slots = [run] + [None] * (len(run) - 1)
+            slots = [run] + [None] * (size - 1)
             self._records += slots
             self._by_kind[kind] += slots
 

@@ -277,17 +277,21 @@ class World:
     def _run_ahead(self, horizon: float) -> None:
         """Run the grid ahead through a quiet stretch.
 
-        The rule rests on one property of this world: every backend is a
-        ``SimulatedLrm`` on this clock, and its answers change only through
-        a clock event or a transport write. Grid events (poll ticks and pool
-        ticks) make no write when idle: a poll whose output repeated the
-        one before, or a pool tick that did no work. So once every event at
-        the current grid instant was an idle grid event, every grid event
-        up to the next other event repeats itself, and none draws from an
-        RNG.
+        The rule: a stretch stands in for a poll that would repeat, or a
+        pool tick after which the next is idle. It rests on one property of
+        this world: every backend is a ``SimulatedLrm`` on this clock, and
+        its answers change only through a clock event or a transport write.
+        A poll would repeat once its resource's last cycle applied all
+        of its output and no job arrived, left or was canceled during it or
+        since: it sends the same payload to an LRM whose jobs have not
+        changed. A pool's ticks stay idle from a tick after which nothing
+        woke it until its walltime deadline. Neither writes, so once every
+        grid event at the next instant is one of these, every grid event up
+        to the next other event repeats itself, and none draws from an RNG.
 
-        The clock calls this after such an instant. The stretch ends before
-        the earliest of the next event that is not a grid event, the
+        The clock calls this after an instant that fired grid events only,
+        so a stretch starts at the first poll that would repeat. It ends
+        before the earliest of the next event that is not a grid event, the
         horizon, and a pool's walltime deadline. It does not start while a
         transport failure is armed, a polled (resource, credential) pair is
         in handshake backoff, or a pool is woken, and it ends before the

@@ -239,6 +239,18 @@ def _walked(start, interval, limit):
 @example(now=0.0, interval=0.3, steps=2000.0)
 @example(now=5.0, interval=5.0, steps=0.0)  # nothing before the limit
 def test_a_run_ahead_walks_the_points_grid_after_gives(now, interval, steps):
+    # The grid is lazy: every way a run-ahead reads it must give the walk's floats.
     start = grid_after(now, interval)
     limit = start + steps * interval
-    assert _grid_points(start, interval, limit) == _walked(start, interval, limit)
+    grid, after = _grid_points(start, interval, limit)
+    points, walked_after = _walked(start, interval, limit)
+    assert after == walked_after
+    assert list(grid) == points
+    assert len(grid) == len(points)
+    assert [grid[i] for i in range(-len(points), len(points))] == points + points
+    for i in (len(points), -len(points) - 1):
+        with pytest.raises(IndexError):
+            grid[i]
+    for n in range(len(points) + 2):
+        assert list(grid[:n]) == points[:n]
+        assert len(grid[:n]) == len(points[:n])

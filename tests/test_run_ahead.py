@@ -9,6 +9,7 @@ they fail if it silently stops running ahead.
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,6 +45,10 @@ def knobs(draw):
         # 0: every kept status answer is patched on a write, and every edit
         # read as one, however short the output; None: the sizes they pay from
         "edit_min": draw(st.sampled_from((0, None))),
+        # what a transition listener does on a job's Running, inside the
+        # cycle that applies it: submit to the next resource, cancel a job
+        # there, or poll it (a nested cycle when it is the same resource)
+        "listener": draw(st.sampled_from((None, "submit", "cancel", "poll"))),
     }
 
 
@@ -103,11 +108,38 @@ def build(k):
         config["pools"] = [{"resource": "r0", "min_warm": rng.randint(1, 2), "max_size": 3,
                             "pilot_walltime_s": rng.choice((50.0, 300.0, 2000.0))}]
     world = World(load_config(config), k["seed"] % 1000)
+    if k["listener"]:
+        world.middleware.add_transition_listener(writer(k["listener"], world, names, rng))
     transport = world.transport
     for _ in range(k["failures"]):
         kind, count = rng.choice(("transport", "handshake")), rng.choice((1, 2))
         world.clock.at(t(), lambda kind=kind, count=count: transport.inject_failure(kind, count))
     return world, horizon, rng
+
+
+def writer(kind, world, names, rng):
+    """A transition listener that, on a job's Running, submits to the next
+    resource of ``names`` after the job's own, cancels that resource's
+    oldest active job, or polls it; a few times only."""
+    mw, left = world.middleware, [rng.randint(1, 6)]
+
+    def on_transition(spec, job_id, previous, state, t):
+        if state is not JobState.RUNNING or not left[0]:
+            return
+        left[0] -= 1
+        other = names[(names.index(spec.resource) + 1) % len(names)]
+        try:
+            if kind == "submit":
+                mw.submit(JobSpec(resource=other, command=("sleep", "12"), credential="bob"))
+            elif kind == "cancel":
+                active = mw._active[other].active
+                if active:
+                    mw.cancel(next(iter(active)))
+            else:
+                mw.poll_cycle(other)
+        except (TransportError, SessionError):
+            pass  # a lost cancel
+    return on_transition
 
 
 def drive(k, world, horizon, rng):
@@ -162,7 +194,16 @@ def outcome(k):
 # stretches of repeated polls follow.
 @example({"seed": 1, "interval": 5.0, "ttl": None, "dialects": ["sim-slurm"], "pool": False,
           "maintenance": "hold", "failures": 0, "cancels": 3, "datasets": 0, "drive": "run",
-          "edit_min": 0})
+          "edit_min": 0, "listener": None})
+# A listener writes inside a grid instant: a submit to the other resource,
+# and a cancel on the only one. Each fails once such a write leaves the
+# written resource's next poll marked to repeat.
+@example({"seed": 2, "interval": 5.0, "ttl": None, "dialects": ["sim-slurm", "sim-pbs"],
+          "pool": False, "maintenance": None, "failures": 0, "cancels": 0, "datasets": 0,
+          "drive": "run", "edit_min": None, "listener": "submit"})
+@example({"seed": 3, "interval": 5.0, "ttl": None, "dialects": ["sim-pbs"], "pool": False,
+          "maintenance": None, "failures": 0, "cancels": 0, "datasets": 0, "drive": "run",
+          "edit_min": None, "listener": "cancel"})
 def test_run_ahead_changes_no_trace_byte_job_state_or_session(k):
     ahead = outcome(k)
     with pytest.MonkeyPatch.context() as mp:
@@ -237,6 +278,33 @@ def test_a_long_pooled_run_polls_through_the_clock_under_a_tenth_of_the_time():
     assert cycles[0] < 0.1 * polls
 
 
+def test_a_quiet_stretch_starts_at_the_first_poll_that_would_repeat():
+    # Stepped as perfbench's pilot_soak steps it, every 1000 s. A poll whose
+    # output is the one already applied only proves what the cycle before it
+    # could tell: 201 of 1,259 cycles do here, 910 of 1,968 when a stretch
+    # started only after such a poll.
+    world = soak_world(3)
+    mw, counts = world.middleware, {"cycles": 0, "repeats": 0}
+    poll_cycle = mw.poll_cycle
+
+    def counted(resource):
+        state = mw._active[resource]
+        before, failed = state.applied_output, world.trace.count("poll_failed")
+        polled = bool(state.active)
+        applied = poll_cycle(resource)
+        counts["cycles"] += 1
+        counts["repeats"] += (polled and before is not None and state.applied_output is before
+                              and world.trace.count("poll_failed") == failed)
+        return applied
+
+    mw.poll_cycle = counted
+    world.start()
+    for k in range(1, 101):
+        world.clock.run_until(k * 1000.0)
+    assert counts["repeats"] <= 250
+    assert counts["cycles"] <= 1_350
+
+
 def test_job_status_far_into_a_session_prints_the_same_with_and_without_run_ahead(
         tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -258,3 +326,53 @@ def test_job_status_far_into_a_session_prints_the_same_with_and_without_run_ahea
         assert main(status) == 0
     assert capsys.readouterr().out == ahead
     assert json.loads(ahead)["state"] == "Running"
+
+
+def talescale_opcodes(fn) -> int:
+    """The Python opcodes ``fn()`` executes in frames of talescale's modules."""
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            count[0] += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_globals.get("__name__", "").startswith("talescale."):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(before)
+    return count[0]
+
+
+def test_job_status_does_the_same_python_work_however_long_its_quiet_stretch(
+        tmp_path, capsys):
+    # One running job on a 1 s fixed queue, polled every 5 s: replaying the
+    # session to 10^5, 10^6 or 10^7 s runs one quiet stretch of 2 * 10^4 to
+    # 2 * 10^6 polls, which must cost the same Python work.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "node_count": 8,
+                       "allows_incoming_connections": False, "queue": "q"}],
+        "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+    }))
+    counts = []
+    for horizon in (10 ** 5, 10 ** 6, 10 ** 7):
+        session = ["--config", str(config), "--session", str(tmp_path / f"{horizon}.json")]
+        assert main(["job", "submit", *session, "--resource", "hpc-1",
+                     "--command", "sleep 100000000"]) == 0
+        assert main(["job", "tick", *session, "--dt", str(horizon)]) == 0
+        capsys.readouterr()
+        status = ["job", "status", *session, "--id", "j000001", "--format", "json"]
+        exits = []
+        counts.append(talescale_opcodes(lambda: exits.append(main(status))))
+        assert exits == [0]
+        assert json.loads(capsys.readouterr().out)["state"] == "Running"
+    assert counts[0] == counts[1] == counts[2]
