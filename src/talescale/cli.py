@@ -397,7 +397,8 @@ def job_cancel(config_path, session_path, job_id):
 def job_tick(config_path, session_path, dt):
     """Advance the session's simulated time."""
     session = _session_load(Path(session_path))
-    session["now"] = float(session["now"]) + dt
+    check_number("job tick", "--dt", dt)
+    session["now"] = check_number("session", "now", float(session["now"]) + dt)
     _session_save(Path(session_path), session)
     click.echo(f"t={session['now']}")
 

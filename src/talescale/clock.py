@@ -37,6 +37,8 @@ import math
 import operator
 from typing import Callable
 
+from .errors import ValidationError
+
 
 def grid_after(now: float, interval: float) -> float:
     """The first point of the ``interval`` grid strictly after ``now``.
@@ -45,10 +47,18 @@ def grid_after(now: float, interval: float) -> float:
     these points, so events of the two meet at bit-identical times. When
     ``now / interval`` rounds down (0.6 / 0.1 gives 5.999...), the formula's
     point can be ``now`` itself; then the point one cell later is taken.
+    Where ``interval`` is below the float spacing at ``now`` (5 s at 1e17),
+    that point is ``now`` too: no grid event could move time on, so this
+    raises ``ValidationError``.
     """
     cell = math.floor(now / interval)
     point = cell * interval + interval
-    return point if point > now else (cell + 1) * interval + interval
+    if not point > now:
+        point = (cell + 1) * interval + interval
+        if not point > now:
+            raise ValidationError(f"a {interval!r} s grid has no point after t={now!r}: "
+                                  f"the interval is below the float spacing there")
+    return point
 
 
 class _Grid:
@@ -118,16 +128,11 @@ class EventHandle:
     """One scheduled callback; pending while ``_fn`` is set. ``grid`` is a
     grid event's tag, None for any other event."""
 
-    __slots__ = ("_fn", "_canceled", "grid")
+    __slots__ = ("_fn", "grid")
 
     def __init__(self, fn: Callable[[], None], grid=None):
         self._fn: Callable[[], None] | None = fn
-        self._canceled = False
         self.grid = grid
-
-    @property
-    def canceled(self) -> bool:
-        return self._canceled
 
 
 class SimClock:
@@ -165,7 +170,6 @@ class SimClock:
         return self.at(self._now + delay, fn)
 
     def cancel(self, handle: EventHandle) -> None:
-        handle._canceled = True
         if handle._fn is not None:  # neither fired nor canceled before
             handle._fn = None
             self._live -= 1

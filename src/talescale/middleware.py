@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, filterfalse
 from typing import Callable
@@ -131,26 +130,6 @@ class CancelAck:
     noop: bool
 
 
-class Subscription:
-    """Ordered, exactly-once stream of one job's state transitions."""
-
-    def __init__(self, job_id: str):
-        self.job_id = job_id
-        self._queue: deque[tuple[JobState, float]] = deque()
-        self.closed = False
-
-    def _push(self, state: JobState, t: float) -> None:
-        if not self.closed:
-            self._queue.append((state, t))
-            if state in TERMINAL_STATES:
-                self.closed = True
-
-    def drain(self) -> list[tuple[JobState, float]]:
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-
 @dataclass
 class _JobRecord:
     job_id: str
@@ -160,7 +139,6 @@ class _JobRecord:
     cause: str | None = None
     native_id: str | None = None
     transitions: list[tuple[JobState, float]] = field(default_factory=list)
-    subscribers: list[Subscription] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -407,15 +385,6 @@ class LrmMiddleware:
         transition; listeners run in the order they were added."""
         self._transition_listeners.append(listener)
 
-    def subscribe(self, handle: JobHandle | str) -> Subscription:
-        record = self._record(handle)
-        sub = Subscription(record.job_id)
-        if record.state in TERMINAL_STATES:
-            sub._push(record.state, record.transitions[-1][1])
-        else:
-            record.subscribers.append(sub)
-        return sub
-
     def cancel(self, handle: JobHandle | str) -> CancelAck:
         """Idempotent: terminal jobs acknowledge without a transport call."""
         record = self._record(handle)
@@ -559,9 +528,5 @@ class LrmMiddleware:
                         resource=record.spec.resource,
                         from_state=previous.value, to_state=state.value,
                         exit_code=record.exit_code if state in TERMINAL_STATES else None)
-        for sub in record.subscribers:
-            sub._push(state, self.clock.now)
-        if state in TERMINAL_STATES:
-            record.subscribers.clear()
         for listener in self._transition_listeners:
             listener(record.spec, record.job_id, previous, state, self.clock.now)

@@ -6,18 +6,16 @@ Serialized as ndjson, one ``{"t": ..., "seq": ..., "kind": ..., ...}``
 object per line, with sorted keys so identical runs produce identical
 bytes.
 
-Two things are stored, in emit order. ``emit`` stores a plain record: the
-keyword dict it was called with, with ``t``, ``seq`` and ``kind`` set on
-it. ``emit_each`` stores a run: the records of a repeated call as one
-object (its kind, its fields dicts, its times and its first ``seq``), which
-builds no dict per record. Every record has one slot in the log and one in
-its kind's list: a plain record's holds the record, a run's first holds
-the run and its others hold None. So a record's ``seq`` is its slot,
-``count(kind)`` is a length, and a reader that needs some kinds
-(``ScenarioMetrics.from_trace``, ``Transport.log_text``,
-``DmsCache.transfer_log``) reads them with ``records(kind)`` or
-``tally(kind)`` and never scans the rest. Iterating the log yields
-``TraceEvent`` views, built on demand.
+Two things are stored, in emit order, one entry per call in the log and
+one in its kind's list. ``emit`` stores a plain record: the keyword dict it
+was called with, with ``t``, ``seq`` and ``kind`` set on it. ``emit_each``
+stores a run: the records of a repeated call as one object (its kind, its
+fields dicts, its times and its first ``seq``), which builds no dict per
+record, so a run of any length costs one entry. ``seq`` counts records, not
+entries. A reader that needs some kinds (``ScenarioMetrics.from_trace``,
+``Transport.log_text``, ``DmsCache.transfer_log``) reads them with
+``records(kind)`` or ``tally(kind)`` and never scans the rest. Iterating
+the log yields ``TraceEvent`` views, built on demand.
 
 Nothing is encoded at emit. ``to_ndjson`` writes every line from the
 template of its record's shape: its key tuple, in insertion order, compiled
@@ -251,14 +249,16 @@ class _Run:
 class TraceLog:
     def __init__(self, clock):
         self._clock = clock
-        # one slot per record, at its seq; a run's slots after its first hold None
-        self._records: list[dict[str, Any] | _Run | None] = []
-        self._by_kind: defaultdict[str, list[dict[str, Any] | _Run | None]] = defaultdict(list)
-        self._run_at: list[int] = []  # each run's seq
+        self._seq = 0  # records emitted so far
+        self._records: list[dict[str, Any] | _Run] = []
+        self._by_kind: defaultdict[str, list[dict[str, Any] | _Run]] = defaultdict(list)
+        self._run_extra = defaultdict(int)  # by kind: run records beyond one per run
+        self._run_at: list[int] = []  # each run's index in _records
 
     def emit(self, kind: str, **fields: Any) -> None:
         fields["t"] = self._clock.now
-        fields["seq"] = len(self._records)
+        fields["seq"] = self._seq
+        self._seq += 1
         fields["kind"] = kind
         self._records.append(fields)
         self._by_kind[kind].append(fields)
@@ -269,17 +269,17 @@ class TraceLog:
         called so with the clock at each time. They are stored as one run,
         which keeps ``times`` and ``events`` as they are; the caller must
         not change them after."""
-        run = _Run(kind, events, times, len(self._records))
-        size = len(run)
-        if size:
-            self._run_at.append(run.seq)
-            slots = [run] + [None] * (size - 1)
-            self._records += slots
-            self._by_kind[kind] += slots
+        run = _Run(kind, events, times, self._seq)
+        if size := len(run):
+            self._seq += size
+            self._run_extra[kind] += size - 1
+            self._run_at.append(len(self._records))
+            self._records.append(run)
+            self._by_kind[kind].append(run)
 
     def count(self, kind: str) -> int:
         """Events of ``kind`` emitted so far."""
-        return len(self._by_kind.get(kind, ()))
+        return len(self._by_kind.get(kind, ())) + self._run_extra.get(kind, 0)
 
     def records(self, kind: str) -> list[dict[str, Any]]:
         """The records of ``kind``, in emit order: ``t``, ``seq`` and
@@ -287,7 +287,7 @@ class TraceLog:
         dict, which a reader must not change; a run's records are built
         fresh, so a reader that only counts should use ``tally``."""
         out = []
-        for entry in filter(None, self._by_kind.get(kind, ())):  # drops a run's None slots
+        for entry in self._by_kind.get(kind, ()):
             if type(entry) is dict:
                 out.append(entry)
             else:
@@ -300,7 +300,7 @@ class TraceLog:
         that counts fields: each plain record once, and each of a run's
         fields dicts (without ``t``, ``seq`` and ``kind``) with its run's
         number of times. No run is expanded; no dict may be changed."""
-        for entry in filter(None, self._by_kind.get(kind, ())):
+        for entry in self._by_kind.get(kind, ()):
             if type(entry) is dict:
                 yield entry, 1
             else:
@@ -309,7 +309,7 @@ class TraceLog:
                     yield fields, times
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        for entry in filter(None, self._records):
+        for entry in self._records:
             if type(entry) is dict:
                 yield TraceEvent(entry["t"], entry["seq"], entry["kind"],
                                  {k: v for k, v in entry.items() if k not in _HEADER})
@@ -318,7 +318,7 @@ class TraceLog:
                     yield TraceEvent(t, seq, entry.kind, dict(fields))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._seq
 
     def to_ndjson(self) -> bytes:
         """The trace as ndjson: each record's line, as ``json.dumps(record,
@@ -335,9 +335,8 @@ class TraceLog:
         records, start = self._records, 0
         for at in self._run_at:
             yield _record_lines(records[start:at])
-            run = records[at]
-            yield run.lines()
-            start = at + len(run)
+            yield records[at].lines()
+            start = at + 1
         yield _record_lines(records[start:])
         yield ("",)
 

@@ -432,6 +432,17 @@ class TestSimCommand:
         assert "horizon must be a finite number > 0" in captured.err
         assert captured.out == ""
 
+    def test_a_poll_grid_that_cannot_advance_exits_one(self, tmp_path, capsys):
+        # at t 1e17 the 5 s poll interval is below the float spacing: a
+        # poller could only re-arm at the same instant
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps({**_sim_base(), "pools": [], "scenario": {"actions": [
+            {"op": "submit_jobs", "t": 1e17, "resource": "r", "command": ["sleep", "10"]}]}}))
+        assert main(["sim", "run", "--config", str(path), "--horizon", "2e17"]) == 1
+        captured = capsys.readouterr()
+        assert "5.0 s grid has no point after t=1e+17" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["sim", "run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -489,6 +500,31 @@ class TestJobCommands:
                      "--resource", "hpc-1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["state"] == "Submitted"
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "-5", "1e308"])
+    def test_tick_to_a_time_no_session_can_hold_exits_one(self, sim_config, tmp_path, capsys, dt):
+        session = tmp_path / "session.json"
+        args = ["--config", str(sim_config), "--session", str(session)]
+        assert main(["job", "submit", *args, "--resource", "hpc-1"]) == 0
+        assert main(["job", "tick", *args, "--dt", "1e308"]) == 0
+        before = session.read_bytes()
+        capsys.readouterr()
+        assert main(["job", "tick", *args, "--dt", dt]) == 1
+        captured = capsys.readouterr()
+        assert "must be a finite number at least 0" in captured.err and captured.out == ""
+        assert session.read_bytes() == before
+
+    def test_submit_where_the_poll_grid_cannot_advance_exits_one(self, sim_config, tmp_path,
+                                                                 capsys):
+        session = tmp_path / "session.json"
+        args = ["--config", str(sim_config), "--session", str(session)]
+        assert main(["job", "tick", *args, "--dt", "1e17"]) == 0
+        before = session.read_bytes()
+        capsys.readouterr()
+        assert main(["job", "submit", *args, "--resource", "hpc-1"]) == 1
+        captured = capsys.readouterr()
+        assert "5.0 s grid has no point after t=1e+17" in captured.err and captured.out == ""
+        assert session.read_bytes() == before
 
     @pytest.mark.parametrize("command", [["cancel", "--id", "j000001"], ["tick", "--dt", "5"]])
     def test_commands_that_print_only_text_take_no_format(self, sim_config, tmp_path, capsys,

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from talescale.clock import SimClock, _grid_points, grid_after
+from talescale.errors import ValidationError
 from talescale.middleware import JobSpec
 
 from conftest import batch_world
@@ -59,7 +61,7 @@ def test_cancel_prevents_firing():
     clock.cancel(handle)
     clock.run_until(2.0)
     assert fired == []
-    assert handle.canceled
+    assert handle._fn is None
 
 
 def test_consume_advances_only_in_driver_context():
@@ -119,7 +121,7 @@ def test_step_processes_single_event():
 
 def _live(clock):
     """Live events, recounted from the heap rather than read from the clock."""
-    return sum(1 for _, _, handle in clock._heap if not handle.canceled)
+    return sum(1 for _, _, handle in clock._heap if handle._fn is not None)
 
 
 def test_cancel_counts_once_and_not_after_firing():
@@ -132,7 +134,7 @@ def test_cancel_counts_once_and_not_after_firing():
     clock.cancel(pending)
     clock.cancel(pending)  # already canceled
     assert clock._live == 0 == _live(clock)
-    assert fired.canceled and pending.canceled
+    assert pending._fn is None
 
 
 def test_cancel_churn_keeps_tombstones_bounded():
@@ -196,6 +198,15 @@ def test_grid_after_is_strictly_after():
     assert grid_after(5.0, 5.0) == 10.0
     assert grid_after(7.3, 5.0) == 10.0
     assert 0.7 <= grid_after(0.6, 0.1) < 0.7 + 1e-12
+    assert grid_after(1e16, 5.0) == 1e16 + 4.0  # 1e16 + 5, at a float spacing of 2
+
+
+@pytest.mark.parametrize("now, interval", [(1e17, 5.0), (2.0 ** 55, 1.0), (1e300, 1.0)])
+def test_grid_after_refuses_a_grid_that_cannot_advance(now, interval):
+    # the interval is below the float spacing at now: every point it gives is now
+    message = f"{interval!r} s grid has no point after t={now!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        grid_after(now, interval)
 
 
 def _cell_formula(now, interval):

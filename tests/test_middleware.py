@@ -1005,38 +1005,50 @@ class TestKeptUnitsAgainstAFullParse:
         assert runs[0] == runs[1]
 
 
-class TestSubscribe:
+def transitions_of(world, job_id):
+    """Add a transition listener; the list it fills with ``job_id``'s
+    (state, t) transitions, in order."""
+    seen = []
+    world.middleware.add_transition_listener(
+        lambda spec, job, previous, state, t: seen.append((state, t)) if job == job_id else None)
+    return seen
+
+
+class TestTransitionListeners:
     def test_full_lifecycle_replay(self):
         world = batch_world(queue={"distribution": "fixed", "params": {"value": 6.0}})
         handle = world.middleware.submit(spec(command=("sleep", "4")))
-        sub = world.middleware.subscribe(handle)
+        seen = transitions_of(world, handle.job_id)
         world.clock.run_until(30.0)
-        states = [s for s, _ in sub.drain()]
-        assert states == [JobState.QUEUED, JobState.RUNNING, JobState.COMPLETED]
+        assert [s for s, _ in seen] == [JobState.QUEUED, JobState.RUNNING, JobState.COMPLETED]
+        assert seen == list(world.middleware.status(handle).transitions[2:])
 
-    def test_two_subscribers_see_identical_sequences(self):
+    def test_two_listeners_see_identical_sequences(self):
         world = batch_world(queue={"distribution": "fixed", "params": {"value": 6.0}})
         handle = world.middleware.submit(spec(command=("sleep", "4")))
-        sub_a = world.middleware.subscribe(handle)
-        sub_b = world.middleware.subscribe(handle)
+        seen_a = transitions_of(world, handle.job_id)
+        seen_b = transitions_of(world, handle.job_id)
         world.clock.run_until(30.0)
-        assert sub_a.drain() == sub_b.drain()
+        assert seen_a == seen_b and seen_a
 
-    def test_terminal_job_yields_terminal_then_ends(self):
+    def test_terminal_job_reports_terminal_then_nothing_more(self):
         world = batch_world(queue={"distribution": "fixed", "params": {"value": 1.0}})
         handle = world.middleware.submit(spec(command=("sleep", "1")))
         world.clock.run_until(30.0)
-        sub = world.middleware.subscribe(handle)
-        events = sub.drain()
-        assert [s for s, _ in events] == [JobState.COMPLETED]
-        assert sub.closed
+        status = world.middleware.status(handle)
+        assert status.state == JobState.COMPLETED
+        assert status.transitions[-1][0] == JobState.COMPLETED
+        seen = transitions_of(world, handle.job_id)
+        world.clock.run_until(60.0)
+        assert seen == []
+        assert world.middleware.status(handle) == status
 
-    def test_subscriber_count_does_not_change_poller_count(self):
+    def test_listener_count_does_not_change_poller_count(self):
         world = batch_world()
         handle = world.middleware.submit(spec())
-        subs = [world.middleware.subscribe(handle) for _ in range(1000)]
+        for _ in range(1000):
+            transitions_of(world, handle.job_id)
         assert world.middleware.active_pollers == 1
-        assert len(subs) == 1000
 
 
 class TestCancel:

@@ -10,6 +10,7 @@ they fail if it silently stops running ahead.
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -352,18 +353,17 @@ def talescale_opcodes(fn) -> int:
     return count[0]
 
 
-def test_job_status_does_the_same_python_work_however_long_its_quiet_stretch(
-        tmp_path, capsys):
-    # One running job on a 1 s fixed queue, polled every 5 s: replaying the
-    # session to 10^5, 10^6 or 10^7 s runs one quiet stretch of 2 * 10^4 to
-    # 2 * 10^6 polls, which must cost the same Python work.
+def quiet_status_costs(tmp_path, capsys, measure) -> list:
+    """``measure(fn)`` for the ``job status`` of one running job on a 1 s
+    fixed queue, polled every 5 s, in sessions ticked to 10^5, 10^6 and
+    10^7 s: ``fn`` replays one quiet stretch of 2 * 10^4 to 2 * 10^6 polls."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch", "node_count": 8,
                        "allows_incoming_connections": False, "queue": "q"}],
         "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
     }))
-    counts = []
+    costs = []
     for horizon in (10 ** 5, 10 ** 6, 10 ** 7):
         session = ["--config", str(config), "--session", str(tmp_path / f"{horizon}.json")]
         assert main(["job", "submit", *session, "--resource", "hpc-1",
@@ -372,7 +372,30 @@ def test_job_status_does_the_same_python_work_however_long_its_quiet_stretch(
         capsys.readouterr()
         status = ["job", "status", *session, "--id", "j000001", "--format", "json"]
         exits = []
-        counts.append(talescale_opcodes(lambda: exits.append(main(status))))
+        costs.append(measure(lambda: exits.append(main(status))))
         assert exits == [0]
         assert json.loads(capsys.readouterr().out)["state"] == "Running"
+    return costs
+
+
+def test_job_status_does_the_same_python_work_however_long_its_quiet_stretch(
+        tmp_path, capsys):
+    counts = quiet_status_costs(tmp_path, capsys, talescale_opcodes)
     assert counts[0] == counts[1] == counts[2]
+
+
+def peak_bytes(fn) -> int:
+    """The ``tracemalloc`` peak of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_job_status_peaks_at_the_same_memory_however_long_its_quiet_stretch(
+        tmp_path, capsys):
+    # A stretch's records are one run: one trace entry, whatever its length.
+    peaks = quiet_status_costs(tmp_path, capsys, peak_bytes)
+    assert max(peaks) - min(peaks) < 2 ** 20, peaks

@@ -621,8 +621,8 @@ class TestBoundedConcurrency:
         world.middleware.submit(JobSpec(resource="hpc-0", command=("sleep", "2")))
         world.middleware.submit(JobSpec(resource="hpc-1", command=("sleep", "1000")))
         assert world.middleware.active_pollers == 2
-        for _ in range(500):  # subscribers do not add control flows
-            world.middleware.subscribe("j000002")
+        for _ in range(500):  # listeners do not add control flows
+            world.middleware.add_transition_listener(lambda *transition: None)
         assert world.middleware.active_pollers == 2
         world.clock.run_until(60.0)  # hpc-0's job is long done
         assert world.middleware.active_pollers == 1

@@ -4,6 +4,7 @@ import enum
 import hashlib
 import json
 import re
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -220,16 +221,22 @@ def test_record_store_matches_a_per_line_reference(steps):
     clock = _Clock()
     log = TraceLog(clock)
     expected = []  # (t, kind, fields) per record, in emit order
+    storing = []  # the kind of each call that stored records
     for when, kind, fields in steps:
         if isinstance(fields, dict):
             clock.now = when
             assert log.emit(kind, **fields) is None
             expected.append((when, kind, fields))
+            storing.append(kind)
         else:
             before = repr(fields)
             assert log.emit_each(when, kind, fields) is None
             assert repr(fields) == before  # a run's fields are the caller's, unchanged
             expected += [(t, kind, one) for t in when for one in fields]
+            storing += [kind] * bool(when and fields)
+    # one entry per storing call, however many records it made
+    assert len(log._records) == len(storing)
+    assert {kind: len(entries) for kind, entries in log._by_kind.items()} == Counter(storing)
 
     reference = [json.dumps({"t": t, "seq": seq, "kind": kind, **fields},
                             sort_keys=True, separators=(",", ":"))
