@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from . import archive as archive_mod
+from .clock import grid_after
 from .digest import digest_file
 from .dms import DatasetCatalog, ExternalDataRef
 from .errors import (ChecksumMismatchError, InfeasiblePlanError, TalescaleError, ValidationError,
@@ -398,7 +399,11 @@ def job_tick(config_path, session_path, dt):
     """Advance the session's simulated time."""
     session = _session_load(Path(session_path))
     check_number("job tick", "--dt", dt)
-    session["now"] = check_number("session", "now", float(session["now"]) + dt)
+    now = check_number("session", "now", float(session["now"]) + dt)
+    # a time past which no poll or pool tick could move on is refused here,
+    # not by every later command on the session
+    grid_after(now, load_config(config_path).scenario.poll_interval_s)
+    session["now"] = now
     _session_save(Path(session_path), session)
     click.echo(f"t={session['now']}")
 

@@ -25,34 +25,22 @@ answer with ``splice``: written jobs' lines replaced, ended ones cut,
 appended ones added. So a poll costs the jobs that were added, written or
 left out, not one lookup per held job.
 
-Command lines are tokenized with ``shlex.split`` semantics, always.
-``_argv`` takes ``str.split`` as a fast path only for payloads on which
-the two cannot differ: no quote, no backslash, and no whitespace other
-than the space, tab, CR and LF that shlex splits on. ``str.split`` also
-splits on vertical tab, form feed, the separators U+001C to U+001F,
-no-break space and other Unicode spaces, which shlex keeps inside a word,
-and PBS ids embed resource names, which may hold any of them. The test
-runs in C over kilobyte status payloads: ``in`` for the quotes and the
-backslash, and, since ``isascii`` answers in O(1), ``in`` for the six
-ASCII characters of that kind; only a payload that is not ASCII is
-searched with a regex. A payload whose only quoting is balanced single
-quotes (as every ``sbatch --wrap`` carries), or that holds such a
-character, is split by one regex instead: a word runs to the next space,
-tab, CR or LF outside quotes, and shlex would only drop its quote
-characters.
+Command lines are split with ``dialects.shell_words`` (``shlex.split``
+semantics). A submit is read by its dialect's ``read_submit``, the reader
+of the text its ``format_submit`` writes; a command line that cannot be
+read raises ``TransportError``.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import shlex
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import attrgetter, methodcaller
 
-from .dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter, read_edit, splice
+from .dialects import (ADAPTERS, PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter, read_edit,
+                       shell_words, splice)
 from .errors import TransportError, ValidationError
 from .queues import QueueModel, adjust_for_maintenance
 from .resources import ResourceDescriptor
@@ -60,32 +48,6 @@ from .resources import ResourceDescriptor
 FRONTEND_RUNTIME_S = 10.0 ** 9
 
 _SACCT_STATE = {neutral: native for native, neutral in SimSlurmAdapter._STATE_MAP.items()}
-
-# Any character str.split splits on and shlex keeps inside a word.
-_WORD_SPACE = re.compile(r"[^\S \t\r\n]")
-# One shlex word when the only quotes are single ones: unquoted characters
-# other than shlex's whitespace, and whole '...' runs.
-_SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
-
-
-def _has_word_space(payload: str) -> bool:
-    """Whether ``payload`` holds a character str.split splits on and shlex
-    keeps inside a word; ``isascii`` takes O(1), and each ``in`` one memchr."""
-    if payload.isascii():
-        return ("\x0b" in payload or "\x0c" in payload or "\x1c" in payload
-                or "\x1d" in payload or "\x1e" in payload or "\x1f" in payload)
-    return _WORD_SPACE.search(payload) is not None
-
-
-def _argv(payload: str) -> list[str]:
-    """``shlex.split(payload)``, without shlex where it cannot differ."""
-    quotes = payload.count("'")
-    if quotes % 2 or '"' in payload or "\\" in payload:
-        return shlex.split(payload)
-    if quotes or _has_word_space(payload):
-        return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(payload)]
-    return payload.split()
-
 
 def _runtime(word) -> float:
     try:
@@ -187,7 +149,9 @@ class SimulatedLrm:
         self.jobs: dict[str, NativeJob] = {}
         self._counter = 0
         pbs = resource.dialect == SimPbsAdapter.name
+        self._dialect = ADAPTERS[resource.dialect]()  # reads the submits
         self._tools = ("qsub", "qstat", "qdel") if pbs else ("sbatch", "sacct", "scancel")
+        self._submit_head = self._tools[0] + " "  # shlex's first word is then the submit tool
         self._render = _qstat_block if pbs else _sacct_line  # a job's status line
         # The last status answer, while no job write but a noted one can have
         # changed it: (payload, output, whether every id it named was a job,
@@ -202,6 +166,10 @@ class SimulatedLrm:
     def execute(self, payload: str) -> str:
         """Run one command line of this LRM's dialect: its submit, status or
         cancel tool. Any other is an unknown command."""
+        submit, status, cancel = self._tools
+        # each tool's method is looked up at the call, where a wrapper may stand
+        if payload.startswith(self._submit_head):
+            return getattr(self, "_" + submit)(payload)
         answer = self._answer
         if answer is not None:
             if answer[0] == payload and not self._notes:
@@ -213,16 +181,17 @@ class SimulatedLrm:
                 output = self._from_kept(payload, answer)
                 if output is not None:
                     return output
-        argv = _argv(payload)
+        try:
+            argv = shell_words(payload)
+        except ValueError as exc:
+            raise TransportError(f"unreadable command on {self.resource.name}: {exc}") from None
         if not argv:
             raise TransportError("empty command")
         tool = argv[0]
-        submit, status, cancel = self._tools
-        # each tool's method is looked up at the call, where a wrapper may stand
         if tool == status:
             return self._status(payload, getattr(self, "_" + tool)(argv[1:]))
         if tool == submit:
-            return getattr(self, "_" + tool)(argv[1:])
+            return getattr(self, "_" + tool)(payload)
         if tool == cancel:
             return self._cancel_cmd(argv[1:])
         raise TransportError(f"unknown command {tool!r} on {self.resource.name}")
@@ -263,7 +232,7 @@ class SimulatedLrm:
             return None
         added = read[1]
         if sep == " ":  # qstat's appended words but options; after a space, shlex splits them alone
-            added = [*filterfalse(_IS_OPTION, _argv(added))]
+            added = [*filterfalse(_IS_OPTION, shell_words(added))]
         elif _has_quote(added) or any(map(added.__contains__, _SHLEX_SPACES)):
             return None
         else:
@@ -298,35 +267,21 @@ class SimulatedLrm:
             self._notes.clear()
         return output
 
-    def _qsub(self, args: list[str]) -> str:
-        nodes, name, command = 1, "job", []
-        i = 0
-        while i < len(args):
-            if args[i] == "-l" and i + 1 < len(args) and args[i + 1].startswith("nodes="):
-                nodes = int(args[i + 1].split("=", 1)[1])
-                i += 2
-            elif args[i] == "-N" and i + 1 < len(args):
-                name = args[i + 1]
-                i += 2
-            elif args[i] == "--":
-                command = args[i + 1:]
-                break
-            else:
-                i += 1
+    def _read_submit(self, payload: str) -> tuple[int, str, list[str]]:
+        try:
+            return self._dialect.read_submit(payload)
+        except ValueError as exc:
+            raise TransportError(f"unreadable submit on {self.resource.name}: {exc}") from None
+
+    def _qsub(self, payload: str) -> str:
+        nodes, name, command = self._read_submit(payload)
         self._counter += 1
         native_id = f"{self._counter}.{self.resource.name}"
         self._enqueue(native_id, name, command, nodes)
         return native_id
 
-    def _sbatch(self, args: list[str]) -> str:
-        nodes, name, command = 1, "job", []
-        for arg in args:
-            if arg.startswith("--nodes="):
-                nodes = int(arg.split("=", 1)[1])
-            elif arg.startswith("--job-name="):
-                name = arg.split("=", 1)[1]
-        if "--wrap" in args:
-            command = _argv(args[args.index("--wrap") + 1])
+    def _sbatch(self, payload: str) -> str:
+        nodes, name, command = self._read_submit(payload)
         self._counter += 1
         native_id = str(self._counter)
         self._enqueue(native_id, name, command, nodes)

@@ -29,6 +29,15 @@ when the list is given after one separator. An edit names a unit and
 replaces it with one unit or cuts it. A unit to replace must occur at most
 once and is left alone when absent; a unit to cut must occur exactly once;
 no two edits may touch one unit. Units may be added after the last.
+
+The submit grammar. Each adapter writes its submit text (``format_submit``)
+and reads it back (``read_submit``), as the simulated LRM does: the text is
+shell words, quoted by ``shlex`` and split by ``shell_words``. When every
+command word is shell-safe (``shlex.quote`` leaves it as it is), the text is
+written without shlex, byte for byte as shlex writes it, and read back by
+one compiled ``fullmatch``. Any other text, such as a hand-written one with
+its options in another order, takes the general route: the words are split
+and read option by option. A text neither route reads raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,12 +49,75 @@ from operator import itemgetter
 # PBS reports a kill with exit_status 271; adapters map it to "canceled".
 PBS_KILL_EXIT = 271
 
+# Command lines are split with ``shlex.split`` semantics, always.
+# ``shell_words`` takes ``str.split`` as a fast path only for texts on which
+# the two cannot differ: no quote, no backslash, and no whitespace other than
+# the space, tab, CR and LF that shlex splits on. ``str.split`` also splits
+# on vertical tab, form feed, the separators U+001C to U+001F, no-break
+# space and other Unicode spaces, which shlex keeps inside a word, and PBS
+# ids embed resource names, which may hold any of them. The test runs in C
+# over kilobyte status payloads: ``in`` for the quotes and the backslash,
+# and, since ``isascii`` answers in O(1), ``in`` for the six ASCII
+# characters of that kind; only a text that is not ASCII is searched with a
+# regex. A text whose only quoting is balanced single quotes, or that holds
+# such a character, is split by one regex instead: a word runs to the next
+# space, tab, CR or LF outside quotes, and shlex would only drop its quote
+# characters.
+
+# Any character str.split splits on and shlex keeps inside a word.
+_WORD_SPACE = re.compile(r"[^\S \t\r\n]")
+# One shlex word when the only quotes are single ones: unquoted characters
+# other than shlex's whitespace, and whole '...' runs.
+_SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
+
+
+def _has_word_space(text: str) -> bool:
+    """Whether ``text`` holds a character str.split splits on and shlex
+    keeps inside a word; ``isascii`` takes O(1), and each ``in`` one memchr."""
+    if text.isascii():
+        return ("\x0b" in text or "\x0c" in text or "\x1c" in text
+                or "\x1d" in text or "\x1e" in text or "\x1f" in text)
+    return _WORD_SPACE.search(text) is not None
+
+
+def shell_words(text: str) -> list[str]:
+    """``shlex.split(text)``, without shlex where it cannot differ."""
+    quotes = text.count("'")
+    if quotes % 2 or '"' in text or "\\" in text:
+        return shlex.split(text)
+    if quotes or _has_word_space(text):
+        return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(text)]
+    return text.split()
+
+
+# A word shlex.quote leaves as it is; the canonical submit text holds only these.
+_SAFE = r"[\w@%+=:,./-]+"
+_is_safe = re.compile(_SAFE, re.ASCII).fullmatch
+# Safe words joined by single spaces, or none.
+_SAFE_WORDS = rf"(?:{_SAFE}(?: {_SAFE})*)?"
+
+
+def _node_count(text: str) -> int:
+    nodes = int(text)
+    if nodes < 1:
+        raise ValueError(f"a job needs at least 1 node, got {text!r:.200}")
+    return nodes
+
 
 class DialectAdapter:
     name: str = "abstract"
     unit_start: str
+    # A status command is its id list, the ids joined by ``id_sep`` after a
+    # fixed head, then ``status_tail``.
+    id_sep: str
+    status_tail: str
 
     def format_submit(self, command: list[str], node_count: int, job_name: str) -> str:
+        raise NotImplementedError
+
+    def read_submit(self, payload: str) -> tuple[int, str, list[str]]:
+        """``(node count, job name, command)`` of a submit text, as this
+        dialect's LRM reads it; ValueError when it cannot be read."""
         raise NotImplementedError
 
     def parse_submit(self, output: str) -> str:
@@ -67,11 +139,39 @@ class DialectAdapter:
 class SimPbsAdapter(DialectAdapter):
     name = "sim-pbs"
     unit_start = "\nJob Id:"
+    id_sep = " "
+    status_tail = ""
 
     _LETTERS = {"Q": ("queued", None), "R": ("running", None)}
+    _SUBMIT = re.compile(rf"qsub -l nodes=([1-9][0-9]*) -N ({_SAFE}) -- ({_SAFE_WORDS})", re.ASCII)
 
     def format_submit(self, command, node_count, job_name):
-        return f"qsub -l nodes={node_count} -N {job_name} -- {shlex.join(command)}"
+        words = " ".join(command) if all(map(_is_safe, command)) else shlex.join(command)
+        return f"qsub -l nodes={node_count} -N {job_name} -- {words}"
+
+    def read_submit(self, payload):
+        # -l nodes=N and -N NAME; every word after -- is the command
+        if (m := self._SUBMIT.fullmatch(payload)) is not None:
+            return int(m[1]), m[2], m[3].split()
+        words = shell_words(payload)
+        if words[:1] != ["qsub"]:
+            raise ValueError("not a qsub command")
+        nodes, name, command = 1, "job", []
+        i = 1
+        while i < len(words):
+            word = words[i]
+            if word == "--":
+                command = words[i + 1:]
+                break
+            if word == "-l" and i + 1 < len(words) and words[i + 1].startswith("nodes="):
+                nodes = _node_count(words[i + 1][len("nodes="):])
+                i += 2
+            elif word == "-N" and i + 1 < len(words):
+                name = words[i + 1]
+                i += 2
+            else:
+                i += 1
+        return nodes, name, command
 
     def parse_submit(self, output):
         return output.strip()
@@ -109,6 +209,8 @@ class SimPbsAdapter(DialectAdapter):
 class SimSlurmAdapter(DialectAdapter):
     name = "sim-slurm"
     unit_start = "\n"
+    id_sep = ","
+    status_tail = " --format=JobID,State,ExitCode --noheader --parsable2"
 
     _STATE_MAP = {
         "PENDING": "queued",
@@ -118,19 +220,48 @@ class SimSlurmAdapter(DialectAdapter):
         "CANCELLED": "canceled",
     }
 
+    # The command is one word, its words joined and quoted as shlex would:
+    # several safe words in single quotes, one as it is, none as ''.
+    _SUBMIT = re.compile(rf"sbatch --nodes=([1-9][0-9]*) --job-name=({_SAFE}) "
+                         rf"--wrap (?:'({_SAFE_WORDS})'|({_SAFE}))", re.ASCII)
+    _SUBMITTED = re.compile(r"Submitted batch job (\S+)")
+
     def format_submit(self, command, node_count, job_name):
-        wrapped = shlex.join(command)
-        return f"sbatch --nodes={node_count} --job-name={job_name} --wrap {shlex.quote(wrapped)}"
+        if all(map(_is_safe, command)):
+            wrapped = " ".join(command)
+            wrapped = f"'{wrapped}'" if len(command) > 1 else wrapped or "''"
+        else:
+            wrapped = shlex.quote(shlex.join(command))
+        return f"sbatch --nodes={node_count} --job-name={job_name} --wrap {wrapped}"
+
+    def read_submit(self, payload):
+        # the words before --wrap are options; the one after it is the command
+        if (m := self._SUBMIT.fullmatch(payload)) is not None:
+            return int(m[1]), m[2], (m[3] or m[4] or "").split()
+        words = shell_words(payload)
+        if words[:1] != ["sbatch"]:
+            raise ValueError("not an sbatch command")
+        wrap = words.index("--wrap") if "--wrap" in words else len(words)
+        after = words[wrap + 1:]
+        if wrap < len(words) and len(after) != 1:
+            raise ValueError("--wrap takes one word, the command, and ends the options")
+        nodes, name = 1, "job"
+        for word in words[1:wrap]:
+            key, eq, value = word.partition("=")
+            if eq and key == "--nodes":
+                nodes = _node_count(value)
+            elif eq and key == "--job-name":
+                name = value
+        return nodes, name, shell_words(after[0]) if after else []
 
     def parse_submit(self, output):
-        m = re.match(r"^Submitted batch job (\S+)", output.strip())
+        m = self._SUBMITTED.match(output.strip())
         if not m:
             raise ValueError(f"unparseable sbatch output: {output!r}")
         return m.group(1)
 
     def format_status(self, native_ids):
-        joined = ",".join(native_ids)
-        return f"sacct --jobs={joined} --format=JobID,State,ExitCode --noheader --parsable2"
+        return "sacct --jobs=" + ",".join(native_ids) + self.status_tail
 
     def parse_status(self, output):
         return output.splitlines()

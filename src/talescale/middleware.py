@@ -12,9 +12,12 @@ Design constraints, each of which is load-bearing for scale:
   while there is something to poll (no per-job control flows);
 * a cycle parses only the status units (one per job) not applied before,
   so its Python-level work is proportional to the jobs that changed; the
-  part proportional to every active job (building the payload, splitting
-  the output, finding its new units) runs inside C-level ``str``, ``set``
-  and ``itertools`` operations. An output equal to the last one applied is
+  part proportional to every active job (splitting the output, finding its
+  new units) runs inside C-level ``str``, ``set`` and ``itertools``
+  operations. The status payload and its digest are kept and extended by
+  the jobs that arrived (``_ResourceState.status_payload``), and made
+  afresh only after a job left or one arrived out of job-id order. An
+  output equal to the last one applied is
   not parsed at all, and one read as it with units added, canceled jobs'
   units replaced and departed jobs' units cut (``dialects.read_edit``; the
   edits only past ``_EDIT_MIN_CHARS`` of applied output) is parsed from the
@@ -37,6 +40,7 @@ later backend state replays the intermediate transitions in order.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import count, filterfalse
@@ -45,6 +49,7 @@ from typing import Callable
 from .clock import grid_after
 from .cluster import runtime_of_command
 from .dialects import ADAPTERS, DialectAdapter, read_edit
+from .digest import SHORT_LENGTH
 from .errors import (
     SessionError,
     TransportError,
@@ -172,6 +177,16 @@ class _ResourceState:
     # canceled during it or since.
     repeated: bool = False
     poller: object = None  # the scheduled poll tick's EventHandle
+    # The status payload, kept: ``listing`` is its text up to the end of the
+    # id list, ``hasher`` a sha256 fed with that text, ``unlisted`` the
+    # native ids activated since, and ``payload`` the payload with its short
+    # digest while no job arrived. ``listing`` is None while the payload must
+    # be made afresh: at first, after a departure, and after an arrival out
+    # of job-id order.
+    listing: str | None = None
+    hasher: object = None
+    unlisted: list[str] = field(default_factory=list)
+    payload: tuple[str, str] | None = None
 
     def __len__(self) -> int:
         return len(self.active)
@@ -182,9 +197,13 @@ class _ResourceState:
         # string order and submit order part, and the next cycle re-sorts.
         if active and record.job_id < next(reversed(active)):
             self.unsorted = True
+            self.listing = None
         active[record.job_id] = record.native_id
         self.job_ids[record.native_id] = record.job_id
         self.arrivals.append(record.native_id)
+        if self.listing is not None:
+            self.unlisted.append(record.native_id)
+        self.payload = None
         self.repeated = False
         credentials = self.credentials
         credentials[record.spec.credential] = credentials.get(record.spec.credential, 0) + 1
@@ -195,17 +214,39 @@ class _ResourceState:
         del self.job_ids[record.native_id]
         self.kept.discard(self.kept_ids.pop(record.native_id, None))
         self.canceled.discard(record.native_id)
+        self.listing = self.payload = None
         self.repeated = False
         left = self.credentials.pop(record.spec.credential) - 1
         if left:
             self.credentials[record.spec.credential] = left
 
-    def native_ids(self) -> list[str]:
-        """The status payload: the active native ids in job-id order."""
-        if self.unsorted:
-            self.unsorted = False
-            self.active = dict(sorted(self.active.items()))
-        return list(self.active.values())
+    def status_payload(self, adapter: DialectAdapter) -> tuple[str, str]:
+        """The status command naming the active jobs in job-id order, and its
+        ``short_digest``. The kept one is extended by the jobs activated
+        since, and its digest by feeding the kept hasher their ids and a copy
+        of it the tail; it is made afresh only when ``listing`` is None."""
+        if self.payload is not None:
+            return self.payload
+        tail = adapter.status_tail
+        if self.listing is None:
+            if self.unsorted:
+                self.unsorted = False
+                self.active = dict(sorted(self.active.items()))
+            payload = adapter.format_status(list(self.active.values()))
+            self.listing = payload[:len(payload) - len(tail)]
+            self.hasher = hashlib.sha256(self.listing.encode())
+            self.unlisted = []
+        elif self.unlisted:
+            more = adapter.id_sep + adapter.id_sep.join(self.unlisted)
+            self.listing += more
+            self.hasher.update(more.encode())
+            self.unlisted = []
+        hasher = self.hasher
+        if tail:
+            hasher = hasher.copy()
+            hasher.update(tail.encode())
+        self.payload = (self.listing + tail, hasher.hexdigest()[:SHORT_LENGTH])
+        return self.payload
 
     def pending(self, adapter: DialectAdapter, output: str, applied: str | None) -> list:
         """Sorted ``(job id, native id, (state, exit code), unit)`` for the fresh
@@ -432,11 +473,11 @@ class LrmMiddleware:
         if state is None or not state.active:
             return []
         adapter = self._adapter(self.resources[resource_name])
-        command = adapter.format_status(state.native_ids())
+        command, digest = state.status_payload(adapter)
         state.repeated = False
         try:
             output = self.transport.call(resource_name, min(state.credentials),
-                                         "batch_status", command)
+                                         "batch_status", command, digest)
         except (TransportError, SessionError) as exc:
             self.trace.emit("poll_failed", resource=resource_name, reason=str(exc))
             return []

@@ -108,12 +108,15 @@ class Transport:
 
     # -- calls --------------------------------------------------------------
 
-    def call(self, resource: str, credential: str, verb: str, payload: str) -> str:
+    def call(self, resource: str, credential: str, verb: str, payload: str,
+             payload_digest: str | None = None) -> str:
         """One round trip over the pair's session; traces exactly one call.
 
-        The payload digest of the last call per (resource, verb) is kept
-        with its payload and reused while the payload stays equal, so a
-        status query repeated cycle after cycle is hashed once.
+        ``payload_digest`` is ``short_digest`` of the payload, when the
+        caller has it. Else the payload digest of the last call per
+        (resource, verb) is kept with its payload and reused while the
+        payload stays equal, so a status query repeated cycle after cycle is
+        hashed once.
         """
         self.acquire_session(resource, credential)
         if self._take_failure("transport"):
@@ -125,8 +128,9 @@ class Transport:
         output = backend.execute(payload)
         self._sessions[(resource, credential)] = self.clock.now
         key = (resource, verb)
-        last = self._digests.get(key)
-        if last is None or last[0] != payload:
+        if payload_digest is not None:
+            last = self._digests[key] = (payload, payload_digest)
+        elif (last := self._digests.get(key)) is None or last[0] != payload:
             last = self._digests[key] = (payload, short_digest(payload.encode()))
         self.trace.emit("transport_call", resource=resource, credential=credential,
                         verb=verb, payload_digest=last[1])

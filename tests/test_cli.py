@@ -506,7 +506,8 @@ class TestJobCommands:
         session = tmp_path / "session.json"
         args = ["--config", str(sim_config), "--session", str(session)]
         assert main(["job", "submit", *args, "--resource", "hpc-1"]) == 0
-        assert main(["job", "tick", *args, "--dt", "1e308"]) == 0
+        # job tick refuses such a time itself (below); a session file may still hold one
+        session.write_text(json.dumps({**json.loads(session.read_text()), "now": 1e308}))
         before = session.read_bytes()
         capsys.readouterr()
         assert main(["job", "tick", *args, "--dt", dt]) == 1
@@ -514,11 +515,45 @@ class TestJobCommands:
         assert "must be a finite number at least 0" in captured.err and captured.out == ""
         assert session.read_bytes() == before
 
+    def test_tick_to_where_the_poll_grid_cannot_advance_exits_one(self, sim_config, tmp_path,
+                                                                  capsys):
+        session = tmp_path / "session.json"
+        args = ["--config", str(sim_config), "--session", str(session)]
+        assert main(["job", "submit", *args, "--resource", "hpc-1",
+                     "--command", "sleep 1e18"]) == 0
+        job_id = capsys.readouterr().out.split()[0]
+        before = session.read_bytes()
+        assert main(["job", "tick", *args, "--dt", "1e17"]) == 1
+        captured = capsys.readouterr()
+        assert "5.0 s grid has no point after t=1e+17" in captured.err and captured.out == ""
+        assert session.read_bytes() == before
+        assert main(["job", "tick", *args, "--dt", "100"]) == 0
+        assert main(["job", "status", *args, "--id", job_id]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"{job_id} Running"
+
+    @pytest.mark.parametrize("command", ["--nodes=5x", "--nodes=5", "--job-name=evil", "--wrap"])
+    @pytest.mark.parametrize("dialect", ["sim-pbs", "sim-slurm"])
+    def test_a_command_of_option_words_runs_as_the_command(self, tmp_path, capsys, dialect,
+                                                           command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
+            "resources": [{"name": "hpc-1", "kind": "hpc_cluster", "lrm": "batch",
+                           "dialect": dialect, "allows_incoming_connections": False,
+                           "node_count": 8, "queue": "q"}]}))
+        args = ["--config", str(config), "--session", str(tmp_path / "session.json")]
+        assert main(["job", "submit", *args, "--resource", "hpc-1", "--command", command]) == 0
+        assert capsys.readouterr().out == "j000001 Submitted\n"
+        assert main(["job", "tick", *args, "--dt", "1000"]) == 0
+        assert main(["job", "status", *args, "--id", "j000001"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "j000001 Completed exit=0"
+
     def test_submit_where_the_poll_grid_cannot_advance_exits_one(self, sim_config, tmp_path,
                                                                  capsys):
         session = tmp_path / "session.json"
         args = ["--config", str(sim_config), "--session", str(session)]
-        assert main(["job", "tick", *args, "--dt", "1e17"]) == 0
+        # job tick refuses such a time itself (above); a session file may still hold one
+        session.write_text(json.dumps({"seed": 0, "now": 1e17, "ops": []}))
         before = session.read_bytes()
         capsys.readouterr()
         assert main(["job", "submit", *args, "--resource", "hpc-1"]) == 1

@@ -1,4 +1,5 @@
 import random
+import re
 import shlex
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from talescale.clock import SimClock
 from talescale import cluster
-from talescale.cluster import SimulatedLrm, _argv
+from talescale.cluster import SimulatedLrm
+from talescale.dialects import shell_words
 from talescale.dialects import PBS_KILL_EXIT, SimPbsAdapter, SimSlurmAdapter
 from talescale.errors import TransportError
 from talescale.queues import QueueModel
@@ -41,7 +43,7 @@ class TestTokenizer:
     @example("a'b c'd")
     @example("''")
     def test_same_argv_as_shlex_or_same_error(self, text):
-        assert _outcome(_argv, text) == _outcome(shlex.split, text)
+        assert _outcome(shell_words, text) == _outcome(shlex.split, text)
 
     @settings(max_examples=300, deadline=None)
     @given(head=st.text(alphabet=st.sampled_from("abc0189,=- "), min_size=1, max_size=20),
@@ -52,11 +54,11 @@ class TestTokenizer:
         # that decides the split may sit at either end of them
         body = head * (1025 // len(head) + repeats)
         payload = tail + body if at_start else body + tail
-        assert _outcome(_argv, payload) == _outcome(shlex.split, payload)
+        assert _outcome(shell_words, payload) == _outcome(shlex.split, payload)
 
     def test_vertical_tab_stays_inside_a_word(self):
         # str.split() would give four tokens here
-        assert _argv("qstat -f 1.a\x0b2.a") == ["qstat", "-f", "1.a\x0b2.a"]
+        assert shell_words("qstat -f 1.a\x0b2.a") == ["qstat", "-f", "1.a\x0b2.a"]
 
 
 def _states(adapter, output):
@@ -198,6 +200,103 @@ def test_status_round_trip(adapter, name):
         queued: ("queued", None),
     }
     assert {i: observed[i][0] for i in ids} == {i: lrm.jobs[i].state for i in ids}
+
+
+# Command words where the two sides could part: quotes, backslashes, option
+# words of both dialects, --wrap and --, empty words, spaces inside a word,
+# non-ASCII spaces, and plain shell-safe words.
+_COMMAND_WORD = st.one_of(
+    st.sampled_from(["sleep", "fail", "1", "12.5", "--nodes=5", "--nodes=5x", "--job-name=evil",
+                     "--wrap", "--", "-l", "nodes=2", "-N", "", "'", '"', "\\", "a b", "it's",
+                     "\xa0", "x\u3000y", "\x0b", "sbatch"]),
+    st.text(alphabet=st.sampled_from(_PAYLOAD_ALPHABET + "@%+:/_ \u2003"), max_size=6))
+# What format_submit writes a job name as: one shell-safe word, as the middleware's job ids are.
+_JOB_NAME = st.from_regex(r"[\w@%+=:,./-]{1,8}", fullmatch=True).filter(str.isascii)
+_NEVER = re.compile(r"(?!)")
+
+
+def _reference_submit(adapter, command, nodes, name):
+    """The submit text as shlex writes it."""
+    if adapter.name == "sim-pbs":
+        return f"qsub -l nodes={nodes} -N {name} -- {shlex.join(command)}"
+    return f"sbatch --nodes={nodes} --job-name={name} --wrap {shlex.quote(shlex.join(command))}"
+
+
+def _variants(adapter, command, nodes, name):
+    """Other texts of the same submit, outside the canonical form: options
+    reordered, quoted or unknown ones added, spaces and tabs doubled, and no
+    node count (one node); each with the (nodes, name, command) it means."""
+    if adapter.name == "sim-pbs":
+        tail = ["--", *map(shlex.quote, command)]
+        texts = [(["qsub", "-N", name, "-l", f"nodes={nodes}", *tail], nodes),
+                 (["qsub", "-q", "batch", "-l", f"'nodes={nodes}'", "-N", name, *tail], nodes),
+                 (["qsub", "-N", name, *tail], 1)]
+    else:
+        tail = ["--wrap", shlex.quote(shlex.join(command))]
+        texts = [(["sbatch", f"--job-name={name}", f"--nodes={nodes}", *tail], nodes),
+                 (["sbatch", "--partition=x", f"'--nodes={nodes}'", f"--job-name={name}", *tail],
+                  nodes),
+                 (["sbatch", f"--job-name={name}", *tail], 1)]
+    return [(sep.join(words), (n, name, command)) for words, n in texts for sep in (" ", " \t ")]
+
+
+class TestSubmitGrammar:
+    """Each dialect's format_submit writes what shlex would, and its LRM reads
+    back the job it describes, by the one-match reader or the general route."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pbs=st.booleans(), command=st.lists(_COMMAND_WORD, max_size=5),
+           nodes=st.integers(1, 10 ** 6), name=_JOB_NAME)
+    @example(pbs=False, command=["--nodes=5"], nodes=1, name="j000001")
+    @example(pbs=False, command=["--job-name=evil"], nodes=1, name="j000001")
+    @example(pbs=False, command=["sleep", "--wrap"], nodes=2, name="j")
+    @example(pbs=True, command=["--", "-l", "nodes=2"], nodes=1, name="j")
+    @example(pbs=False, command=[], nodes=1, name="j")
+    @example(pbs=True, command=[], nodes=1, name="j")
+    @example(pbs=False, command=[""], nodes=1, name="j")
+    def test_submit_text_is_shlex_s_and_reads_back_as_the_job(self, pbs, command, nodes, name):
+        adapter = SimPbsAdapter() if pbs else SimSlurmAdapter()
+        general = type(adapter)()
+        general._SUBMIT = _NEVER  # the general route alone
+        payload = adapter.format_submit(command, nodes, name)
+        assert payload == _reference_submit(adapter, command, nodes, name)
+        job = (nodes, name, command)
+        assert adapter.read_submit(payload) == general.read_submit(payload) == job
+        # the one-match reader takes it exactly when no word needs quoting
+        safe = all(re.fullmatch(r"[\w@%+=:,./-]+", word, re.ASCII) for word in command)
+        assert (adapter._SUBMIT.fullmatch(payload) is not None) == safe
+        for variant, meant in [(payload, job), *_variants(adapter, command, nodes, name)]:
+            assert variant == payload or adapter._SUBMIT.fullmatch(variant) is None
+            assert adapter.read_submit(variant) == meant
+            clock, lrm = _lrm("c", adapter)
+            native_id = adapter.parse_submit(lrm.execute(variant))
+            queued = lrm.jobs[native_id]
+            assert (queued.node_count, queued.name, list(queued.command)) == meant
+
+
+@pytest.mark.parametrize("command", [["--nodes=5"], ["--job-name=evil"], ["--nodes=5x"],
+                                     ["sleep", "1", "--wrap", "x"]])
+def test_sbatch_reads_no_option_after_wrap(command):
+    adapter = SimSlurmAdapter()
+    clock, lrm = _lrm("c", adapter)
+    native_id = adapter.parse_submit(lrm.execute(adapter.format_submit(command, 1, "j1")))
+    job = lrm.jobs[native_id]
+    assert (job.node_count, job.name, job.command) == (1, "j1", tuple(command))
+
+
+@pytest.mark.parametrize("payload", [
+    "qsub -l nodes=x -N j -- sleep 1", "qsub -l nodes=0 -N j -- sleep 1",
+    "qsub -N j -- sleep 'a", "sbatch --nodes=5x --job-name=j --wrap 'sleep 1'",
+    "sbatch --nodes=0 --wrap 'sleep 1'", "sbatch --job-name=j --wrap",
+    "sbatch --wrap 'sleep 1' extra", "sbatch --wrap \"'\"", "sbatch --wrap 'sleep 1",
+    "qstat -f '1.c", "sacct --jobs=\"1", "scancel 1\\"])
+def test_a_command_line_the_lrm_cannot_read_is_a_transport_error(payload):
+    pbs = payload.startswith("q")
+    adapter = SimPbsAdapter() if pbs else SimSlurmAdapter()
+    clock, lrm = _lrm("c", adapter)
+    with pytest.raises(TransportError):
+        lrm.execute(payload)
+    assert lrm.jobs == {} and lrm._counter == 0
 
 
 def _held_lrm(policy):

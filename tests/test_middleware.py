@@ -310,10 +310,10 @@ class TestIncrementalPoll:
             poll_cycle, depth = mw.poll_cycle, [0]
             call, polled_as = world.transport.call, {}
 
-            def recording_call(resource, credential, verb, payload):
+            def recording_call(resource, credential, verb, payload, *digest):
                 if verb == "batch_status":
                     polled_as[resource] = credential
-                return call(resource, credential, verb, payload)
+                return call(resource, credential, verb, payload, *digest)
 
             world.transport.call = recording_call
 
@@ -535,10 +535,10 @@ class TestIncrementalPoll:
         payloads = []
         call = world.transport.call
 
-        def recording_call(resource, credential, verb, payload):
+        def recording_call(resource, credential, verb, payload, *digest):
             if verb == "batch_status":
                 payloads.append(payload)
-            return call(resource, credential, verb, payload)
+            return call(resource, credential, verb, payload, *digest)
 
         world.transport.call = recording_call
         mw._counter = 999_990
@@ -571,8 +571,8 @@ def _status_outputs(world):
     """Record the whole output of each status call through ``world``'s transport."""
     outputs, call = [], world.transport.call
 
-    def recording_call(resource, credential, verb, payload):
-        output = call(resource, credential, verb, payload)
+    def recording_call(resource, credential, verb, payload, *digest):
+        output = call(resource, credential, verb, payload, *digest)
         if verb == "batch_status":
             outputs.append(output)
         return output
@@ -588,6 +588,107 @@ def _counting(adapter):
     adapter.parse_status = lambda output: outputs.append(output) or parse_status(output)
     adapter.parse_unit = lambda unit: units.append(unit) or parse_unit(unit)
     return outputs, units
+
+
+def _storm_world(seed, forget=False):
+    """job_storm's shape, smaller: a held resource of each dialect, in a
+    maintenance window that outlasts the run, whose ids pile up in every
+    poll, beside a fast one of each; Poisson submits with a share of fail
+    commands, cancels at later random times (most on held jobs), and
+    injected transport failures. With ``forget``, each poll cycle first drops
+    every resource's kept status payload and hasher. Returns the world, run
+    to its horizon, and the number of status payloads made afresh."""
+    resources = [{"name": name, "kind": "hpc_cluster", "lrm": "batch",
+                  "allows_incoming_connections": False, "node_count": 8,
+                  "queue": queue, "dialect": dialect}
+                 for name, queue, dialect in [("pbs-a", "fast", "sim-pbs"),
+                                              ("slurm-c", "fast", "sim-slurm"),
+                                              ("pbs-maint", "held", "sim-pbs"),
+                                              ("slurm-maint", "held", "sim-slurm")]]
+    world = World(load_config({
+        "resources": resources,
+        "queues": {"fast": {"distribution": "exponential", "params": {"mean": 20.0}},
+                   "held": {"distribution": "exponential", "params": {"mean": 20.0},
+                            "maintenance_windows": [[0.0, 1e6]]}},
+        "scenario": {"credentials": ["alice", "bob"]},
+    }), seed)
+    world.start()
+    mw, rng = world.middleware, random.Random(seed)
+    made = Counter()
+    for adapter in mw.dialects.values():
+        def counted(ids, format_status=adapter.format_status):
+            made[0] += 1
+            return format_status(ids)
+        adapter.format_status = counted
+    if forget:
+        poll_cycle = mw.poll_cycle
+
+        def forgetful(resource):
+            for state in mw._active.values():
+                state.listing = state.hasher = state.payload = None
+            return poll_cycle(resource)
+        mw.poll_cycle = forgetful
+
+    def cancel(handle):
+        try:
+            mw.cancel(handle)
+        except (TransportError, SessionError):
+            pass  # a lost cancel: the job stays held
+
+    def submit(resource, command, cancel_after):
+        handle = mw.submit(JobSpec(resource, command, rng.choice(("alice", "bob"))))
+        if cancel_after is not None:
+            world.clock.after(cancel_after, lambda: cancel(handle))
+
+    t = 0.0
+    for _ in range(700):
+        t += rng.expovariate(2.0)
+        resource = rng.choice(("pbs-maint", "slurm-maint") * 3 + ("pbs-a", "slurm-c") * 2)
+        command = (("fail", str(rng.randint(1, 30)), "2") if rng.random() < 0.2
+                   else ("sleep", str(rng.randint(1, 60))))
+        cancel_after = rng.uniform(1.0, 100.0) if rng.random() < 0.08 else None
+        world.clock.at(t, lambda r=resource, c=command, a=cancel_after: submit(r, c, a))
+        if rng.random() < 0.01:
+            world.clock.at(t, world.transport.inject_failure)
+    world.clock.run_until(t + 200.0)
+    return world, made[0]
+
+
+class TestKeptStatusPayload:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_kept_payload_gives_the_trace_of_one_made_every_cycle(self, seed):
+        kept, fresh_made = _storm_world(seed)
+        forgot, forgot_made = _storm_world(seed, forget=True)
+        assert kept.trace.to_ndjson() == forgot.trace.to_ndjson()
+        assert kept.trace.count("job_transition") > 1500 and kept.trace.count("poll_failed")
+        # most payloads were extended, not made afresh
+        assert fresh_made < forgot_made / 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(dialect=st.sampled_from(sorted(ADAPTERS)), start=st.sampled_from([1, 999_990]),
+           ops=st.lists(st.one_of(st.tuples(st.just("add"), st.integers(1, 4)),
+                                  st.tuples(st.just("cut"), st.integers(0, 100)),
+                                  st.tuples(st.just("poll"), st.just(0))), max_size=40))
+    def test_a_kept_payload_and_digest_equal_a_fresh_one(self, dialect, start, ops):
+        # past j999999 a new job id sorts first, and the payload is made afresh
+        adapter, state = ADAPTERS[dialect](), middleware._ResourceState()
+        records, serial = [], start
+        for op, n in [*ops, ("poll", 0)]:
+            if op == "add":
+                for _ in range(n):
+                    native_id = f"{serial}.c\xa0\xe9" if dialect == "sim-pbs" else str(serial)
+                    record = middleware._JobRecord(job_id=f"j{serial:06d}", spec=spec(),
+                                                   native_id=native_id)
+                    state.activate(record)
+                    records.append(record)
+                    serial += 1
+            elif op == "cut" and records:
+                state.deactivate(records.pop(n % len(records)))
+            elif op == "poll" and records:
+                payload, digest = state.status_payload(adapter)
+                ids = [r.native_id for r in sorted(records, key=lambda r: r.job_id)]
+                assert payload == adapter.format_status(ids)
+                assert digest == short_digest(payload.encode())
 
 
 class TestUnitWork:
@@ -665,10 +766,10 @@ class TestUnitWork:
         texts, units = _counting(adapter)
         payloads, call = [], world.transport.call
 
-        def recording_call(resource, credential, verb, payload):
+        def recording_call(resource, credential, verb, payload, *digest):
             if verb == "batch_status":
                 payloads.append(payload)
-            return call(resource, credential, verb, payload)
+            return call(resource, credential, verb, payload, *digest)
 
         world.transport.call = recording_call
         handles = [mw.submit(spec()) for _ in range(2000)]
