@@ -46,8 +46,9 @@ class ExternalDataRef:
     def __post_init__(self):
         if not isinstance(self.uri, str) or not self.uri:
             raise ValidationError(f"data ref uri must be a nonempty string, got {self.uri!r:.200}")
-        if self.size_bytes < 0:
-            raise ValidationError(f"data ref {self.uri!r} has negative size")
+        if isinstance(self.size_bytes, bool) or not isinstance(self.size_bytes, int) or self.size_bytes < 0:
+            raise ValidationError(f"data ref {self.uri!r} size_bytes must be an integer >= 0, "
+                                  f"got {self.size_bytes!r:.200}")
         if not isinstance(self.checksum, str) or not self.checksum:
             raise ValidationError(f"data ref {self.uri!r} is missing a checksum")
         try:
@@ -245,9 +246,12 @@ class DmsCache:
         return handle
 
     def open_nowait(self, ref: ExternalDataRef) -> OpenHandle:
-        """Start (or join) the transfer for ``ref`` and return immediately."""
-        if ref.uri not in self.catalog:
-            raise ValidationError(f"dataset {ref.uri!r} is not registered")
+        """Start (or join) the transfer for ``ref`` and return immediately.
+
+        The catalog's ref for ``ref.uri`` is the one opened, so reservation,
+        eviction and the transfer records all read the catalog's size.
+        """
+        ref = self.catalog.get(ref.uri)
         entry = self.entry(ref.uri)
         handle = OpenHandle(ref.uri)
 

@@ -19,7 +19,10 @@ groups keep the order of their first candidates, so the first
 least-scoring group is the one the tie-break picks. A consumer's wide-area
 bytes are the requested total less the sizes of the requested refs local
 to it, exactly the refs ``resolve_local`` does not send through the cache;
-it runs once per dataset, for the chosen consumer's staging tuple.
+it runs once per dataset, for the chosen consumer's staging tuple. A
+snapshot also indexes its consumers by the datasets they hold, so a plan
+prices only the consumers that can win (``_contenders``): the first, and
+those holding a requested dataset.
 
 Model rules, fixed as this artifact's policy:
 
@@ -246,12 +249,12 @@ def _time_to_frontend(model: ExecutionModel, resource: ResourceDescriptor,
     return image_load_s + wait
 
 
-def _firsts(candidates, group) -> dict:
+def _firsts(candidates, group) -> tuple:
     """Each group's first candidate, groups in the order they first appear."""
     firsts = {}
     for candidate in candidates:
         firsts.setdefault(group(candidate), candidate)
-    return firsts
+    return tuple(firsts.values())
 
 
 def _consumer(candidate) -> ResourceDescriptor:
@@ -268,10 +271,29 @@ _GROUPS = {
 }
 
 
+def _contenders(firsts: tuple, holders: dict, uris) -> tuple:
+    """The groups that can win ``min_data_movement``, in rule order: the
+    first group, and each group whose consumer holds one of ``uris``.
+
+    Sizes are ints >= 0, so a consumer holding none of the requested
+    datasets scores exactly the requested total, and the first group scores
+    at most that; ``min`` keeps the first of equal scores, so no other
+    non-holder can win. ``holders`` maps a URI to the positions in
+    ``firsts`` of the consumers holding it. A time-to-frontend score reads
+    the queue model, so every (model, frontend) group contends.
+    """
+    if not firsts:
+        return firsts
+    positions = {0}
+    for uri in uris:
+        positions.update(holders.get(uri, ()))
+    return tuple(map(firsts.__getitem__, sorted(positions)))
+
+
 class _ShapeTables:
     """One requirement shape's placement tables over one inventory."""
 
-    __slots__ = ("rules", "reasons", "firsts")
+    __slots__ = ("rules", "reasons", "firsts", "holders")
 
     def __init__(self, req: WorkloadRequirements, inventory: "Inventory"):
         self.rules = placement_candidates(req, inventory)
@@ -283,6 +305,10 @@ class _ShapeTables:
                       for c in self.rules for frontend, workload in c.pairs]
         self.firsts = {objective: _firsts(candidates, group)
                        for objective, group in _GROUPS.items()}
+        self.holders = {}  # uri -> positions in firsts["min_data_movement"]
+        for position, candidate in enumerate(self.firsts["min_data_movement"]):
+            for uri in _consumer(candidate).local_datasets:
+                self.holders.setdefault(uri, []).append(position)
 
 
 class Inventory(tuple):
@@ -327,7 +353,9 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
 
     override = None
     if frontend_override is None:
-        firsts = tables.firsts[objective]
+        candidates = tables.firsts[objective]
+        if objective == "min_data_movement":
+            candidates = _contenders(candidates, tables.holders, req.dataset_uris)
     else:
         if frontend_override not in inventory._index:
             raise ValidationError(f"frontend override {frontend_override!r} is not in the inventory")
@@ -335,10 +363,10 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
         decoupled = tables.rules[MODEL_ORDER.index(ExecutionModel.M6_DECOUPLED_REMOTE_LRM)]
         if not decoupled.feasible:
             raise InfeasiblePlanError(list(reasons))
-        firsts = _firsts([(decoupled.model, override, workload)
-                          for _, workload in decoupled.pairs], _GROUPS[objective])
+        candidates = _firsts([(decoupled.model, override, workload)
+                              for _, workload in decoupled.pairs], _GROUPS[objective])
 
-    if not firsts:
+    if not candidates:
         raise InfeasiblePlanError(list(reasons))
 
     def ref_for(uri: str) -> ExternalDataRef:
@@ -361,7 +389,7 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
             return total - sum(map(sizes.__getitem__, local))
 
     # min keeps the first of equal scores: ties go to model, then inventory order
-    best = min(firsts.values(), key=primary)
+    best = min(candidates, key=primary)
     model, frontend, workload = best
     staging = tuple(resolve_local(ref, _consumer(best)) for ref in refs)
     estimate = _time_to_frontend(model, frontend, image_load_s)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .digest import short_digest
-from .errors import DuplicateError, ProxyPolicyError, RouteNotFoundError
+from .errors import DuplicateError, ProxyPolicyError, RouteNotFoundError, ValidationError
 from .resources import ResourceDescriptor
 
 
@@ -60,6 +60,10 @@ class ProxyRegistry:
         self._routes: dict[str, Route] = {}  # tale_id -> route
 
     def register_endpoint(self, tale_id: str, endpoint: Endpoint) -> Route:
+        """Publish ``/tales/<tale_id>/``; the id is one nonempty path segment."""
+        if not isinstance(tale_id, str) or not tale_id or "/" in tale_id:
+            raise ValidationError(f"tale id must be a nonempty string without '/', "
+                                  f"got {tale_id!r:.200}")
         if tale_id in self._routes:
             raise DuplicateError(f"tale {tale_id!r} already has a route")
         route = Route(

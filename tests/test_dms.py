@@ -74,6 +74,20 @@ class TestOpen:
         with pytest.raises(ValidationError):
             cache.inject_corruption("doi:unknown")
 
+    def test_open_reserves_the_catalogs_size_not_the_callers(self):
+        # A caller's ref with the wrong size opens the catalog's ref: the
+        # reservation, the transfer record and a later eviction agree.
+        a, b = ref("doi:a", 10), ref("doi:b", 60)
+        clock, cache = make_cache([a, b], capacity=100)
+        cache.open(ExternalDataRef("doi:a", 90, a.checksum))
+        assert cache.resident_bytes() == 10
+        assert [r.bytes for r in records_for(cache, "doi:a")] == [10]
+        assert cache.entry("doi:a").ref == a
+        assert cache.open(b).ready
+        assert cache.resident_bytes() == 70
+        assert cache.evict(40) == ["doi:a"]  # 30 free, and doi:a frees its 10
+        assert cache.resident_bytes() == 60
+
     def test_checksum_mismatch_discards_entry_and_raises(self):
         r = ref("doi:a")
         clock, cache = make_cache([r])
@@ -230,6 +244,19 @@ class TestCatalog:
         catalog = DatasetCatalog()
         r = catalog.register(ExternalDataRef("doi:z", 0, digest_bytes(b"z")))
         assert r.size_bytes == 0
+
+    @pytest.mark.parametrize("size", [float("nan"), float("inf"), 1.5, 5.0, True, "5", None, -1])
+    def test_size_must_be_a_byte_count(self, size):
+        with pytest.raises(ValidationError, match="size_bytes must be an integer >= 0"):
+            ExternalDataRef("doi:x", size, digest_bytes(b"x"))
+
+    def test_from_dict_still_loads_integral_numbers(self):
+        raw = {"uri": "doi:x", "size_bytes": 5.0, "checksum": digest_bytes(b"x")}
+        assert ExternalDataRef.from_dict(raw).size_bytes == 5
+        assert type(ExternalDataRef.from_dict(dict(raw, size_bytes=1.5)).size_bytes) is int
+        for size in (float("nan"), float("inf"), True, "5"):
+            with pytest.raises(ValidationError):
+                ExternalDataRef.from_dict(dict(raw, size_bytes=size))
 
 
 def brute_force_lru(capacity, accesses, sizes):

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -345,8 +348,10 @@ def outcome(plan, *args, **kwargs):
     return result if isinstance(result, dict) else result.to_dict()
 
 
-def random_inventory(rng, uris):
-    """1-12 resources of every kind, holding random POSIX or non-POSIX data."""
+def random_inventory(rng, uris, most=None):
+    """1-12 resources of every kind, each holding up to ``most`` (default
+    all) of ``uris`` as POSIX or non-POSIX data."""
+    most = len(uris) if most is None else most
     inventory = []
     for i in range(rng.randint(1, 12)):
         kind = rng.choice(("wt_cluster", "hpc_cluster", "hpc_cluster", "cloud"))
@@ -356,9 +361,33 @@ def random_inventory(rng, uris):
             name=f"r{i}", kind=kind, lrm=lrm,
             incoming=kind == "wt_cluster" or rng.random() < 0.3,
             mpi=rng.random() < 0.4, nodes=rng.choice((1, 2, 4, 8, 16)),
-            datasets=rng.sample(uris, rng.randint(0, len(uris))),
+            datasets=rng.sample(uris, rng.randint(0, most)),
             posix=rng.random() < 0.5, queue=queue))
     return inventory
+
+
+def launch_shaped_inventory(rng, uris):
+    """50 resources shaped like tale_launch's (a deployment cluster, 9
+    direct nodes, 40 batch clusters), each holding 0-3 of ``uris``."""
+    def held():
+        return rng.sample(uris, rng.randint(0, 3))
+
+    inventory = [make_resource(name="wt-0", kind="wt_cluster", lrm="none", incoming=True,
+                               datasets=held())]
+    inventory += [make_resource(name=f"node-{k}", lrm="none", datasets=held(),
+                                posix=rng.random() < 0.5) for k in range(9)]
+    inventory += [make_resource(name=f"hpc-{k:02d}", nodes=rng.choice((8, 16, 32, 64)),
+                                mpi=k % 3 == 0, datasets=held(), posix=k % 2 == 0,
+                                queue=fixed_queue(rng.choice((0, 300))))
+                  for k in range(40)]
+    return inventory
+
+
+def first_consumer(req, inventory):
+    """The consumer of the rule's first candidate: the workload resource, else
+    the frontend."""
+    return next(workload or frontend for c in placement_candidates(req, inventory)
+                for frontend, workload in c.pairs)
 
 
 class TestPlanMatchesBruteForce:
@@ -419,6 +448,47 @@ class TestPlanMatchesBruteForce:
                     assert outcome(plan_placement, req, snapshot, objective, **kwargs) == expected
                     compared += isinstance(expected, dict)
         assert compared > 1000
+
+    def test_sparse_holdings(self):
+        # tale_launch's traffic: each resource holds 0-3 of 60 datasets, so
+        # most consumers hold none of a plan's datasets. Draws add a holder
+        # at the rule's first position, a requested dataset nobody holds,
+        # all-zero sizes, and equal sizes, under which holders tie.
+        rng = random.Random(20203)
+        uris = [f"doi:10.5072/s{j:02d}" for j in range(60)]
+        unheld = "doi:10.5072/unheld"
+        seen = Counter()
+        for draw in range(600):
+            inventory = (launch_shaped_inventory(rng, uris) if draw % 2
+                         else random_inventory(rng, uris, most=3))
+            needs_mpi = rng.random() < 0.2
+            req = WorkloadRequirements(
+                needs_hpc=needs_mpi or rng.random() < 0.5, needs_mpi=needs_mpi,
+                min_nodes=rng.choice((1, 1, 2, 16)))
+            wanted = set(rng.sample(uris, rng.randint(0, 8)))
+            if rng.random() < 0.3:
+                wanted.add(unheld)
+            if any(c.feasible for c in placement_candidates(req, inventory)):
+                first = first_consumer(req, inventory)
+                if first.local_datasets and rng.random() < 0.4:
+                    wanted.add(rng.choice(sorted(first.local_datasets)))
+                    seen["first holds"] += 1
+            req = dataclasses.replace(req, dataset_uris=wanted)
+            sizes = rng.choice(("none", "mixed", "zero", "equal"))
+            catalog = None if sizes == "none" else DatasetCatalog(
+                ExternalDataRef(uri=u, checksum=digest_bytes(u.encode()), size_bytes={
+                    "mixed": rng.choice((0, 5, 70, 10 ** 12)), "zero": 0, "equal": 5}[sizes])
+                for u in uris + [unheld] if rng.random() < 0.8)
+            override = rng.choice((None, None, None, *(r.name for r in inventory[:3])))
+            for objective in OBJECTIVES:
+                kwargs = dict(catalog=catalog, frontend_override=override)
+                expected = outcome(brute_force_plan, req, inventory, objective, **kwargs)
+                assert outcome(plan_placement, req, inventory, objective, **kwargs) == expected
+                if isinstance(expected, dict) and objective == "min_data_movement":
+                    local = sum(a["action"] != "cache_fetch" for a in expected["staging_actions"])
+                    seen["holder chosen" if local else "no holder chosen"] += 1
+                    seen[sizes] += 1
+        assert min(seen.values()) > 50, seen
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValidationError, match="unique"):
@@ -484,3 +554,40 @@ class TestScoringWork:
                 for objective in OBJECTIVES:
                     plan_placement(req, snapshot, objective, catalog=catalog)
         assert calls == list(shapes)
+
+    @pytest.mark.parametrize("needs_hpc", [False, True])
+    def test_plan_work_does_not_grow_with_non_holders(self, needs_hpc):
+        # Once a shape's tables are built, a min_data_movement plan makes
+        # the same Python calls in the planner beside 50 or 5,000 consumers
+        # that hold none of its datasets.
+        uris = [f"doi:10.5072/h{j}" for j in range(6)]
+        catalog = DatasetCatalog(ExternalDataRef(uri=u, size_bytes=10 * (j + 1),
+                                                 checksum=digest_bytes(u.encode()))
+                                 for j, u in enumerate(uris))
+        req = WorkloadRequirements(needs_hpc=needs_hpc, dataset_uris=frozenset(uris[:4]))
+        holders = [make_resource(name=f"holder-{k}", datasets=uris[k:k + 2], posix=k % 2 == 0,
+                                 queue=fixed_queue(300)) for k in range(5)]
+
+        def plan_calls(non_holders):
+            idle = [make_resource(name=f"idle-{k}", datasets=uris[4:], queue=fixed_queue(300))
+                    for k in range(non_holders)]
+            snapshot = Inventory([wt_resource(name="wt-0"), *idle[:3], *holders, *idle[3:]])
+            plan_placement(req, snapshot, "min_data_movement", catalog=catalog)  # builds the tables
+            calls = Counter()
+
+            def count(frame, event, arg):
+                if event == "call" and frame.f_globals.get("__name__") == "talescale.planner":
+                    calls[frame.f_code.co_name] += 1
+
+            sys.setprofile(count)
+            try:
+                plan = plan_placement(req, snapshot, "min_data_movement", catalog=catalog)
+            finally:
+                sys.setprofile(None)
+            return calls, plan
+
+        small, small_plan = plan_calls(50)
+        large, large_plan = plan_calls(5000)
+        assert small == large
+        assert small_plan == large_plan
+        assert small_plan.staging_actions[0].resource.startswith("holder-")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from talescale.clock import SimClock
-from talescale.errors import DuplicateError, ProxyPolicyError, RouteNotFoundError
+from talescale.errors import DuplicateError, ProxyPolicyError, RouteNotFoundError, ValidationError
 from talescale.proxy import Endpoint, ProxyRegistry, SimulatedNetwork
 from talescale.trace import TraceLog
 
@@ -24,6 +24,17 @@ def test_register_generates_path_scheme():
     network, registry = make_proxy()
     route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
     assert route.public_path == "/tales/t1/"
+
+
+@pytest.mark.parametrize("tale_id", ["", "a/b", "/", "a/", "/a"])
+def test_tale_id_must_be_one_path_segment(tale_id):
+    # /tales/a/b/ would be published, but lookup reads only the segment "a".
+    network, registry = make_proxy()
+    with pytest.raises(ValidationError, match="tale id"):
+        registry.register_endpoint(tale_id, Endpoint("hpc-1", "n3", 8888))
+    assert registry.trace.count("route_registered") == 0
+    with pytest.raises(RouteNotFoundError):
+        registry.lookup(f"/tales/{tale_id}/")
 
 
 def test_duplicate_registration_rejected():
