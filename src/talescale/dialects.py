@@ -50,25 +50,19 @@ from operator import itemgetter
 PBS_KILL_EXIT = 271
 
 # Command lines are split with ``shlex.split`` semantics, always.
-# ``shell_words`` takes ``str.split`` as a fast path only for texts on which
-# the two cannot differ: no quote, no backslash, and no whitespace other than
-# the space, tab, CR and LF that shlex splits on. ``str.split`` also splits
-# on vertical tab, form feed, the separators U+001C to U+001F, no-break
-# space and other Unicode spaces, which shlex keeps inside a word, and PBS
-# ids embed resource names, which may hold any of them. The test runs in C
-# over kilobyte status payloads: ``in`` for the quotes and the backslash,
-# and, since ``isascii`` answers in O(1), ``in`` for the six ASCII
-# characters of that kind; only a text that is not ASCII is searched with a
-# regex. A text whose only quoting is balanced single quotes, or that holds
-# such a character, is split by one regex instead: a word runs to the next
-# space, tab, CR or LF outside quotes, and shlex would only drop its quote
-# characters.
+# ``shell_words`` takes ``str.split`` only for texts on which the two cannot
+# differ: no quote, no backslash, and no whitespace other than the space,
+# tab, CR and LF that shlex splits on. ``str.split`` also splits on vertical
+# tab, form feed, the separators U+001C to U+001F, no-break space and other
+# Unicode spaces, which shlex keeps inside a word, and PBS ids embed
+# resource names, which may hold any of them. The test runs in C over
+# kilobyte status payloads: ``in`` for the quotes and the backslash, and,
+# since ``isascii`` answers in O(1), ``in`` for the six ASCII characters of
+# that kind; only a text that is not ASCII is searched with a regex. Every
+# other text, such as a submit with a quoted command, goes to shlex.
 
 # Any character str.split splits on and shlex keeps inside a word.
 _WORD_SPACE = re.compile(r"[^\S \t\r\n]")
-# One shlex word when the only quotes are single ones: unquoted characters
-# other than shlex's whitespace, and whole '...' runs.
-_SINGLE_QUOTED_WORD = re.compile(r"(?:[^ \t\r\n']|'[^']*')+")
 
 
 def _has_word_space(text: str) -> bool:
@@ -82,11 +76,8 @@ def _has_word_space(text: str) -> bool:
 
 def shell_words(text: str) -> list[str]:
     """``shlex.split(text)``, without shlex where it cannot differ."""
-    quotes = text.count("'")
-    if quotes % 2 or '"' in text or "\\" in text:
+    if "'" in text or '"' in text or "\\" in text or _has_word_space(text):
         return shlex.split(text)
-    if quotes or _has_word_space(text):
-        return [word.replace("'", "") for word in _SINGLE_QUOTED_WORD.findall(text)]
     return text.split()
 
 

@@ -397,8 +397,10 @@ class DmsCache:
         """Local stage-in on a resource holding a non-POSIX copy.
 
         Bytes move inside the resource, not over the wide area, but they
-        still move, so the trace gets a ``transfer_complete`` event.
+        still move, so the trace gets a ``transfer_complete`` event. As in
+        ``open_nowait``, the catalog's ref for ``ref.uri`` is the one staged.
         """
+        ref = self.catalog.get(ref.uri)
         if ref.uri not in resource.local_datasets:
             raise ValidationError(f"{ref.uri!r} is not local to {resource.name!r}")
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,

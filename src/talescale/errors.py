@@ -36,10 +36,6 @@ class UnknownCredentialError(TalescaleError):
     pass
 
 
-class UnknownDialectError(TalescaleError):
-    pass
-
-
 class UnknownJobError(TalescaleError):
     pass
 

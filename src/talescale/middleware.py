@@ -16,20 +16,22 @@ Design constraints, each of which is load-bearing for scale:
   new units) runs inside C-level ``str``, ``set`` and ``itertools``
   operations. The status payload and its digest are kept and extended by
   the jobs that arrived (``_ResourceState.status_payload``), and made
-  afresh only after a job left or one arrived out of job-id order. An
-  output equal to the last one applied is
-  not parsed at all, and one read as it with units added, canceled jobs'
-  units replaced and departed jobs' units cut (``dialects.read_edit``; the
-  edits only past ``_EDIT_MIN_CHARS`` of applied output) is parsed from the
-  added and replacing units alone (``_ResourceState.pending``);
+  afresh only after a job left or one arrived out of job-id order; the
+  transport traces the kept digest. An output equal to the last one
+  applied is not parsed at all, and one read as it with units added,
+  canceled jobs' units replaced and departed jobs' units cut
+  (``dialects.read_edit``; the edits only past ``_EDIT_MIN_CHARS`` of
+  applied output) is parsed from the added and replacing units alone
+  (``_ResourceState.pending``);
 * sessions are reused across operations per (resource, credential) pair.
 
 A poller's tick is a grid event; its tag answers a run-ahead
-(``World._run_ahead``) with the call a poll that would repeat makes again.
+(``World._run_ahead``) with the call a poll that would repeat makes again,
+and the kept payload's digest.
 
-The dialect adapters live in a plain dict, ``dialects``, one per name in
-``talescale.dialects.ADAPTERS``, keyed by the dialect name a resource
-descriptor carries.
+Each resource's polling state holds its dialect's adapter, made at
+``register_resource`` from ``talescale.dialects.ADAPTERS``, which holds
+every dialect name a resource descriptor accepts.
 
 Client job states move only along the legal edges
 Created -> Submitted -> Queued -> Running -> {Completed, Failed, Canceled},
@@ -53,7 +55,6 @@ from .digest import SHORT_LENGTH
 from .errors import (
     SessionError,
     TransportError,
-    UnknownDialectError,
     UnknownJobError,
     UnknownResourceError,
     ValidationError,
@@ -148,8 +149,9 @@ class _JobRecord:
 
 @dataclass(slots=True)
 class _ResourceState:
-    """One resource's polling state, over its non-terminal jobs. ``len()``
-    counts the active jobs; perfbench sizes a poll cycle by it.
+    """One resource's polling state, over its non-terminal jobs, with its
+    dialect's ``adapter``. ``len()`` counts the active jobs; perfbench sizes
+    a poll cycle by it.
 
     Invariants: a job is in ``active`` (job id -> native id) and in its
     inverse ``job_ids`` once ``parse_submit`` has set its native id. ``kept``,
@@ -161,6 +163,7 @@ class _ResourceState:
     that left ``active``, each with the unit it last applied. ``canceled``
     holds the active native ids a cancel was sent for.
     """
+    adapter: DialectAdapter
     active: dict[str, str] = field(default_factory=dict)
     job_ids: dict[str, str] = field(default_factory=dict)
     credentials: dict[str, int] = field(default_factory=dict)  # credential -> its active jobs
@@ -220,13 +223,14 @@ class _ResourceState:
         if left:
             self.credentials[record.spec.credential] = left
 
-    def status_payload(self, adapter: DialectAdapter) -> tuple[str, str]:
+    def status_payload(self) -> tuple[str, str]:
         """The status command naming the active jobs in job-id order, and its
         ``short_digest``. The kept one is extended by the jobs activated
         since, and its digest by feeding the kept hasher their ids and a copy
         of it the tail; it is made afresh only when ``listing`` is None."""
         if self.payload is not None:
             return self.payload
+        adapter = self.adapter
         tail = adapter.status_tail
         if self.listing is None:
             if self.unsorted:
@@ -248,7 +252,7 @@ class _ResourceState:
         self.payload = (self.listing + tail, hasher.hexdigest()[:SHORT_LENGTH])
         return self.payload
 
-    def pending(self, adapter: DialectAdapter, output: str, applied: str | None) -> list:
+    def pending(self, output: str, applied: str | None) -> list:
         """Sorted ``(job id, native id, (state, exit code), unit)`` for the fresh
         units of ``output`` naming active jobs; forgets the kept units it outdates.
 
@@ -263,7 +267,7 @@ class _ResourceState:
         apply. Without edits or arrivals the poll names no job the last one
         did not, and a full parse is made.
         """
-        kept, kept_ids, job_ids = self.kept, self.kept_ids, self.job_ids
+        adapter, kept, kept_ids, job_ids = self.adapter, self.kept, self.kept_ids, self.job_ids
         text, arrivals, departed = output, self.arrivals, self.departed
         if arrivals:
             self.arrivals = []
@@ -344,8 +348,6 @@ class LrmMiddleware:
         self.clock = clock
         self.transport = transport
         self.trace = trace
-        self.dialects: dict[str, DialectAdapter] = {
-            name: adapter() for name, adapter in ADAPTERS.items()}
         self.poll_interval_s = poll_interval_s
         self._transition_listeners: list[Callable] = []
         self.resources: dict[str, ResourceDescriptor] = {}
@@ -357,13 +359,8 @@ class LrmMiddleware:
 
     def register_resource(self, resource: ResourceDescriptor) -> None:
         self.resources[resource.name] = resource
-        self._active.setdefault(resource.name, _ResourceState())
-
-    def _adapter(self, resource: ResourceDescriptor) -> DialectAdapter:
-        adapter = self.dialects.get(resource.dialect)
-        if adapter is None:
-            raise UnknownDialectError(f"no dialect adapter registered for {resource.dialect!r}")
-        return adapter
+        if resource.is_batch:  # the only resources that take jobs
+            self._active.setdefault(resource.name, _ResourceState(ADAPTERS[resource.dialect]()))
 
     @property
     def active_pollers(self) -> int:
@@ -389,7 +386,7 @@ class LrmMiddleware:
             raise ValidationError(
                 f"job wants {spec.node_count} nodes, {spec.resource!r} has {resource.node_count}"
             )
-        adapter = self._adapter(resource)
+        state = self._active[spec.resource]
 
         self._counter += 1
         job_id = f"j{self._counter:06d}"
@@ -397,16 +394,16 @@ class LrmMiddleware:
         record.transitions.append((JobState.CREATED, self.clock.now))
         self._records[job_id] = record
 
-        command = adapter.format_submit(list(spec.command), spec.node_count, job_id)
+        command = state.adapter.format_submit(list(spec.command), spec.node_count, job_id)
         try:
             output = self.transport.call(spec.resource, spec.credential, "submit", command)
         except (TransportError, SessionError) as exc:
             self._apply(record, JobState.SUBMITTED)
             self._apply(record, JobState.FAILED, cause=str(exc))
         else:
-            record.native_id = adapter.parse_submit(output)
+            record.native_id = state.adapter.parse_submit(output)
             self._apply(record, JobState.SUBMITTED)
-            self._active[spec.resource].activate(record)
+            state.activate(record)
             self._ensure_poller(spec.resource)
         handle = JobHandle(job_id=job_id, resource=spec.resource)
         self.trace.emit("job_submitted", job_id=job_id, resource=spec.resource,
@@ -431,13 +428,11 @@ class LrmMiddleware:
         record = self._record(handle)
         if record.state in TERMINAL_STATES:
             return CancelAck(job_id=record.job_id, noop=True)
-        resource = self.resources[record.spec.resource]
-        adapter = self._adapter(resource)
+        state = self._active[record.spec.resource]
         self.transport.call(
             record.spec.resource, record.spec.credential, "cancel",
-            adapter.format_cancel(record.native_id),
+            state.adapter.format_cancel(record.native_id),
         )
-        state = self._active[record.spec.resource]
         state.canceled.add(record.native_id)
         state.repeated = False
         # State flips to Canceled at the next poll confirmation.
@@ -472,8 +467,7 @@ class LrmMiddleware:
         state = self._active.get(resource_name)
         if state is None or not state.active:
             return []
-        adapter = self._adapter(self.resources[resource_name])
-        command, digest = state.status_payload(adapter)
+        command, digest = state.status_payload()
         state.repeated = False
         try:
             output = self.transport.call(resource_name, min(state.credentials),
@@ -486,7 +480,7 @@ class LrmMiddleware:
             state.repeated = True
             return []
         state.applied_output = None
-        pending = state.latest = state.pending(adapter, output, applied_output)
+        pending = state.latest = state.pending(output, applied_output)
         state.repeated = True  # until a job arrives, leaves or is canceled
         applied: list[tuple[str, JobState, JobState]] = []
         for job_id, native_id, state_code, unit in pending:
@@ -529,11 +523,13 @@ class LrmMiddleware:
         """The poller's answer to a run-ahead: None unless its next poll
         repeats the applied output (``_ResourceState.repeated``); else no
         deadline of its own, and the one call each next poll makes again
-        while nothing writes to the backend."""
+        while nothing writes to the backend, with the kept payload's digest
+        (kept while ``repeated`` holds)."""
         state = self._active[resource_name]
         if not state.repeated:
             return None
-        return math.inf, ((resource_name, min(state.credentials), "batch_status"),)
+        return math.inf, ((resource_name, min(state.credentials), "batch_status",
+                           state.status_payload()[1]),)
 
     # -- state machine ---------------------------------------------------------
 

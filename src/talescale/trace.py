@@ -36,28 +36,12 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 # The encoder for values the templates do not write: json.dumps with these
 # options would build a new, identically configured JSONEncoder per call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-if c_make_encoder is None:
-    _encode = _ENCODER.encode
-else:
-    # JSONEncoder.encode builds a C encoder per call; build it once, with the
-    # arguments iterencode(..., _one_shot=True) passes, but for the
-    # circularity markers: a shared markers dict would be module state every
-    # call mutates, and without it a circular field fails with RecursionError
-    # instead of ValueError. Trace fields are never circular.
-    _c_encoder = c_make_encoder(
-        None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
-        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
-        _ENCODER.skipkeys, _ENCODER.allow_nan)
-
-    def _encode(value: Any) -> str:
-        return "".join(_c_encoder(value, 0))
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}

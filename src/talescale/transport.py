@@ -11,6 +11,9 @@ one line per call::
 
     time | resource | credential | verb | payload-digest
 
+A call's payload digest is the one its caller gives (the middleware keeps
+its status payload's), or is made from the payload at the call.
+
 Synchronous costs (handshake, round trip) advance the clock when called
 from driver context.
 
@@ -46,8 +49,6 @@ class Transport:
         # pending injected failures per kind; each kind fires on its own next
         # opportunity, so a waiting handshake failure never blocks a transport one
         self._fail_next = {"transport": 0, "handshake": 0}
-        # (resource, verb) -> (payload, short digest) of the last call
-        self._digests: dict[tuple[str, str], tuple[str, str]] = {}
 
     # -- registry ---------------------------------------------------------
 
@@ -62,8 +63,8 @@ class Transport:
     def inject_failure(self, kind: str = "transport", count: int = 1) -> None:
         if kind not in self._fail_next:
             raise ValueError(f"unknown failure kind {kind!r}")
-        if count < 0:
-            raise ValueError("failure count must be >= 0")
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"failure count must be an int >= 0, got {count!r}")
         self._fail_next[kind] += count
 
     def _take_failure(self, kind: str) -> bool:
@@ -113,10 +114,7 @@ class Transport:
         """One round trip over the pair's session; traces exactly one call.
 
         ``payload_digest`` is ``short_digest`` of the payload, when the
-        caller has it. Else the payload digest of the last call per
-        (resource, verb) is kept with its payload and reused while the
-        payload stays equal, so a status query repeated cycle after cycle is
-        hashed once.
+        caller has it; else the payload is hashed here.
         """
         self.acquire_session(resource, credential)
         if self._take_failure("transport"):
@@ -127,20 +125,16 @@ class Transport:
         backend = self._backends[resource]
         output = backend.execute(payload)
         self._sessions[(resource, credential)] = self.clock.now
-        key = (resource, verb)
-        if payload_digest is not None:
-            last = self._digests[key] = (payload, payload_digest)
-        elif (last := self._digests.get(key)) is None or last[0] != payload:
-            last = self._digests[key] = (payload, short_digest(payload.encode()))
+        if payload_digest is None:
+            payload_digest = short_digest(payload.encode())
         self.trace.emit("transport_call", resource=resource, credential=credential,
-                        verb=verb, payload_digest=last[1])
+                        verb=verb, payload_digest=payload_digest)
         return output
 
     def repeater(self, calls) -> Callable[[Sequence[float]], int] | None:
         """A function that repeats each of ``calls``, (resource, credential,
-        verb) triples, at each of a run of later grid points, with the
-        payload digest of its verb's last call to its resource, and returns
-        how many times it did. It stops before a time at which a session
+        verb, payload digest) tuples, at each of a run of later grid points,
+        and returns how many times it did. It stops before a time at which a session
         would have idled past the TTL, where a call would handshake first.
         None when a transport failure is armed or a pair is in handshake
         backoff.
@@ -157,12 +151,12 @@ class Transport:
         """
         if self._fail_next["transport"]:
             return None
-        pairs = [(resource, credential) for resource, credential, _ in calls]
+        pairs = [(resource, credential) for resource, credential, _, _ in calls]
         if any(pair in self._unhealthy for pair in pairs):
             return None
         events = [{"resource": resource, "credential": credential, "verb": verb,
-                   "payload_digest": self._digests[(resource, verb)][1]}
-                  for resource, credential, verb in calls]
+                   "payload_digest": digest}
+                  for resource, credential, verb, digest in calls]
         sessions, ttl, trace = self._sessions, self.idle_ttl_s, self.trace
 
         def repeat(times: Sequence[float]) -> int:

@@ -335,7 +335,7 @@ class World:
             except CapacityError:
                 pass
         elif op == "prefetch":
-            uris = action.get("uris") or [d.uri for d in self.catalog]
+            uris = action["uris"] if "uris" in action else [d.uri for d in self.catalog]
             self.cache.prefetch_nowait([self.catalog.get(uri) for uri in uris])
         elif op == "cancel":
             index = action["job_index"]

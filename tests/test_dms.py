@@ -173,6 +173,18 @@ class TestResolveLocal:
         remote = [x for x in cache.transfer_log if x.source == TransferSource.REMOTE_REPO]
         assert remote == []
 
+    def test_stage_in_records_the_catalogs_size_and_refuses_an_unknown_uri(self):
+        # As open does, stage_in reads the catalog's ref, not the caller's.
+        a = ref("doi:a", 10)
+        clock, cache = make_cache([a])
+        hpc = make_resource(datasets={"doi:a", "doi:unknown"}, posix=False)
+        record = cache.stage_in(ExternalDataRef("doi:a", 90, a.checksum), hpc)
+        assert record.bytes == 10
+        assert [r.bytes for r in cache.transfer_log] == [10]
+        with pytest.raises(ValidationError, match="not registered"):
+            cache.stage_in(ref("doi:unknown"), hpc)
+        assert len(cache.transfer_log) == 1
+
 
 class TestEvict:
     def test_lru_evicts_oldest_only(self):

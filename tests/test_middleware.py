@@ -14,7 +14,6 @@ from talescale.errors import (
     SessionError,
     TransportError,
     UnknownCredentialError,
-    UnknownDialectError,
     UnknownJobError,
     UnknownResourceError,
     ValidationError,
@@ -27,7 +26,6 @@ from talescale.middleware import (
     TERMINAL_STATES,
     LrmMiddleware,
 )
-from talescale.transport import Transport
 from talescale.world import World, load_config
 
 from conftest import batch_world
@@ -354,11 +352,11 @@ class TestIncrementalPoll:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kept_status_answers_change_no_trace_byte_or_cycle_result(self, seed, monkeypatch):
-        # The LRM's last status answer, the transport's last payload digest
-        # and the middleware's last applied output are each reused, whole or
-        # extended, only when the answer cannot differ. The same run with all
-        # three dropped before every call must give the same trace bytes and
-        # cycle results.
+        # The LRM's last status answer, the middleware's kept status payload
+        # with its digest, and its last applied output are each reused, whole
+        # or extended, only when the answer cannot differ. The same run with
+        # all three dropped before every call must give the same trace bytes
+        # and cycle results.
         # Dropping the applied output also stops every run-ahead, which makes
         # repeated polls without calling poll_cycle, so both twins run with
         # run-ahead off; a third run, with it on, gives the same trace bytes.
@@ -367,7 +365,7 @@ class TestIncrementalPoll:
             mw, nest = world.middleware, random.Random(seed + 100)
             poll_cycle, results, depth = mw.poll_cycle, [], [0]
             work = Counter()
-            for adapter in map(mw.dialects.get, ("sim-pbs", "sim-slurm")):
+            for adapter in {state.adapter for state in mw._active.values()}:
                 parse, parse_unit = adapter.parse_status, adapter.parse_unit
                 adapter.parse_status = lambda output, parse=parse: (
                     work.update(["parse"]) or parse(output))
@@ -418,11 +416,10 @@ class TestIncrementalPoll:
 
         monkeypatch.setattr(SimulatedLrm, "execute",
                             forgetting(SimulatedLrm.execute, forget_answer))
-        monkeypatch.setattr(Transport, "call", forgetting(
-            Transport.call, lambda transport: transport._digests.clear()))
 
         def forget_outputs_and_units(mw):
             for state in mw._active.values():
+                state.listing = state.hasher = state.payload = None
                 state.applied_output = None
                 state.kept.clear()
                 state.kept_ids.clear()
@@ -615,7 +612,7 @@ def _storm_world(seed, forget=False):
     world.start()
     mw, rng = world.middleware, random.Random(seed)
     made = Counter()
-    for adapter in mw.dialects.values():
+    for adapter in {state.adapter for state in mw._active.values()}:
         def counted(ids, format_status=adapter.format_status):
             made[0] += 1
             return format_status(ids)
@@ -671,7 +668,8 @@ class TestKeptStatusPayload:
                                   st.tuples(st.just("poll"), st.just(0))), max_size=40))
     def test_a_kept_payload_and_digest_equal_a_fresh_one(self, dialect, start, ops):
         # past j999999 a new job id sorts first, and the payload is made afresh
-        adapter, state = ADAPTERS[dialect](), middleware._ResourceState()
+        adapter = ADAPTERS[dialect]()
+        state = middleware._ResourceState(adapter)
         records, serial = [], start
         for op, n in [*ops, ("poll", 0)]:
             if op == "add":
@@ -685,7 +683,7 @@ class TestKeptStatusPayload:
             elif op == "cut" and records:
                 state.deactivate(records.pop(n % len(records)))
             elif op == "poll" and records:
-                payload, digest = state.status_payload(adapter)
+                payload, digest = state.status_payload()
                 ids = [r.native_id for r in sorted(records, key=lambda r: r.job_id)]
                 assert payload == adapter.format_status(ids)
                 assert digest == short_digest(payload.encode())
@@ -698,7 +696,7 @@ class TestUnitWork:
     def test_a_cycle_parses_the_changed_units_not_every_held_job(self, dialect):
         world = _held_world(dialect)
         mw = world.middleware
-        outputs, units = _counting(mw.dialects[dialect])
+        outputs, units = _counting(mw._active["hpc-1"].adapter)
         handles = [mw.submit(spec()) for _ in range(500)]
         assert len(mw.poll_cycle("hpc-1")) == 500 and len(units) == 500
         for k in (1, 7, 40):
@@ -723,7 +721,7 @@ class TestUnitWork:
         # 100 held jobs, and one job that ends at each of 2,000 polls
         world = _held_world(dialect)
         mw = world.middleware
-        adapter = mw.dialects[dialect]
+        adapter = mw._active["hpc-1"].adapter
         outputs = _status_outputs(world)
         for _ in range(100):
             mw.submit(spec())
@@ -741,7 +739,7 @@ class TestUnitWork:
     def test_a_poll_that_adds_k_jobs_to_2000_held_ones_costs_k_lookups_and_k_units(self, dialect):
         world = _held_world(dialect)
         mw, lrm = world.middleware, world.clusters["hpc-1"]
-        adapter = mw.dialects[dialect]
+        adapter = mw._active["hpc-1"].adapter
         split, parse_status = [], adapter.parse_status
         adapter.parse_status = lambda output: split.append(parse_status(output)) or split[-1]
         _, units = _counting(adapter)
@@ -762,7 +760,7 @@ class TestUnitWork:
             self, dialect, c, k):
         world = _held_world(dialect)
         mw, lrm = world.middleware, world.clusters["hpc-1"]
-        adapter = mw.dialects[dialect]
+        adapter = mw._active["hpc-1"].adapter
         texts, units = _counting(adapter)
         payloads, call = [], world.transport.call
 
@@ -825,7 +823,7 @@ class TestUnitWork:
                         "count"))
             del _scan
 
-        adapter = mw.dialects["sim-slurm"]
+        adapter = mw._active["hpc-1"].adapter
         parse_status = adapter.parse_status
         adapter.parse_status = lambda output: ScanCounting(parse_status(output))
         assert mw.poll_cycle("hpc-1") == [(h.job_id, JobState.QUEUED, JobState.RUNNING)
@@ -876,7 +874,7 @@ def _full_parse_poll(mw, observed, resource_name):
     state = mw._active[resource_name]
     if not state.active:
         return []
-    adapter = mw._adapter(mw.resources[resource_name])
+    adapter = state.adapter
     command = adapter.format_status(list(state.active.values()))
     output = mw.transport.call(resource_name, min(state.credentials),
                                "batch_status", command)
@@ -1099,7 +1097,7 @@ class TestKeptUnitsAgainstAFullParse:
                         kept, kept_ids = state.kept, state.kept_ids
                         assert kept <= set(kept_ids.values())
                         assert kept_ids.keys() <= state.job_ids.keys()
-                        assert len(kept) <= len(mw.dialects[dialect].parse_status(returned[-1]))
+                        assert len(kept) <= len(state.adapter.parse_status(returned[-1]))
                 results.append([(r.state, r.exit_code, tuple(r.transitions))
                                 for r in mw._records.values()])
             runs.append((results, world.trace.to_ndjson()))
@@ -1267,10 +1265,16 @@ class TestSessions:
         with pytest.raises(SessionError, match="handshake"):
             world.transport.acquire_session("hpc-1", "user")
 
-    def test_negative_failure_count_rejected(self):
-        world = batch_world()
-        with pytest.raises(ValueError):
-            world.transport.inject_failure("transport", count=-1)
+    @pytest.mark.parametrize("count", [-1, 1.5, 0.5, True, "1", None])
+    def test_a_failure_count_that_is_not_an_int_at_least_0_is_rejected(self, count):
+        # a fractional count would leave a pending count below zero that
+        # fails every later call
+        world = batch_world(queue={"distribution": "fixed", "params": {"value": 1.0}})
+        with pytest.raises(ValueError, match="failure count"):
+            world.transport.inject_failure("transport", count)
+        handles = [world.middleware.submit(spec()) for _ in range(5)]
+        assert [world.middleware.status(h).state for h in handles] == [JobState.SUBMITTED] * 5
+        assert world.trace.count("transport_failed") == 0
 
 
 class TestDialects:
@@ -1303,14 +1307,6 @@ class TestDialects:
         world.clock.run_until(40.0)
         assert world.middleware.status(h1).state == JobState.COMPLETED
         assert world.middleware.status(h2).state == JobState.COMPLETED
-
-    def test_unregistered_dialect_error_names_it(self):
-        # config loading rejects a dialect with no adapter, so the submit-time
-        # check is reached only when an adapter is taken out afterwards
-        world = batch_world()
-        del world.middleware.dialects["sim-pbs"]
-        with pytest.raises(UnknownDialectError, match="sim-pbs"):
-            world.middleware.submit(spec())
 
 
 class TestStateMachine:

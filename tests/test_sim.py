@@ -672,6 +672,20 @@ class TestWorldRun:
         assert world.cache.entry("doi:b").state == CacheState.ABSENT
         assert world.cache.resident_bytes() == 60
 
+    @pytest.mark.parametrize("uris, fetched", [(None, ["doi:a", "doi:b"]), ([], []),
+                                               (["doi:b"], ["doi:b"])])
+    def test_a_prefetch_takes_every_dataset_only_when_uris_is_absent(self, uris, fetched):
+        datasets = [{"uri": uri, "size_bytes": 10, "checksum": digest_bytes(uri.encode())}
+                    for uri in ("doi:a", "doi:b")]
+        action = {"op": "prefetch", "t": 1, **({} if uris is None else {"uris": uris})}
+        world = World(load_config({
+            **MINIMAL,
+            "cache": {"capacity_bytes": 100, "bandwidth_bytes_per_s": 10.0, "datasets": datasets},
+            "scenario": {"actions": [action]},
+        }), 0)
+        trace, _ = world.run(100.0)
+        assert [ev.fields["uri"] for ev in trace if ev.kind == "transfer_complete"] == fetched
+
     @pytest.mark.parametrize("kind, traced", [("transport", "transport_failed"),
                                               ("handshake", "handshake_failed")])
     def test_a_scenario_cancel_lost_in_transit_leaves_the_job_running(self, kind, traced):
@@ -776,8 +790,8 @@ class TestStatusWork:
             render = getattr(SimulatedLrm, tool)
             monkeypatch.setattr(SimulatedLrm, tool, lambda lrm, args, render=render: (
                 renders.update([lrm.resource.name]) or render(lrm, args)))
-        for dialect, resource in (("sim-pbs", "hpc-1"), ("sim-slurm", "hpc-2")):
-            adapter = world.middleware.dialects.get(dialect)
+        for resource in ("hpc-1", "hpc-2"):
+            adapter = world.middleware._active[resource].adapter
             parse = adapter.parse_status
             adapter.parse_status = lambda output, parse=parse, resource=resource: (
                 parses.update([resource]) or parse(output))
