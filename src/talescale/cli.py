@@ -105,12 +105,20 @@ def tale_create(workspace, title, out, tale_id, data_manifest, base_image, pin,
     arch_map = {}
     for item in arch:
         path, _, tag = item.partition("=")
+        if not path or not tag:
+            raise ValidationError(f"--arch {item!r} is not path=ARCH")
         arch_map[path] = tag
     data_refs = []
     if data_manifest:
         data_refs = [ExternalDataRef.from_dict(d)
                      for d in check_list("data manifest", read_json(data_manifest))]
-    artifacts = _scan_workspace(root, tuple(exe), tuple(lib), arch_map, tuple(proprietary))
+    artifacts = _scan_workspace(root, exe, lib, arch_map, proprietary)
+    scanned = {artifact.path for artifact in artifacts}
+    unknown = [f"--{flag} {path}" for flag, paths in
+               (("exe", exe), ("lib", lib), ("arch", arch_map), ("proprietary", proprietary))
+               for path in paths if path not in scanned]
+    if unknown:
+        raise ValidationError(f"no scanned workspace file for {', '.join(unknown)}")
     tale_obj = create_tale(
         title=title, code_refs=artifacts, data_refs=data_refs,
         env_spec=EnvironmentSpec(base_image_name=base_image,
@@ -207,6 +215,7 @@ def tale_validate(workspace, archive_path, fmt):
 @_format_opt
 def plan_cmd(inventory, requirements, objective, catalog, frontend_override, image_load, fmt):
     """Enumerate feasible execution models and print the chosen placement."""
+    check_number("plan", "--image-load", image_load)
     queues = {}
     inv_raw = read_json(inventory)
     if isinstance(inv_raw, dict):
@@ -341,7 +350,7 @@ def _with_session_opts(fn):
 @_format_opt
 @click.option("--resource", required=True)
 @click.option("--command", "command_str", default=shlex.join(DEFAULT_COMMAND))
-@click.option("--credential", default="user")
+@click.option("--credential", default=JobSpec.credential)
 def job_submit(config_path, session_path, fmt, resource, command_str, credential):
     session = _session_load(Path(session_path))
     try:

@@ -8,6 +8,10 @@ already resident on a resource bypass the cache entirely: POSIX-exposed
 copies are mounted, non-POSIX copies are staged in locally, and only truly
 remote data is fetched over the wide area.
 
+``open`` waits in simulated time for its transfer, so only a driver calls
+it; event callbacks (the ``prefetch`` op among them) call ``open_nowait``
+and ``prefetch_nowait``, which start or join transfers and return at once.
+
 Every completed transfer is a ``transfer_complete`` trace event, and the
 trace is the only record of it: ``transfer_log`` reads those events back.
 So a trace serves one cache.
@@ -121,10 +125,9 @@ _URI = attrgetter("ref.uri")
 class OpenHandle:
     """Result of an open: ready once the backing transfer completes."""
 
-    __slots__ = ("uri", "ready", "error")
+    __slots__ = ("ready", "error")
 
-    def __init__(self, uri: str):
-        self.uri = uri
+    def __init__(self):
         self.ready = False
         self.error: Exception | None = None
 
@@ -166,13 +169,6 @@ def resolve_local(ref: ExternalDataRef, resource: ResourceDescriptor) -> Staging
             return StagingAction(ref.uri, StagingKind.MOUNT, resource.name)
         return StagingAction(ref.uri, StagingKind.STAGE_IN, resource.name)
     return StagingAction(ref.uri, StagingKind.CACHE_FETCH, resource.name)
-
-
-@dataclass
-class PrefetchReport:
-    transferred: list[TransferRecord] = field(default_factory=list)
-    already_resident: list[str] = field(default_factory=list)
-    failed: dict[str, str] = field(default_factory=dict)
 
 
 class DmsCache:
@@ -253,7 +249,7 @@ class DmsCache:
         """
         ref = self.catalog.get(ref.uri)
         entry = self.entry(ref.uri)
-        handle = OpenHandle(ref.uri)
+        handle = OpenHandle()
 
         if entry.state == CacheState.RESIDENT:
             if entry.last_access != self.clock.now:
@@ -283,44 +279,15 @@ class DmsCache:
             self.clock.at(entry.finish_at, lambda: self._finish_transfer(ref))
         return handle
 
-    def prefetch(self, refs: Iterable[ExternalDataRef]) -> PrefetchReport:
-        """Eagerly transfer every absent ref, such as a Tale's ``data_refs`` (quasi-locality).
-
-        Driver-context only, like :meth:`open`; :meth:`prefetch_nowait` starts
-        the transfers. Partial failures are reported per ref; completed
-        transfers stay. ``transferred`` lists only refs asked for.
-        """
-        report, handles = self.prefetch_nowait(dict.fromkeys(refs))
-        waits = [self.entries[h.uri].finish_at for h in handles if not h.ready and h.error is None]
-        if waits:
-            self.clock.run_until(max(waits))
-        for handle in handles:
-            if handle.error is not None:
-                report.failed[handle.uri] = str(handle.error)
-            elif handle.ready:
-                ref = self.entries[handle.uri].ref
-                report.transferred.append(TransferRecord(ref.uri, TransferSource.REMOTE_REPO,
-                                                         ref.size_bytes))
-        return report
-
-    def prefetch_nowait(self, refs: Iterable[ExternalDataRef]
-                        ) -> tuple[PrefetchReport, list[OpenHandle]]:
-        """Start (or join) the transfer of every ref not resident; return at once.
-
-        Best effort: a ref the cache cannot admit keeps its state and is
-        reported as failed. Returns that report and the started or joined
-        transfers' handles.
-        """
-        report, handles = PrefetchReport(), []
+    def prefetch_nowait(self, refs: Iterable[ExternalDataRef]) -> None:
+        """Start (or join) the transfer of every ref not resident, such as a Tale's
+        ``data_refs``, and return at once; a ref the cache cannot admit keeps its state."""
         for ref in refs:
-            if self.entry(ref.uri).state == CacheState.RESIDENT:
-                report.already_resident.append(ref.uri)
-                continue
-            try:
-                handles.append(self.open_nowait(ref))
-            except CapacityError as exc:
-                report.failed[ref.uri] = str(exc)
-        return report, handles
+            if self.entry(ref.uri).state != CacheState.RESIDENT:
+                try:
+                    self.open_nowait(ref)
+                except CapacityError:
+                    pass
 
     def evict(self, needed_bytes: int) -> list[str]:
         """Evict LRU unpinned resident entries until ``needed_bytes`` fit.

@@ -5,6 +5,9 @@ from it by ``ScenarioMetrics.from_trace``, which reads only the kinds it
 counts (``TraceLog.records`` and ``TraceLog.tally``) and never scans the
 rest or expands a run of repeated polls; no component keeps a counter of
 its own beside it.
+
+A report row is a ``ReportRow``, whose fields name the report's columns
+once, for the table and csv header and the json keys.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ValidationError
-
-CSV_HEADER = ("model", "seed", "time_to_frontend_s", "queries", "handshakes", "transfers")
 
 REPORT_FORMATS = ("table", "json", "csv")
 
@@ -75,21 +77,13 @@ class ScenarioMetrics:
         }
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     model: str
     seed: int
     time_to_frontend_s: float
     queries: int
     handshakes: int
     transfers: int
-
-    def as_tuple(self):
-        return (self.model, self.seed, self.time_to_frontend_s,
-                self.queries, self.handshakes, self.transfers)
-
-    def to_dict(self) -> dict:
-        return dict(zip(CSV_HEADER, self.as_tuple()))
 
 
 def emit_report(rows: list[ReportRow], fmt: str = "table") -> bytes:
@@ -99,15 +93,13 @@ def emit_report(rows: list[ReportRow], fmt: str = "table") -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.as_tuple())
+        writer.writerow(ReportRow._fields)
+        writer.writerows(rows)
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
-        return (json.dumps([r.to_dict() for r in rows], sort_keys=True, indent=2) + "\n").encode()
+        return (json.dumps([r._asdict() for r in rows], sort_keys=True, indent=2) + "\n").encode()
     # fixed-width text table
-    cells = [list(map(str, CSV_HEADER))] + [list(map(str, r.as_tuple())) for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(CSV_HEADER))]
+    cells = [list(map(str, row)) for row in (ReportRow._fields, *rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(ReportRow._fields))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     return ("\n".join(lines) + "\n").encode("utf-8")
-

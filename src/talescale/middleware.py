@@ -125,10 +125,6 @@ class JobStatus:
     transitions: tuple[tuple[JobState, float], ...]
     cause: str | None = None
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
 
 @dataclass(frozen=True)
 class CancelAck:

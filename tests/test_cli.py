@@ -137,6 +137,50 @@ class TestTaleCommands:
         assert payload == {"valid": True, "problems": []}
 
 
+class TestCreateFlagsNameScannedFiles:
+    """Each of ``--exe``, ``--lib``, ``--arch`` and ``--proprietary`` names a
+    file the workspace scan found; one that does not is refused, not dropped."""
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--exe", "missing.bin", "--exe missing.bin"),
+        ("--lib", "nolib.so", "--lib nolib.so"),
+        ("--arch", "nothere=x86_64", "--arch nothere"),
+        ("--proprietary", "ghost", "--proprietary ghost"),
+        ("--exe", ".tale/tale.json", "--exe .tale/tale.json"),  # hidden paths are not scanned
+    ])
+    def test_a_flag_naming_no_scanned_file_exits_one(self, ws, capsys, flag, value, named):
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"no scanned workspace file for {named}" in captured.err
+        assert captured.out == "" and not (ws / ".tale").exists()
+
+    def test_every_unknown_path_is_named(self, ws, capsys):
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     "--exe", "missing.bin", "--arch", "nothere=x86", "--lib", "nolib.so",
+                     "--proprietary", "ghost", "--exe", "main.c"]) == 1
+        assert ("no scanned workspace file for --exe missing.bin, --lib nolib.so, "
+                "--arch nothere, --proprietary ghost") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["main.c", "main.c=", "=x86_64", "="])
+    def test_an_arch_that_is_not_path_eq_arch_exits_one(self, ws, capsys, value):
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     "--arch", value]) == 1
+        assert f"--arch {value!r} is not path=ARCH" in capsys.readouterr().err
+        assert not (ws / ".tale").exists()
+
+    def test_flags_naming_scanned_files_take_effect(self, ws):
+        assert main(["tale", "create", "--workspace", str(ws), "--title", "t",
+                     "--exe", "main.c", "--arch", "main.c=x86_64", "--lib", "lib/helper.py",
+                     "--proprietary", "lib/helper.py"]) == 0
+        meta = json.loads((ws / ".tale" / "tale.json").read_text())
+        refs = {ref["path"]: ref for ref in meta["code_refs"]}
+        assert (refs["main.c"]["kind"], refs["main.c"]["target_arch"]) == (
+            "prebuilt_executable", "x86_64")
+        assert refs["lib/helper.py"]["kind"] == "library"
+        assert refs["lib/helper.py"]["proprietary_toolchain"] is True
+
+
 class TestCollidingPaths:
     """An artifact path that is also the directory of another is invalid
     input: validate and import exit 1 and name it, and import writes nothing."""
@@ -297,6 +341,16 @@ class TestPlanCommand:
         assert code == 1
         assert err.count("infeasible") >= 6
 
+
+    @pytest.mark.parametrize("image_load", ["-5", "nan", "inf"])
+    def test_an_image_load_that_is_not_a_finite_time_exits_one(self, tmp_path, capsys,
+                                                                image_load):
+        inv, req = self.write_inputs(tmp_path)
+        code = main(["plan", "--inventory", str(inv), "--requirements", str(req),
+                     "--image-load", image_load, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "plan --image-load must be a finite number at least 0" in captured.err
 
     def test_duplicate_resource_names_exit_one(self, tmp_path, capsys):
         inv = tmp_path / "inv.json"

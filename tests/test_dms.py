@@ -100,51 +100,89 @@ class TestOpen:
         assert cache.open(r).ready
 
 
+def prefetch(clock, cache, refs):
+    """Prefetch ``refs``, then run until every transfer it started or joined lands."""
+    cache.prefetch_nowait(refs)
+    waits = [cache.entries[r.uri].finish_at for r in refs
+             if cache.entries[r.uri].state == CacheState.TRANSFERRING]
+    if waits:
+        clock.run_until(max(waits))
+
+
+def uris_of(cache, kind):
+    return [ev.fields["uri"] for ev in cache.trace if ev.kind == kind]
+
+
 class TestPrefetch:
-    def test_three_absent_refs_three_records_then_hits(self):
+    def test_three_absent_refs_three_transfers_then_hits(self):
         refs = [ref(f"doi:{i}") for i in range(3)]
         clock, cache = make_cache(refs)
-        report = cache.prefetch(refs)
-        assert len(report.transferred) == 3
+        cache.prefetch_nowait(refs)
+        assert clock.now == 0.0  # it returns at once
+        assert uris_of(cache, "transfer_start") == ["doi:0", "doi:1", "doi:2"]
+        assert all(cache.entry(r.uri).state == CacheState.TRANSFERRING for r in refs)
+        clock.run_until(max(cache.entry(r.uri).finish_at for r in refs))
+        assert len(cache.transfer_log) == 3
         for r in refs:
             cache.open(r)
         assert len(cache.transfer_log) == 3
+        assert uris_of(cache, "cache_hit") == ["doi:0", "doi:1", "doi:2"]
 
-    def test_prefetch_idempotent(self):
-        refs = [ref("doi:a")]
-        clock, cache = make_cache(refs)
-        cache.prefetch(refs)
-        report = cache.prefetch(refs)
-        assert report.transferred == []
-        assert report.already_resident == ["doi:a"]
+    def test_a_resident_entry_is_left_alone(self):
+        a, b = ref("doi:a"), ref("doi:b")
+        clock, cache = make_cache([a, b])
+        prefetch(clock, cache, [a])
+        prefetch(clock, cache, [b])
+        clock.advance(5.0)
+        marks = len(cache.trace), list(cache._lru), cache.entry("doi:a").last_access
+        prefetch(clock, cache, [a, b])
+        # no hit, no transfer, and doi:a keeps its place at the head of the LRU order
+        assert (len(cache.trace), list(cache._lru), cache.entry("doi:a").last_access) == marks
+        assert marks[1] == ["doi:a", "doi:b"]
+        assert cache.evict(cache.capacity_bytes - 100) == ["doi:a"]
+
+    def test_an_in_flight_transfer_is_joined_not_started_twice(self):
+        a, b = ref("doi:a", 30), ref("doi:b", 50)
+        clock, cache = make_cache([a, b], bandwidth=10.0)
+        handle = cache.open_nowait(a)
+        prefetch(clock, cache, [a, b])
+        assert uris_of(cache, "transfer_start") == ["doi:a", "doi:b"]
+        assert [(r.uri, r.bytes) for r in cache.transfer_log] == [("doi:a", 30), ("doi:b", 50)]
+        assert handle.ready and clock.now == 5.0
 
     def test_prefetch_evict_open_retransfers_once(self):
         refs = [ref("doi:a"), ref("doi:b")]
         clock, cache = make_cache(refs)
-        cache.prefetch(refs)
+        prefetch(clock, cache, refs)
         # both arrived at t=1; the tie on last access breaks by uri
         assert cache.evict(cache.capacity_bytes - 100) == ["doi:a"]
         cache.open(refs[0])
         assert len(records_for(cache, "doi:a")) == 2
         assert len(records_for(cache, "doi:b")) == 1
 
-    def test_partial_failure_reported_per_ref(self):
+    def test_partial_failure_keeps_the_other_transfers(self):
         refs = [ref("doi:a"), ref("doi:b")]
         clock, cache = make_cache(refs)
         cache.inject_corruption("doi:b")
-        report = cache.prefetch(refs)
-        assert [r.uri for r in report.transferred] == ["doi:a"]
-        assert "doi:b" in report.failed
+        prefetch(clock, cache, refs)
+        assert [r.uri for r in cache.transfer_log] == ["doi:a"]
+        assert uris_of(cache, "transfer_failed") == ["doi:b"]
+        assert cache.entry("doi:a").state == CacheState.RESIDENT
+        assert cache.entry("doi:b").state == CacheState.ABSENT
 
-    def test_report_lists_only_the_refs_asked_for(self):
-        a, b = ref("doi:a", 30), ref("doi:b", 50)
-        clock, cache = make_cache([a, b], bandwidth=10.0)
-        cache.open_nowait(a)
-        report = cache.prefetch([b])
-        # doi:a lands during the wait, but the prefetch did not ask for it
-        assert [(r.uri, r.bytes) for r in report.transferred] == [("doi:b", 50)]
-        assert [r.uri for r in cache.transfer_log] == ["doi:a", "doi:b"]
-        assert report.failed == {} and report.already_resident == []
+    def test_a_ref_the_cache_cannot_admit_keeps_its_state(self):
+        a, b, c, d = ref("doi:a", 60), ref("doi:b", 50), ref("doi:c", 30), ref("doi:d", 200)
+        clock, cache = make_cache([a, b, c, d], capacity=100)
+        cache.open(b)
+        cache.open(a)  # evicts doi:b
+        cache.pin("doi:a")
+        prefetch(clock, cache, [b, d, c])
+        # doi:b needs 50 of the 40 free bytes and doi:a is pinned; doi:d exceeds the cache
+        assert uris_of(cache, "transfer_start") == ["doi:b", "doi:a", "doi:c"]
+        assert uris_of(cache, "cache_evict") == ["doi:b"]
+        assert [cache.entry(u).state for u in ("doi:a", "doi:b", "doi:c", "doi:d")] == [
+            CacheState.RESIDENT, CacheState.EVICTED, CacheState.RESIDENT, CacheState.ABSENT]
+        assert cache.resident_bytes() == 90
 
 
 class TestResolveLocal:
@@ -393,7 +431,7 @@ class TestLruDifferential:
                 elif op < 0.45:
                     cache.open(refs[uri])
                 elif op < 0.55:
-                    cache.prefetch(rng.sample(list(refs.values()), 2))
+                    prefetch(clock, cache, rng.sample(list(refs.values()), 2))
                 elif op < 0.65:
                     cache.pin(uri)
                     pins.append(uri)
@@ -459,9 +497,8 @@ class TestTransferLogInterface:
         clock, cache = make_cache([a, b, c])
         cache.open(a)
         staged = cache.stage_in(b, make_resource(datasets={"doi:b"}, posix=False))
-        report = cache.prefetch([a, c])
-        assert [(r.uri, r.source, r.bytes) for r in report.transferred] == [
-            ("doi:c", TransferSource.REMOTE_REPO, 30)]
+        prefetch(clock, cache, [a, c])
+        assert uris_of(cache, "transfer_start") == ["doi:a", "doi:c"]
         events = [(ev.fields["uri"], ev.fields["source"], ev.fields["bytes"])
                   for ev in cache.trace if ev.kind == "transfer_complete"]
         assert [(r.uri, r.source, r.bytes) for r in cache.transfer_log] == events == [

@@ -344,7 +344,7 @@ class TestIncrementalPoll:
             assert mw.active_pollers == 0
             for handle in handles:
                 status = mw.status(handle)
-                assert status.terminal, (seed, handle)
+                assert status.state in TERMINAL_STATES, (seed, handle)
                 states = [state for state, _ in status.transitions]
                 assert all(b in LEGAL_TRANSITIONS[a] for a, b in zip(states, states[1:]))
         # every path the invariant must survive was taken
@@ -544,11 +544,12 @@ class TestIncrementalPoll:
         world.clock.run_until(22.0)  # some start, some finish
         job_ids += [mw.submit(spec()).job_id for _ in range(8)]
         assert "j999999" in job_ids and "j1000000" in job_ids
-        active = [j for j in sorted(job_ids) if not mw.status(j).terminal]
+        active = [j for j in sorted(job_ids) if mw.status(j).state not in TERMINAL_STATES]
         mw.poll_cycle("hpc-1")
         natives = [mw._records[j].native_id for j in active]
         assert payloads[-1].split()[1] == "--jobs=" + ",".join(natives)
-        assert list(mw._active["hpc-1"].active) == [j for j in active if not mw.status(j).terminal]
+        assert list(mw._active["hpc-1"].active) == [
+            j for j in active if mw.status(j).state not in TERMINAL_STATES]
 
 
 def _held_world(dialect):
