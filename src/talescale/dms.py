@@ -12,6 +12,11 @@ remote data is fetched over the wide area.
 it; event callbacks (the ``prefetch`` op among them) call ``open_nowait``
 and ``prefetch_nowait``, which start or join transfers and return at once.
 
+An entry holds the catalog's ref for its URI, read once when the entry is
+made. Opening, pinning and unpinning find the entry with one lookup and
+read the ref from it, so the catalog's ref is the one opened, whatever
+size the caller's ref states.
+
 Every completed transfer is a ``transfer_complete`` trace event, and the
 trace is the only record of it: ``transfer_log`` reads those events back.
 So a trace serves one cache.
@@ -32,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .digest import parse as parse_checksum
 from .errors import (CapacityError, ChecksumMismatchError, DuplicateError, ValidationError,
@@ -48,17 +53,18 @@ class ExternalDataRef:
     _KEYS = frozenset(("uri", "size_bytes", "checksum"))  # not a field: it has no annotation
 
     def __post_init__(self):
-        if not isinstance(self.uri, str) or not self.uri:
-            raise ValidationError(f"data ref uri must be a nonempty string, got {self.uri!r:.200}")
-        if isinstance(self.size_bytes, bool) or not isinstance(self.size_bytes, int) or self.size_bytes < 0:
-            raise ValidationError(f"data ref {self.uri!r} size_bytes must be an integer >= 0, "
-                                  f"got {self.size_bytes!r:.200}")
-        if not isinstance(self.checksum, str) or not self.checksum:
-            raise ValidationError(f"data ref {self.uri!r} is missing a checksum")
+        uri, size, checksum = self.uri, self.size_bytes, self.checksum
+        if not isinstance(uri, str) or not uri:
+            raise ValidationError(f"data ref uri must be a nonempty string, got {uri!r:.200}")
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ValidationError(f"data ref {uri!r} size_bytes must be an integer >= 0, "
+                                  f"got {size!r:.200}")
+        if not isinstance(checksum, str) or not checksum:
+            raise ValidationError(f"data ref {uri!r} is missing a checksum")
         try:
-            parse_checksum(self.checksum)
+            parse_checksum(checksum)
         except ValueError as exc:
-            raise ValidationError(f"data ref {self.uri!r} checksum: {exc}") from None
+            raise ValidationError(f"data ref {uri!r} checksum: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"uri": self.uri, "size_bytes": self.size_bytes, "checksum": self.checksum}
@@ -68,9 +74,10 @@ class ExternalDataRef:
         # Catalogs hold thousands of entries: the rules run on those that do not plainly pass.
         if type(raw) is not dict or raw.keys() != cls._KEYS:
             check_keys("dataset", raw, cls._KEYS, cls._KEYS)
-        if type(raw["size_bytes"]) is not int:
-            check_number(f"dataset {raw['uri']!r}", "size_bytes", raw["size_bytes"])
-        return cls(uri=raw["uri"], size_bytes=int(raw["size_bytes"]), checksum=raw["checksum"])
+        size = raw["size_bytes"]
+        if type(size) is not int:
+            size = int(check_number(f"dataset {raw['uri']!r}", "size_bytes", size))
+        return cls(raw["uri"], size, raw["checksum"])
 
 
 class CacheState(str, enum.Enum):
@@ -85,14 +92,18 @@ class TransferSource(str, enum.Enum):
     HPC_LOCAL_STAGEIN = "hpc_local_stagein"
 
 
+# The sources' texts, as transfer events record them
+_REMOTE_REPO = TransferSource.REMOTE_REPO.value
+_HPC_LOCAL_STAGEIN = TransferSource.HPC_LOCAL_STAGEIN.value
+
+
 class StagingKind(str, enum.Enum):
     MOUNT = "mount"
     STAGE_IN = "stage_in"
     CACHE_FETCH = "cache_fetch"
 
 
-@dataclass(frozen=True)
-class StagingAction:
+class StagingAction(NamedTuple):
     uri: str
     action: StagingKind
     resource: str
@@ -101,8 +112,7 @@ class StagingAction:
         return {"uri": self.uri, "action": self.action.value, "resource": self.resource}
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     uri: str
     source: TransferSource
     bytes: int
@@ -150,25 +160,32 @@ class DatasetCatalog:
         except KeyError:
             raise ValidationError(f"dataset {uri!r} is not registered") from None
 
-    def __contains__(self, uri: str) -> bool:
-        return uri in self._refs
+    def sizes(self, uris: Iterable[str], missing: int) -> dict[str, int]:
+        """Each URI's dataset size in bytes, or ``missing`` for one the
+        catalog does not hold; one lookup per URI."""
+        refs = self._refs
+        sizes = {}
+        for uri in uris:
+            ref = refs.get(uri)
+            sizes[uri] = missing if ref is None else ref.size_bytes
+        return sizes
 
     def __iter__(self):
         return iter(self._refs.values())
 
 
-def resolve_local(ref: ExternalDataRef, resource: ResourceDescriptor) -> StagingAction:
-    """Pick the cheapest staging action for a dataset on a resource.
+def resolve_local(uris: Iterable[str], resource: ResourceDescriptor) -> tuple[StagingAction, ...]:
+    """Pick the cheapest staging action for each dataset on a resource, in
+    the order of ``uris``.
 
     Local POSIX copies are mounted (zero transfer), local non-POSIX copies
     are staged in on the resource (no wide-area movement), anything else
     goes through the cache.
     """
-    if ref.uri in resource.local_datasets:
-        if resource.dataset_interface == "posix":
-            return StagingAction(ref.uri, StagingKind.MOUNT, resource.name)
-        return StagingAction(ref.uri, StagingKind.STAGE_IN, resource.name)
-    return StagingAction(ref.uri, StagingKind.CACHE_FETCH, resource.name)
+    local, name = resource.local_datasets, resource.name
+    kind = StagingKind.MOUNT if resource.dataset_interface == "posix" else StagingKind.STAGE_IN
+    fetch = StagingKind.CACHE_FETCH
+    return tuple(StagingAction(uri, kind if uri in local else fetch, name) for uri in uris)
 
 
 class DmsCache:
@@ -197,9 +214,10 @@ class DmsCache:
     # -- diagnostics ------------------------------------------------------
 
     def entry(self, uri: str) -> CacheEntry:
-        if uri not in self.entries:
-            self.entries[uri] = CacheEntry(ref=self.catalog.get(uri))
-        return self.entries[uri]
+        entry = self.entries.get(uri)
+        if entry is None:
+            entry = self.entries[uri] = CacheEntry(ref=self.catalog.get(uri))
+        return entry
 
     def resident_bytes(self) -> int:
         """Bytes held by resident entries plus those reserved by transfers."""
@@ -244,11 +262,12 @@ class DmsCache:
     def open_nowait(self, ref: ExternalDataRef) -> OpenHandle:
         """Start (or join) the transfer for ``ref`` and return immediately.
 
-        The catalog's ref for ``ref.uri`` is the one opened, so reservation,
-        eviction and the transfer records all read the catalog's size.
+        The entry's ref, the catalog's for ``ref.uri``, is the one opened,
+        so reservation, eviction and the transfer records all read the
+        catalog's size.
         """
-        ref = self.catalog.get(ref.uri)
         entry = self.entry(ref.uri)
+        ref = entry.ref
         handle = OpenHandle()
 
         if entry.state == CacheState.RESIDENT:
@@ -271,12 +290,11 @@ class DmsCache:
         duration = ref.size_bytes / self.bandwidth
         entry.finish_at = self.clock.now + duration
         entry.waiting.append(handle)
-        self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes,
-                        source=TransferSource.REMOTE_REPO.value)
+        self.trace.emit("transfer_start", uri=ref.uri, bytes=ref.size_bytes, source=_REMOTE_REPO)
         if duration == 0:
-            self._finish_transfer(ref)
+            self._finish_transfer(entry)
         else:
-            self.clock.at(entry.finish_at, lambda: self._finish_transfer(ref))
+            self.clock.at(entry.finish_at, lambda: self._finish_transfer(entry))
         return handle
 
     def prefetch_nowait(self, refs: Iterable[ExternalDataRef]) -> None:
@@ -341,8 +359,8 @@ class DmsCache:
         self._lru.pop(entry.ref.uri, None)
         self._lru[entry.ref.uri] = entry
 
-    def _finish_transfer(self, ref: ExternalDataRef) -> None:
-        entry = self.entries[ref.uri]
+    def _finish_transfer(self, entry: CacheEntry) -> None:
+        ref = entry.ref
         waiting, entry.waiting = entry.waiting, []
         if entry.corrupt_next:
             entry.corrupt_next = False
@@ -356,7 +374,7 @@ class DmsCache:
         entry.state = CacheState.RESIDENT
         self._touch(entry)
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
-                        source=TransferSource.REMOTE_REPO.value)
+                        source=_REMOTE_REPO)
         for handle in waiting:
             handle.ready = True
 
@@ -371,6 +389,6 @@ class DmsCache:
         if ref.uri not in resource.local_datasets:
             raise ValidationError(f"{ref.uri!r} is not local to {resource.name!r}")
         self.trace.emit("transfer_complete", uri=ref.uri, bytes=ref.size_bytes,
-                        source=TransferSource.HPC_LOCAL_STAGEIN.value)
+                        source=_HPC_LOCAL_STAGEIN)
         return TransferRecord(ref.uri, TransferSource.HPC_LOCAL_STAGEIN, ref.size_bytes)
 

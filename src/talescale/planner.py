@@ -17,12 +17,14 @@ frontend, which reads the queue model and so is priced on every plan. The
 rule yields candidates in model order, then inventory order, and the
 groups keep the order of their first candidates, so the first
 least-scoring group is the one the tie-break picks. A consumer's wide-area
-bytes are the requested total less the sizes of the requested refs local
-to it, exactly the refs ``resolve_local`` does not send through the cache;
-it runs once per dataset, for the chosen consumer's staging tuple. A
-snapshot also indexes its consumers by the datasets they hold, so a plan
-prices only the consumers that can win (``_contenders``): the first, and
-those holding a requested dataset.
+bytes are the requested total less the sizes of the requested datasets
+local to it, exactly those ``resolve_local`` does not send through the
+cache; it runs once per plan, for the chosen consumer's staging tuple.
+Each requested dataset's size is read from the catalog with one lookup,
+and a dataset outside the catalog counts as one byte. A snapshot also
+indexes its consumers by the datasets they hold, so a plan prices only
+the consumers that can win (``_contenders``): the first, and those
+holding a requested dataset.
 
 Model rules, fixed as this artifact's policy:
 
@@ -47,8 +49,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .dms import DatasetCatalog, ExternalDataRef, StagingAction, resolve_local
+from .dms import DatasetCatalog, StagingAction, resolve_local
 from .errors import InfeasiblePlanError, ValidationError, check_bool, check_keys, check_list, check_number
 from .resources import ResourceDescriptor
 
@@ -65,6 +68,9 @@ class ExecutionModel(str, enum.Enum):
 MODEL_ORDER = tuple(ExecutionModel)
 
 OBJECTIVES = ("min_time_to_frontend", "min_data_movement")
+
+# The bytes a requested dataset outside the catalog counts for
+_UNKNOWN_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,7 @@ class WorkloadRequirements:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
-class PlacementPlan:
+class PlacementPlan(NamedTuple):
     model: ExecutionModel
     frontend_resource: str
     workload_resources: tuple[str, ...]
@@ -369,19 +374,17 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     if not candidates:
         raise InfeasiblePlanError(list(reasons))
 
-    def ref_for(uri: str) -> ExternalDataRef:
-        if catalog is not None and uri in catalog:
-            return catalog.get(uri)
-        return ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
-
-    refs = [ref_for(uri) for uri in sorted(req.dataset_uris)]
+    uris = sorted(req.dataset_uris)
     if objective == "min_time_to_frontend":
         def primary(candidate):
             model, frontend, _ = candidate
             return _time_to_frontend(model, frontend, image_load_s)
     else:
         # the requested bytes less those already local to the consumer
-        sizes = {ref.uri: ref.size_bytes for ref in refs}
+        if catalog is None:
+            sizes = dict.fromkeys(uris, _UNKNOWN_SIZE)
+        else:
+            sizes = catalog.sizes(uris, _UNKNOWN_SIZE)
         total = sum(sizes.values())
 
         def primary(candidate):
@@ -391,20 +394,17 @@ def plan_placement(req: WorkloadRequirements, inventory: list[ResourceDescriptor
     # min keeps the first of equal scores: ties go to model, then inventory order
     best = min(candidates, key=primary)
     model, frontend, workload = best
-    staging = tuple(resolve_local(ref, _consumer(best)) for ref in refs)
-    estimate = _time_to_frontend(model, frontend, image_load_s)
-    notes = list(reasons)
-    notes.append(f"selected {model.value} minimizing {objective}")
+    notes = (*reasons, f"selected {model.value} minimizing {objective}")
     if override is not None:
-        notes.append(f"user_override=true: frontend pinned to {override.name}")
+        notes += (f"user_override=true: frontend pinned to {override.name}",)
     return PlacementPlan(
         model=model,
         frontend_resource=frontend.name,
         workload_resources=(workload.name,) if workload is not None else (),
         proxy_required=not frontend.allows_incoming_connections,
-        staging_actions=staging,
-        estimated_time_to_frontend=estimate,
+        staging_actions=resolve_local(uris, _consumer(best)),
+        estimated_time_to_frontend=_time_to_frontend(model, frontend, image_load_s),
         objective=objective,
-        reasons=tuple(notes),
+        reasons=notes,
         user_override=override is not None,
     )

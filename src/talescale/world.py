@@ -405,13 +405,17 @@ class World:
         self.tales[tale.id] = tale
 
     def apply_staging(self, plan) -> None:
-        """Execute a placement plan's staging actions against this world."""
-        for action in plan.staging_actions:
-            ref = self.catalog.get(action.uri)
-            if action.action == StagingKind.MOUNT:
-                self.trace.emit("mount", uri=action.uri, resource=action.resource)
-            elif action.action == StagingKind.STAGE_IN:
-                self.cache.stage_in(ref, self.config.resources[action.resource])
+        """Execute a placement plan's staging actions against this world.
+
+        Each action's dataset is looked up in the catalog once; a dataset
+        outside it raises ``ValidationError``, whatever the action.
+        """
+        for uri, kind, resource in plan.staging_actions:
+            ref = self.catalog.get(uri)
+            if kind == StagingKind.MOUNT:
+                self.trace.emit("mount", uri=uri, resource=resource)
+            elif kind == StagingKind.STAGE_IN:
+                self.cache.stage_in(ref, self.config.resources[resource])
             else:
                 self.cache.open(ref)
 

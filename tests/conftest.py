@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from talescale.digest import digest_bytes
@@ -31,6 +34,23 @@ def make_resource(name="hpc-1", kind="hpc_cluster", lrm="batch", incoming=False,
         dataset_interface="posix" if posix else "non_posix",
         no_proxy=no_proxy, queue_model=queue, dialect=dialect,
     )
+
+
+def talescale_calls(fn, *args) -> Counter:
+    """Run ``fn(*args)`` and count the calls into each ``talescale`` function
+    it makes, by qualified name, itself included."""
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("talescale."):
+            calls[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def frontend_times(rows, model):

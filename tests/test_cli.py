@@ -365,6 +365,74 @@ class TestPlanCommand:
         assert captured.out == ""
 
 
+def _plan_node(name, lrm, datasets=(), interface="posix", **extra):
+    return {"name": name, "kind": "hpc_cluster", "lrm": lrm, "allows_incoming_connections": False,
+            "local_datasets": list(datasets), "dataset_interface": interface, **extra}
+
+
+_PLAN_INVENTORY = {
+    "queues": {"q": {"distribution": "fixed", "params": {"value": 600.0}}},
+    "resources": [
+        {"name": "wt-1", "kind": "wt_cluster", "lrm": "none", "allows_incoming_connections": True},
+        _plan_node("node-1", "none", ["doi:d1"]),
+        _plan_node("hpc-p", "batch", ["doi:d1", "doi:d2"], queue="q", node_count=16,
+                   mpi_capable=True),
+        _plan_node("hpc-n", "batch", ["doi:d2", "doi:d3", "doi:d4"], "non_posix", queue="q",
+                   node_count=8),
+    ],
+}
+_PLAN_CATALOG = [{"uri": f"doi:d{k}", "size_bytes": 10 ** k, "checksum": digest_bytes(b"d%d" % k)}
+                 for k in range(1, 5)]
+
+# (requirements, objective, catalog, frontend override); each case's staging
+# actions are named beside it.
+PLAN_CASES = {
+    # hpc-n: stage in d2, d3 and d4, fetch d1 through the cache
+    "stage_ins": ({"needs_hpc": True, "dataset_uris": ["doi:d1", "doi:d2", "doi:d3", "doi:d4"]},
+                  "min_data_movement", _PLAN_CATALOG, None),
+    # hpc-p: mount d1 and d2, fetch d9 (outside the catalog) through the cache
+    "mounts": ({"needs_hpc": True, "needs_mpi": True, "min_nodes": 16,
+                "dataset_uris": ["doi:d9", "doi:d2", "doi:d1"]}, "min_data_movement",
+               _PLAN_CATALOG, None),
+    # wt-1 without a catalog: fetch every dataset through the cache
+    "cache_fetches": ({"dataset_uris": ["doi:d3", "doi:d1"]}, "min_time_to_frontend", None, None),
+    # decoupled onto node-1, workload on hpc-n: fetch d1, stage in d3
+    "override": ({"needs_hpc": True, "dataset_uris": ["doi:d3", "doi:d1"]}, "min_data_movement",
+                 _PLAN_CATALOG, "node-1"),
+}
+
+# sha256 of each case's stdout: how a plan and its staging actions are
+# built in memory must not change a byte of what `plan` prints.
+PLAN_STDOUT = {
+    ("stage_ins", "json"): "sha256:38f4c87e54e31c9849ad68eb84aa60959c83b8b775db4a083e134b28937757c5",
+    ("stage_ins", "text"): "sha256:783d6c575e0f37f1b11620a54a127f2ec490064b3752fd22e70e2f143610ec42",
+    ("mounts", "json"): "sha256:fdcccacf3be48f35d49b592f6a96f833cbf61da47e50b2836bd85daaf27f4c8e",
+    ("mounts", "text"): "sha256:987b2e4b016b1d3eb551dcd972002404522be9cfe66f42b2e23b8e70752ee934",
+    ("cache_fetches", "json"): "sha256:8cdf83e0f44bc1827a50899d1607cf3cb8cb9bd3e03bdf1292573ee785e5c4b9",
+    ("cache_fetches", "text"): "sha256:89882b859305329cef6ba4dddeec32fc5d9021ba06ae12526393a50a9cb8a358",
+    ("override", "json"): "sha256:c244f5efbaa2708630b4084a585724c547e4af747f7f7892be823d6bde2f82cd",
+    ("override", "text"): "sha256:15e0c4ccd2c8ed31d97c347bbff80c8e257ef81550338a8d9e78456380cd9436",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_stdout_bytes_are_kept(tmp_path, capsys, case, fmt):
+    requirements, objective, catalog, frontend = PLAN_CASES[case]
+    args = ["plan", "--objective", objective, "--format", fmt]
+    for option, value in (("--inventory", _PLAN_INVENTORY), ("--requirements", requirements),
+                          ("--catalog", catalog)):
+        if value is not None:
+            path = tmp_path / f"{option[2:]}.json"
+            path.write_text(json.dumps(value))
+            args += [option, str(path)]
+    if frontend is not None:
+        args += ["--frontend", frontend]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert digest_bytes(out.encode()) == PLAN_STDOUT[case, fmt], out
+
+
 class TestSimCommand:
     def test_same_seed_identical_trace_files(self, sim_config, tmp_path, capsys):
         t1, t2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
@@ -653,7 +721,8 @@ def _sim_base():
                        "allows_incoming_connections": False, "node_count": 2, "queue": "q"}],
         "queues": {"q": {"distribution": "fixed", "params": {"value": 1.0}}},
         "pools": [{"resource": "r", "min_warm": 1, "max_size": 2}],
-        "cache": {"datasets": [{"uri": "doi:x", "size_bytes": 10, "checksum": "sha256:00"}]},
+        "cache": {"datasets": [{"uri": "doi:x", "size_bytes": 10,
+                               "checksum": digest_bytes(b"doi:x")}]},
         "scenario": {"actions": [{"op": "submit_jobs", "t": 0.0, "resource": "r"}]},
     }
 
@@ -716,6 +785,16 @@ MALFORMED_CONFIGS = {
     "dataset_without_size": (lambda c: c["cache"]["datasets"][0].pop("size_bytes"),
                              ["dataset is missing", "size_bytes"]),
     "dataset_checksum_malformed": (_dataset(checksum="abc"), ["doi:x", "checksum", "'abc'"]),
+    # loaded, though no digest can equal the checksum
+    **{f"dataset_checksum_{label}": (_dataset(checksum=checksum),
+                                     ["doi:x", "checksum", repr(checksum), expected])
+       for label, checksum, expected in [
+           ("ellipsis", "sha256:...", "64 lowercase hex digits"),
+           ("short", "sha256:00", "64 lowercase hex digits"),
+           ("not_hex", "sha256:" + "z" * 64, "64 lowercase hex digits"),
+           ("upper_case", "md5:" + "AB" * 16, "32 lowercase hex digits"),
+           ("unknown_algo", "md99:abcd", "no fixed-length digest"),
+           ("variable_length", "shake_128:" + "0" * 32, "no fixed-length digest")]},
     "actions_number": (lambda c: c["scenario"].__setitem__("actions", 5),
                        ["scenario actions must be a list", "5"]),
     # loaded without a word before the config rules

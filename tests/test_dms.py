@@ -1,4 +1,6 @@
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from talescale.dms import (
     DatasetCatalog,
     DmsCache,
     ExternalDataRef,
+    StagingAction,
     StagingKind,
     TransferSource,
     resolve_local,
@@ -17,7 +20,7 @@ from talescale.dms import (
 from talescale.errors import CapacityError, ChecksumMismatchError, DuplicateError, ValidationError
 from talescale.trace import TraceLog
 
-from conftest import batch_world, make_resource
+from conftest import batch_world, make_resource, talescale_calls
 
 
 def ref(uri, size=100):
@@ -87,6 +90,29 @@ class TestOpen:
         assert cache.resident_bytes() == 70
         assert cache.evict(40) == ["doi:a"]  # 30 free, and doi:a frees its 10
         assert cache.resident_bytes() == 60
+
+    def test_open_nowait_opens_the_catalogs_ref_on_a_first_and_a_later_open(self):
+        # Each caller's ref names doi:a with a wrong size, 5 then 500 bytes;
+        # both opens reserve, evict for and record the catalog's 60.
+        a, c = ref("doi:a", 60), ref("doi:c", 50)
+        clock, cache = make_cache([a, c], capacity=100)
+        events = cache.trace.records
+        cache.open(c)
+        cache.open_nowait(ExternalDataRef("doi:a", 5, a.checksum))  # makes the entry
+        assert cache.resident_bytes() == 60
+        assert [(r["uri"], r["bytes"]) for r in events("cache_evict")] == [("doi:c", 50)]
+        clock.run_until(clock.now + 1)
+        cache.open(c)  # evicts doi:a's 60 to admit doi:c's 50
+        assert cache.entry("doi:a").state == CacheState.EVICTED  # the entry's later open:
+        handle = cache.open_nowait(ExternalDataRef("doi:a", 500, a.checksum))
+        clock.run_until(clock.now + 1)
+        assert handle.ready
+        assert cache.resident_bytes() == 60
+        assert [(r["uri"], r["bytes"]) for r in events("cache_evict")] == [
+            ("doi:c", 50), ("doi:a", 60), ("doi:c", 50)]
+        assert [(r["uri"], r["bytes"]) for r in events("transfer_start")] == [
+            ("doi:c", 50), ("doi:a", 60), ("doi:c", 50), ("doi:a", 60)]
+        assert [r.bytes for r in records_for(cache, "doi:a")] == [60, 60]
 
     def test_checksum_mismatch_discards_entry_and_raises(self):
         r = ref("doi:a")
@@ -187,21 +213,27 @@ class TestPrefetch:
 
 class TestResolveLocal:
     def test_posix_local_dataset_mounts(self):
-        r = ref("doi:bigsim", size=70 * 10 ** 12)  # far beyond any cache
         hpc = make_resource(datasets={"doi:bigsim"}, posix=True)
-        action = resolve_local(r, hpc)
+        (action,) = resolve_local(["doi:bigsim"], hpc)
         assert action.action == StagingKind.MOUNT
         assert action.resource == hpc.name
 
     def test_non_posix_local_dataset_stages_in(self):
-        r = ref("doi:objstore")
         hpc = make_resource(datasets={"doi:objstore"}, posix=False)
-        assert resolve_local(r, hpc).action == StagingKind.STAGE_IN
+        assert resolve_local(["doi:objstore"], hpc)[0].action == StagingKind.STAGE_IN
 
     def test_remote_dataset_fetches_through_cache(self):
-        r = ref("doi:elsewhere")
         hpc = make_resource()
-        assert resolve_local(r, hpc).action == StagingKind.CACHE_FETCH
+        assert resolve_local(["doi:elsewhere"], hpc)[0].action == StagingKind.CACHE_FETCH
+
+    def test_actions_keep_the_order_of_the_uris(self):
+        hpc = make_resource(datasets={"doi:b", "doi:d"}, posix=False)
+        actions = resolve_local(["doi:d", "doi:a", "doi:b"], hpc)
+        assert actions == (StagingAction("doi:d", StagingKind.STAGE_IN, "hpc-1"),
+                           StagingAction("doi:a", StagingKind.CACHE_FETCH, "hpc-1"),
+                           StagingAction("doi:b", StagingKind.STAGE_IN, "hpc-1"))
+        assert [a.to_dict() for a in actions][0] == {"uri": "doi:d", "action": "stage_in",
+                                                     "resource": "hpc-1"}
 
     def test_stage_in_moves_bytes_locally_not_remotely(self):
         r = ref("doi:objstore", size=123)
@@ -222,6 +254,47 @@ class TestResolveLocal:
         with pytest.raises(ValidationError, match="not registered"):
             cache.stage_in(ref("doi:unknown"), hpc)
         assert len(cache.transfer_log) == 1
+
+
+class TestApplyStaging:
+    def world(self):
+        def dataset(uri, size):
+            return {"uri": uri, "size_bytes": size, "checksum": digest_bytes(uri.encode())}
+
+        def node(name, uri, interface):
+            return {"name": name, "kind": "hpc_cluster", "lrm": "none",
+                    "allows_incoming_connections": False, "local_datasets": [uri],
+                    "dataset_interface": interface}
+
+        return batch_world(
+            resources=[node("hpc-p", "doi:b", "posix"), node("hpc-n", "doi:c", "non_posix")],
+            cache={"datasets": [dataset("doi:a", 100), dataset("doi:b", 200),
+                                dataset("doi:c", 300)]})
+
+    def test_a_plan_costs_one_catalog_lookup_per_action(self):
+        # A resident hit, a mount and a stage-in: apply_staging looks each
+        # action's dataset up once, stage_in once more for its own rule, and
+        # the open reads the catalog's ref from the cache entry.
+        world = self.world()
+        world.cache.open(world.catalog.get("doi:a"))
+        plan = SimpleNamespace(staging_actions=(
+            StagingAction("doi:a", StagingKind.CACHE_FETCH, "hpc-p"),
+            StagingAction("doi:b", StagingKind.MOUNT, "hpc-p"),
+            StagingAction("doi:c", StagingKind.STAGE_IN, "hpc-n")))
+        calls = talescale_calls(world.apply_staging, plan)
+        assert calls == {"World.apply_staging": 1, "DatasetCatalog.get": 4,
+                         "DmsCache.open": 1, "DmsCache.open_nowait": 1, "DmsCache.entry": 1,
+                         "OpenHandle.__init__": 1, "DmsCache.stage_in": 1,
+                         "TraceLog.emit": 3, "SimClock.now": 4}
+        assert [(ev.kind, ev.fields["uri"]) for ev in world.trace][-3:] == [
+            ("cache_hit", "doi:a"), ("mount", "doi:b"), ("transfer_complete", "doi:c")]
+
+    def test_an_action_outside_the_catalog_is_refused(self):
+        world = self.world()
+        for kind in StagingKind:
+            plan = SimpleNamespace(staging_actions=(StagingAction("doi:x", kind, "hpc-p"),))
+            with pytest.raises(ValidationError, match="'doi:x' is not registered"):
+                world.apply_staging(plan)
 
 
 class TestEvict:
@@ -299,6 +372,20 @@ class TestCatalog:
     def test_size_must_be_a_byte_count(self, size):
         with pytest.raises(ValidationError, match="size_bytes must be an integer >= 0"):
             ExternalDataRef("doi:x", size, digest_bytes(b"x"))
+
+    @pytest.mark.parametrize("checksum", [
+        "sha256:...", "sha256:zz", "sha256:00", "sha256:" + "0" * 63, "sha256:" + "0" * 65,
+        "sha256:" + "AB" * 32, "sha256:" + "0" * 63 + "g", "md5:" + "0" * 64, "sha256: " + "0" * 63,
+        "md99:" + "0" * 64, "shake_128:" + "0" * 64, "SHA256:" + "0" * 64, ":" + "0" * 64,
+        "sha256:", "abc"])
+    def test_a_checksum_no_digest_can_equal_is_refused(self, checksum):
+        with pytest.raises(ValidationError, match=f"data ref 'doi:x' checksum: .*{re.escape(checksum)}"):
+            ExternalDataRef("doi:x", 1, checksum)
+
+    @pytest.mark.parametrize("algo", ["sha256", "sha1", "md5", "sha512", "sha3_256", "blake2b"])
+    def test_each_fixed_length_digest_loads(self, algo):
+        checksum = digest_bytes(b"x", algo)
+        assert ExternalDataRef("doi:x", 1, checksum).checksum == checksum
 
     def test_from_dict_still_loads_integral_numbers(self):
         raw = {"uri": "doi:x", "size_bytes": 5.0, "checksum": digest_bytes(b"x")}

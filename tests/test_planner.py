@@ -302,9 +302,8 @@ def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_overri
                       for _, w in decoupled.pairs]
     if not candidates:
         raise InfeasiblePlanError(reasons)
-    refs = [catalog.get(uri) if catalog is not None and uri in catalog
-            else ExternalDataRef(uri=uri, size_bytes=1, checksum="sha256:unknown")
-            for uri in sorted(req.dataset_uris)]
+    sizes = {ref.uri: ref.size_bytes for ref in catalog or ()}  # absent: one byte
+    uris = sorted(req.dataset_uris)
 
     def estimate(model, frontend):
         if model in (M.M1_WT_CLUSTER, M.M5_WT_FRONTEND_REMOTE_LRM) or frontend.queue_model is None:
@@ -317,8 +316,8 @@ def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_overri
         if objective == "min_time_to_frontend":
             primary = estimate(model, frontend)
         else:
-            primary = sum(ref.size_bytes for ref in refs
-                          if resolve_local(ref, consumer).action == StagingKind.CACHE_FETCH)
+            primary = sum(sizes.get(uri, 1) for uri in uris
+                          if resolve_local([uri], consumer)[0].action == StagingKind.CACHE_FETCH)
         return (primary, MODEL_ORDER.index(model), inventory.index(frontend),
                 inventory.index(workload) if workload is not None else -1)
 
@@ -331,7 +330,8 @@ def brute_force_plan(req, inventory, objective, *, catalog=None, frontend_overri
         "frontend_resource": frontend.name,
         "workload_resources": [workload.name] if workload is not None else [],
         "proxy_required": not frontend.allows_incoming_connections,
-        "staging_actions": [resolve_local(ref, workload or frontend).to_dict() for ref in refs],
+        "staging_actions": [resolve_local([uri], workload or frontend)[0].to_dict()
+                            for uri in uris],
         "estimated_time_to_frontend": estimate(model, frontend),
         "objective": objective,
         "reasons": notes,
@@ -516,13 +516,14 @@ class TestScoringWork:
     @pytest.mark.parametrize("resources", [50, 1000])
     def test_one_staging_resolution_per_dataset(self, monkeypatch, resources):
         # Scoring builds no staging actions: however many candidates a plan
-        # ranks, only the chosen consumer's staging tuple resolves datasets.
+        # ranks, only the chosen consumer's staging tuple resolves datasets,
+        # each of them once.
         inventory, catalog, rng, uris = tale_launch_inventory(resources)
         calls = []
 
-        def counting(ref, resource):
-            calls.append(ref.uri)
-            return resolve_local(ref, resource)
+        def counting(wanted, resource):
+            calls.extend(wanted)
+            return resolve_local(wanted, resource)
 
         monkeypatch.setattr("talescale.planner.resolve_local", counting)
         for needs_hpc, needs_mpi, min_nodes in ((False, False, 1), (True, False, 1),
@@ -532,7 +533,7 @@ class TestScoringWork:
                                        dataset_uris=rng.sample(uris[:200], 8))
             calls.clear()
             plan = plan_placement(req, inventory, "min_data_movement", catalog=catalog)
-            assert len(calls) == len(req.dataset_uris) == len(plan.staging_actions)
+            assert calls == sorted(req.dataset_uris) == [a.uri for a in plan.staging_actions]
 
     @pytest.mark.parametrize("resources", [50, 1000])
     def test_candidate_rule_runs_once_per_shape(self, monkeypatch, resources):

@@ -6,7 +6,7 @@ from talescale.errors import DuplicateError, ProxyPolicyError, RouteNotFoundErro
 from talescale.proxy import Endpoint, ProxyRegistry, SimulatedNetwork
 from talescale.trace import TraceLog
 
-from conftest import make_resource, wt_resource
+from conftest import make_resource, talescale_calls, wt_resource
 
 
 def make_proxy(no_proxy=False):
@@ -28,13 +28,13 @@ def test_register_generates_path_scheme():
 
 @pytest.mark.parametrize("tale_id", ["", "a/b", "/", "a/", "/a"])
 def test_tale_id_must_be_one_path_segment(tale_id):
-    # /tales/a/b/ would be published, but lookup reads only the segment "a".
+    # /tales/a/b/ would be published, but route reads only the segment "a".
     network, registry = make_proxy()
     with pytest.raises(ValidationError, match="tale id"):
         registry.register_endpoint(tale_id, Endpoint("hpc-1", "n3", 8888))
     assert registry.trace.count("route_registered") == 0
     with pytest.raises(RouteNotFoundError):
-        registry.lookup(f"/tales/{tale_id}/")
+        registry.route(f"/tales/{tale_id}/", b"x")
 
 
 def test_duplicate_registration_rejected():
@@ -49,8 +49,10 @@ def test_register_deregister_register_cycle():
     registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
     registry.deregister("t1")
     registry.deregister("t1")  # idempotent no-op
-    registry.register_endpoint("t1", Endpoint("hpc-1", "n5", 9999))
-    assert registry.lookup("/tales/t1/").endpoint.node == "n5"
+    route = registry.register_endpoint("t1", Endpoint("hpc-1", "n5", 9999))
+    network.listen(route.endpoint, lambda b: b)
+    registry.route("/tales/t1/", b"x")
+    assert registry.trace.records("proxy_forward")[-1]["node"] == "n5"
 
 
 def test_deregistered_route_is_not_found():
@@ -100,14 +102,85 @@ def test_forwarding_log_one_record_per_exchange():
 
 def test_route_bijection_over_live_routes():
     network, registry = make_proxy()
+    for k in (1, 2, 3):
+        network.listen(Endpoint("hpc-1", f"n{k}", k), lambda b: b)
     registry.register_endpoint("t1", Endpoint("hpc-1", "n1", 1))
     registry.register_endpoint("t2", Endpoint("hpc-1", "n2", 2))
     registry.deregister("t1")
     registry.register_endpoint("t3", Endpoint("hpc-1", "n3", 3))
     with pytest.raises(RouteNotFoundError):
-        registry.lookup("/tales/t1/")
-    routes = {tale_id: registry.lookup(f"/tales/{tale_id}/") for tale_id in ("t2", "t3")}
-    paths = {r.public_path for r in routes.values()}
+        registry.route("/tales/t1/", b"x")
+
+    def forwarded(path):  # the trace record of one request to ``path``
+        registry.route(path, b"x")
+        return registry.trace.records("proxy_forward")[-1]
+
+    routes = {tale_id: forwarded(f"/tales/{tale_id}/") for tale_id in ("t2", "t3")}
+    paths = {r["public_path"] for r in routes.values()}
     assert len(paths) == len(routes)
     for tale_id, route in routes.items():
-        assert registry.lookup(route.public_path).tale_id == tale_id
+        assert forwarded(route["public_path"])["tale_id"] == tale_id
+
+
+# Each refusal keeps the error type and message it had when routes were
+# found by splitting the path.
+@pytest.mark.parametrize("path", ["/tales/ghost/", "/tale/x", "tales/x", "/tales/", "/tales", "",
+                                  "/tales//t1/"])
+def test_a_path_naming_no_live_route_is_not_found(path):
+    network, registry = make_proxy()
+    route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
+    network.listen(route.endpoint, lambda b: b)
+    with pytest.raises(RouteNotFoundError) as raised:
+        registry.route(path, b"x")
+    assert str(raised.value) == f"no route for {path!r}"
+    assert registry.trace.count("proxy_forward") == 0
+
+
+def test_a_closed_listener_is_not_found():
+    network, registry = make_proxy()
+    route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
+    network.listen(route.endpoint, lambda b: b)
+    network.close(Endpoint("hpc-1", "n3", 8888))
+    with pytest.raises(RouteNotFoundError) as raised:
+        registry.route("/tales/t1/lab", b"x")
+    assert str(raised.value) == "nothing listening at Endpoint(resource='hpc-1', node='n3', port=8888)"
+    assert registry.trace.count("proxy_forward") == 0
+
+
+def test_a_no_proxy_resource_registers_but_refuses_each_request():
+    network, registry = make_proxy(no_proxy=True)
+    route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
+    assert registry.trace.records("route_registered")[-1]["resource"] == "hpc-1"
+    network.listen(route.endpoint, lambda b: b)
+    for path in ("/tales/t1/", "/tales/t1/api/0"):
+        with pytest.raises(ProxyPolicyError) as raised:
+            registry.route(path, b"x")
+        assert str(raised.value) == "resource 'hpc-1' forbids proxied access (no_proxy policy)"
+    assert registry.trace.count("proxy_forward") == 0
+    # the policy is the endpoint's resource's: another resource's route forwards
+    network.listen(Endpoint("wt-1", "n0", 80), lambda b: b)
+    registry.register_endpoint("t2", Endpoint("wt-1", "n0", 80))
+    assert registry.route("/tales/t2/", b"x") == b"x"
+
+
+def test_equal_endpoints_reach_one_handler():
+    network, registry = make_proxy()
+    network.listen(Endpoint("hpc-1", "n3", 8888), lambda b: b"n3:" + b)
+    route = registry.register_endpoint("t1", Endpoint(resource="hpc-1", node="n3", port=8888))
+    assert route.endpoint == Endpoint("hpc-1", "n3", 8888)
+    assert hash(route.endpoint) == hash(Endpoint("hpc-1", "n3", 8888))
+    assert repr(route.endpoint) == "Endpoint(resource='hpc-1', node='n3', port=8888)"
+    assert registry.route("/tales/t1/", b"x") == b"n3:x"
+    assert route.endpoint != Endpoint("hpc-1", "n3", 8889)
+
+
+def test_a_request_costs_one_route_call_and_its_record():
+    # The route is found with one lookup and carries its policy, so a
+    # request calls no lookup helper and hashes its endpoint in C: route,
+    # the delivery, one record (which reads the clock) and two digests.
+    network, registry = make_proxy()
+    route = registry.register_endpoint("t1", Endpoint("hpc-1", "n3", 8888))
+    network.listen(route.endpoint, lambda b: b)
+    calls = talescale_calls(registry.route, "/tales/t1/api/0", b"GET /api/0")
+    assert calls == {"ProxyRegistry.route": 1, "SimulatedNetwork.deliver": 1,
+                     "TraceLog.emit": 1, "SimClock.now": 1, "short_digest": 2}

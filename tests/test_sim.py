@@ -207,8 +207,8 @@ FULL_CONFIG = {
     "pools": [{"resource": "hpc-1", "min_warm": 1, "max_size": 2, "pilot_walltime_s": 60,
                "replenish_threshold": 1, "pilot_nodes": 1, "credential": "svc"}],
     "cache": {"capacity_bytes": 10000, "bandwidth_bytes_per_s": 100.0,
-              "datasets": [{"uri": "doi:a", "size_bytes": 100, "checksum": "sha256:00"},
-                           {"uri": "doi:b", "size_bytes": 200, "checksum": "sha256:01"}]},
+              "datasets": [{"uri": "doi:a", "size_bytes": 100, "checksum": digest_bytes(b"doi:a")},
+                           {"uri": "doi:b", "size_bytes": 200, "checksum": digest_bytes(b"doi:b")}]},
     "scenario": {"image_load_s": 8, "poll_interval_s": 5, "idle_ttl_s": 300,
                  "transport_rtt_s": 0.05, "handshake_s": 0.5, "dispatch_overhead_s": 0.2,
                  "credentials": ["user", "bob"],

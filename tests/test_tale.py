@@ -67,7 +67,7 @@ class TestCreate:
         with pytest.raises(ValidationError):
             ExternalDataRef(uri="doi:x", size_bytes=10, checksum="")
         with pytest.raises(ValidationError):
-            ExternalDataRef(uri="doi:x", size_bytes=-1, checksum="sha256:00")
+            ExternalDataRef(uri="doi:x", size_bytes=-1, checksum=digest_bytes(b"doi:x"))
 
     def test_absolute_and_traversal_paths_rejected(self):
         with pytest.raises(ValidationError):
